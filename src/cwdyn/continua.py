@@ -221,6 +221,25 @@ def diameter(cont: MarkedContinuum) -> float:
     return best
 
 
+def _diameter_exceeds(chart: str, pts: np.ndarray, thr: float) -> bool:
+    """Whether the max pairwise chart distance over pts exceeds thr.
+
+    Decides exactly as the full distance matrix would: the distance is
+    elementwise and exactly symmetric, so the upper triangle holds the
+    max.  The endpoint rows go first (they usually realize a path's
+    diameter), then the triangle in row blocks, stopping at the first
+    block over thr; only a set of diameter <= thr pays the whole triangle.
+    """
+    if float(chart_distance_arr(chart, pts[[0, -1], None, :], pts[None, :, :]).max()) > thr:
+        return True
+    block = 64
+    for i in range(0, len(pts), block):
+        d = chart_distance_arr(chart, pts[i:i + block, None, :], pts[None, i:, :])
+        if float(d.max()) > thr:
+            return True
+    return False
+
+
 def _required_count(length: float, budget: int) -> int:
     need = length / EDGE_TARGET + 1.0
     if need > budget:

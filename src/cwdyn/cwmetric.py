@@ -34,7 +34,7 @@ from .models import (
     CalibrationError, ModelCapabilityError, TORUS, SPHERE_QUOTIENT,
     NORTH_SOUTH, chart_distance_arr,
 )
-from .continua import MarkedContinuum, diameter, image
+from .continua import MarkedContinuum, _diameter_exceeds
 
 INFINITY = math.inf
 
@@ -298,11 +298,9 @@ class _PathEngine:
             if self.chart == TORUS:
                 d = nodes[:, None, :] - nodes[None, :, :]
                 return float(np.hypot(d[..., 0], d[..., 1]).max()) > self.c
-            dq = chart_distance_arr(self.chart, nodes[:, None, :], nodes[None, :, :])
-            return float(dq.max()) > self.c
+            return _diameter_exceeds(self.chart, nodes, self.c)
         # long multi-piece path: sampled lower bound of the diameter
         samples = []
-        base = nodes[0]
         for p, ln, node in zip(self.pieces, lens, nodes[:-1]):
             n = min(max(2, int(ln / 0.02) + 1), 512)
             t = np.linspace(0.0, 1.0, n)
@@ -310,14 +308,7 @@ class _PathEngine:
         pts = np.concatenate(samples)
         if len(pts) > 2048:
             pts = pts[:: len(pts) // 2048 + 1]
-        best = 0.0
-        for i in range(0, len(pts), 256):
-            blk = pts[i:i + 256]
-            dq = chart_distance_arr(self.chart, blk[:, None, :], pts[None, :, :])
-            best = max(best, float(dq.max()))
-            if best > self.c:
-                return True
-        return best > self.c
+        return _diameter_exceeds(self.chart, pts, self.c)
 
     # escape times
 
@@ -755,11 +746,8 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
         if sys.chart == SPHERE_QUOTIENT:
             # membership: the family is continua with quotient diam > c/2,
             # and the fold can shrink an arc well below its plane length
-            t = np.linspace(0.0, 1.0, 513)
-            pts = lf.start_arr[None, :] + (t * lf.length)[:, None] * d[None, :]
-            dia = float(chart_distance_arr(sys.chart, pts[:, None, :],
-                                           pts[None, :, :]).max())
-            if not dia > c / 2.0:
+            pts = lf.cover_points(np.linspace(0.0, 1.0, 513))
+            if not _diameter_exceeds(sys.chart, pts, c / 2.0):
                 continue
         if lf.stable:
             comp = (0.0, lf.length * math.copysign(1.0, float(d @ frame.es)))

@@ -1,4 +1,4 @@
-"""Stable and unstable holonomies between nearby local arcs.
+r"""Stable and unstable holonomies between nearby local arcs.
 
 The stable holonomy pi^s_{x,y} slides a point z of the local stable arc
 of x onto the local stable arc of y along the local unstable arc of z:

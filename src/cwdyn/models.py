@@ -238,20 +238,26 @@ class SystemModel:
         """Unit eigenvector of the stable or unstable line."""
         if not self.is_hyperbolic:
             raise ModelCapabilityError("north-south map has no hyperbolic splitting")
-        m = np.asarray(self.matrix, dtype=float)
-        w, v = np.linalg.eig(m)
-        idx = int(np.argmin(np.abs(w))) if stable else int(np.argmax(np.abs(w)))
-        e = v[:, idx] / np.linalg.norm(v[:, idx])
-        # fix an orientation so repeated runs agree bit for bit
-        if e[0] < 0 or (e[0] == 0 and e[1] < 0):
-            e = -e
-        return e
+        return _eigen_direction(self.matrix, bool(stable)).copy()
 
     def direction_rate(self, stable: bool) -> float:
         """Eigenvalue modulus along the chosen direction (in (0,1) if stable)."""
         m = np.asarray(self.matrix, dtype=float)
         w = np.abs(np.linalg.eigvals(m))
         return float(np.min(w)) if stable else float(np.max(w))
+
+
+@lru_cache(maxsize=64)
+def _eigen_direction(matrix: tuple, stable: bool) -> np.ndarray:
+    # cached per matrix; eigen_direction hands out copies
+    m = np.asarray(matrix, dtype=float)
+    w, v = np.linalg.eig(m)
+    idx = int(np.argmin(np.abs(w))) if stable else int(np.argmax(np.abs(w)))
+    e = v[:, idx] / np.linalg.norm(v[:, idx])
+    # fix an orientation so repeated runs agree bit for bit
+    if e[0] < 0 or (e[0] == 0 and e[1] < 0):
+        e = -e
+    return e
 
 
 def make_model(kind: str, matrix=None, c: float | None = None,

@@ -264,7 +264,13 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
     against the envelope [(1+delta)^2 * 4]^n * lam^{nk} * c with lam
     the contraction rate; violations become counterexample records in
     the result.
+
+    The run stops after three consecutive gaps d(y_n, f^k y_n) below
+    max(tol, 2 * 2^-52 * lam_u^k): f^k amplifies the rounding of y_n by
+    about lam_u^k (lam_u the expansion rate), so below that floor the
+    gap is rounding noise and cannot shrink further.
     """
+    gap_tol = max(tol, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
     lam_c = 1.0 / consts.lam
     ratio = 4.0 * (1.0 + params.delta) ** 2 * lam_c ** k
     hol = HolonomyParams(eps=params.eps, delta=params.delta, resolution=9)
@@ -280,7 +286,7 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
         if gap == 0.0:
             converged = True
             break
-        if gap < tol:
+        if gap < gap_tol:
             consec += 1
             if consec >= 3:
                 converged = True

@@ -52,6 +52,7 @@ class TestCalibrate:
         assert consts_pa.m == 2
         assert consts_pa.alpha == pytest.approx(math.sqrt(2.0), abs=1e-15)
         assert consts_pa.n0 == 5
+        assert consts_pa.horizon == 399
 
     def test_quotient_delay_witness(self, pa, consts_pa):
         # stable arc whose backward image folds to diameter below c
@@ -84,6 +85,73 @@ class TestCalibrate:
         with pytest.raises(ValueError):
             MetricConstants(c=good.c, m=good.m, alpha=good.alpha, n0=good.n0,
                             k=good.k, lam=1.5, xi=good.xi, horizon=good.horizon)
+
+
+def _calibration_point_sets(sys):
+    # the 513-point arcs that calibrate tests for quotient diameter > c/2,
+    # at budget 400 on seeds 0 and 1; the seeds share the family's fixed
+    # part, which is taken once
+    seen = set()
+    for seed in (0, 1):
+        for lf in cwmetric._eigen_arc_samples(sys, sys.c, 400, np.random.default_rng(seed)):
+            key = (lf.start, lf.direction, lf.length)
+            if key not in seen:
+                seen.add(key)
+                yield lf.cover_points(np.linspace(0.0, 1.0, 513))
+
+
+def _full_max(chart, pts):
+    return float(models.chart_distance_arr(chart, pts[:, None, :], pts[None, :, :]).max())
+
+
+def _assert_sharp(chart, pts, full):
+    # the exact max is the sharpest threshold: its pair must be found
+    assert not continua._diameter_exceeds(chart, pts, full)
+    assert continua._diameter_exceeds(chart, pts, math.nextafter(full, -math.inf))
+
+
+class TestDiameterExceeds:
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_matches_full_matrix_on_calibration_arcs(self, kind):
+        sys = make_model(kind)
+        thr = sys.c / 2.0
+        n_arcs = n_excluded = 0
+        for pts in _calibration_point_sets(sys):
+            full = _full_max(sys.chart, pts)
+            assert continua._diameter_exceeds(sys.chart, pts, thr) == (full > thr)
+            n_arcs += 1
+            if not full > thr:
+                # excluded arcs are the ones that pay the whole triangle
+                n_excluded += 1
+                _assert_sharp(sys.chart, pts, full)
+        assert n_arcs > 400
+        if kind == "sphere-pA":
+            # the fold excludes some arcs from the family, not most
+            assert 0 < n_excluded < n_arcs // 4
+        else:
+            assert n_excluded == 0
+
+    def test_fold_suppressed_arc(self, pa):
+        # a stable segment centred on the spine (0, 0) folds onto itself:
+        # plane length 0.2, quotient diameter 0.1
+        e = pa.eigen_direction(stable=True)
+        pts = np.linspace(-0.1, 0.1, 257)[:, None] * e[None, :]
+        full = _full_max(pa.chart, pts)
+        assert full == pytest.approx(0.1, abs=1e-15)
+        assert not continua._diameter_exceeds(pa.chart, pts, 0.125)
+        assert continua._diameter_exceeds(pa.chart, pts, 0.09)
+        _assert_sharp(pa.chart, pts, full)
+
+    def test_two_points(self):
+        pts = np.array([[0.1, 0.1], [0.9, 0.85]])
+        # torus distance hypot(0.2, 0.25); the quotient one is 0.05
+        for chart, want in ((models.TORUS, math.hypot(0.2, 0.25)),
+                            (models.SPHERE_QUOTIENT, 0.05)):
+            full = _full_max(chart, pts)
+            assert full == pytest.approx(want, abs=1e-15)
+            assert continua._diameter_exceeds(chart, pts, 0.9 * want)
+            assert not continua._diameter_exceeds(chart, pts, 1.1 * want)
+            _assert_sharp(chart, pts, full)
 
 
 class TestEscape:

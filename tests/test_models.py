@@ -108,6 +108,16 @@ class TestEigen:
             assert e[0] > 0  # orientation convention
         assert cat.expansion_rate == pytest.approx(lam)
 
+    def test_cached_direction_cannot_be_poisoned(self, cat):
+        a = np.array(cat.matrix, dtype=float)
+        lam = (3 + math.sqrt(5)) / 2
+        e = cat.eigen_direction(stable=False)
+        e[:] = [1.0, 0.0]
+        again = cat.eigen_direction(stable=False)
+        assert np.allclose(a @ again, lam * again, atol=1e-12)
+        assert np.linalg.norm(again) == pytest.approx(1.0, abs=1e-15)
+        assert again[0] > 0
+
     def test_matrix_validation(self):
         with pytest.raises(ValueError):
             make_model("cat-map", matrix=((0, -1), (1, 0)))  # not hyperbolic

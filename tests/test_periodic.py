@@ -246,6 +246,16 @@ class TestKatokIterate:
         assert len(gaps) == 2
         assert gaps[1] <= rate * gaps[0]
 
+    def test_period_fourteen_stops_at_rounding_floor(self, cat, consts, plan):
+        # f^14 amplifies rounding by ~7e5, so the gap plateaus near 1e-11
+        # and an absolute 1e-11 stopping test alone would never pass
+        y = cat.point(2 / 13 + 1e-9, 5 / 13 + 1.3e-9)
+        res = katok_iterate(cat, y, 14, plan, consts)
+        assert res["converged"]
+        assert len(res["steps"]) < 40
+        dev = models.chart_distance(cat.chart, res["q"].xy(), np.array([2 / 13, 5 / 13]))
+        assert dev < 1e-12
+
     def test_quotient_model_run(self, pa, consts_pa, plan_pa):
         xy = models.canonical_rep(np.array([0.2 + 1e-9, 0.4 + 1.3e-9]))
         res = katok_iterate(pa, pa.point(*xy), 1, plan_pa, consts_pa)
