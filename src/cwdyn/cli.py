@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -97,9 +98,12 @@ def _parse_point(raw) -> tuple:
     if len(parts) != 2:
         raise ConfigError(f"--p expects 'x,y', got {raw!r}")
     try:
-        return (float(parts[0]), float(parts[1]))
+        x, y = float(parts[0]), float(parts[1])
     except ValueError:
         raise ConfigError(f"--p expects two floats, got {raw!r}")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ConfigError(f"--p expects two finite floats, got {raw!r}")
+    return (x, y)
 
 
 def _load_config_file(path) -> dict:
@@ -427,7 +431,8 @@ def run(argv=None) -> int:
     except ConfigError as err:
         print(f"cwdyn: config error: {err}", file=sys.stderr)
         return 1
-    except (ValueError, CalibrationError, BudgetError) as err:
+    except (ValueError, CalibrationError, BudgetError, holonomy.HolonomyFault,
+            chainrec.DiscretizationError, sectors.IndeterminateCrossing) as err:
         print(f"cwdyn: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 
@@ -440,3 +445,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

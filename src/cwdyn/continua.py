@@ -548,8 +548,10 @@ def to_record(cont: MarkedContinuum) -> dict:
 
 
 def from_record(rec: dict) -> MarkedContinuum:
-    return MarkedContinuum(chart=rec["chart"],
-                           vertices=np.asarray(rec["vertices"], dtype=float),
+    vertices = np.asarray(rec["vertices"], dtype=float)
+    if not np.all(np.isfinite(vertices)):
+        raise ValueError("vertices must be finite")
+    return MarkedContinuum(chart=rec["chart"], vertices=vertices,
                            mark_p=int(rec["mark_p"]), mark_q=int(rec["mark_q"]))
 
 

@@ -34,9 +34,13 @@ from .models import (
     CalibrationError, ModelCapabilityError, TORUS, SPHERE_QUOTIENT,
     NORTH_SOUTH, chart_distance_arr,
 )
-from .continua import MarkedContinuum, _diameter_exceeds
+from .continua import MarkedContinuum, _diameter_exceeds, unwrap_to
 
 INFINITY = math.inf
+
+# float64 resolution at chart scale, where coordinates are O(1): a vertex
+# this close to a run's line is collinear up to rounding, not a corner
+_MERGE_TOL = 8 * 2.0 ** -52
 
 # torus straight-segment diameter predicates are exact below this scale
 MAX_C = 0.45
@@ -176,10 +180,10 @@ def _pieces_of(sys, cont: MarkedContinuum, frame: _EigenData) -> list:
     """Decompose a continuum into straight cover pieces.
 
     Lifted arcs give one piece with exact eigen components; plain
-    polylines are unwrapped edge by edge, merging collinear runs.
+    polylines are unwrapped edge by edge, merging each vertex into the
+    current run while it lies within _MERGE_TOL of the run's line and
+    still moves forward.
     """
-    from .continua import unwrap_to
-
     if cont.lift is not None:
         lf = cont.lift
         d = lf.dir_arr
@@ -201,8 +205,9 @@ def _pieces_of(sys, cont: MarkedContinuum, frame: _EigenData) -> list:
         nxt = unwrap_to(cont.chart, prev, v[i])
         dv = nxt - prev
         if run is not None:
-            cr = run[1][0] * dv[1] - run[1][1] * dv[0]
-            if abs(cr) <= 1e-12 * (np.linalg.norm(run[1]) * np.linalg.norm(dv) + 1e-300) \
+            w = nxt - run[0]
+            cr = run[1][0] * w[1] - run[1][1] * w[0]
+            if abs(cr) <= _MERGE_TOL * np.linalg.norm(run[1]) \
                     and float(run[1] @ dv) >= 0:
                 run = (run[0], run[1] + dv)
                 prev = nxt
@@ -384,21 +389,22 @@ class _PathEngine:
         return val
 
     def _escape_raw(self, shift: int):
-        if self._analytic is not None and self.chart == TORUS:
-            mode, e_back, e_fwd = self._analytic
-            if mode == "always":
-                return 0
-            cands = []
-            if e_fwd is not None:
-                cands.append(max(0, e_fwd - shift))
-            if e_back is not None:
-                cands.append(max(0, shift - e_back))
-            n = min(cands) if cands else INFINITY
-            return n if n <= self.horizon else INFINITY
         if self._analytic is not None:
-            # quotient single piece: ring scan skipping exponents whose
-            # length cannot exceed c; the fold check runs only inside tails
-            for j in range(self.horizon + 1):
+            mode, e_back, e_fwd = self._analytic
+            # first j at which shift + j or shift - j lies in the length set;
+            # for every smaller j both lie strictly between e_back and e_fwd
+            j0 = 0
+            if mode == "split":
+                gaps = []
+                if e_fwd is not None:
+                    gaps.append(e_fwd - shift)
+                if e_back is not None:
+                    gaps.append(shift - e_back)
+                j0 = max(0, min(gaps))
+            if self.chart == TORUS:  # length escape is diameter escape
+                return j0 if j0 <= self.horizon else INFINITY
+            # quotient single piece: the fold check runs only inside tails
+            for j in range(j0, self.horizon + 1):
                 if self._in_length_set(shift + j) and self.predicate(shift + j):
                     return j
                 if j and self._in_length_set(shift - j) and self.predicate(shift - j):

@@ -1,9 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
-from cwdyn import acceptance, cli, continua, models
+from cwdyn import acceptance, chainrec, cli, continua, holonomy, models, sectors
 from cwdyn.cli import ConfigError, ExperimentConfig, parse_config
 
 
@@ -50,6 +52,9 @@ class TestParseConfig:
     @pytest.mark.parametrize("argv, where", [
         (["periodic", "--p", "0.2"], "--p"),
         (["periodic", "--p", "a,b"], "--p"),
+        (["periodic", "--p", "nan,0.4"], "--p"),
+        (["periodic", "--p", "0.2,inf"], "--p"),
+        (["periodic", "--p", "-Infinity,0.4"], "--p"),
         (["chainrec", "--model", "dog"], "--model"),
         (["chainrec", "--res", "-4"], "--res"),
         (["chainrec", "--depth", "0"], "--depth"),
@@ -132,6 +137,18 @@ class TestMetric:
         rc, err = run_err(["metric", "--model", "pa",
                            "--continuum", cont_file], capsys)
         assert rc == 1 and "chart" in err
+
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_vertex_names_the_record(self, outdir, capsys, bad):
+        path = outdir / "bad.jsonl"
+        path.write_text('{"chart": "torus", "vertices": [[0.1, 0.2], [0.1, 0.2001]], '
+                        '"mark_p": 0, "mark_q": 1}\n'
+                        '{"chart": "torus", "vertices": [[0.1, %s], [0.1, 0.2]], '
+                        '"mark_p": 0, "mark_q": 1}\n' % bad)
+        rc, err = run_err(["metric", "--model", "cat", "--continuum", str(path)],
+                          capsys)
+        assert rc == 1
+        assert "config error" in err and "record 1" in err and "finite" in err
 
 
 class TestPeriodic:
@@ -260,3 +277,36 @@ class TestAcceptanceCommand:
     def test_bad_suite(self, capsys):
         rc, err = run_err(["acceptance", "--suite", "0,99"], capsys)
         assert rc == 1 and "--suite" in err
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("argv, module, name, err", [
+        (["holonomy-probe", "--model", "cat"], holonomy, "pseudo_isometry_probe",
+         holonomy.HolonomyFault("no crossing")),
+        (["chainrec", "--model", "cat"], chainrec, "build_graph",
+         chainrec.DiscretizationError("grid too coarse")),
+        (["sectors", "--model", "pa"], sectors, "enumerate_spines",
+         sectors.IndeterminateCrossing("too close to the boundary")),
+    ], ids=["HolonomyFault", "DiscretizationError", "IndeterminateCrossing"])
+    def test_exit_one_without_traceback(self, outdir, capsys, monkeypatch,
+                                        argv, module, name, err):
+        def fail(*args, **kwargs):
+            raise err
+
+        monkeypatch.setattr(module, name, fail)
+        rc, msg = run_err(argv, capsys)
+        assert rc == 1
+        assert msg == f"cwdyn: {type(err).__name__}: {err}\n"
+        assert not (outdir / f"{argv[0]}.jsonl").exists()
+
+
+def test_module_entry_point():
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    for module in ("cwdyn", "cwdyn.cli"):
+        proc = subprocess.run([sys.executable, "-m", module, "--help"], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "usage: cwdyn" in proc.stdout

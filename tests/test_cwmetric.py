@@ -355,3 +355,87 @@ class TestCwMetric:
         a = cw_metric_profile(cat, arc, consts, depth=4)
         b = cw_metric_profile(cat, arc, consts, depth=4)
         assert a == b
+
+
+def _record_twin(arc):
+    # the lift-less form `cwdyn metric --continuum` reads
+    return continua.from_record(continua.to_record(arc))
+
+
+class TestRecordLoadedArcs:
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_straight_record_is_one_piece_with_lifted_profile(self, kind, request):
+        sys = make_model(kind)
+        consts = request.getfixturevalue("consts" if kind == "cat-map" else "consts_pa")
+        frame = cwmetric._EigenData(sys)
+        rng = np.random.default_rng(41)
+        for eps in (1e-7, 1e-5, 1e-3, 1e-2, 0.1):
+            for arc_kind in ("stable", "unstable"):
+                for _ in range(2):
+                    arc = local_arc(sys, sys.point(*rng.uniform(0, 1, 2)), arc_kind, eps)
+                    rec = _record_twin(arc)
+                    assert len(cwmetric._pieces_of(sys, rec, frame)) == 1
+                    assert cw_metric_profile(sys, rec, consts, depth=2) \
+                        == cw_metric_profile(sys, arc, consts, depth=2)
+
+    def test_pinned_sphere_pa_twin(self, pa, consts_pa):
+        # read back from its record, this arc once gave N = 6, D = 0.6598
+        arc = local_arc(pa, pa.point(0.22266062595706415, 0.5661483186220022),
+                        "unstable", 0.0016705757884060248)
+        lifted = cw_metric_profile(pa, arc, consts_pa, depth=2)
+        assert lifted["N"] == 5
+        assert lifted["D"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert cw_metric_profile(pa, _record_twin(arc), consts_pa, depth=2) == lifted
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    @pytest.mark.parametrize("leg", [1e-2, 1e-6, 1e-9, 1e-12])
+    def test_bent_path_keeps_its_corner(self, kind, leg):
+        sys = make_model(kind)
+        corner = np.array([0.3141, 0.5926])
+        t = np.linspace(0.0, 1.0, 9)[:, None]
+        es = sys.eigen_direction(stable=True)
+        eu = sys.eigen_direction(stable=False)
+        legs = [continua.MarkedContinuum(
+            chart=sys.chart, vertices=models._wrap1(a + t * (leg * d)[None, :]),
+            mark_p=0, mark_q=8) for a, d in ((corner - leg * es, es), (corner, eu))]
+        path = continua.concat(legs)
+        pieces = cwmetric._pieces_of(sys, path, cwmetric._EigenData(sys))
+        assert len(pieces) == 2
+        stable_leg, unstable_leg = pieces
+        assert abs(stable_leg.au) < 1e-3 * leg
+        assert abs(stable_leg.as_) == pytest.approx(leg, rel=1e-3)
+        assert abs(unstable_leg.as_) < 1e-3 * leg
+        assert abs(unstable_leg.au) == pytest.approx(leg, rel=1e-3)
+
+
+def _ring_scan(eng, shift):
+    # the quotient scan from j = 0, as it ran before it skipped the
+    # exponents that cannot escape
+    for j in range(eng.horizon + 1):
+        if eng._in_length_set(shift + j) and eng.predicate(shift + j):
+            return j
+        if j and eng._in_length_set(shift - j) and eng.predicate(shift - j):
+            return j
+    return math.inf
+
+
+class TestQuotientRingScan:
+    @pytest.mark.parametrize("arc_kind", ["stable", "unstable", "generic"])
+    def test_matches_scan_from_zero(self, pa, consts_pa, arc_kind):
+        # a generic direction has both a backward and a forward tail
+        rng = np.random.default_rng(43)
+        direction = np.array([0.6, 0.8])
+        for eps in (1e-14, 1e-11, 1e-8, 1e-5, 1e-3, 3e-2, 0.1):
+            xy = rng.uniform(0, 1, 2)
+            if arc_kind == "generic":
+                t = np.linspace(-1.0, 1.0, 33)[:, None]
+                arc = continua.MarkedContinuum(
+                    chart=pa.chart, vertices=models._wrap1(xy + t * (eps * direction)),
+                    mark_p=0, mark_q=32)
+            else:
+                arc = _arc(pa, *xy, arc_kind, eps)
+            eng = cwmetric._make_engine(pa, arc, consts_pa.c, consts_pa.horizon)
+            ref = cwmetric._make_engine(pa, arc, consts_pa.c, consts_pa.horizon)
+            assert len(eng.pieces) == 1
+            for shift in range(-40, 41):
+                assert eng.escape_from(shift) == _ring_scan(ref, shift)
