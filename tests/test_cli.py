@@ -52,14 +52,14 @@ class TestParseConfig:
     @pytest.mark.parametrize("argv, where", [
         (["periodic", "--p", "0.2"], "--p"),
         (["periodic", "--p", "a,b"], "--p"),
-        (["periodic", "--p", "nan,0.4"], "--p"),
-        (["periodic", "--p", "0.2,inf"], "--p"),
-        (["periodic", "--p", "-Infinity,0.4"], "--p"),
         (["chainrec", "--model", "dog"], "--model"),
         (["chainrec", "--res", "-4"], "--res"),
         (["chainrec", "--depth", "0"], "--depth"),
         (["sectors", "--grid", "-1"], "--grid"),
         (["chainrec", "--budget", "0"], "--budget"),
+        (["periodic", "--p", "nan,0.4"], "--p"),
+        (["periodic", "--p", "0.2,inf"], "--p"),
+        (["periodic", "--p", "-Infinity,0.4"], "--p"),
     ])
     def test_bad_flags_name_the_flag(self, argv, where):
         with pytest.raises(ConfigError, match=where.replace("-", "[-]")):
