@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from . import chainrec, cwmetric, holonomy, models, periodic, sectors
+from . import chainrec, holonomy, models, periodic, sectors
 from .continua import MarkedContinuum, subcontinuum, unwrap_to
 from .cwmetric import calibrate, cw_metric, cw_metric_family, cw_metric_profile
 from .models import BudgetError, local_arc, make_model

@@ -22,11 +22,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from . import models
-from .models import BudgetError, ModelCapabilityError
-
-
-class ConfigError(ValueError):
-    """Grid resolution and eps are incompatible."""
+from .models import ConfigError
 
 
 class DiscretizationError(RuntimeError):
@@ -314,41 +310,6 @@ def transitivity_verdict(partition: Partition) -> str:
     if partition.n_classes == 1 and partition.classes[0].size == partition.n_cells:
         return "transitive-candidate"
     return "not-transitive"
-
-
-def chain_transport(sys, g: ChainClassGraph, y, n: int) -> dict:
-    """Transport experiment: walk a stretched unstable arc as an eps-chain.
-
-    Grows the local unstable arc of y by 2n iterates, samples it at
-    spacing below eps, and reports the cells the samples visit plus the
-    chain class at the endpoint.  Only meaningful where holonomies are
-    isometries, so it is restricted to the toral model.
-    """
-    if sys.kind != models.CAT_MAP:
-        raise ModelCapabilityError("chain-transport runs on the cat map only")
-    if g.scc_labels is None:
-        raise ValueError("run chain_classes on the graph first")
-    if not 0 < 2 * n <= sys.horizon:
-        raise ValueError(f"need 0 < 2n <= horizon, got n={n}")
-    arc = models.local_arc(sys, y, "unstable", sys.c / 2.0, resolution=3)
-    lift = arc.lift.iterated(sys, 2 * n)
-    length = lift.length
-    if length / (0.9 * g.eps) > 200000:
-        raise BudgetError(f"stretched arc needs over 200000 samples at "
-                          f"eps {g.eps}; lower n")
-    m = max(2, int(np.ceil(length / (0.9 * g.eps))) + 1)
-    pts = lift.project(np.linspace(0.0, 1.0, m))
-    pts = np.mod(pts, 1.0)
-    res = g.grid_resolution
-    idx = np.minimum((pts * res).astype(int), res - 1)
-    cells = idx[:, 0] * res + idx[:, 1]
-    gaps = models.chart_distance_arr(sys.chart, pts[:-1], pts[1:])
-    labels = g.scc_labels[cells]
-    return {"n_samples": int(m), "max_gap": float(gaps.max()),
-            "eps": g.eps, "cells": cells.tolist(),
-            "endpoint_cell": int(cells[-1]),
-            "endpoint_class": int(labels[-1]),
-            "classes_visited": sorted(int(v) for v in np.unique(labels))}
 
 
 def to_record(g: ChainClassGraph, partition: Partition, order_roles: dict,

@@ -19,11 +19,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import acceptance, chainrec, continua, cwmetric, holonomy, periodic, sectors
-from .models import BudgetError, CalibrationError, ModelCapabilityError, make_model
-
-
-class ConfigError(ValueError):
-    """Bad flag or config-file entry; the message names the location."""
+from .models import (BudgetError, CalibrationError, ConfigError, ModelCapabilityError,
+                     make_model)
 
 
 _MODEL_ALIASES = {

@@ -10,7 +10,6 @@ an orbit, which the metric pipeline depends on.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -18,9 +17,9 @@ import numpy as np
 
 from . import models
 from .models import (
-    TORUS, SPHERE_QUOTIENT, SPHERE_GEOGRAPHIC,
+    SPHERE_QUOTIENT, SPHERE_GEOGRAPHIC,
     BudgetError, ChartError, HorizonError, Point,
-    chart_distance, chart_distance_arr, _wrap1, canonical_rep,
+    chart_distance, chart_distance_arr, wrap_chart,
 )
 
 # polyline edges must stay under one chart step
@@ -35,23 +34,6 @@ class OffContinuumError(ValueError):
 def _chart_signs(chart: str) -> tuple:
     # the quotient identifies v with -v; other charts do not
     return (1.0, -1.0) if chart == SPHERE_QUOTIENT else (1.0,)
-
-
-def _wrap_chart(chart: str, pts: np.ndarray) -> np.ndarray:
-    """Canonical chart coordinates, vectorized over (..., 2)."""
-    pts = np.asarray(pts, dtype=float)
-    if chart == TORUS:
-        return _wrap1(pts)
-    if chart == SPHERE_QUOTIENT:
-        a = _wrap1(pts)
-        b = _wrap1(-pts)
-        swap = (b[..., 0] < a[..., 0]) | ((b[..., 0] == a[..., 0]) & (b[..., 1] < a[..., 1]))
-        return np.where(swap[..., None], b, a)
-    if chart == SPHERE_GEOGRAPHIC:
-        lon = _wrap1(pts[..., 0])
-        colat = np.clip(pts[..., 1], 0.0, 1.0)
-        return np.stack([lon, colat], axis=-1)
-    raise ChartError(f"unknown chart {chart!r}")
 
 
 def unwrap_to(chart: str, anchor: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -112,7 +94,7 @@ class StraightLift:
         return self.start_arr[None, :] + (t * self.length)[:, None] * self.dir_arr[None, :]
 
     def project(self, t) -> np.ndarray:
-        return _wrap_chart(self.chart, self.cover_points(t))
+        return wrap_chart(self.chart, self.cover_points(t))
 
     def iterated(self, sys, n: int) -> "StraightLift":
         """The lift of the n-th image.  Exact: the cover start is moved by
@@ -293,7 +275,7 @@ def image(sys, cont: MarkedContinuum, n: int, budget: int = 20000) -> MarkedCont
     idx_map = [0]
     for i, (v, k) in enumerate(edges):
         for j in range(1, k + 1):
-            p = _wrap_chart(cont.chart, verts[i] + (j / k) * v)
+            p = wrap_chart(cont.chart, verts[i] + (j / k) * v)
             out.append(models.iterate_xy(sys, p, n))
         idx_map.append(len(out) - 1)
     return MarkedContinuum(chart=cont.chart, vertices=np.array(out),
@@ -341,13 +323,13 @@ def _intersect_lifted(l1: StraightLift, l2: StraightLift, tol: float) -> list:
                         if -tol_t1 <= t <= 1 + tol_t1:
                             perp = q - a0 - min(max(t, 0.0), 1.0) * da
                             if float(np.linalg.norm(perp)) <= tol:
-                                pts.append(_wrap_chart(chart, q))
+                                pts.append(wrap_chart(chart, q))
                     continue
                 t = (rhs[0] * (-db[1]) - (-db[0]) * rhs[1]) / det
                 u = (da[0] * rhs[1] - rhs[0] * da[1]) / det
                 if -tol_t1 <= t <= 1 + tol_t1 and -tol_t2 <= u <= 1 + tol_t2:
                     t = min(max(t, 0.0), 1.0)
-                    pts.append(_wrap_chart(chart, a0 + t * da))
+                    pts.append(wrap_chart(chart, a0 + t * da))
     return pts
 
 
@@ -376,7 +358,7 @@ def _intersect_edges(chart: str, v1: np.ndarray, v2: np.ndarray, tol: float) -> 
                 ok = np.isfinite(t) & np.isfinite(u)
                 ok &= (t >= -1e-12) & (t <= 1 + 1e-12) & (u >= -1e-12) & (u <= 1 + 1e-12)
                 for j in np.nonzero(ok)[0]:
-                    pts.append(_wrap_chart(chart, p1 + float(t[j]) * d1))
+                    pts.append(wrap_chart(chart, p1 + float(t[j]) * d1))
     return pts
 
 
@@ -411,34 +393,48 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
 # -- sub-polylines and concatenation -------------------------------------
 
 
-def _project_to_lift(cont: MarkedContinuum, xy: np.ndarray):
-    """Nearest point on a lifted arc, computed in the universal cover.
+# lattice translates around a base representative, in enumeration order
+_OFFSETS = tuple(np.array(off, dtype=float) for off in
+                 ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
+                  (1, -1), (1, 0), (1, 1)))
 
-    Enumerating representatives around the segment midpoint avoids the
-    near-spine trap where the closest representative of a vertex is the
-    mirror image rather than the continuation of the lift.
+
+def _nearest_on_lift(lift: StraightLift, xy):
+    """Cover representative of a chart point nearest a straight lift.
+
+    Returns (t, r, dist): the unclamped lift parameter of the cover point
+    r, and r's distance from the segment.  Enumerating representatives
+    around the segment midpoint avoids the near-spine trap where the
+    closest representative of a vertex is the mirror image rather than
+    the continuation of the lift.
     """
-    lf, tp = cont.lift, cont.params
-    s, d = lf.start_arr, lf.dir_arr
-    length = max(lf.length, 0.0)
+    s, d = lift.start_arr, lift.dir_arr
+    length = max(lift.length, 0.0)
     mid = s + 0.5 * length * d
     best = None
-    for sg in _chart_signs(cont.chart):
+    for sg in _chart_signs(lift.chart):
         w0 = sg * np.asarray(xy, dtype=float)
         base = np.round(mid - w0)
-        for off in ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
-                    (1, -1), (1, 0), (1, 1)):
-            ww = w0 + base + np.array(off, dtype=float)
-            t = 0.0 if length <= 0 else min(max(float(np.dot(ww - s, d)) / length, 0.0), 1.0)
-            dist = float(np.linalg.norm(ww - (s + t * length * d)))
-            if best is None or dist < best[0]:
-                best = (dist, t)
-    dist, g = best
+        for off in _OFFSETS:
+            r = w0 + base + off
+            t = 0.0 if length <= 0 else float(np.dot(r - s, d)) / length
+            dist = float(np.linalg.norm(r - (s + min(max(t, 0.0), 1.0) * length * d)))
+            if best is None or dist < best[2]:
+                best = (t, r, dist)
+    return best
+
+
+def _project_to_lift(cont: MarkedContinuum, xy: np.ndarray):
+    """Nearest point on a lifted arc, computed in the universal cover."""
+    lf, tp = cont.lift, cont.params
+    t, _, dist = _nearest_on_lift(lf, xy)
+    g = min(max(t, 0.0), 1.0)
     i = int(np.searchsorted(tp, g, side="right") - 1)
     i = min(max(i, 0), len(tp) - 2)
     span = float(tp[i + 1] - tp[i])
     t_edge = 0.0 if span <= 0 else min(max((g - tp[i]) / span, 0.0), 1.0)
-    return i, t_edge, dist, _wrap_chart(cont.chart, s + g * length * d).reshape(2)
+    pt = lf.start_arr + g * max(lf.length, 0.0) * lf.dir_arr
+    return i, t_edge, dist, wrap_chart(cont.chart, pt).reshape(2)
 
 
 def _project_to_polyline(cont: MarkedContinuum, xy: np.ndarray):
@@ -460,7 +456,7 @@ def _project_to_polyline(cont: MarkedContinuum, xy: np.ndarray):
         pt = a + t * d
         dist = float(np.linalg.norm(p - pt))
         if best is None or dist < best[2]:
-            best = (i, t, dist, _wrap_chart(cont.chart, pt))
+            best = (i, t, dist, wrap_chart(cont.chart, pt))
     return best
 
 
@@ -553,19 +549,3 @@ def from_record(rec: dict) -> MarkedContinuum:
         raise ValueError("vertices must be finite")
     return MarkedContinuum(chart=rec["chart"], vertices=vertices,
                            mark_p=int(rec["mark_p"]), mark_q=int(rec["mark_q"]))
-
-
-def write_jsonl(path, conts: list) -> None:
-    with open(path, "w") as fh:
-        for c in conts:
-            fh.write(json.dumps(to_record(c)) + "\n")
-
-
-def read_jsonl(path) -> list:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                out.append(from_record(json.loads(line)))
-    return out

@@ -148,23 +148,6 @@ def _fold_escape(w0: np.ndarray, d: np.ndarray, lo: float, hi: float,
     return False  # unresolved at 1e-10 scale: treat as boundary non-escape
 
 
-class _EigenData:
-    """Eigen frame of the toral model, shared by all engines."""
-
-    def __init__(self, sys):
-        self.sys = sys
-        self.eu = sys.eigen_direction(stable=False)
-        self.es = sys.eigen_direction(stable=True)
-        a = np.asarray(sys.matrix, dtype=float)
-        self.su = float(self.eu @ (a @ self.eu))  # signed eigenvalues
-        self.ss = float(self.es @ (a @ self.es))
-        self.binv = np.linalg.inv(np.column_stack([self.eu, self.es]))
-
-    def components(self, vec: np.ndarray) -> tuple[float, float]:
-        au, as_ = self.binv @ np.asarray(vec, dtype=float)
-        return float(au), float(as_)
-
-
 class _Piece:
     """One straight cover segment of a path: start + t*(au*eu + as*es)."""
 
@@ -176,7 +159,23 @@ class _Piece:
         self.as_ = float(as_)
 
 
-def _pieces_of(sys, cont: MarkedContinuum, frame: _EigenData) -> list:
+def _eigen_piece(frame: models.EigenFrame, s, vec) -> _Piece:
+    """The piece from s along the cover vector vec, split in the eigenframe."""
+    as_, au = frame.inv @ np.asarray(vec, dtype=float)
+    return _Piece(s, au, as_)
+
+
+def _lift_piece(lf, frame: models.EigenFrame) -> _Piece:
+    """The one piece of a straight lift; eigen-tagged lifts are exact."""
+    d = lf.dir_arr
+    if lf.stable is True:
+        return _Piece(lf.start_arr, 0.0, lf.length * math.copysign(1.0, float(d @ frame.es)))
+    if lf.stable is False:
+        return _Piece(lf.start_arr, lf.length * math.copysign(1.0, float(d @ frame.eu)), 0.0)
+    return _eigen_piece(frame, lf.start_arr, lf.length * d)
+
+
+def _pieces_of(sys, cont: MarkedContinuum, frame: models.EigenFrame) -> list:
     """Decompose a continuum into straight cover pieces.
 
     Lifted arcs give one piece with exact eigen components; plain
@@ -185,15 +184,7 @@ def _pieces_of(sys, cont: MarkedContinuum, frame: _EigenData) -> list:
     still moves forward.
     """
     if cont.lift is not None:
-        lf = cont.lift
-        d = lf.dir_arr
-        if lf.stable is True:
-            comp = (0.0, lf.length * math.copysign(1.0, float(d @ frame.es)))
-        elif lf.stable is False:
-            comp = (lf.length * math.copysign(1.0, float(d @ frame.eu)), 0.0)
-        else:
-            comp = frame.components(lf.length * d)
-        return [_Piece(lf.start_arr, *comp)]
+        return [_lift_piece(cont.lift, frame)]
     v = cont.vertices
     if len(v) < 2:
         return []
@@ -217,18 +208,14 @@ def _pieces_of(sys, cont: MarkedContinuum, frame: _EigenData) -> list:
         prev = nxt
     if run is not None:
         pieces.append(run)
-    out = []
-    for s, vec in pieces:
-        au, as_ = frame.components(vec)
-        out.append(_Piece(np.asarray(models._wrap1(s)), au, as_))
-    return out
+    return [_eigen_piece(frame, models._wrap1(s), vec) for s, vec in pieces]
 
 
 class _PathEngine:
     """Iterated-diameter and escape-time engine for a path of pieces."""
 
     def __init__(self, sys, pieces: list, c: float, horizon: int,
-                 frame: _EigenData):
+                 frame: models.EigenFrame):
         self.sys = sys
         self.chart = sys.chart
         self.c = float(c)
@@ -458,7 +445,7 @@ def _make_engine(sys, cont: MarkedContinuum, c: float, horizon: int) -> _PathEng
     if cont.chart != sys.chart:
         raise models.ChartError(f"continuum chart {cont.chart!r} does not match "
                                 f"model {sys.chart!r}")
-    frame = _EigenData(sys)
+    frame = models.eigen_frame(sys.matrix)
     pieces = [] if cont.is_singleton else _pieces_of(sys, cont, frame)
     return _PathEngine(sys, pieces, c, horizon, frame)
 
@@ -745,21 +732,16 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
             f"(sup {worst.get('sup_diam', 0):.4g} over |n| <= {scan})")
         err.witness = worst
         raise err
-    frame = _EigenData(sys)
+    frame = models.eigen_frame(sys.matrix)
     m_needed = 0
     for lf in _eigen_arc_samples(sys, c, sample_budget, rng):
-        d = lf.dir_arr
         if sys.chart == SPHERE_QUOTIENT:
             # membership: the family is continua with quotient diam > c/2,
             # and the fold can shrink an arc well below its plane length
             pts = lf.cover_points(np.linspace(0.0, 1.0, 513))
             if not _diameter_exceeds(sys.chart, pts, c / 2.0):
                 continue
-        if lf.stable:
-            comp = (0.0, lf.length * math.copysign(1.0, float(d @ frame.es)))
-        else:
-            comp = (lf.length * math.copysign(1.0, float(d @ frame.eu)), 0.0)
-        eng = _PathEngine(sys, [_Piece(lf.start_arr, *comp)], c, scan, frame)
+        eng = _PathEngine(sys, [_lift_piece(lf, frame)], c, scan, frame)
         n = eng.escape_from(0)
         if n is INFINITY or n > max_m:
             err = CalibrationError(

@@ -8,7 +8,7 @@ of x onto the local stable arc of y along the local unstable arc of z:
 and dually for the unstable holonomy.  On the torus the result is a
 single point; on the quotient sphere a fold near a spine can offer two
 branches, so everything here returns or enumerates branch lists.  The
-probes at the bottom measure how far holonomy transport is from an
+probe at the bottom measures how far holonomy transport is from an
 isometry of the cw-metric.
 """
 
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .continua import (MarkedContinuum, OffContinuumError, diameter,
-                       intersect, subcontinuum, unwrap_to, _project_to_polyline)
+from .continua import OffContinuumError, intersect, subcontinuum, _project_to_polyline
 from .cwmetric import MetricConstants, cw_metric
 from .models import Point
 
@@ -57,15 +56,6 @@ class HolonomyParams:
             raise ValueError("tol must be positive")
 
 
-def _chart_point(sys, xy) -> Point:
-    """Wrap raw plane coordinates into a model point on its chart."""
-    if sys.chart == models.SPHERE_QUOTIENT:
-        xy = models.canonical_rep(xy)
-    else:
-        xy = models._wrap1(np.asarray(xy, dtype=float))
-    return sys.point(float(xy[0]), float(xy[1]))
-
-
 def product_structure_radius(sys, eps: float, sample_budget: int = 160,
                              seed: int = 0) -> float:
     """Largest certified delta' such that sampled pairs x, y with
@@ -85,12 +75,12 @@ def product_structure_radius(sys, eps: float, sample_budget: int = 160,
         for w in models.spine_points(sys):
             for r in (1e-6, 1e-3, 0.02):
                 ang = rng.random() * 2.0 * math.pi
-                bases.append(_chart_point(sys, w.xy() + r * np.array([math.cos(ang), math.sin(ang)])))
+                bases.append(sys.point(*(w.xy() + r * np.array([math.cos(ang), math.sin(ang)]))))
     dirs = rng.random(len(bases)) * 2.0 * math.pi
 
     def ok(d: float) -> bool:
         for x, ang in zip(bases, dirs):
-            y = _chart_point(sys, x.xy() + d * np.array([math.cos(ang), math.sin(ang)]))
+            y = sys.point(*(x.xy() + d * np.array([math.cos(ang), math.sin(ang)])))
             cs = models.local_arc(sys, x, "stable", eps)
             cu = models.local_arc(sys, y, "unstable", eps)
             if not intersect(cs, cu):
@@ -158,116 +148,12 @@ def holonomy(sys, x: Point, y: Point, z: Point, kind: str,
     return pts
 
 
-@dataclass(frozen=True)
-class HolonomyRectangle:
-    """Four-sided figure spanned by a stable continuum and a holonomy.
-
-    ``C`` is the stable side from p to q, ``Cprime`` the unstable side
-    from p to p*, ``Cstar`` the transported stable side from p* to q*,
-    ``Cstarstar`` the unstable side joining q to q*.  ``corners`` is
-    (p, q, p*, q*).
-    """
-
-    C: MarkedContinuum
-    Cprime: MarkedContinuum
-    Cstar: MarkedContinuum
-    Cstarstar: MarkedContinuum
-    corners: tuple
-
-
-@dataclass(frozen=True)
-class ObstructionRecord:
-    """A failed rectangle construction, kept as data for reporting."""
-
-    reason: str
-    kind: str
-    p: tuple
-    q: tuple
-    pstar: tuple
-    detail: str = ""
-
-
-def rectangle_residual(sys, rect: HolonomyRectangle) -> float:
-    """Max distance of any corner from the sides it should lie on."""
-    p, q, pstar, qstar = rect.corners
-    worst = 0.0
-    for pt, sides in ((p, (rect.C, rect.Cprime)), (q, (rect.C, rect.Cstarstar)),
-                      (pstar, (rect.Cprime, rect.Cstar)),
-                      (qstar, (rect.Cstar, rect.Cstarstar))):
-        for side in sides:
-            _, _, d, _ = _project_to_polyline(side, pt.xy())
-            worst = max(worst, d)
-    return worst
-
-
-def build_rectangle(sys, C: MarkedContinuum, pstar: Point,
-                    Cprime: MarkedContinuum, params: HolonomyParams,
-                    consts: MetricConstants | None = None):
-    """Close the rectangle over stable side C and unstable side Cprime.
-
-    q* is the stable holonomy image of q = C.point_q under
-    pi^s_{p, p*}; with several branches the one minimizing
-    max(D(C*), D(C**)) wins (diameter proxy when no constants are
-    given).  Returns a HolonomyRectangle, or an ObstructionRecord when
-    no admissible branch exists.
-    """
-    p, q = C.point_p, C.point_q
-    dpq = models.distance(sys, p, q)
-    dpp = models.distance(sys, p, pstar)
-    if not dpq < params.delta:
-        raise ValueError(f"d(p, q) = {dpq:.3g} is not below delta = {params.delta:.3g}")
-    if not dpp < params.delta:
-        raise ValueError(f"d(p, p*) = {dpp:.3g} is not below delta = {params.delta:.3g}")
-    _, _, doff, _ = _project_to_polyline(Cprime, pstar.xy())
-    if doff > 10.0 * params.tol:
-        raise ValueError("p* does not lie on Cprime")
-
-    if dpq <= params.tol and C.is_singleton:
-        # degenerate stable side: the rectangle collapses onto Cprime
-        single = MarkedContinuum(chart=sys.chart, vertices=pstar.xy().reshape(1, 2),
-                                 mark_p=0, mark_q=0)
-        return HolonomyRectangle(C=C, Cprime=Cprime, Cstar=single,
-                                 Cstarstar=Cprime, corners=(p, q, pstar, pstar))
-
-    try:
-        cands = holonomy(sys, p, pstar, q, "stable", params)
-    except HolonomyFault as err:
-        return ObstructionRecord(reason="empty-holonomy", kind="stable",
-                                 p=tuple(p.coords), q=tuple(q.coords),
-                                 pstar=tuple(pstar.coords), detail=str(err))
-
-    arc_s = models.local_arc(sys, pstar, "stable", params.eps,
-                             resolution=params.resolution)
-    arc_u = models.local_arc(sys, q, "unstable", params.eps,
-                             resolution=params.resolution)
-    branches = []
-    for qstar in cands:
-        try:
-            cstar = subcontinuum(arc_s, pstar, qstar, tol=100.0 * params.tol)
-            cstarstar = subcontinuum(arc_u, q, qstar, tol=100.0 * params.tol)
-        except OffContinuumError:
-            continue
-        if consts is not None:
-            score = max(cw_metric(sys, cstar, consts), cw_metric(sys, cstarstar, consts))
-        else:
-            score = max(diameter(cstar), diameter(cstarstar))
-        branches.append((score, qstar, cstar, cstarstar))
-    if not branches:
-        return ObstructionRecord(reason="no-admissible-branch", kind="stable",
-                                 p=tuple(p.coords), q=tuple(q.coords),
-                                 pstar=tuple(pstar.coords),
-                                 detail=f"{len(cands)} holonomy points, none on both arcs")
-    branches.sort(key=lambda b: b[0])
-    _, qstar, cstar, cstarstar = branches[0]
-    return HolonomyRectangle(C=C, Cprime=Cprime, Cstar=cstar,
-                             Cstarstar=cstarstar, corners=(p, q, pstar, qstar))
-
-
 # -- probes ---------------------------------------------------------------
 
 
 def _sample_rectangle(sys, rng, params: HolonomyParams, diam_range):
-    """Random (C, pstar, Cprime) with diam(C) log-uniform in diam_range."""
+    """Random stable side C from p to q, and p* on the unstable arc of p,
+    with diam(C) log-uniform in diam_range."""
     p = sys.point(*rng.random(2))
     lo, hi = diam_range
     half = 0.5 * math.exp(rng.uniform(math.log(lo), math.log(hi)))
@@ -275,13 +161,9 @@ def _sample_rectangle(sys, rng, params: HolonomyParams, diam_range):
     es = sys.eigen_direction(stable=True)
     eu = sys.eigen_direction(stable=False)
     arc = models.local_arc(sys, p, "stable", params.eps, resolution=params.resolution)
-    q = _chart_point(sys, p.xy() + (2.0 * half) * es * rng.choice([-1.0, 1.0]))
-    pstar = _chart_point(sys, p.xy() + off * eu)
-    C = subcontinuum(arc, p, q, tol=1e-6)
-    Cprime = subcontinuum(models.local_arc(sys, p, "unstable", params.eps,
-                                           resolution=params.resolution),
-                          p, pstar, tol=1e-6)
-    return C, p, q, pstar, Cprime
+    q = sys.point(*(p.xy() + (2.0 * half) * es * rng.choice([-1.0, 1.0])))
+    pstar = sys.point(*(p.xy() + off * eu))
+    return subcontinuum(arc, p, q, tol=1e-6), p, q, pstar
 
 
 def _branch_ratios(sys, C, p, q, pstar, params, consts, depth: int = 3):
@@ -320,7 +202,7 @@ def pseudo_isometry_probe(sys, sample_budget: int, eta_grid,
     rows = []
     obstructions = []
     for _ in range(int(sample_budget)):
-        C, p, q, pstar, Cprime = _sample_rectangle(sys, rng, params, diam_range)
+        C, p, q, pstar = _sample_rectangle(sys, rng, params, diam_range)
         try:
             d_c, ratios = _branch_ratios(sys, C, p, q, pstar, params, consts, depth=depth)
         except (HolonomyFault, ValueError) as err:
@@ -361,35 +243,3 @@ def pseudo_isometry_probe(sys, sample_budget: int, eta_grid,
         "seed": seed,
     }
     return report
-
-
-def isometry_check(sys, sample_budget: int, params: HolonomyParams,
-                   consts: MetricConstants, seed: int = 0,
-                   tol: float = 1e-6, diam_range=(1e-13, 1e-2),
-                   depth: int = 3) -> dict:
-    """Search each sampled transport for a branch with D(C*) = D(C).
-
-    Equality is within ``tol`` relative; the report carries the success
-    rate and the first few failures.
-    """
-    rng = np.random.default_rng(seed)
-    n = n_ok = 0
-    failures = []
-    for _ in range(int(sample_budget)):
-        C, p, q, pstar, Cprime = _sample_rectangle(sys, rng, params, diam_range)
-        try:
-            d_c, ratios = _branch_ratios(sys, C, p, q, pstar, params, consts, depth=depth)
-        except (HolonomyFault, ValueError) as err:
-            failures.append({"p": tuple(p.coords), "error": str(err)})
-            n += 1
-            continue
-        n += 1
-        if ratios and min(abs(r - 1.0) for r in ratios) <= tol:
-            n_ok += 1
-        elif len(failures) < 10:
-            failures.append({"p": tuple(p.coords), "q": tuple(q.coords),
-                             "pstar": tuple(pstar.coords),
-                             "ratios": [float(r) for r in ratios]})
-    return {"model": sys.kind, "n": n, "n_success": n_ok,
-            "rate": (n_ok / n) if n else 1.0, "tol": tol,
-            "failures": failures[:10], "seed": seed}

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,6 +60,10 @@ class BudgetError(RuntimeError):
     """A refinement or search budget was exhausted."""
 
 
+class ConfigError(ValueError):
+    """Bad flag, config entry or parameter; the message names it."""
+
+
 @dataclass(frozen=True)
 class Point:
     """A chart point: ``chart`` name plus a coordinate pair.
@@ -92,16 +97,31 @@ def _wrap1(v):
     return np.where(w >= 1.0 - 1e-15, 0.0, w)
 
 
-def canonical_rep(xy) -> np.ndarray:
-    """Lexicographically smallest of {v mod 1, -v mod 1}.
+def wrap_chart(chart: str, pts) -> np.ndarray:
+    """Canonical chart coordinates of raw plane points, vectorized over (..., 2).
 
-    This is the canonical representative of a sphere-quotient class.
+    The quotient representative is the lexicographically smaller of
+    ``pts mod 1`` and ``-pts mod 1``, both reduced from the raw input so
+    that a point next to the origin spine keeps its full precision.
     """
-    a = _wrap1(np.asarray(xy, dtype=float))
-    b = _wrap1(-a)
-    if (a[0], a[1]) <= (b[0], b[1]):
-        return a
-    return b
+    pts = np.asarray(pts, dtype=float)
+    if chart == TORUS:
+        return _wrap1(pts)
+    if chart == SPHERE_QUOTIENT:
+        a = _wrap1(pts)
+        b = _wrap1(-pts)
+        # a coordinate is 0 on both sides once either wrap rounds it there,
+        # so v, -v and the chosen point itself all choose alike
+        zero = (a == 0.0) | (b == 0.0)
+        a = np.where(zero, 0.0, a)
+        b = np.where(zero, 0.0, b)
+        swap = (b[..., 0] < a[..., 0]) | ((b[..., 0] == a[..., 0]) & (b[..., 1] < a[..., 1]))
+        return np.where(swap[..., None], b, a)
+    if chart == SPHERE_GEOGRAPHIC:
+        lon = _wrap1(pts[..., 0])
+        colat = np.clip(pts[..., 1], 0.0, 1.0)
+        return np.stack([lon, colat], axis=-1)
+    raise ChartError(f"unknown chart {chart!r}")
 
 
 def torus_norm(w) -> float:
@@ -199,7 +219,7 @@ class SystemModel:
         return self.kind in (CAT_MAP, SPHERE_PA)
 
     def point(self, x: float, y: float) -> Point:
-        c = tuple(float(v) for v in self._normalize(np.array([x, y], dtype=float)))
+        c = tuple(float(v) for v in wrap_chart(self.chart, [x, y]))
         p = Point(self.chart, c)
         if self.kind == NORTH_SOUTH:
             return p
@@ -209,21 +229,7 @@ class SystemModel:
         """Point with exactly rational coordinates (nx/den, ny/den)."""
         if self.kind == NORTH_SOUTH:
             raise ModelCapabilityError("rational points are a toral feature")
-        u, v = nx % den, ny % den
-        if self.chart == SPHERE_QUOTIENT:
-            u2, v2 = (-u) % den, (-v) % den
-            if (u2, v2) < (u, v):
-                u, v = u2, v2
-        return Point(self.chart, (u / den, v / den), exact=(u, v, den))
-
-    def _normalize(self, xy: np.ndarray) -> np.ndarray:
-        if self.chart == TORUS:
-            return _wrap1(xy)
-        if self.chart == SPHERE_QUOTIENT:
-            return canonical_rep(xy)
-        lon = float(_wrap1(xy[0]))
-        colat = float(min(1.0, max(0.0, xy[1])))
-        return np.array([lon, colat])
+        return _exact_point(self.chart, nx % den, ny % den, den)
 
     # -- linear data of the toral families ------------------------------
 
@@ -238,7 +244,8 @@ class SystemModel:
         """Unit eigenvector of the stable or unstable line."""
         if not self.is_hyperbolic:
             raise ModelCapabilityError("north-south map has no hyperbolic splitting")
-        return _eigen_direction(self.matrix, bool(stable)).copy()
+        frame = eigen_frame(self.matrix)
+        return (frame.es if stable else frame.eu).copy()
 
     def direction_rate(self, stable: bool) -> float:
         """Eigenvalue modulus along the chosen direction (in (0,1) if stable)."""
@@ -247,17 +254,41 @@ class SystemModel:
         return float(np.min(w)) if stable else float(np.max(w))
 
 
+class EigenFrame(NamedTuple):
+    """Eigen splitting of a hyperbolic toral matrix.
+
+    ``es``/``eu`` are the unit stable/unstable eigenvectors, ``ss``/``su``
+    their signed eigenvalues, and ``inv`` inverts the basis ``[es | eu]``:
+    ``inv @ v`` gives the (stable, unstable) components of v.  The arrays
+    are shared by every caller and read-only.
+    """
+
+    es: np.ndarray
+    eu: np.ndarray
+    ss: float
+    su: float
+    inv: np.ndarray
+
+
 @lru_cache(maxsize=64)
-def _eigen_direction(matrix: tuple, stable: bool) -> np.ndarray:
-    # cached per matrix; eigen_direction hands out copies
+def eigen_frame(matrix: tuple) -> EigenFrame:
     m = np.asarray(matrix, dtype=float)
     w, v = np.linalg.eig(m)
-    idx = int(np.argmin(np.abs(w))) if stable else int(np.argmax(np.abs(w)))
-    e = v[:, idx] / np.linalg.norm(v[:, idx])
-    # fix an orientation so repeated runs agree bit for bit
-    if e[0] < 0 or (e[0] == 0 and e[1] < 0):
-        e = -e
-    return e
+
+    def unit(idx: int) -> np.ndarray:
+        e = v[:, idx] / np.linalg.norm(v[:, idx])
+        # fix an orientation so repeated runs agree bit for bit
+        if e[0] < 0 or (e[0] == 0 and e[1] < 0):
+            e = -e
+        e.setflags(write=False)
+        return e
+
+    es = unit(int(np.argmin(np.abs(w))))
+    eu = unit(int(np.argmax(np.abs(w))))
+    inv = np.linalg.inv(np.stack([es, eu], axis=1))
+    inv.setflags(write=False)
+    return EigenFrame(es=es, eu=eu, ss=float(es @ (m @ es)), su=float(eu @ (m @ eu)),
+                      inv=inv)
 
 
 def make_model(kind: str, matrix=None, c: float | None = None,
@@ -333,13 +364,17 @@ def iterate(sys: SystemModel, x: Point, n: int) -> Point:
         return Point(sys.chart, (float(lon), float(min(1.0, max(0.0, colat2)))))
     a, b, d = x.dyadic()
     ((m00, m01), (m10, m11)) = _mat_power(sys.matrix, n)
-    u = (m00 * a + m01 * b) % d
-    v = (m10 * a + m11 * b) % d
-    if sys.chart == SPHERE_QUOTIENT:
-        u2, v2 = (-u) % d, (-v) % d
+    return _exact_point(sys.chart, (m00 * a + m01 * b) % d, (m10 * a + m11 * b) % d, d)
+
+
+def _exact_point(chart: str, u: int, v: int, den: int) -> Point:
+    """The point (u/den, v/den) of residues u, v in [0, den), with the
+    quotient representative picked exactly as :func:`wrap_chart` does."""
+    if chart == SPHERE_QUOTIENT:
+        u2, v2 = (-u) % den, (-v) % den
         if (u2, v2) < (u, v):
             u, v = u2, v2
-    return Point(sys.chart, (u / d, v / d), exact=(u, v, d))
+    return Point(chart, (u / den, v / den), exact=(u, v, den))
 
 
 def iterate_xy(sys: SystemModel, xy, n: int) -> np.ndarray:
@@ -362,12 +397,7 @@ def iterate_arr(sys: SystemModel, pts: np.ndarray, n: int) -> np.ndarray:
         colat = p * pts[:, 1] / (1.0 + (p - 1.0) * pts[:, 1])
         return np.stack([pts[:, 0], np.clip(colat, 0.0, 1.0)], axis=1)
     m = np.array(_mat_power(sys.matrix, n), dtype=float)
-    out = _wrap1(pts @ m.T)
-    if sys.chart == SPHERE_QUOTIENT:
-        alt = _wrap1(-out)
-        swap = (alt[:, 0] < out[:, 0]) | ((alt[:, 0] == out[:, 0]) & (alt[:, 1] < out[:, 1]))
-        out = np.where(swap[:, None], alt, out)
-    return out
+    return wrap_chart(sys.chart, pts @ m.T)
 
 
 def distance(sys: SystemModel, a: Point, b: Point) -> float:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 from . import models
 from .models import ModelCapabilityError, chart_distance, torus_norm
-from .continua import MarkedContinuum, _chart_signs, intersect, subcontinuum
+from .continua import (MarkedContinuum, _chart_signs, _nearest_on_lift,
+                       intersect, subcontinuum)
 
 
 class IndeterminateCrossing(RuntimeError):
@@ -94,33 +95,6 @@ def _poly_clearance(poly: np.ndarray, p) -> float:
     return min(_seg_dist(p, poly[i], poly[(i + 1) % n]) for i in range(n))
 
 
-def _plane_polyline_crossings(P: np.ndarray, Q: np.ndarray, tol: float = 1e-9):
-    """Crossings of two plane polylines as ((i, t), (j, u), point) triples.
-
-    Sorted along P; coincident hits (shared vertices) are deduplicated.
-    """
-    hits = []
-    for i in range(len(P) - 1):
-        a, da = P[i], P[i + 1] - P[i]
-        for j in range(len(Q) - 1):
-            b, db = Q[j], Q[j + 1] - Q[j]
-            det = da[0] * (-db[1]) + db[0] * da[1]
-            if abs(det) < 1e-14:
-                continue
-            rhs = b - a
-            t = (rhs[0] * (-db[1]) + db[0] * rhs[1]) / det
-            u = (da[0] * rhs[1] - rhs[0] * da[1]) / det
-            if -1e-12 <= t <= 1 + 1e-12 and -1e-12 <= u <= 1 + 1e-12:
-                hits.append(((i, min(max(t, 0.0), 1.0)),
-                             (j, min(max(u, 0.0), 1.0)), a + t * da))
-    hits.sort(key=lambda h: (h[0][0], h[0][1]))
-    out = []
-    for h in hits:
-        if all(np.linalg.norm(h[2] - g[2]) > tol for g in out):
-            out.append(h)
-    return out
-
-
 def _arc_pos(pts: np.ndarray, cross) -> np.ndarray:
     i, t = cross
     return pts[i] + t * (pts[i + 1] - pts[i])
@@ -154,21 +128,7 @@ def _walk(pts: np.ndarray, cross, side: int, h: float) -> np.ndarray:
     raise IndeterminateCrossing("continuation truncated at the arc end")
 
 
-def _slice(pts: np.ndarray, c0, c1) -> np.ndarray:
-    """Sub-polyline between two arc positions, oriented c0 to c1."""
-    rev = c1 < c0
-    lo, hi = (c1, c0) if rev else (c0, c1)
-    verts = [_arc_pos(pts, lo)]
-    for k in range(lo[0] + 1, hi[0] + 1):
-        verts.append(pts[k])
-    end = _arc_pos(pts, hi)
-    if np.linalg.norm(end - verts[-1]) > 1e-12:
-        verts.append(end)
-    out = np.array(verts)
-    return out[::-1].copy() if rev else out
-
-
-# -- cover representatives and the eigenframe ----------------------------
+# -- cover representatives -----------------------------------------------
 
 
 def _cover_reps(chart: str, p_xy, anchor, radius: float) -> list:
@@ -188,26 +148,6 @@ def _cover_reps(chart: str, p_xy, anchor, radius: float) -> list:
     return out
 
 
-def _lift_param(lift, p_xy):
-    """Best (param, cover point, residual) of a chart point on a lift."""
-    start, d, L = lift.start_arr, lift.dir_arr, max(lift.length, 1e-300)
-    mid = start + 0.5 * L * d
-    best = None
-    for r in _cover_reps(lift.chart, p_xy, mid, L + 1.0):
-        t = float(np.dot(r - start, d)) / L
-        res = float(np.linalg.norm(r - (start + min(max(t, 0.0), 1.0) * L * d)))
-        if best is None or res < best[2]:
-            best = (t, r, res)
-    return best
-
-
-def _eig_frame(sys):
-    e_s = sys.eigen_direction(stable=True)
-    e_u = sys.eigen_direction(stable=False)
-    E = np.stack([e_s, e_u], axis=1)
-    return E, np.linalg.inv(E)
-
-
 # -- construction --------------------------------------------------------
 
 
@@ -220,8 +160,8 @@ def _sector_from_seed(sys, x, eps: float, resolution: int = 5):
         return [], len(pts), 0
     info = []
     for p in pts:
-        ts, rs, es = _lift_param(cs.lift, p.xy())
-        tu, ru, eu = _lift_param(cu.lift, p.xy())
+        ts, rs, es = _nearest_on_lift(cs.lift, p.xy())
+        tu, ru, eu = _nearest_on_lift(cu.lift, p.xy())
         if es > 1e-6 or eu > 1e-6:
             continue
         info.append({"p": p, "ts": ts, "tu": tu, "cs": rs, "cu": ru})
@@ -274,35 +214,6 @@ def _close_pair(sys, cs, cu, ia, ib, seed):
         s_cross=((0, lo["ts"]), (0, hi["ts"])),
         u_cross=((0, lo["tu"]), (0, hi["tu"])),
         polygon=polygon, mirror_center=w, seed=seed)
-
-
-def assemble_sector(chart: str, cover_s: np.ndarray, cover_u: np.ndarray,
-                    tol: float = 1e-9) -> SectorRecord:
-    """SectorRecord from two explicit cover polylines crossing twice.
-
-    Plain closure: the polylines must share both crossing points in the
-    cover (no involution), which is the situation of hand-built fixtures.
-    """
-    cover_s = np.asarray(cover_s, dtype=float)
-    cover_u = np.asarray(cover_u, dtype=float)
-    hits = _plane_polyline_crossings(cover_s, cover_u, tol=max(tol, 1e-7))
-    if len(hits) < 2:
-        raise ValueError(f"need two crossings to bound a disc, found {len(hits)}")
-    (sc1, uc1, p1), (sc2, uc2, p2) = hits[0], hits[1]
-    s_piece = _slice(cover_s, sc1, sc2)
-    u_piece = _slice(cover_u, uc1, uc2)
-    polygon = np.vstack([s_piece, u_piece[::-1][1:-1]])
-    a1 = models.Point(chart, (float(p1[0]), float(p1[1])))
-    a2 = models.Point(chart, (float(p2[0]), float(p2[1])))
-    return SectorRecord(
-        boundary_s=MarkedContinuum(chart=chart, vertices=s_piece,
-                                   mark_p=0, mark_q=len(s_piece) - 1),
-        boundary_u=MarkedContinuum(chart=chart, vertices=u_piece,
-                                   mark_p=0, mark_q=len(u_piece) - 1),
-        a1=a1, a2=a2,
-        cover_s=cover_s, cover_u=cover_u,
-        s_cross=(sc1, sc2), u_cross=(uc1, uc2),
-        polygon=polygon)
 
 
 # -- enumeration ---------------------------------------------------------
@@ -386,8 +297,8 @@ def find_sectors(sys, region=None, eps: float | None = None,
 def classify_sector(sys, s: SectorRecord) -> str:
     """regular iff all four boundary continuations leave the disc."""
     if s.polygon is None or s.cover_s is None or s.s_cross is None:
-        raise ValueError("sector lacks cover geometry; build it via "
-                         "find_sectors or assemble_sector")
+        raise ValueError("sector lacks cover geometry (polygon, cover arcs "
+                         "and crossings); find_sectors records carry it")
     ext = s.polygon.max(axis=0) - s.polygon.min(axis=0)
     h = max(0.15 * float(ext.min()), 1e-9)
     outward = []
@@ -442,7 +353,7 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     w = np.asarray(s.mirror_center, dtype=float)
-    E, Einv = _eig_frame(sys)
+    Einv = models.eigen_frame(sys.matrix).inv
     A, Bs, _, Bu = s.polygon
     eig = lambda r: Einv @ (np.asarray(r) - w)
     amax = max(abs(float(eig(A)[0])), abs(float(eig(Bs)[0])))
@@ -581,7 +492,7 @@ def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8,
     if s.spine is None or s.mirror_center is None or s.polygon is None:
         raise ValueError("enclosing search requires a spine sector")
     w = np.asarray(s.mirror_center, dtype=float)
-    E, Einv = _eig_frame(sys)
+    Einv = models.eigen_frame(sys.matrix).inv
     v0 = s.polygon[0] - w
     for j in range(1, margin_budget + 1):
         vj = v0 * (1.0 + margin) ** j

@@ -5,10 +5,10 @@ import scipy.sparse as sp
 from cwdyn import chainrec, models
 from cwdyn.chainrec import (
     ChainClassGraph, ConfigError, DiscretizationError, build_graph,
-    chain_classes, chain_transport, class_order, to_record,
+    chain_classes, class_order, to_record,
     transitivity_verdict,
 )
-from cwdyn.models import ModelCapabilityError, make_model
+from cwdyn.models import make_model
 
 
 @pytest.fixture(scope="module")
@@ -176,27 +176,6 @@ class TestClassOrder:
         bwd = models.iterate_arr(ns, rpts, -5)
         d = models.chart_distance_arr(g.chart, bwd[:, None, :], rpts[None, :, :])
         assert d.min(axis=1).max() <= g.eps + g.cell_diag.max()
-
-
-class TestTransport:
-    def test_chain_reaches_class(self, cat):
-        g = build_graph(cat, 64, 0.05)
-        part = chain_classes(g)
-        rep = chain_transport(cat, g, cat.point(0.31, 0.41), 3)
-        assert rep["max_gap"] <= g.eps
-        assert rep["endpoint_class"] == 0
-        assert rep["classes_visited"] == [0]
-
-    def test_cat_only(self, pa):
-        g = build_graph(pa, 64, 0.05)
-        chain_classes(g)
-        with pytest.raises(ModelCapabilityError):
-            chain_transport(pa, g, pa.point(0.3, 0.3), 2)
-
-    def test_requires_classes(self, cat):
-        g = build_graph(cat, 64, 0.05)
-        with pytest.raises(ValueError):
-            chain_transport(cat, g, cat.point(0.3, 0.3), 2)
 
 
 class TestRecord:

@@ -9,7 +9,7 @@ from cwdyn import acceptance, chainrec, cli, continua, holonomy, models, sectors
 from cwdyn.cli import ConfigError, ExperimentConfig, parse_config
 
 
-def read_jsonl(path):
+def read_report(path):
     with open(path) as fh:
         return [json.loads(line) for line in fh]
 
@@ -98,7 +98,7 @@ class TestParseConfig:
 class TestCalibrate:
     def test_cat_constants(self, outdir):
         assert cli.run(["calibrate", "--model", "cat"]) == 0
-        recs = read_jsonl(outdir / "calibrate.jsonl")
+        recs = read_report(outdir / "calibrate.jsonl")
         assert recs[0]["record"] == "header"
         assert "created" in recs[0]
         cal = next(r for r in recs if r["record"] == "calibration")
@@ -111,7 +111,7 @@ class TestCalibrate:
 
     def test_north_south_witness_record(self, outdir):
         assert cli.run(["calibrate", "--model", "ns"]) == 0
-        recs = read_jsonl(outdir / "calibrate.jsonl")
+        recs = read_report(outdir / "calibrate.jsonl")
         fail = next(r for r in recs if r["record"] == "calibration-failure")
         assert fail["witness"]["kind"] == "meridian-arc"
 
@@ -120,7 +120,7 @@ class TestMetric:
     def test_singleton_gets_zero_record(self, outdir, cont_file):
         assert cli.run(["metric", "--model", "cat", "--depth", "3",
                         "--continuum", cont_file]) == 0
-        recs = read_jsonl(outdir / "metric.jsonl")
+        recs = read_report(outdir / "metric.jsonl")
         mrecs = [r for r in recs if r["record"] == "metric"]
         assert mrecs[0]["D"] == 0.0
         assert mrecs[0]["N"] == "inf" and mrecs[0]["rho"] == 0.0
@@ -155,7 +155,7 @@ class TestPeriodic:
     def test_rational_seed_snaps_to_orbit(self, outdir):
         assert cli.run(["periodic", "--model", "cat", "--p", "0.2,0.4",
                         "--alpha", "1e-2"]) == 0
-        recs = read_jsonl(outdir / "periodic.jsonl")
+        recs = read_report(outdir / "periodic.jsonl")
         rec = next(r for r in recs if r["record"] == "periodic")
         assert rec["q"] == [0.2, 0.4]
         assert rec["residual"] < 1e-9
@@ -173,7 +173,7 @@ class TestHolonomyProbe:
     def test_cat_report_schema(self, outdir):
         assert cli.run(["holonomy-probe", "--model", "cat",
                         "--budget", "50"]) == 0
-        recs = read_jsonl(outdir / "holonomy-probe.jsonl")
+        recs = read_report(outdir / "holonomy-probe.jsonl")
         rec = next(r for r in recs if r["record"] == "holonomy-probe")
         assert rec["n_samples"] == 50
         assert rec["obstructions"] == []
@@ -187,7 +187,7 @@ class TestChainrec:
     def test_north_south_schema(self, outdir):
         assert cli.run(["chainrec", "--model", "north-south",
                         "--res", "128", "--eps", "0.01"]) == 0
-        recs = read_jsonl(outdir / "chainrec.jsonl")
+        recs = read_report(outdir / "chainrec.jsonl")
         rec = next(r for r in recs if r["record"] == "chainrec")
         for key in ("classes", "order", "roles", "verdict"):
             assert key in rec
@@ -198,12 +198,19 @@ class TestChainrec:
         att = next(int(k) for k, v in rec["roles"].items() if v == "attractor")
         assert rec["order"] == [[rep, att]]
 
+    def test_eps_below_grid_is_config_error(self, outdir, capsys):
+        rc, msg = run_err(["chainrec", "--model", "cat", "--res", "8",
+                           "--eps", "0.001"], capsys)
+        assert rc == 1
+        assert msg.startswith("cwdyn: config error: eps 0.001 below half")
+        assert not (outdir / "chainrec.jsonl").exists()
+
 
 class TestSectors:
     def test_sphere_pa_report(self, outdir):
         assert cli.run(["sectors", "--model", "pa", "--res", "64",
                         "--grid", "8"]) == 0
-        recs = read_jsonl(outdir / "sectors.jsonl")
+        recs = read_report(outdir / "sectors.jsonl")
         rec = next(r for r in recs if r["record"] == "sectors")
         assert len(rec["spines"]) == 4
         assert len(rec["sectors"]) == 4
@@ -215,7 +222,7 @@ class TestSectors:
 
     def test_cat_has_no_spines(self, outdir):
         assert cli.run(["sectors", "--model", "cat"]) == 0
-        rec = next(r for r in read_jsonl(outdir / "sectors.jsonl")
+        rec = next(r for r in read_report(outdir / "sectors.jsonl")
                    if r["record"] == "sectors")
         assert rec["spines"] == [] and rec["sectors"] == []
 
@@ -253,7 +260,7 @@ class TestAcceptanceCommand:
         out = capsys.readouterr().out
         assert "criterion  5 PASS" in out
         assert "acceptance PASSED: 1/1" in out
-        recs = read_jsonl(outdir / "acceptance.jsonl")
+        recs = read_report(outdir / "acceptance.jsonl")
         man = next(r for r in recs if r["record"] == "acceptance-manifest")
         assert man["passed"] is True
         crit = next(r for r in recs if r["record"] == "acceptance-criterion")
@@ -270,7 +277,7 @@ class TestAcceptanceCommand:
         finally:
             acceptance._CRITERIA[idx] = orig
         assert "FAIL" in capsys.readouterr().out
-        man = next(r for r in read_jsonl(outdir / "acceptance.jsonl")
+        man = next(r for r in read_report(outdir / "acceptance.jsonl")
                    if r["record"] == "acceptance-manifest")
         assert man["passed"] is False
 

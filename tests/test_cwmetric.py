@@ -367,7 +367,7 @@ class TestRecordLoadedArcs:
     def test_straight_record_is_one_piece_with_lifted_profile(self, kind, request):
         sys = make_model(kind)
         consts = request.getfixturevalue("consts" if kind == "cat-map" else "consts_pa")
-        frame = cwmetric._EigenData(sys)
+        frame = models.eigen_frame(sys.matrix)
         rng = np.random.default_rng(41)
         for eps in (1e-7, 1e-5, 1e-3, 1e-2, 0.1):
             for arc_kind in ("stable", "unstable"):
@@ -399,7 +399,7 @@ class TestRecordLoadedArcs:
             chart=sys.chart, vertices=models._wrap1(a + t * (leg * d)[None, :]),
             mark_p=0, mark_q=8) for a, d in ((corner - leg * es, es), (corner, eu))]
         path = continua.concat(legs)
-        pieces = cwmetric._pieces_of(sys, path, cwmetric._EigenData(sys))
+        pieces = cwmetric._pieces_of(sys, path, models.eigen_frame(sys.matrix))
         assert len(pieces) == 2
         stable_leg, unstable_leg = pieces
         assert abs(stable_leg.au) < 1e-3 * leg

@@ -4,13 +4,9 @@ import numpy as np
 import pytest
 
 from cwdyn import holonomy, models
-from cwdyn.continua import subcontinuum, unwrap_to, _project_to_polyline
+from cwdyn.continua import unwrap_to, _project_to_polyline
 from cwdyn.cwmetric import calibrate
-from cwdyn.holonomy import (
-    HolonomyFault, HolonomyParams, HolonomyRectangle, ObstructionRecord,
-    build_rectangle, default_params, isometry_check, pseudo_isometry_probe,
-    rectangle_residual,
-)
+from cwdyn.holonomy import HolonomyParams, default_params, pseudo_isometry_probe
 from cwdyn.models import make_model
 
 
@@ -40,7 +36,7 @@ def params_pa(pa):
 
 
 def _pt(sys, xy):
-    return holonomy._chart_point(sys, np.asarray(xy, dtype=float))
+    return sys.point(*xy)
 
 
 def _oracle_stable(sys, z, y):
@@ -152,65 +148,6 @@ class TestHolonomy:
             holonomy.holonomy(cat, x, y, z, "sideways", params)
 
 
-class TestRectangle:
-    def _sides(self, sys, params, x, q_off, pstar_off):
-        es = sys.eigen_direction(stable=True)
-        eu = sys.eigen_direction(stable=False)
-        q = _pt(sys, x.xy() + q_off * es)
-        pstar = _pt(sys, x.xy() + pstar_off * eu)
-        C = subcontinuum(models.local_arc(sys, x, "stable", params.eps), x, q)
-        Cp = subcontinuum(models.local_arc(sys, x, "unstable", params.eps), x, pstar)
-        return C, Cp, q, pstar
-
-    def test_corners_on_sides(self, cat, params, consts):
-        x = cat.point(0.3, 0.7)
-        C, Cp, q, pstar = self._sides(cat, params, x, 0.02, 0.03)
-        rect = build_rectangle(cat, C, pstar, Cp, params, consts)
-        assert isinstance(rect, HolonomyRectangle)
-        assert rectangle_residual(cat, rect) < 1e-9
-        p_, q_, ps_, qs_ = rect.corners
-        assert models.distance(cat, p_, x) < 1e-12
-        want = _oracle_stable(cat, q, pstar)
-        assert models.chart_distance(cat.chart, qs_.xy(), want) < 1e-10
-
-    def test_degenerate_collapses(self, cat, params, consts):
-        x = cat.point(0.3, 0.7)
-        singleton = models.local_arc(cat, x, "stable", params.eps)
-        C = subcontinuum(singleton, x, x)
-        assert C.is_singleton
-        _, Cp, _, pstar = self._sides(cat, params, x, 0.01, 0.03)
-        rect = build_rectangle(cat, C, pstar, Cp, params, consts)
-        assert isinstance(rect, HolonomyRectangle)
-        assert rect.Cstarstar is Cp
-        _, _, ps_, qs_ = rect.corners
-        assert models.distance(cat, ps_, qs_) == 0.0
-
-    def test_obstruction_is_data(self, cat, params, consts, monkeypatch):
-        x = cat.point(0.3, 0.7)
-        C, Cp, q, pstar = self._sides(cat, params, x, 0.02, 0.03)
-
-        def empty(*a, **k):
-            raise HolonomyFault("forced")
-        monkeypatch.setattr(holonomy, "holonomy", empty)
-        rec = build_rectangle(cat, C, pstar, Cp, params, consts)
-        assert isinstance(rec, ObstructionRecord)
-        assert rec.reason == "empty-holonomy"
-
-        def far(*a, **k):
-            return [cat.point(0.9, 0.9)]
-        monkeypatch.setattr(holonomy, "holonomy", far)
-        rec = build_rectangle(cat, C, pstar, Cp, params, consts)
-        assert isinstance(rec, ObstructionRecord)
-        assert rec.reason == "no-admissible-branch"
-
-    def test_domain_errors(self, cat, params, consts):
-        x = cat.point(0.3, 0.7)
-        C, Cp, q, pstar = self._sides(cat, params, x, 0.02, 0.03)
-        far = cat.point(0.9, 0.2)
-        with pytest.raises(ValueError):
-            build_rectangle(cat, C, far, Cp, params, consts)
-
-
 class TestProbes:
     def test_cat_pseudo_isometry(self, cat, params, consts):
         rep = pseudo_isometry_probe(cat, 150, [1e-6, 1e-3, 1e-1], params,
@@ -228,11 +165,6 @@ class TestProbes:
         assert rep["n_samples"] + len(rep["obstructions"]) == 60
         assert math.isfinite(rep["max_deviation_best"])
         assert rep["max_deviation_best"] <= rep["max_deviation_worst"]
-
-    def test_cat_isometry_rate(self, cat, params, consts):
-        rep = isometry_check(cat, 80, params, consts, seed=4)
-        assert rep["rate"] == 1.0
-        assert rep["n"] == 80
 
     def test_probe_deterministic(self, cat, params, consts):
         a = pseudo_isometry_probe(cat, 40, [1e-3], params, consts, seed=11)

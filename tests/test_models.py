@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwdyn import models
 from cwdyn.models import (
@@ -98,6 +99,48 @@ class TestDistance:
         assert d == pytest.approx(1.0, abs=1e-12)
 
 
+# raw coordinates: anywhere in a few fundamental domains, or within 1e-9
+# of a half-lattice line, where the quotient fold and the mod-1 wrap bite
+_COORD = st.one_of(
+    st.floats(-4.0, 4.0),
+    st.builds(lambda h, d: h + d, st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+              st.floats(-1e-9, 1e-9)))
+
+
+class TestWrapChart:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(x=_COORD, y=_COORD)
+    def test_idempotent_in_domain_and_point(self, cat, pa, ns, x, y):
+        for sys in (cat, pa, ns):
+            w = models.wrap_chart(sys.chart, [x, y])
+            assert 0.0 <= w[0] < 1.0
+            assert 0.0 <= w[1] <= 1.0 if sys is ns else 0.0 <= w[1] < 1.0
+            assert models.wrap_chart(sys.chart, w).tobytes() == w.tobytes()
+            assert sys.point(x, y).coords == tuple(w)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(x=_COORD, y=_COORD)
+    def test_quotient_identifies_v_with_minus_v(self, x, y):
+        v = np.array([x, y])
+        chart = models.SPHERE_QUOTIENT
+        assert models.wrap_chart(chart, v).tobytes() == models.wrap_chart(chart, -v).tobytes()
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data(), k=st.integers(0, 20))
+    def test_dyadic_points_match_exact_rationals(self, cat, pa, data, k):
+        den = 2 ** k
+        nx, ny = (data.draw(st.integers(-2 * den, 2 * den)) for _ in range(2))
+        for sys in (cat, pa):
+            assert sys.point(nx / den, ny / den).coords == sys.rational_point(nx, ny, den).coords
+
+    def test_quotient_point_keeps_precision_at_the_origin_spine(self, pa):
+        # mirroring an already-wrapped 1 - 3e-12 would give 3.000044657e-12
+        p = pa.point(-3e-12, 0.1)
+        assert p.coords[0] == 3e-12
+        out = models.iterate_arr(pa, np.array([[-3e-12, 0.1]]), 0)[0]
+        assert out.tobytes() == np.array(p.coords).tobytes()
+
+
 class TestEigen:
     def test_eigen_directions(self, cat):
         a = np.array(cat.matrix, dtype=float)
@@ -117,6 +160,17 @@ class TestEigen:
         assert np.allclose(a @ again, lam * again, atol=1e-12)
         assert np.linalg.norm(again) == pytest.approx(1.0, abs=1e-15)
         assert again[0] > 0
+
+    def test_frame_inverts_its_basis_and_is_read_only(self, cat):
+        frame = models.eigen_frame(cat.matrix)
+        basis = np.stack([frame.es, frame.eu], axis=1)
+        assert np.allclose(frame.inv @ basis, np.eye(2), atol=1e-15)
+        lam = (3 + math.sqrt(5)) / 2
+        assert frame.su == pytest.approx(lam, rel=1e-15)
+        assert frame.ss == pytest.approx(1 / lam, rel=1e-15)
+        for arr in (frame.es, frame.eu, frame.inv):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
 
     def test_matrix_validation(self):
         with pytest.raises(ValueError):

@@ -257,8 +257,7 @@ class TestKatokIterate:
         assert dev < 1e-12
 
     def test_quotient_model_run(self, pa, consts_pa, plan_pa):
-        xy = models.canonical_rep(np.array([0.2 + 1e-9, 0.4 + 1.3e-9]))
-        res = katok_iterate(pa, pa.point(*xy), 1, plan_pa, consts_pa)
+        res = katok_iterate(pa, pa.point(0.2 + 1e-9, 0.4 + 1.3e-9), 1, plan_pa, consts_pa)
         assert res["converged"]
         assert res["residual"] < 1e-9
         target = pa.point(0.2, 0.4)

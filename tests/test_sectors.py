@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from cwdyn import models, sectors
-from cwdyn.continua import diameter, image, intersect
+from cwdyn.continua import MarkedContinuum, diameter, image, intersect
 from cwdyn.models import ModelCapabilityError, make_model
 from cwdyn.sectors import (
-    IndeterminateCrossing, SectorRecord, assemble_sector, classify_sector,
+    IndeterminateCrossing, SectorRecord, classify_sector,
     enclosing_sector, enumerate_spines, find_sectors, sector_parametrization,
     to_record,
 )
@@ -34,10 +34,21 @@ def search(pa):
 # crossing decides regularity
 _S_LINE = [[0.10, 0.2], [0.35, 0.2]]
 _U_BASE = [[0.15, 0.10], [0.15, 0.28], [0.30, 0.28], [0.30, 0.20]]
+# the disc they bound: corners a1 = (0.15, 0.2) and a2 = (0.30, 0.2)
+_DISC = [[0.15, 0.2], [0.30, 0.2], [0.30, 0.28], [0.15, 0.28]]
 
 
 def _fixture(tail):
-    return assemble_sector(models.TORUS, _S_LINE, _U_BASE + [tail])
+    def arc(verts):
+        return MarkedContinuum(chart=models.TORUS, vertices=verts,
+                               mark_p=0, mark_q=len(verts) - 1)
+
+    return SectorRecord(
+        boundary_s=arc(_DISC[:2]), boundary_u=arc([_DISC[0], _DISC[3], _DISC[2], _DISC[1]]),
+        a1=models.Point(models.TORUS, (0.15, 0.2)), a2=models.Point(models.TORUS, (0.30, 0.2)),
+        cover_s=np.array(_S_LINE), cover_u=np.array(_U_BASE + [tail]),
+        s_cross=((0, 0.2), (0, 0.8)), u_cross=((0, 5 / 9), (2, 1.0)),
+        polygon=np.array(_DISC))
 
 
 class TestSpines:
