@@ -315,11 +315,10 @@ def _crit_holonomy(ctx):
     branch_faults = 0
     for _ in range(1000):
         x = sys.point(*rng.uniform(0.0, 1.0, 2))
-        z = sys.point(*models._wrap1(x.xy() + rng.uniform(-1, 1) * params.delta * es))
+        z = sys.point(*(x.xy() + rng.uniform(-1, 1) * params.delta * es))
         ang = rng.uniform(0.0, 2.0 * math.pi)
-        y = sys.point(*models._wrap1(
-            x.xy() + rng.uniform(-0.9, 0.9) * params.delta
-            * np.array([math.cos(ang), math.sin(ang)])))
+        y = sys.point(*(x.xy() + rng.uniform(-0.9, 0.9) * params.delta
+                        * np.array([math.cos(ang), math.sin(ang)])))
         pts = holonomy.holonomy(sys, x, y, z, "stable", params)
         if len(pts) != 1:
             branch_faults += 1
@@ -335,8 +334,8 @@ def _crit_holonomy(ctx):
     es2 = pa.eigen_direction(stable=True)
     eu2 = pa.eigen_direction(stable=False)
     x = pa.point(*(w.xy() + np.array([-0.02, -0.01])))
-    z = pa.point(*models._wrap1(x.xy() + 0.015 * es2))
-    y = pa.point(*models._wrap1(x.xy() + 0.03 * eu2))
+    z = pa.point(*(x.xy() + 0.015 * es2))
+    y = pa.point(*(x.xy() + 0.03 * eu2))
     pts = holonomy.holonomy(pa, x, y, z, "stable", params_pa)
     carrier = local_arc(pa, z, "unstable", params_pa.eps)
     target = local_arc(pa, y, "stable", params_pa.eps)

@@ -107,8 +107,8 @@ class StraightLift:
         mp = models._mat_power(sys.matrix, n)
         start = models._exact_linear_mod1(mp, self.start_arr)
         if self.stable is not None:
-            m1 = np.asarray(sys.matrix, dtype=float)
-            ev = float(self.dir_arr @ (m1 @ self.dir_arr))  # signed eigenvalue
+            frame = models.eigen_frame(sys.matrix)
+            ev = frame.ss if self.stable else frame.su
             length = self.length * abs(ev) ** n
             direction = self.dir_arr if (ev > 0 or n % 2 == 0) else -self.dir_arr
         else:

@@ -18,8 +18,10 @@ straight lifts: a cover segment with eigen-components (a_u, a_s) has
 length hypot(a_u su^e, a_s ss^e) at iterate e, and on the torus a
 straight segment of length L has diameter > thr iff L > thr (for
 thr < 0.45).  On the quotient sphere the fold v ~ -v can suppress an
-escape; that case is decided by a Lipschitz-certified scan of the
-distance-to-lattice function along the doubled segment.
+escape; that case is decided exactly by the sup of the distance to the
+lattice along the doubled segment, which is taken at the window's ends
+or where the segment crosses a line of Z + 1/2.  Calibration decides
+membership in its arc family with the same straight-segment identity.
 """
 
 from __future__ import annotations
@@ -94,58 +96,57 @@ def constants_for(c: float, m: int, tail: float = 1e-12) -> MetricConstants:
 # -- closed-form diameter machinery ---------------------------------------
 
 
-def _dist_lattice(pts: np.ndarray) -> np.ndarray:
-    r = pts - np.round(pts)
-    return np.hypot(r[..., 0], r[..., 1])
-
-
 def _fold_escape(w0: np.ndarray, d: np.ndarray, lo: float, hi: float,
                  thr: float) -> bool:
-    """Certified check of sup{dist(w0 + s*d, Z^2) : s in [lo, hi]} > thr.
+    """Exact check of sup{dist(w0 + s*d, Z^2) : s in [lo, hi]} > thr, for
+    lo <= hi, a unit vector d and thr < 1/2.
 
-    dist-to-lattice is 1-Lipschitz along the (unit-direction) segment, so
-    sampling at step h bounds the sup by max + h/2; intervals that cannot
-    be certified are refined.
-
-    Long windows short-circuit: if one coordinate sweeps more than
-    2*(thr + margin), some point has that coordinate at distance
-    > thr from the integers, hence distance > thr from the lattice.
+    Long windows short-circuit: if one coordinate sweeps more than 2*thr,
+    some point has that coordinate farther than thr from the integers,
+    hence is farther than thr from the lattice.  Otherwise each coordinate
+    crosses at most one line of Z + 1/2.  Between such crossings the
+    nearest lattice point is fixed, so the distance is convex along the
+    line.  The sup is then the max over the window's two ends and its
+    crossings.  A sup that ties thr is no escape (strict >, as in N).
     """
-    if hi < lo:
-        return False
-    dmax = max(abs(float(d[0])), abs(float(d[1])))
-    if (hi - lo) * dmax >= 2.0 * thr + 1e-6:
+    w0 = (float(w0[0]), float(w0[1]))
+    d = (float(d[0]), float(d[1]))
+    if (hi - lo) * max(abs(d[0]), abs(d[1])) > 2.0 * thr:
         return True
-    h = 0.02
-    intervals = [(lo, hi)]
-    for _ in range(9):
-        sigmas = []
-        for a, b in intervals:
-            n = max(2, int(math.ceil((b - a) / h)) + 1)
-            if n > 300000:
-                n = 300000
-            sigmas.append(np.linspace(a, b, n))
-        sig = np.concatenate(sigmas)
-        step = max((b - a) / max(n - 1, 1) for (a, b), n in
-                   zip(intervals, (len(s) for s in sigmas)))
-        g = _dist_lattice(w0[None, :] + sig[:, None] * d[None, :])
-        if float(g.max()) > thr:
+    ss = [lo, hi]
+    for w, v in zip(w0, d):
+        if v != 0.0:
+            a, b = sorted((w + lo * v, w + hi * v))
+            k = math.floor(b - 0.5) + 0.5  # the largest half-integer <= b
+            if k >= a:
+                ss.append(min(max((k - w) / v, lo), hi))
+    for s in ss:
+        x, y = w0[0] + s * d[0], w0[1] + s * d[1]
+        if math.hypot(x - round(x), y - round(y)) > thr:
             return True
-        keep = g + step / 2.0 > thr
-        if not keep.any():
-            return False
-        pts = sig[keep]
-        intervals = []
-        for s in pts:
-            a, b = s - step / 2.0, s + step / 2.0
-            if intervals and a <= intervals[-1][1] + 1e-15:
-                intervals[-1] = (intervals[-1][0], b)
-            else:
-                intervals.append((a, b))
-        h = step / 8.0
-        if h < 1e-10:
-            break
-    return False  # unresolved at 1e-10 scale: treat as boundary non-escape
+    return False
+
+
+def _segment_exceeds(chart: str, start: np.ndarray, d: np.ndarray,
+                     length: float, thr: float) -> bool:
+    """Whether the straight cover segment start + t*d, t in [0, length],
+    has chart diameter > thr (d a unit vector, thr < MAX_C).
+
+    On the torus that is length > thr.  On the quotient the points at t1
+    and t2 lie min(|t1 - t2|, dist(2*start + (t1 + t2)*d, Z^2)) apart while
+    length <= 1/2, and a sum t1 + t2 = s leaves room for |t1 - t2| > thr
+    iff s lies in (thr, 2*length - thr).  So the diameter exceeds thr iff
+    length > thr and the fold sup over [thr, 2*length - thr] from
+    wrap(2*start) exceeds thr.  The identity holds for length <= 1/2 at
+    every thr < 1/2, and at every length when thr <= 1/4: a longer segment
+    then exceeds thr and its window is longer than a lattice disk of
+    radius thr, so both sides are true.
+    """
+    if not length > thr:
+        return False
+    if chart == TORUS:
+        return True
+    return _fold_escape(models._wrap1(2.0 * start), d, thr, 2.0 * length - thr, thr)
 
 
 class _Piece:
@@ -249,17 +250,6 @@ class _PathEngine:
         mp = models._mat_power(self.sys.matrix, e)
         return models._exact_linear_mod1(mp, p.s)
 
-    def _piece_escapes(self, p: _Piece, e: int) -> bool:
-        ln = self._plen(p, e)
-        if not ln > self.c:
-            return False
-        if self.chart == TORUS:
-            return True
-        vec = self._pvec(p, e)
-        d = vec / ln
-        w0 = models._wrap1(2.0 * self._pstart(p, e))
-        return _fold_escape(w0, d, self.c, 2.0 * ln - self.c, self.c)
-
     # whole-path diameter predicate at iterate e
 
     def predicate(self, e: int) -> bool:
@@ -273,7 +263,8 @@ class _PathEngine:
     def _predicate_raw(self, e: int) -> bool:
         lens = [self._plen(p, e) for p in self.pieces]
         for p, ln in zip(self.pieces, lens):
-            if ln > self.c and self._piece_escapes(p, e):
+            if ln > self.c and _segment_exceeds(self.chart, self._pstart(p, e),
+                                                self._pvec(p, e) / ln, ln, self.c):
                 return True
         total = float(sum(lens))
         if total <= self.c:
@@ -287,9 +278,6 @@ class _PathEngine:
             nodes.append(nodes[-1] + self._pvec(p, e))
         nodes = np.array(nodes)
         if total < 0.5:
-            if self.chart == TORUS:
-                d = nodes[:, None, :] - nodes[None, :, :]
-                return float(np.hypot(d[..., 0], d[..., 1]).max()) > self.c
             return _diameter_exceeds(self.chart, nodes, self.c)
         # long multi-piece path: sampled lower bound of the diameter
         samples = []
@@ -700,9 +688,12 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
 
     m is the smallest integer such that every sampled continuum with
     diameter above c/2 reaches diameter above c within m iterates (either
-    direction).  A sample that never escapes within the scan window is a
-    counterexample certificate: calibration fails and the witness is
-    attached to the raised error.
+    direction).  The samples on the toral models are straight eigen-arcs,
+    and whether one's diameter exceeds c/2 is decided exactly from its
+    lift by the straight-segment identity (``_segment_exceeds``).  A
+    sample that never escapes within the scan window is a counterexample
+    certificate: calibration fails and the witness is attached to the
+    raised error.
     """
     c = float(sys.c if c is None else c)
     if not 0.0 < c < MAX_C:
@@ -735,12 +726,10 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
     frame = models.eigen_frame(sys.matrix)
     m_needed = 0
     for lf in _eigen_arc_samples(sys, c, sample_budget, rng):
-        if sys.chart == SPHERE_QUOTIENT:
-            # membership: the family is continua with quotient diam > c/2,
-            # and the fold can shrink an arc well below its plane length
-            pts = lf.cover_points(np.linspace(0.0, 1.0, 513))
-            if not _diameter_exceeds(sys.chart, pts, c / 2.0):
-                continue
+        # membership: the family is continua with diameter > c/2, and on
+        # the quotient the fold can shrink an arc well below its length
+        if not _segment_exceeds(sys.chart, lf.start_arr, lf.dir_arr, lf.length, c / 2.0):
+            continue
         eng = _PathEngine(sys, [_lift_piece(lf, frame)], c, scan, frame)
         n = eng.escape_from(0)
         if n is INFINITY or n > max_m:

@@ -247,12 +247,6 @@ class SystemModel:
         frame = eigen_frame(self.matrix)
         return (frame.es if stable else frame.eu).copy()
 
-    def direction_rate(self, stable: bool) -> float:
-        """Eigenvalue modulus along the chosen direction (in (0,1) if stable)."""
-        m = np.asarray(self.matrix, dtype=float)
-        w = np.abs(np.linalg.eigvals(m))
-        return float(np.min(w)) if stable else float(np.max(w))
-
 
 class EigenFrame(NamedTuple):
     """Eigen splitting of a hyperbolic toral matrix.

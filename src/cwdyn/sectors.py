@@ -202,7 +202,7 @@ def _close_pair(sys, cs, cu, ia, ib, seed):
     if _poly_area(polygon) <= 1e-14:
         return None
     a1, a2 = lo["p"], hi["p"]
-    spine = sys.point(float(w[0] % 1.0), float(w[1] % 1.0))
+    spine = sys.point(*w)
     return SectorRecord(
         boundary_s=subcontinuum(cs, a1, a2, tol=1e-6),
         boundary_u=subcontinuum(cu, a1, a2, tol=1e-6),
@@ -365,19 +365,16 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
     Ms = _axis_cross(A, Bs, 0, w, Einv)
     Mu = _axis_cross(A, Bu, 1, w, Einv)
 
-    def chart_pt(r):
-        return sys.point(float(r[0] % 1.0), float(r[1] % 1.0))
-
     def samples(t_lo, t_hi):
         tt = np.linspace(t_lo, t_hi, grid + 1)
         arcs_u, arcs_s, gs_eig, gu_eig = [], [], [], []
         for t in tt:
             g = _gamma(A, Ms, Bs, float(t))
-            arcs_u.append(models.local_arc(sys, chart_pt(g), "unstable", R1,
+            arcs_u.append(models.local_arc(sys, sys.point(*g), "unstable", R1,
                                            resolution=3))
             gs_eig.append(eig(g))
             g = _gamma(A, Mu, Bu, float(t))
-            arcs_s.append(models.local_arc(sys, chart_pt(g), "stable", R1,
+            arcs_s.append(models.local_arc(sys, sys.point(*g), "stable", R1,
                                            resolution=3))
             gu_eig.append(eig(g))
         out = np.empty((grid + 1, grid + 1, 2))
@@ -503,7 +500,7 @@ def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8,
                     "clearance": 0.0,
                     "reason": f"rung {j} needs arc scale {eps_j:.3g} beyond c"}
         r = w + vj
-        seed = sys.point(float(r[0] % 1.0), float(r[1] % 1.0))
+        seed = sys.point(*r)
         recs, _, _ = _sector_from_seed(sys, seed, max(eps_j, 1e-6))
         cand = None
         for rec in recs:

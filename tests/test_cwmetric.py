@@ -88,16 +88,16 @@ class TestCalibrate:
 
 
 def _calibration_point_sets(sys):
-    # the 513-point arcs that calibrate tests for quotient diameter > c/2,
-    # at budget 400 on seeds 0 and 1; the seeds share the family's fixed
-    # part, which is taken once
+    # calibrate's sample arcs at budget 400 on seeds 0 and 1, each with 513
+    # points along it; the seeds share the family's fixed part, which is
+    # taken once
     seen = set()
     for seed in (0, 1):
         for lf in cwmetric._eigen_arc_samples(sys, sys.c, 400, np.random.default_rng(seed)):
             key = (lf.start, lf.direction, lf.length)
             if key not in seen:
                 seen.add(key)
-                yield lf.cover_points(np.linspace(0.0, 1.0, 513))
+                yield lf, lf.cover_points(np.linspace(0.0, 1.0, 513))
 
 
 def _full_max(chart, pts):
@@ -116,9 +116,12 @@ class TestDiameterExceeds:
         sys = make_model(kind)
         thr = sys.c / 2.0
         n_arcs = n_excluded = 0
-        for pts in _calibration_point_sets(sys):
+        for lf, pts in _calibration_point_sets(sys):
             full = _full_max(sys.chart, pts)
             assert continua._diameter_exceeds(sys.chart, pts, thr) == (full > thr)
+            # calibrate's membership test, from the lift alone
+            assert cwmetric._segment_exceeds(sys.chart, lf.start_arr, lf.dir_arr,
+                                             lf.length, thr) == (full > thr)
             n_arcs += 1
             if not full > thr:
                 # excluded arcs are the ones that pay the whole triangle
@@ -152,6 +155,62 @@ class TestDiameterExceeds:
             assert continua._diameter_exceeds(chart, pts, 0.9 * want)
             assert not continua._diameter_exceeds(chart, pts, 1.1 * want)
             _assert_sharp(chart, pts, full)
+
+
+def _dense_fold_max(w0, d, lo, hi, n=20001):
+    # distance to the lattice sampled at n points of the window itself
+    s = np.linspace(lo, hi, n)
+    p = w0[None, :] + s[:, None] * d[None, :]
+    r = p - np.round(p)
+    return float(np.hypot(r[:, 0], r[:, 1]).max()), (hi - lo) / (n - 1)
+
+
+class TestFoldEscape:
+    @pytest.mark.parametrize("stable", [True, False])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_dense_sampling(self, pa, stable, sign):
+        d = sign * pa.eigen_direction(stable=stable)
+        rng = np.random.default_rng(11)
+        n_windows = 0
+        for _ in range(100):
+            w0 = rng.uniform(0.0, 1.0, 2)
+            lo = float(rng.uniform(0.0, 0.5))
+            hi = lo + float(rng.uniform(0.0, 0.3))
+            dense, step = _dense_fold_max(w0, d, lo, hi)
+            if dense > 0.42:
+                continue  # keep thresholds 5% over the sup below 1/2
+            n_windows += 1
+            # the exact sup, as the least threshold the check rejects
+            a, b = 0.0, 0.5
+            for _ in range(60):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if cwmetric._fold_escape(w0, d, lo, hi, mid) else (a, mid)
+            assert dense <= b + 1e-15
+            assert b <= dense + step / 2.0 + 1e-15
+            for f in np.linspace(0.95, 1.05, 21):
+                thr = float(f * dense)
+                if thr < dense:
+                    assert cwmetric._fold_escape(w0, d, lo, hi, thr)
+                elif thr >= dense + step / 2.0:
+                    assert not cwmetric._fold_escape(w0, d, lo, hi, thr)
+        assert n_windows >= 25
+
+    def test_no_witness_outside_the_window(self, pa):
+        # the distance to the lattice falls from 0.245 at s = lo to 0.005
+        # at s = hi and rises past c = 0.25 just below lo; a point outside
+        # the window is no escape witness
+        es = pa.eigen_direction(stable=True)
+        w0 = models._wrap1(-0.495 * es)
+        dense, _ = _dense_fold_max(w0, es, 0.25, 0.5)
+        assert dense == pytest.approx(0.245, abs=1e-12)
+        assert not cwmetric._fold_escape(w0, es, 0.25, 0.5, 0.25)
+        # the window is the fold test of this stable arc of length 0.375,
+        # whose quotient diameter is below c
+        start = -0.2475 * es
+        assert np.array_equal(models._wrap1(2.0 * start), w0)
+        pts = start[None, :] + np.linspace(0.0, 0.375, 513)[:, None] * es[None, :]
+        assert _full_max(pa.chart, pts) < 0.25
+        assert not cwmetric._segment_exceeds(pa.chart, start, es, 0.375, 0.25)
 
 
 class TestEscape:
@@ -379,12 +438,15 @@ class TestRecordLoadedArcs:
                         == cw_metric_profile(sys, arc, consts, depth=2)
 
     def test_pinned_sphere_pa_twin(self, pa, consts_pa):
-        # read back from its record, this arc once gave N = 6, D = 0.6598
+        # at n = 5 this arc is 0.41 long in the plane, but the fold keeps
+        # its quotient diameter at 0.2477 < c, so N = 6 and D = lam^-6
         arc = local_arc(pa, pa.point(0.22266062595706415, 0.5661483186220022),
                         "unstable", 0.0016705757884060248)
+        pts = arc.lift.iterated(pa, 5).cover_points(np.linspace(0.0, 1.0, 2001))
+        assert 0.247 < _full_max(pa.chart, pts) < consts_pa.c
         lifted = cw_metric_profile(pa, arc, consts_pa, depth=2)
-        assert lifted["N"] == 5
-        assert lifted["D"] == pytest.approx(math.sqrt(0.5), rel=1e-12)
+        assert lifted["N"] == 6
+        assert lifted["D"] == pytest.approx(consts_pa.lam ** -6, rel=1e-12)
         assert cw_metric_profile(pa, _record_twin(arc), consts_pa, depth=2) == lifted
 
     @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])

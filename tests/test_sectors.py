@@ -136,7 +136,7 @@ class TestFindSectors:
         # stable boundary shrinks forward, unstable backward; once the
         # quotient mirror shortcut is out of range the diameter equals the
         # cover length, which rescales exactly
-        lam = pa.direction_rate(stable=False)
+        lam = pa.expansion_rate
         for s in search.sectors[:2]:
             ls = s.boundary_s.lift.length
             lu = s.boundary_u.lift.length
@@ -196,12 +196,25 @@ class TestParametrization:
         # t = 1/2 samples sit on the unstable splitting branch through w
         assert np.max(np.abs(rep["f1_eig"][-1, :, 0])) <= 1e-7
 
-    def test_monotone_and_injective(self, pa, search):
+    def test_monotone_and_injective(self, pa, search, monkeypatch):
+        centres = set()
+        real_local_arc = models.local_arc
+
+        def local_arc(sys, x, *args, **kwargs):
+            centres.add(x.coords)
+            return real_local_arc(sys, x, *args, **kwargs)
+
+        monkeypatch.setattr(models, "local_arc", local_arc)
         for s in search.sectors:
             rep = sector_parametrization(pa, s, grid=32)["continuity_report"]
             assert rep["monotone_violations"] == 0
             assert rep["injective_ok"]
             assert rep["max_modulus"] < 5e-3
+        # arc centres go into pa.point as raw cover points, so next to the
+        # origin spine the quotient mirror keeps their full precision
+        near_spine = pa.point(-0.0064815165793436534, 0.5079306403068854)
+        assert near_spine.coords[0] == 0.0064815165793436534
+        assert near_spine.coords in centres
 
     def test_modulus_shrinks_with_grid(self, pa, search):
         s = search.sectors[0]
