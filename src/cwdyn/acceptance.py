@@ -15,7 +15,8 @@ import time
 import numpy as np
 
 from . import chainrec, holonomy, models, periodic, sectors
-from .continua import MarkedContinuum, subcontinuum, unwrap_to
+from .continua import (MarkedContinuum, _project_to_polyline, cover_reps,
+                       subcontinuum, unwrap_to)
 from .cwmetric import calibrate, cw_metric, cw_metric_family, cw_metric_profile
 from .models import BudgetError, local_arc, make_model
 
@@ -340,7 +341,7 @@ def _crit_holonomy(ctx):
     carrier = local_arc(pa, z, "unstable", params_pa.eps)
     target = local_arc(pa, y, "stable", params_pa.eps)
     on_arcs = all(
-        holonomy._project_to_polyline(arc, p.xy())[2] <= 10 * params_pa.tol
+        _project_to_polyline(arc, p.xy())[2] <= 10 * params_pa.tol
         for p in pts for arc in (carrier, target))
     distinct = len(pts) == 2 and models.distance(pa, pts[0], pts[1]) > 1e-6
     ok = branch_faults == 0 and max_dev < 1e-10 and distinct and on_arcs
@@ -422,8 +423,10 @@ def _crit_sectors(ctx):
         regular.append(sectors.classify_sector(pa, s) == "regular")
         inside = 0
         for w in models.spine_points(pa):
-            reps = sectors._cover_reps(pa.chart, w.xy(), s.mirror_center, 0.9)
-            if any(sectors._ray_cast(s.polygon, r) for r in reps):
+            xy = w.xy()
+            _, sg, k = cover_reps(pa.chart, xy, xy, s.mirror_center - 0.9,
+                                  s.mirror_center + 0.9)
+            if any(sectors._ray_cast(s.polygon, r) for r in sg[:, None] * xy + k):
                 inside += 1
         spine_counts.append(inside)
         out = sectors.enclosing_sector(pa, s)

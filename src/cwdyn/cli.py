@@ -121,6 +121,32 @@ def _load_config_file(path) -> dict:
     return data
 
 
+_POSITIVE_INTS = ("depth", "resolution", "budget", "grid")
+_INTS = _POSITIVE_INTS + ("sample_budget", "seed")
+_FLOATS = ("c", "eps", "alpha")
+_FLAGS = {"resolution": "--res", "sample_budget": "--sample-budget"}
+
+
+def _check_numbers(merged: dict) -> None:
+    """Int fields must be integers (sizes positive ones) and float fields
+    finite numbers, from flags and --config values alike; float fields are
+    stored as floats, so a file's 1 hashes like the flag's 1.0."""
+    for name in _INTS + _FLOATS:
+        val = merged.get(name)
+        if val is None:
+            continue
+        flag = _FLAGS.get(name, "--" + name)
+        number = isinstance(val, (int, float)) and not isinstance(val, bool)
+        if name in _FLOATS:
+            # int vs float comparison is exact, so a huge int cannot overflow
+            if not (number and abs(val) <= sys.float_info.max):
+                raise ConfigError(f"{flag} must be a finite number, got {val!r}")
+            merged[name] = float(val)
+        elif not (number and isinstance(val, int)) or (name in _POSITIVE_INTS and val <= 0):
+            kind = "a positive integer" if name in _POSITIVE_INTS else "an integer"
+            raise ConfigError(f"{flag} must be {kind}, got {val!r}")
+
+
 def parse_config(argv) -> ExperimentConfig:
     ns = _build_parser().parse_args(argv)
     merged = {}
@@ -139,15 +165,8 @@ def parse_config(argv) -> ExperimentConfig:
         merged["model"] = kind
     if "p" in merged and not isinstance(merged["p"], tuple):
         merged["p"] = _parse_point(merged["p"])
+    _check_numbers(merged)
     cfg = ExperimentConfig(**merged)
-    for name, val, kind in (("--depth", cfg.depth, "a positive integer"),
-                            ("--grid", cfg.grid, "a positive integer")):
-        if int(val) <= 0:
-            raise ConfigError(f"{name} must be {kind}, got {val}")
-    if cfg.resolution is not None and cfg.resolution <= 0:
-        raise ConfigError(f"--res must be a positive integer, got {cfg.resolution}")
-    if cfg.budget is not None and cfg.budget <= 0:
-        raise ConfigError(f"--budget must be a positive integer, got {cfg.budget}")
     if cfg.command == "acceptance":
         try:
             acceptance.parse_suite(cfg.suite)

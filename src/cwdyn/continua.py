@@ -10,6 +10,7 @@ an orbit, which the metric pipeline depends on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -31,36 +32,65 @@ class OffContinuumError(ValueError):
     """A point that must lie on the polyline does not (within tol)."""
 
 
-def _chart_signs(chart: str) -> tuple:
-    # the quotient identifies v with -v; other charts do not
-    return (1.0, -1.0) if chart == SPHERE_QUOTIENT else (1.0,)
+@functools.lru_cache(maxsize=None)
+def _grid(nx: int, ny: int) -> np.ndarray:
+    # the translate offsets [0, nx) x [0, ny) in lexicographic order, kept
+    # because the enumerator runs once per vertex, crossing and sample
+    return np.indices((nx, ny), dtype=float).reshape(2, -1).T
 
 
-def unwrap_to(chart: str, anchor: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Representative of v (class member + lattice translate) nearest anchor.
+def cover_reps(chart: str, qlo, qhi, lo, hi):
+    """Every plane representative s·Q + k of chart point sets Q that meets a box.
 
-    Valid as a plane proxy for chart distance while the result stays
-    within half a chart step of the anchor.
+    Row i of (qlo, qhi) bounds a set Q_i and row i of (lo, hi) a plane box
+    ((2,) arrays are one row).  s runs over the chart's class signs and k
+    over the integer translates with s·[qlo, qhi] + k meeting the box,
+    widened by 1e-9 and rounded outward, so a long box is covered whole;
+    on the geographic chart k moves only the longitude.  Returns (row, s,
+    k) in row, sign, then lexicographic k order; a point q of Q_i has the
+    representative ``s*q + k``, added in one rounding.
     """
-    anchor = np.asarray(anchor, dtype=float)
-    v = np.asarray(v, dtype=float)
+    qlo, qhi, lo, hi = (np.asarray(a, dtype=float).reshape(-1, 2) for a in (qlo, qhi, lo, hi))
+    if chart == SPHERE_QUOTIENT:
+        # s = -1 maps [qlo, qhi] to [-qhi, -qlo]
+        signs = np.array([1.0, -1.0])
+        kmin = np.floor(np.concatenate([lo - qhi, lo + qlo], axis=1) - 1e-9).reshape(-1, 2, 2)
+        kmax = np.ceil(np.concatenate([hi - qlo, hi + qhi], axis=1) + 1e-9).reshape(-1, 2, 2)
+    else:
+        signs = np.array([1.0])
+        kmin = np.floor(lo - qhi - 1e-9).reshape(-1, 1, 2)
+        kmax = np.ceil(hi - qlo + 1e-9).reshape(-1, 1, 2)
     if chart == SPHERE_GEOGRAPHIC:
-        out = v.copy()
-        out[..., 0] = v[..., 0] + np.round(anchor[..., 0] - v[..., 0])
-        return out
-    best = None
-    best_d = None
-    for s in _chart_signs(chart):
-        w = s * v
-        w = w + np.round(anchor - w)
-        d = np.linalg.norm(w - anchor, axis=-1)
-        if best is None:
-            best, best_d = w, d
-        else:
-            take = d < best_d
-            best = np.where(take[..., None], w, best)
-            best_d = np.minimum(best_d, d)
-    return best
+        kmin[..., 1] = kmax[..., 1] = 0.0
+    span = (kmax - kmin).reshape(-1, 2).max(axis=0, initial=0.0).astype(int) + 1
+    k = kmin[:, :, None, :] + _grid(*span)
+    inside = (k <= kmax[:, :, None, :]).all(axis=-1)
+    row, si, _ = np.nonzero(inside)
+    return row, signs[si], k[inside]
+
+
+def unwrap_path(chart: str, v) -> np.ndarray:
+    """A polyline's vertices lifted to the plane, each to its representative
+    nearest the lifted vertex before it; the first vertex stays.
+
+    Valid as a plane proxy for chart distance while every edge stays
+    within half a chart step.  Vertex i lands at S_i·v_i + K_i in one
+    rounding, where the sign S_i and the integer translate K_i compose
+    each edge's nearest-representative step.
+    """
+    v = np.asarray(v, dtype=float)
+    row, s, k = cover_reps(chart, v[1:], v[1:], v[:-1], v[:-1])
+    gap = s[:, None] * v[1:][row] + k - v[:-1][row]
+    order = np.lexsort((gap[:, 0] * gap[:, 0] + gap[:, 1] * gap[:, 1], row))
+    first = order[np.unique(row[order], return_index=True)[1]]  # each edge's nearest
+    sign = np.cumprod(np.r_[1.0, s[first]])
+    shift = np.cumsum(np.vstack([np.zeros(2), sign[:-1, None] * k[first]]), axis=0)
+    return sign[:, None] * v + shift
+
+
+def unwrap_to(chart: str, anchor, v) -> np.ndarray:
+    """Representative of v (class member + lattice translate) nearest anchor."""
+    return unwrap_path(chart, np.stack([anchor, v]))[1]
 
 
 @dataclass(frozen=True)
@@ -256,26 +286,22 @@ def image(sys, cont: MarkedContinuum, n: int, budget: int = 20000) -> MarkedCont
     # exact length |A^n v| fixes the subdivision count per edge (endpoint
     # chart distance would alias once an edge wraps the torus)
     verts = cont.vertices
-    edges = []
-    total = 1
     if sys.is_hyperbolic:
         mf = np.array(models._mat_power(sys.matrix, n), dtype=float)
         stretch = lambda v: float(np.linalg.norm(mf @ v))
     else:
         rate = 2.0 ** abs(n)  # colat-derivative bound of the pole map
         stretch = lambda v: rate * float(np.linalg.norm(v))
-    for i in range(len(verts) - 1):
-        v = unwrap_to(cont.chart, verts[i], verts[i + 1]) - verts[i]
-        k = max(1, int(math.ceil(stretch(v) / EDGE_TARGET)))
-        edges.append((v, k))
-        total += k
+    path = unwrap_path(cont.chart, verts)
+    edges = [(v, max(1, int(math.ceil(stretch(v) / EDGE_TARGET)))) for v in np.diff(path, axis=0)]
+    total = 1 + sum(k for _, k in edges)
     if total > budget:
         raise BudgetError(f"image needs {total} vertices, budget {budget}")
     out = [models.iterate_xy(sys, verts[0], n)]
     idx_map = [0]
     for i, (v, k) in enumerate(edges):
         for j in range(1, k + 1):
-            p = wrap_chart(cont.chart, verts[i] + (j / k) * v)
+            p = wrap_chart(cont.chart, path[i] + (j / k) * v)
             out.append(models.iterate_xy(sys, p, n))
         idx_map.append(len(out) - 1)
     return MarkedContinuum(chart=cont.chart, vertices=np.array(out),
@@ -283,109 +309,127 @@ def image(sys, cont: MarkedContinuum, n: int, budget: int = 20000) -> MarkedCont
                            mark_q=idx_map[cont.mark_q])
 
 
-# -- intersections -------------------------------------------------------
+# -- segments, crossings and projections ---------------------------------
 
 
-def _dedupe_points(chart: str, pts: list, tol: float) -> list:
+def _dedupe_points(chart: str, pts, tol: float) -> list:
+    # in the plane proxy the crossings are solved in: the geographic arccos
+    # distance of two equal points can be ~5e-9, above a 1e-9 tol
+    proxy = models.TORUS if chart == SPHERE_GEOGRAPHIC else chart
     out = []
     for p in pts:
-        if all(chart_distance(chart, p, q) > tol for q in out):
+        if all(chart_distance(proxy, p, q) > tol for q in out):
             out.append(p)
     return out
 
 
-def _segment_box_m_range(pmin, pmax, qmin, qmax):
-    lo = np.floor(pmin - qmax - 1e-9).astype(int)
-    hi = np.ceil(pmax - qmin + 1e-9).astype(int)
-    return lo, hi
+def _segments(cont: MarkedContinuum):
+    """The plane segments behind a continuum: (starts, vectors, lengths).
+
+    A lifted arc is its one cover segment; a plain polyline is the edges
+    of its unwrapped path.
+    """
+    if cont.lift is not None and cont.params is not None:
+        lf = cont.lift
+        return (lf.start_arr[None, :], (lf.dir_arr * lf.length)[None, :],
+                np.array([lf.length]))
+    path = unwrap_path(cont.chart, cont.vertices)
+    d = np.diff(path, axis=0)
+    return path[:-1], d, np.linalg.norm(d, axis=-1)
 
 
-def _intersect_lifted(l1: StraightLift, l2: StraightLift, tol: float) -> list:
-    chart = l1.chart
-    a0, da = l1.start_arr, l1.dir_arr * l1.length
-    tol_t1 = tol / max(l1.length, 1e-300)
-    tol_t2 = tol / max(l2.length, 1e-300)
-    pts = []
-    pmin, pmax = np.minimum(a0, a0 + da), np.maximum(a0, a0 + da)
-    for s in _chart_signs(chart):
-        b0, db = s * l2.start_arr, s * l2.dir_arr * l2.length
-        qmin, qmax = np.minimum(b0, b0 + db), np.maximum(b0, b0 + db)
-        lo, hi = _segment_box_m_range(pmin, pmax, qmin, qmax)
-        det = da[0] * (-db[1]) - (-db[0]) * da[1]
-        for m0 in range(lo[0], hi[0] + 1):
-            for m1 in range(lo[1], hi[1] + 1):
-                rhs = np.array([m0, m1], dtype=float) + b0 - a0
-                if abs(det) < 1e-14 * max(l1.length * l2.length, 1e-300):
-                    # parallel: accept endpoints lying on the other segment
-                    for u in (0.0, 1.0):
-                        q = b0 + u * db - np.array([m0, m1])
-                        t = float(np.dot(q - a0, da)) / max(float(np.dot(da, da)), 1e-300)
-                        if -tol_t1 <= t <= 1 + tol_t1:
-                            perp = q - a0 - min(max(t, 0.0), 1.0) * da
-                            if float(np.linalg.norm(perp)) <= tol:
-                                pts.append(wrap_chart(chart, q))
-                    continue
-                t = (rhs[0] * (-db[1]) - (-db[0]) * rhs[1]) / det
-                u = (da[0] * rhs[1] - rhs[0] * da[1]) / det
-                if -tol_t1 <= t <= 1 + tol_t1 and -tol_t2 <= u <= 1 + tol_t2:
-                    t = min(max(t, 0.0), 1.0)
-                    pts.append(wrap_chart(chart, a0 + t * da))
-    return pts
+def _to_segment(p, a, d):
+    """Foot parameter and distance of plane points p from segments a + t·d.
+
+    Vectorized over (..., 2).  Returns the unclamped parameter t of the
+    foot (0 on a degenerate segment) and the distance from p to the
+    segment, t clamped to [0, 1].
+    """
+    w = p - a
+    num = w[..., 0] * d[..., 0] + w[..., 1] * d[..., 1]
+    den = d[..., 0] * d[..., 0] + d[..., 1] * d[..., 1]
+    t = num / np.where(den > 0, den, np.inf)
+    foot = a + np.clip(t, 0.0, 1.0)[..., None] * d
+    return t, np.linalg.norm(p - foot, axis=-1)
 
 
-def _intersect_edges(chart: str, v1: np.ndarray, v2: np.ndarray, tol: float) -> list:
-    """All edge-pair crossings of two polylines, via local plane unwrap."""
-    pts = []
-    signs = _chart_signs(chart)
-    offsets = np.array([[i, j] for i in (-1, 0, 1) for j in (-1, 0, 1)], dtype=float)
-    e2a, e2b = v2[:-1], v2[1:]
-    for i in range(len(v1) - 1):
-        p1 = v1[i]
-        p2 = unwrap_to(chart, p1, v1[i + 1])
-        d1 = p2 - p1
-        mid = p1 + 0.5 * d1
-        for s in signs:
-            q1 = s * e2a + np.round(mid[None, :] - s * e2a)
-            q2 = s * e2b + np.round(q1 - s * e2b)
-            for off in offsets:
-                a1 = q1 + off[None, :]
-                d2 = q2 - q1
-                det = d1[0] * d2[:, 1] - d1[1] * d2[:, 0]
-                rhs = a1 - p1[None, :]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    t = (rhs[:, 0] * d2[:, 1] - rhs[:, 1] * d2[:, 0]) / det
-                    u = (rhs[:, 0] * d1[1] - rhs[:, 1] * d1[0]) / det
-                ok = np.isfinite(t) & np.isfinite(u)
-                ok &= (t >= -1e-12) & (t <= 1 + 1e-12) & (u >= -1e-12) & (u <= 1 + 1e-12)
-                for j in np.nonzero(ok)[0]:
-                    pts.append(wrap_chart(chart, p1 + float(t[j]) * d1))
-    return pts
+def _nearest_on(chart: str, segs, xy):
+    """Nearest cover point to a chart point on plane segments (see _segments).
+
+    Returns (i, t, r, dist): segment i, the unclamped parameter of the
+    foot on it, the representative r of xy, and r's distance from the
+    segment.  Representatives come from each segment's bounding box
+    widened by 0.75, which holds the one nearest the segment, also on a
+    lift many chart steps long.
+    """
+    a, d, _ = segs
+    xy = np.asarray(xy, dtype=float)
+    row, s, k = cover_reps(chart, xy, xy, np.minimum(a, a + d) - 0.75,
+                           np.maximum(a, a + d) + 0.75)
+    r = s[:, None] * xy + k
+    t, dist = _to_segment(r, a[row], d[row])
+    j = int(np.argmin(dist))
+    return int(row[j]), float(t[j]), r[j], float(dist[j])
+
+
+def _crossings(chart: str, seg_a, seg_b, tol: float) -> np.ndarray:
+    """Chart points where plane segments A meet cover copies of segments B.
+
+    Each pair is solved over the representatives of B whose bounding box
+    meets A's.  tol is a distance along each segment: a crossing up to
+    tol beyond an end counts and is clamped onto A.  A pair is parallel
+    when its determinant is below 1e-14 of its length product or each
+    endpoint lies within tol of the other segment's line; it then meets
+    at each of its four endpoints within tol of the other segment.
+    """
+    a0, da0, la0 = seg_a
+    b0, db0, lb0 = seg_b
+    ia, ib = np.divmod(np.arange(len(a0) * len(b0)), len(b0))
+    row, s, k = cover_reps(chart, np.minimum(b0, b0 + db0)[ib], np.maximum(b0, b0 + db0)[ib],
+                           np.minimum(a0, a0 + da0)[ia], np.maximum(a0, a0 + da0)[ia])
+    ia, ib = ia[row], ib[row]
+    a, da, la = a0[ia], da0[ia], la0[ia]
+    b, db, lb = k + s[:, None] * b0[ib], s[:, None] * db0[ib], lb0[ib]
+    rhs = b - a
+    det = da[:, 0] * (-db[:, 1]) - (-db[:, 0]) * da[:, 1]
+    t_num = rhs[:, 0] * (-db[:, 1]) - (-db[:, 0]) * rhs[:, 1]
+    u_num = da[:, 0] * rhs[:, 1] - rhs[:, 0] * da[:, 1]
+    # |u_num| and |u_num - det| are la times B's end offsets from A's line
+    parallel = (np.abs(det) < 1e-14 * np.maximum(la * lb, 1e-300)) \
+        | ((np.maximum(np.abs(u_num), np.abs(u_num - det)) <= tol * la)
+           & (np.maximum(np.abs(t_num), np.abs(t_num - det)) <= tol * lb))
+    tol_a = tol / np.maximum(la, 1e-300)
+    tol_b = tol / np.maximum(lb, 1e-300)
+    den = np.where(parallel, np.nan, det)
+    t, u = t_num / den, u_num / den
+    cross = a + np.clip(t, 0.0, 1.0)[:, None] * da
+    hit = (t >= -tol_a) & (t <= 1 + tol_a) & (u >= -tol_b) & (u <= 1 + tol_b)
+    if not parallel.any():
+        return wrap_chart(chart, cross[hit])
+    ends = np.stack([b, b + db, a, a + da], axis=1)
+    _, off = _to_segment(ends, np.stack([a, a, b, b], axis=1), np.stack([da, da, db, db], axis=1))
+    keep = np.concatenate([hit[:, None], parallel[:, None] & (off <= tol)], axis=1)
+    return wrap_chart(chart, np.concatenate([cross[:, None], ends], axis=1)[keep])
 
 
 def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> list:
-    """All intersection points of two continua, deduplicated within tol."""
+    """All intersection points of two continua, deduplicated within tol.
+
+    Lifted arcs meet as their cover segments and plain polylines edge by
+    edge, under one rule (see _crossings): tol is a distance along each
+    segment.  A singleton meets a continuum that passes within tol of it.
+    """
     if c1.chart != c2.chart:
         raise ChartError(f"chart mismatch: {c1.chart!r} vs {c2.chart!r}")
-    if c1.lift is not None and c2.lift is not None:
-        raw = _intersect_lifted(c1.lift, c2.lift, tol)
+    if c1.is_singleton or c2.is_singleton:
+        single, other = (c1, c2) if c1.is_singleton else (c2, c1)
+        p = single.vertices[0]
+        raw = [p] if _project_to_polyline(other, p)[2] <= tol else []
     else:
-        if c1.is_singleton or c2.is_singleton:
-            single, other = (c1, c2) if c1.is_singleton else (c2, c1)
-            p = single.vertices[0]
-            raw = []
-            v = other.vertices
-            for i in range(max(len(v) - 1, 1)):
-                a = v[i]
-                b = unwrap_to(other.chart, a, v[min(i + 1, len(v) - 1)])
-                pr = unwrap_to(other.chart, a, p)
-                d = b - a
-                den = float(np.dot(d, d))
-                t = 0.0 if den < 1e-300 else min(max(float(np.dot(pr - a, d)) / den, 0.0), 1.0)
-                if float(np.linalg.norm(pr - (a + t * d))) <= tol:
-                    raw = [p]
-                    break
-        else:
-            raw = _intersect_edges(c1.chart, c1.vertices, c2.vertices, tol)
+        a, b = _segments(c1), _segments(c2)
+        step = max(1, 4096 // len(b[0]))  # bounds the pairs solved at once
+        raw = np.concatenate([_crossings(c1.chart, [x[i:i + step] for x in a], b, tol)
+                              for i in range(0, len(a[0]), step)])
     pts = _dedupe_points(c1.chart, raw, max(tol, 1e-12))
     return [Point(c1.chart, (float(p[0]), float(p[1]))) for p in pts]
 
@@ -393,71 +437,28 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
 # -- sub-polylines and concatenation -------------------------------------
 
 
-# lattice translates around a base representative, in enumeration order
-_OFFSETS = tuple(np.array(off, dtype=float) for off in
-                 ((-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1),
-                  (1, -1), (1, 0), (1, 1)))
-
-
-def _nearest_on_lift(lift: StraightLift, xy):
-    """Cover representative of a chart point nearest a straight lift.
-
-    Returns (t, r, dist): the unclamped lift parameter of the cover point
-    r, and r's distance from the segment.  Enumerating representatives
-    around the segment midpoint avoids the near-spine trap where the
-    closest representative of a vertex is the mirror image rather than
-    the continuation of the lift.
-    """
-    s, d = lift.start_arr, lift.dir_arr
-    length = max(lift.length, 0.0)
-    mid = s + 0.5 * length * d
-    best = None
-    for sg in _chart_signs(lift.chart):
-        w0 = sg * np.asarray(xy, dtype=float)
-        base = np.round(mid - w0)
-        for off in _OFFSETS:
-            r = w0 + base + off
-            t = 0.0 if length <= 0 else float(np.dot(r - s, d)) / length
-            dist = float(np.linalg.norm(r - (s + min(max(t, 0.0), 1.0) * length * d)))
-            if best is None or dist < best[2]:
-                best = (t, r, dist)
-    return best
-
-
-def _project_to_lift(cont: MarkedContinuum, xy: np.ndarray):
-    """Nearest point on a lifted arc, computed in the universal cover."""
-    lf, tp = cont.lift, cont.params
-    t, _, dist = _nearest_on_lift(lf, xy)
-    g = min(max(t, 0.0), 1.0)
-    i = int(np.searchsorted(tp, g, side="right") - 1)
-    i = min(max(i, 0), len(tp) - 2)
-    span = float(tp[i + 1] - tp[i])
-    t_edge = 0.0 if span <= 0 else min(max((g - tp[i]) / span, 0.0), 1.0)
-    pt = lf.start_arr + g * max(lf.length, 0.0) * lf.dir_arr
-    return i, t_edge, dist, wrap_chart(cont.chart, pt).reshape(2)
-
-
 def _project_to_polyline(cont: MarkedContinuum, xy: np.ndarray):
-    """Nearest (edge index, edge param, distance, point) on the polyline."""
+    """Nearest (edge index, edge param, distance, point) on the polyline.
+
+    A lifted arc is projected onto its cover segment, and the foot is
+    then located among the polyline's edges by its lift parameter.
+    """
     v = cont.vertices
     if len(v) == 1:
         d = chart_distance(cont.chart, v[0], xy)
         return 0, 0.0, d, v[0].copy()
-    if cont.lift is not None and cont.params is not None:
-        return _project_to_lift(cont, xy)
-    best = None
-    for i in range(len(v) - 1):
-        a = v[i]
-        b = unwrap_to(cont.chart, a, v[i + 1])
-        p = unwrap_to(cont.chart, a + 0.5 * (b - a), xy)
-        d = b - a
-        den = float(np.dot(d, d))
-        t = 0.0 if den < 1e-300 else min(max(float(np.dot(p - a, d)) / den, 0.0), 1.0)
-        pt = a + t * d
-        dist = float(np.linalg.norm(p - pt))
-        if best is None or dist < best[2]:
-            best = (i, t, dist, wrap_chart(cont.chart, pt))
-    return best
+    segs = _segments(cont)
+    i, t, _, dist = _nearest_on(cont.chart, segs, xy)
+    g = min(max(t, 0.0), 1.0)
+    pt = wrap_chart(cont.chart, segs[0][i] + g * segs[1][i])
+    tp = cont.params
+    if cont.lift is None or tp is None:
+        return i, g, dist, pt
+    i = int(np.searchsorted(tp, g, side="right") - 1)
+    i = min(max(i, 0), len(tp) - 2)
+    span = float(tp[i + 1] - tp[i])
+    t_edge = 0.0 if span <= 0 else min(max((g - tp[i]) / span, 0.0), 1.0)
+    return i, t_edge, dist, pt
 
 
 def subcontinuum(cont: MarkedContinuum, a: Point, b: Point,

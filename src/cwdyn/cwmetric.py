@@ -36,7 +36,7 @@ from .models import (
     CalibrationError, ModelCapabilityError, TORUS, SPHERE_QUOTIENT,
     NORTH_SOUTH, chart_distance_arr,
 )
-from .continua import MarkedContinuum, _diameter_exceeds, unwrap_to
+from .continua import MarkedContinuum, _diameter_exceeds, unwrap_path
 
 INFINITY = math.inf
 
@@ -190,11 +190,10 @@ def _pieces_of(sys, cont: MarkedContinuum, frame: models.EigenFrame) -> list:
     if len(v) < 2:
         return []
     pieces = []
-    anchor = v[0].copy()
+    path = unwrap_path(cont.chart, v)
     run = None  # (start, accumulated vec)
-    prev = anchor
-    for i in range(1, len(v)):
-        nxt = unwrap_to(cont.chart, prev, v[i])
+    prev = path[0]
+    for nxt in path[1:]:
         dv = nxt - prev
         if run is not None:
             w = nxt - run[0]
@@ -634,7 +633,6 @@ def _eigen_arc_samples(sys, c: float, budget: int, rng) -> list:
     samples = []
     grid = [i / 8.0 for i in range(8)]
     for stable in (True, False):
-        e = sys.eigen_direction(stable=stable)
         for gx in grid:
             for gy in grid:
                 samples.append((np.array([gx, gy]), stable, 0.75 * c, True))

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 from . import models
 from .models import ModelCapabilityError, chart_distance, torus_norm
-from .continua import (MarkedContinuum, _chart_signs, _nearest_on_lift,
-                       intersect, subcontinuum)
+from .continua import (MarkedContinuum, _nearest_on, _segments, _to_segment,
+                       cover_reps, intersect, subcontinuum)
 
 
 class IndeterminateCrossing(RuntimeError):
@@ -81,18 +81,10 @@ def _ray_cast(poly: np.ndarray, p) -> bool:
     return inside
 
 
-def _seg_dist(p, a, b) -> float:
-    d = b - a
-    den = float(np.dot(d, d))
-    t = 0.0 if den < 1e-300 else min(max(float(np.dot(p - a, d)) / den, 0.0), 1.0)
-    return float(np.linalg.norm(p - (a + t * d)))
-
-
 def _poly_clearance(poly: np.ndarray, p) -> float:
     """Distance from a point to the polygon boundary."""
     p = np.asarray(p, dtype=float)
-    n = len(poly)
-    return min(_seg_dist(p, poly[i], poly[(i + 1) % n]) for i in range(n))
+    return float(_to_segment(p, poly, np.roll(poly, -1, axis=0) - poly)[1].min())
 
 
 def _arc_pos(pts: np.ndarray, cross) -> np.ndarray:
@@ -128,26 +120,6 @@ def _walk(pts: np.ndarray, cross, side: int, h: float) -> np.ndarray:
     raise IndeterminateCrossing("continuation truncated at the arc end")
 
 
-# -- cover representatives -----------------------------------------------
-
-
-def _cover_reps(chart: str, p_xy, anchor, radius: float) -> list:
-    """Plane representatives of a chart point within radius of an anchor."""
-    p = np.asarray(p_xy, dtype=float)
-    anchor = np.asarray(anchor, dtype=float)
-    out = []
-    for s in _chart_signs(chart):
-        w0 = s * p
-        base = np.round(anchor - w0)
-        for dx in (-1.0, 0.0, 1.0):
-            for dy in (-1.0, 0.0, 1.0):
-                r = w0 + base + np.array([dx, dy])
-                if float(np.linalg.norm(r - anchor)) <= radius:
-                    if all(np.linalg.norm(r - q) > 1e-12 for q in out):
-                        out.append(r)
-    return out
-
-
 # -- construction --------------------------------------------------------
 
 
@@ -160,8 +132,8 @@ def _sector_from_seed(sys, x, eps: float, resolution: int = 5):
         return [], len(pts), 0
     info = []
     for p in pts:
-        ts, rs, es = _nearest_on_lift(cs.lift, p.xy())
-        tu, ru, eu = _nearest_on_lift(cu.lift, p.xy())
+        _, ts, rs, es = _nearest_on(sys.chart, _segments(cs), p.xy())
+        _, tu, ru, eu = _nearest_on(sys.chart, _segments(cu), p.xy())
         if es > 1e-6 or eu > 1e-6:
             continue
         info.append({"p": p, "ts": ts, "tu": tu, "cs": rs, "cu": ru})
@@ -408,8 +380,12 @@ def _select_crossing(sys, cu, cs, g_s, g_u, w, Einv, R1) -> dict:
         raise ValueError("parametrization arcs fail to cross; enlarge R1")
     line_tol = 1e-6
     cands = []
+    reach = 2.0 * R1 + 0.1
     for p in pts:
-        for r in _cover_reps(sys.chart, p.xy(), w, 2.0 * R1 + 0.1):
+        xy = p.xy()
+        _, sg, k = cover_reps(sys.chart, xy, xy, w - reach, w + reach)
+        reps = sg[:, None] * xy + k
+        for r in reps[np.hypot(*(reps - w).T) <= reach]:
             re = Einv @ (r - w)
             ok_s = ok_u = False
             for g in (g_s, -g_s):
@@ -515,7 +491,7 @@ def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8,
                 continue
         except IndeterminateCrossing:
             continue
-        poly = _reanchor(cand.polygon, np.asarray(cand.mirror_center), w)
+        poly = _reanchor(sys.chart, cand.polygon, np.asarray(cand.mirror_center), w)
         if all(_ray_cast(poly, v) for v in s.polygon):
             clearance = min(_poly_clearance(poly, v) for v in s.polygon)
             if clearance > 1e-12:
@@ -525,14 +501,14 @@ def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8,
             "clearance": 0.0, "reason": "margin budget exhausted"}
 
 
-def _reanchor(poly: np.ndarray, from_center: np.ndarray,
+def _reanchor(chart: str, poly: np.ndarray, from_center: np.ndarray,
               to_center: np.ndarray) -> np.ndarray:
     """Move cover geometry between equivalent half-lattice anchors."""
-    for sgn in (1.0, -1.0):
-        k = to_center - sgn * from_center
-        if float(np.linalg.norm(k - np.round(k))) <= 1e-9:
-            return sgn * poly + np.round(k)
-    raise ValueError("anchors are not representatives of the same spine")
+    _, sg, k = cover_reps(chart, from_center, from_center, to_center, to_center)
+    hits = np.nonzero(np.hypot(*(sg[:, None] * from_center + k - to_center).T) <= 1e-9)[0]
+    if not len(hits):
+        raise ValueError("anchors are not representatives of the same spine")
+    return sg[hits[0]] * poly + k[hits[0]]
 
 
 def to_record(s: SectorRecord) -> dict:

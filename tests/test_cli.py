@@ -60,10 +60,43 @@ class TestParseConfig:
         (["periodic", "--p", "nan,0.4"], "--p"),
         (["periodic", "--p", "0.2,inf"], "--p"),
         (["periodic", "--p", "-Infinity,0.4"], "--p"),
+        (["chainrec", "--eps", "inf"], "--eps"),
+        (["chainrec", "--eps", "nan"], "--eps"),
+        (["periodic", "--p", "0.2,0.4", "--alpha", "inf"], "--alpha"),
+        (["calibrate", "--c", "nan"], "--c"),
     ])
     def test_bad_flags_name_the_flag(self, argv, where):
         with pytest.raises(ConfigError, match=where.replace("-", "[-]")):
             parse_config(argv)
+
+    @pytest.mark.parametrize("text, where", [
+        ('{"eps": Infinity}', "--eps"),
+        ('{"eps": NaN}', "--eps"),
+        ('{"eps": "x"}', "--eps"),
+        ('{"alpha": 1e400}', "--alpha"),
+        ('{"c": true}', "--c"),
+        ('{"depth": "4"}', "--depth"),
+        ('{"seed": 1.5}', "--seed"),
+        ('{"resolution": [64]}', "--res"),
+        ('{"sample_budget": false}', "--sample-budget"),
+    ])
+    def test_bad_config_values_name_the_flag(self, tmp_path, text, where):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(text)
+        with pytest.raises(ConfigError, match=where.replace("-", "[-]")):
+            parse_config(["chainrec", "--config", str(cfgfile)])
+
+    def test_config_values_hash_like_flags(self, tmp_path):
+        cfgfile = tmp_path / "run.json"
+        cfgfile.write_text(json.dumps({"depth": 4, "eps": 1}))
+        from_file = parse_config(["chainrec", "--config", str(cfgfile)])
+        from_flags = parse_config(["chainrec", "--depth", "4", "--eps", "1"])
+        assert from_file.eps == 1.0 and isinstance(from_file.eps, float)
+        assert from_file.sha256() == from_flags.sha256()
+
+    def test_non_finite_eps_exits_one(self, outdir, capsys):
+        rc, err = run_err(["chainrec", "--eps", "inf"], capsys)
+        assert rc == 1 and "--eps" in err and "Traceback" not in err
 
     def test_config_file_merge_and_override(self, tmp_path):
         cfgfile = tmp_path / "run.json"

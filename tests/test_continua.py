@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from cwdyn import models, continua
+from cwdyn import models
 from cwdyn.continua import (
-    MarkedContinuum, OffContinuumError, concat, diameter, from_record,
-    image, intersect, subcontinuum, to_record, unwrap_to,
+    MarkedContinuum, OffContinuumError, StraightLift, _project_to_polyline,
+    concat, diameter, from_record, image, intersect, subcontinuum, to_record,
+    unwrap_to,
 )
 from cwdyn.models import BudgetError, local_arc, make_model
 
@@ -57,6 +59,13 @@ class TestImage:
         with pytest.raises(BudgetError):
             image(cat, plain, 15, budget=20000)
 
+    def test_generic_follows_the_lift_across_a_spine(self, pa):
+        # the arc passes the origin spine, where its chart vertices mirror
+        arc = local_arc(pa, pa.point(0.002, 0.001), "unstable", 0.004)
+        a, b = image(pa, arc, 3), image(pa, from_record(to_record(arc)), 3)
+        assert diameter(b) == pytest.approx(diameter(a), rel=1e-9)
+        assert max(_project_to_polyline(a, v)[2] for v in b.vertices) < 1e-9
+
     def test_generic_matches_lifted(self, cat):
         arc = local_arc(cat, cat.point(0.41, 0.87), "unstable", 0.004)
         plain = from_record(to_record(arc))
@@ -90,6 +99,40 @@ class TestIntersect:
         b = local_arc(cat, cat.point(0.2, 0.5), "stable", 0.05)
         assert intersect(a, b) == []
 
+    def test_geographic_translates_move_only_the_longitude(self):
+        # the two edges sit at opposite poles; shifting the colatitude by 1
+        # once made them cross at (0.32, 1.0)
+        g = models.SPHERE_GEOGRAPHIC
+        a = MarkedContinuum(g, np.array([[0.28, 0.96], [0.32, 1.0]]), 0, 1)
+        b = MarkedContinuum(g, np.array([[0.32, 0.0], [0.28, 0.04]]), 0, 1)
+        assert intersect(a, b) == []
+        assert intersect(b, a) == []
+
+    def test_tol_is_a_distance_along_each_segment(self, cat):
+        # an unstable arc ending 1e-8 short of a stable arc meets it within
+        # tol = 1e-6, lifted or loaded from records
+        x = cat.point(0.3, 0.3)
+        eu = cat.eigen_direction(stable=False)
+        cs = local_arc(cat, x, "stable", 0.05)
+        cu = local_arc(cat, cat.point(*(x.xy() + (0.05 + 1e-8) * eu)), "unstable", 0.05)
+        twins = [from_record(to_record(c)) for c in (cu, cs)]
+        for a, b in ((cu, cs), twins):
+            assert len(intersect(a, b, tol=1e-6)) == 1
+            assert len(intersect(b, a, tol=1e-6)) == 1
+            assert intersect(a, b, tol=1e-9) == []
+
+    def test_collinear_overlap_is_symmetric(self, cat):
+        x = cat.point(0.3, 0.3)
+        long, short = (local_arc(cat, x, "stable", eps) for eps in (0.1, 0.03))
+        got = intersect(long, short)
+        assert _same_points(got, intersect(short, long))
+        ends = [short.point_p, short.point_q]
+        assert _same_points(got, ends)
+        tl, ts = from_record(to_record(long)), from_record(to_record(short))
+        got = intersect(tl, ts)
+        assert _same_points(got, intersect(ts, tl))
+        assert all(min(models.distance(cat, e, p) for p in got) < 1e-12 for e in ends)
+
     def test_singleton_on_arc(self, cat):
         arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.1)
         pt = MarkedContinuum(chart="torus", vertices=np.array([[0.3, 0.3]]),
@@ -106,6 +149,15 @@ class TestSubcontinuum:
         sub = subcontinuum(arc, a, b)
         assert models.distance(cat, sub.point_p, a) < 1e-12
         assert models.distance(cat, sub.point_q, b) < 1e-12
+
+    def test_long_image_lift(self, cat):
+        # a lift 9.4 long: the nearest representative of a vertex lies
+        # several lattice steps from the lift's midpoint
+        im = image(cat, local_arc(cat, cat.point(0.31, 0.47), "unstable", 0.1), 4)
+        assert im.lift.length > 9.0
+        sub = subcontinuum(im, im.point(0), im.point(3))
+        assert models.distance(cat, sub.point_p, im.point(0)) < 1e-12
+        assert models.distance(cat, sub.point_q, im.point(3)) < 1e-12
 
     def test_off_continuum(self, cat):
         arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.05)
@@ -158,3 +210,137 @@ def test_image_preserves_marked_points(cat):
     img = image(cat, arc, 2)
     want = models.iterate(cat, arc.point_p, 2)
     assert models.distance(cat, img.point_p, want) < 1e-9
+
+
+# -- properties on all three charts --------------------------------------------
+
+
+CHARTS = (models.TORUS, models.SPHERE_QUOTIENT, models.SPHERE_GEOGRAPHIC)
+CAT, PA = make_model("cat-map"), make_model("sphere-pA")
+
+
+def _gap(chart, p, q) -> float:
+    # the geographic arccos distance resolves only ~1e-8; its plane proxy
+    # (longitude mod 1, colatitude) is exact
+    chart = models.TORUS if chart == models.SPHERE_GEOGRAPHIC else chart
+    return models.chart_distance(chart, p, q)
+
+
+def _same_points(ps, qs, tol=1e-12) -> bool:
+    """Equal as point sets, within tol."""
+    def covered(a, b):
+        return all(min((_gap(p.chart, p.xy(), q.xy()) for q in b),
+                       default=math.inf) <= tol for p in a)
+    return covered(ps, qs) and covered(qs, ps)
+
+
+def _straight(chart, start, u, length, n, lifted):
+    """A straight polyline of n vertices, with its lift or as plain vertices."""
+    lift = StraightLift(start=start, direction=u, length=length, chart=chart)
+    t = np.linspace(0.0, 1.0, n)
+    if lifted:
+        return MarkedContinuum(chart, lift.project(t), 0, n - 1, params=t, lift=lift)
+    return MarkedContinuum(chart, lift.project(t), 0, n - 1)
+
+
+@st.composite
+def _transverse_pair(draw):
+    """Two segments crossing at p next to the longitude seam, the second one
+    moved to a random representative (sign and translate) of itself."""
+    chart = draw(st.sampled_from(CHARTS))
+    p = np.array([draw(st.floats(-0.08, 0.08)), draw(st.floats(0.2, 0.3))])
+    ang_a = draw(st.floats(0.0, math.pi))
+    angs = (ang_a, ang_a + draw(st.floats(0.3, math.pi - 0.3)))
+    sign = draw(st.sampled_from((1.0, -1.0) if chart == models.SPHERE_QUOTIENT else (1.0,)))
+    k = np.array([draw(st.integers(-2, 2)),
+                  0 if chart == models.SPHERE_GEOGRAPHIC else draw(st.integers(-2, 2))])
+    n = draw(st.integers(2, 5))
+    lifted = draw(st.booleans())
+    conts = []
+    for i, ang in enumerate(angs):
+        u = np.array([math.cos(ang), math.sin(ang)])
+        length = draw(st.floats(0.02, 0.12))
+        start = p - draw(st.floats(0.1, 0.9)) * length * u
+        s, kk = (1.0, 0.0) if i == 0 else (sign, k)
+        conts.append(_straight(chart, s * start + kk, s * u, length, n, lifted))
+    return p, conts[0], conts[1]
+
+
+def _clear_of_spines(sys, arc, margin=0.01) -> bool:
+    """Whether a lifted arc keeps margin from every half-lattice point, where
+    a plain polyline cannot tell an edge from its mirror image."""
+    if sys.chart != models.SPHERE_QUOTIENT:
+        return True
+    pts = 2.0 * arc.lift.cover_points(np.linspace(0.0, 1.0, 4001))
+    return float(np.min(np.hypot(*(pts - np.round(pts)).T))) / 2.0 >= margin
+
+
+@st.composite
+def _arc_pair(draw):
+    """A stable and an unstable local arc through nearby points."""
+    sys = draw(st.sampled_from((CAT, PA)))
+    x = np.array([draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))])
+    y = x + np.array([draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.05, 0.05))])
+    cs = local_arc(sys, sys.point(*x), "stable", draw(st.floats(0.005, 0.11)))
+    cu = local_arc(sys, sys.point(*y), "unstable", draw(st.floats(0.005, 0.11)))
+    return sys, cs, cu
+
+
+class TestCoverProperties:
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=_transverse_pair())
+    def test_transverse_segments_cross_at_their_point(self, case):
+        p, a, b = case
+        want = models.wrap_chart(a.chart, p)
+        for got in (intersect(a, b), intersect(b, a)):
+            assert len(got) == 1
+            assert _gap(a.chart, got[0].xy(), want) < 1e-12
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=_arc_pair())
+    def test_intersect_is_symmetric(self, case):
+        _, cs, cu = case
+        assert _same_points(intersect(cs, cu), intersect(cu, cs))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=_arc_pair())
+    def test_lifted_and_record_twins_agree(self, case):
+        sys, cs, cu = case
+        assume(_clear_of_spines(sys, cs) and _clear_of_spines(sys, cu))
+        twins = [from_record(to_record(c)) for c in (cs, cu)]
+        assert _same_points(intersect(cs, cu), intersect(*twins), tol=1e-11)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(case=_transverse_pair())
+    def test_twins_agree_on_every_chart(self, case):
+        _, a, b = case
+        twins = [MarkedContinuum(c.chart, c.vertices, c.mark_p, c.mark_q) for c in (a, b)]
+        assert _same_points(intersect(a, b), intersect(*twins))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(chart=st.sampled_from(CHARTS), n_img=st.integers(0, 5),
+           twin=st.booleans(), data=st.data())
+    def test_subcontinuum_marks_its_ends_on_the_continuum(self, chart, n_img, twin, data):
+        draw = data.draw
+        if chart == models.SPHERE_GEOGRAPHIC:
+            ang = draw(st.floats(0.0, 2.0 * math.pi))
+            u = np.array([math.cos(ang), math.sin(ang)])
+            start = np.array([draw(st.floats(-0.2, 0.2)), 0.5]) - 0.15 * u
+            c = _straight(chart, start, u, 0.3, 7, not twin)
+        else:
+            sys = CAT if chart == models.TORUS else PA
+            x = sys.point(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+            kind = draw(st.sampled_from(("stable", "unstable")))
+            c = image(sys, local_arc(sys, x, kind, draw(st.floats(0.005, 0.11))),
+                      n_img if kind == "unstable" else -n_img)
+            if twin:
+                assume(_clear_of_spines(sys, c))
+                c = from_record(to_record(c))
+        i = draw(st.integers(0, c.n_vertices - 1))
+        j = draw(st.integers(0, c.n_vertices - 1))
+        a, b = c.point(i), c.point(j)
+        sub = subcontinuum(c, a, b)
+        assert _gap(chart, sub.point_p.xy(), a.xy()) < 1e-9
+        assert _gap(chart, sub.point_q.xy(), b.xy()) < 1e-9
+        for v in sub.vertices:
+            assert _project_to_polyline(c, v)[2] < 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cwdyn import models, sectors
-from cwdyn.continua import MarkedContinuum, diameter, image, intersect
+from cwdyn.continua import MarkedContinuum, cover_reps, diameter, image, intersect
 from cwdyn.models import ModelCapabilityError, make_model
 from cwdyn.sectors import (
     IndeterminateCrossing, SectorRecord, classify_sector,
@@ -87,9 +87,10 @@ class TestFindSectors:
         for s in search.sectors:
             inside = 0
             for w in spines:
-                reps = sectors._cover_reps(pa.chart, w.xy(),
-                                           s.mirror_center, 0.9)
-                if any(sectors._ray_cast(s.polygon, r) for r in reps):
+                xy = w.xy()
+                _, sg, k = cover_reps(pa.chart, xy, xy, s.mirror_center - 0.9,
+                                      s.mirror_center + 0.9)
+                if any(sectors._ray_cast(s.polygon, r) for r in sg[:, None] * xy + k):
                     inside += 1
             assert inside == 1
             assert sectors._ray_cast(s.polygon, s.mirror_center)

@@ -41,3 +41,44 @@ def test_unused_import_check_sees_them():
     tree = ast.parse("import os\nimport numpy as np\nfrom a import b, c as d\n"
                      "from __future__ import annotations\nnp.zeros(b)\n")
     assert _unused_imports(tree) == [(1, "os"), (3, "d")]
+
+
+def _private_names(tree) -> set:
+    """Private module-level functions, classes and assigned names."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return {n for n in out if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree) -> set:
+    """Names read, attributes read and names imported anywhere in a module."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs |= {alias.name for alias in node.names}
+    return refs
+
+
+def test_private_names_are_used_by_the_library():
+    # a private helper that only tests reach is dead library code
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in SOURCES}
+    refs = set().union(*(_references(t) for t in trees.values()))
+    unused = sorted(f"{name}:{n}" for name, t in trees.items()
+                    for n in _private_names(t) if n not in refs)
+    assert unused == []
+
+
+def test_private_name_check_sees_them():
+    tree = ast.parse("_A = 1\n_B: int = 2\ndef _f():\n    return _A\n"
+                     "class _C:\n    pass\n__all__ = []\n")
+    assert _private_names(tree) == {"_A", "_B", "_f", "_C"}
+    assert {"_A"} <= _references(tree) and "_f" not in _references(tree)
