@@ -91,12 +91,19 @@ def _build_parser() -> _Parser:
 
 
 def _parse_point(raw) -> tuple:
-    parts = str(raw).split(",")
+    if isinstance(raw, list):
+        # the form a report header's config holds
+        if len(raw) != 2 or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                    for v in raw):
+            raise ConfigError(f"--p expects a list of two numbers, got {raw!r}")
+        parts = raw
+    else:
+        parts = str(raw).split(",")
     if len(parts) != 2:
         raise ConfigError(f"--p expects 'x,y', got {raw!r}")
     try:
         x, y = float(parts[0]), float(parts[1])
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"--p expects two floats, got {raw!r}")
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ConfigError(f"--p expects two finite floats, got {raw!r}")
@@ -114,7 +121,7 @@ def _load_config_file(path) -> dict:
                           f"{err.msg}")
     if not isinstance(data, dict):
         raise ConfigError(f"--config {path}: top level must be an object")
-    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"command"}
+    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in data:
         if key not in allowed:
             raise ConfigError(f"--config {path}: unknown key {key!r}")
@@ -152,6 +159,10 @@ def parse_config(argv) -> ExperimentConfig:
     merged = {}
     if ns.config:
         merged.update(_load_config_file(ns.config))
+        # a report header's config names its command; it must be this one
+        if merged.get("command", ns.command) != ns.command:
+            raise ConfigError(f"--config {ns.config}: command {merged['command']!r} "
+                              f"does not match {ns.command!r}")
     for f in dataclasses.fields(ExperimentConfig):
         v = getattr(ns, f.name, None)
         if v is not None:
@@ -167,6 +178,8 @@ def parse_config(argv) -> ExperimentConfig:
         merged["p"] = _parse_point(merged["p"])
     _check_numbers(merged)
     cfg = ExperimentConfig(**merged)
+    if cfg.command == "chainrec":
+        chainrec.check_grid(make_model(cfg.model).chart, *_chain_grid(cfg))
     if cfg.command == "acceptance":
         try:
             acceptance.parse_suite(cfg.suite)
@@ -351,10 +364,15 @@ def _cmd_periodic(cfg):
     return [_model_record(sys_model), _constants_record(sys_model, consts), rec], lines
 
 
+def _chain_grid(cfg) -> tuple:
+    """The chainrec command's --res and --eps, defaults filled in."""
+    res = cfg.resolution if cfg.resolution is not None else 64
+    return res, (cfg.eps if cfg.eps is not None else 6.4 / res)
+
+
 def _cmd_chainrec(cfg):
     sys_model = make_model(cfg.model, c=cfg.c)
-    res = cfg.resolution if cfg.resolution is not None else 64
-    eps = cfg.eps if cfg.eps is not None else 6.4 / res
+    res, eps = _chain_grid(cfg)
     g = chainrec.build_graph(sys_model, res, eps)
     part = chainrec.chain_classes(g)
     orles = chainrec.class_order(sys_model, g, part)

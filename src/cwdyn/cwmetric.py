@@ -26,8 +26,10 @@ membership in its arc family with the same straight-segment identity.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -211,221 +213,274 @@ def _pieces_of(sys, cont: MarkedContinuum, frame: models.EigenFrame) -> list:
     return [_eigen_piece(frame, models._wrap1(s), vec) for s, vec in pieces]
 
 
-class _PathEngine:
-    """Iterated-diameter and escape-time engine for a path of pieces."""
+def _pvec(frame: models.EigenFrame, p: _Piece, e: int) -> np.ndarray:
+    """The cover vector of piece p at iterate e."""
+    return (p.au * (frame.su ** e)) * frame.eu + (p.as_ * (frame.ss ** e)) * frame.es
 
-    def __init__(self, sys, pieces: list, c: float, horizon: int,
-                 frame: models.EigenFrame):
-        self.sys = sys
-        self.chart = sys.chart
-        self.c = float(c)
-        self.horizon = int(horizon)
-        self.frame = frame
-        self.pieces = pieces
-        self.lengths0 = [math.hypot(p.au, p.as_) for p in pieces]
-        self.total0 = float(sum(self.lengths0))
-        self._pred = {}
-        self._n_cache = {}
-        self._sub = {}
-        self._analytic = self._single_thresholds() if len(pieces) == 1 else None
 
-    @property
-    def is_singleton(self) -> bool:
-        return self.total0 <= 0.0
+def _pstart(sys, p: _Piece, e: int) -> np.ndarray:
+    if e == 0:
+        return p.s
+    return models._exact_linear_mod1(models._mat_power(sys.matrix, e), p.s)
 
-    # piece geometry at iterate e
 
-    def _plen(self, p: _Piece, e: int) -> float:
-        return math.hypot(p.au * (self.frame.su ** e),
-                          p.as_ * (self.frame.ss ** e))
-
-    def _pvec(self, p: _Piece, e: int) -> np.ndarray:
-        return (p.au * (self.frame.su ** e)) * self.frame.eu \
-            + (p.as_ * (self.frame.ss ** e)) * self.frame.es
-
-    def _pstart(self, p: _Piece, e: int) -> np.ndarray:
-        if e == 0:
-            return p.s
-        mp = models._mat_power(self.sys.matrix, e)
-        return models._exact_linear_mod1(mp, p.s)
-
-    # whole-path diameter predicate at iterate e
-
-    def predicate(self, e: int) -> bool:
-        got = self._pred.get(e)
-        if got is not None:
-            return got
-        val = self._predicate_raw(e)
-        self._pred[e] = val
-        return val
-
-    def _predicate_raw(self, e: int) -> bool:
-        lens = [self._plen(p, e) for p in self.pieces]
-        for p, ln in zip(self.pieces, lens):
-            if ln > self.c and _segment_exceeds(self.chart, self._pstart(p, e),
-                                                self._pvec(p, e) / ln, ln, self.c):
-                return True
-        total = float(sum(lens))
-        if total <= self.c:
-            return False
-        if len(self.pieces) == 1:
-            # single piece, over c in length, fold-suppressed
-            return False
-        # connect piece starts into one cover picture
-        nodes = [self._pstart(self.pieces[0], e)]
-        for p, ln in zip(self.pieces, lens):
-            nodes.append(nodes[-1] + self._pvec(p, e))
-        nodes = np.array(nodes)
-        if total < 0.5:
-            return _diameter_exceeds(self.chart, nodes, self.c)
-        # long multi-piece path: sampled lower bound of the diameter
-        samples = []
-        for p, ln, node in zip(self.pieces, lens, nodes[:-1]):
-            n = min(max(2, int(ln / 0.02) + 1), 512)
-            t = np.linspace(0.0, 1.0, n)
-            samples.append(node[None, :] + t[:, None] * self._pvec(p, e)[None, :])
-        pts = np.concatenate(samples)
-        if len(pts) > 2048:
-            pts = pts[:: len(pts) // 2048 + 1]
-        return _diameter_exceeds(self.chart, pts, self.c)
-
-    # escape times
-
-    def _single_thresholds(self):
-        """Length-escape exponent thresholds for a one-piece path.
-
-        The iterated length is log-convex in e, so {e : length > c} is
-        (-inf, e_back] + [e_fwd, inf).  Returns ("always", None, None) when
-        the length exceeds c at every iterate, else ("split", e_back, e_fwd)
-        with None for a tail that never escapes.  On the torus length
-        escape is exactly diameter escape; quotient fold suppression is
-        re-verified at use time.
-        """
-        if self.is_singleton or len(self.pieces) != 1:
-            return None
-        p = self.pieces[0]
-        lu, ls = abs(self.frame.su), abs(self.frame.ss)
-
-        def ln_at(e):
-            try:
-                return math.hypot(p.au * (lu ** e), p.as_ * (ls ** e))
-            except OverflowError:
-                return INFINITY
-
-        if p.au != 0 and p.as_ != 0:
-            # integer exponents bracketing the length minimum
-            estar = math.log((abs(p.as_) * math.log(1.0 / ls))
-                             / (abs(p.au) * math.log(lu))) / math.log(lu / ls)
-            lo, hi = int(math.floor(estar)), int(math.floor(estar)) + 1
-            if min(ln_at(lo), ln_at(hi)) > self.c:
-                return ("always", None, None)
-            e = hi
-            while not ln_at(e) > self.c:
-                e += 1
-            e_fwd = e
-            e = lo
-            while not ln_at(e) > self.c:
-                e -= 1
-            e_back = e
-            return ("split", e_back, e_fwd)
-        if p.au != 0:  # pure expanding: escapes forward only
-            e = int(math.ceil(math.log(self.c / abs(p.au)) / math.log(lu))) - 2
-            while not ln_at(e) > self.c:
-                e += 1
-            while ln_at(e - 1) > self.c:
-                e -= 1
-            return ("split", None, e)
-        # pure contracting: escapes backward only
-        e = int(math.floor(math.log(self.c / abs(p.as_)) / math.log(ls))) + 2
-        while not ln_at(e) > self.c:
-            e -= 1
-        while ln_at(e + 1) > self.c:
-            e += 1
-        return ("split", e, None)
-
-    def _in_length_set(self, e: int) -> bool:
-        mode, e_back, e_fwd = self._analytic
-        if mode == "always":
+def _path_exceeds(sys, frame: models.EigenFrame, pieces: list, c: float, e: int) -> bool:
+    """Whether the path of pieces has chart diameter > c at iterate e."""
+    lens = [math.hypot(p.au * (frame.su ** e), p.as_ * (frame.ss ** e)) for p in pieces]
+    for p, ln in zip(pieces, lens):
+        if ln > c and _segment_exceeds(sys.chart, _pstart(sys, p, e),
+                                       _pvec(frame, p, e) / ln, ln, c):
             return True
-        return (e_back is not None and e <= e_back) or \
-            (e_fwd is not None and e >= e_fwd)
+    total = float(sum(lens))
+    if total <= c:
+        return False
+    if len(pieces) == 1:
+        # single piece, over c in length, fold-suppressed
+        return False
+    # connect piece starts into one cover picture
+    nodes = [_pstart(sys, pieces[0], e)]
+    for p in pieces:
+        nodes.append(nodes[-1] + _pvec(frame, p, e))
+    nodes = np.array(nodes)
+    if total < 0.5:
+        return _diameter_exceeds(sys.chart, nodes, c)
+    # long multi-piece path: sampled lower bound of the diameter
+    samples = []
+    for p, ln, node in zip(pieces, lens, nodes[:-1]):
+        n = min(max(2, int(ln / 0.02) + 1), 512)
+        t = np.linspace(0.0, 1.0, n)
+        samples.append(node[None, :] + t[:, None] * _pvec(frame, p, e)[None, :])
+    pts = np.concatenate(samples)
+    if len(pts) > 2048:
+        pts = pts[:: len(pts) // 2048 + 1]
+    return _diameter_exceeds(sys.chart, pts, c)
 
-    def escape_from(self, shift: int):
-        """N(f^shift C): min |j| with diam(f^(shift+j) C) > c; inf if none
-        found within the horizon."""
-        if self.is_singleton:
+
+def _single_thresholds(frame: models.EigenFrame, au: float, as_: float, c: float):
+    """Length-escape exponent thresholds of the piece with eigen components
+    (au, as_), not both zero.
+
+    The iterated length is log-convex in e, so {e : length > c} is
+    (-inf, e_back] + [e_fwd, inf).  Returns ("always", None, None) when
+    the length exceeds c at every iterate, else ("split", e_back, e_fwd)
+    with None for a tail that never escapes.  On the torus length
+    escape is exactly diameter escape; quotient fold suppression is
+    decided per iterate.
+    """
+    lu, ls = abs(frame.su), abs(frame.ss)
+
+    def ln_at(e):
+        try:
+            return math.hypot(au * (lu ** e), as_ * (ls ** e))
+        except OverflowError:
             return INFINITY
-        got = self._n_cache.get(shift)
-        if got is not None:
-            return got
-        val = self._escape_raw(shift)
-        self._n_cache[shift] = val
-        return val
 
-    def _escape_raw(self, shift: int):
-        if self._analytic is not None:
-            mode, e_back, e_fwd = self._analytic
-            # first j at which shift + j or shift - j lies in the length set;
-            # for every smaller j both lie strictly between e_back and e_fwd
-            j0 = 0
-            if mode == "split":
-                gaps = []
-                if e_fwd is not None:
-                    gaps.append(e_fwd - shift)
-                if e_back is not None:
-                    gaps.append(shift - e_back)
-                j0 = max(0, min(gaps))
-            if self.chart == TORUS:  # length escape is diameter escape
-                return j0 if j0 <= self.horizon else INFINITY
-            # quotient single piece: the fold check runs only inside tails
-            for j in range(j0, self.horizon + 1):
-                if self._in_length_set(shift + j) and self.predicate(shift + j):
-                    return j
-                if j and self._in_length_set(shift - j) and self.predicate(shift - j):
-                    return j
-            return INFINITY
-        for j in range(self.horizon + 1):
-            if self.predicate(shift + j):
-                return j
-            if j and self.predicate(shift - j):
-                return j
-        return INFINITY
-
-    # sub-paths over a param window [a, b] (path params by cover length)
-
-    def _param_locate(self, t: float):
-        target = t * self.total0
-        acc = 0.0
-        for i, ln in enumerate(self.lengths0):
-            if target <= acc + ln or i == len(self.lengths0) - 1:
-                loc = 0.0 if ln == 0 else (target - acc) / ln
-                return i, min(max(loc, 0.0), 1.0)
-            acc += ln
-        return len(self.lengths0) - 1, 1.0
-
-    def sub_engine(self, a: float, b: float) -> "_PathEngine":
-        key = (a, b)
-        got = self._sub.get(key)
-        if got is not None:
-            return got
-        ia, ta = self._param_locate(a)
-        ib, tb = self._param_locate(b)
-        pieces = []
-        for i in range(ia, ib + 1):
-            p = self.pieces[i]
-            t0 = ta if i == ia else 0.0
-            t1 = tb if i == ib else 1.0
-            if t1 <= t0:
-                continue
-            s = p.s + t0 * self._pvec(p, 0)
-            pieces.append(_Piece(np.asarray(models._wrap1(s)),
-                                 (t1 - t0) * p.au, (t1 - t0) * p.as_))
-        eng = _PathEngine(self.sys, pieces, self.c, self.horizon, self.frame)
-        self._sub[key] = eng
-        return eng
+    if au != 0 and as_ != 0:
+        # integer exponents bracketing the length minimum
+        estar = math.log((abs(as_) * math.log(1.0 / ls))
+                         / (abs(au) * math.log(lu))) / math.log(lu / ls)
+        lo, hi = int(math.floor(estar)), int(math.floor(estar)) + 1
+        if min(ln_at(lo), ln_at(hi)) > c:
+            return ("always", None, None)
+        e = hi
+        while not ln_at(e) > c:
+            e += 1
+        e_fwd = e
+        e = lo
+        while not ln_at(e) > c:
+            e -= 1
+        e_back = e
+        return ("split", e_back, e_fwd)
+    if au != 0:  # pure expanding: escapes forward only
+        e = int(math.ceil(math.log(c / abs(au)) / math.log(lu))) - 2
+        while not ln_at(e) > c:
+            e += 1
+        while ln_at(e - 1) > c:
+            e -= 1
+        return ("split", None, e)
+    # pure contracting: escapes backward only
+    e = int(math.floor(math.log(c / abs(as_)) / math.log(ls))) + 2
+    while not ln_at(e) > c:
+        e -= 1
+    while ln_at(e + 1) > c:
+        e += 1
+    return ("split", e, None)
 
 
-def _make_engine(sys, cont: MarkedContinuum, c: float, horizon: int) -> _PathEngine:
+# an exponent past every shift and horizon: the length set's missing tail
+_NEVER = 1 << 40
+
+
+class _BlockTable:
+    """Escape times of a list of paths, the blocks, over arrays of shifts.
+
+    Row b is one straight piece (starts[b], au[b], as_[b]), a bent path
+    ``bent[b]`` of several pieces, or a singleton (au = as_ = 0).  Each row
+    has one length set (-inf, e_back] + [e_fwd, inf) from
+    _single_thresholds, memoized on (au, as_).  A bent path takes the set
+    of one straight piece longer than it at every iterate, so no iterate
+    outside the set has diameter > c either.
+
+    From shift s the ring scan j = 0, 1, ... (s + j before s - j) first
+    meets the set at j0 = max(0, min(e_fwd - s, s - e_back)).  A straight
+    torus row escapes there.  Any other row escapes at the first iterate
+    of its set whose diameter exceeds c: the iterates at j0 are decided
+    for all rows and shifts at once, s + j0 before s - j0, and a row that
+    fails both scans on alone.  Decisions are cached per (row, iterate),
+    so none is made twice, and none that the scan would not reach.
+    """
+
+    def __init__(self, sys, frame: models.EigenFrame, c: float, horizon: int,
+                 starts: np.ndarray, au: np.ndarray, as_: np.ndarray, bent: dict):
+        self.sys, self.frame = sys, frame
+        self.c, self.horizon = float(c), int(horizon)
+        self.starts, self.au, self.as_, self.bent = starts, au, as_, bent
+        memo = {}
+
+        def length_set(key):
+            # (e_back, e_fwd) of the piece with eigen components key; a
+            # point never escapes
+            if key not in memo:
+                mode, lo, hi = ("split", None, None) if key == (0.0, 0.0) \
+                    else _single_thresholds(frame, *key, self.c)
+                memo[key] = (_NEVER, -_NEVER) if mode == "always" else \
+                    (-_NEVER if lo is None else lo, _NEVER if hi is None else hi)
+            return memo[key]
+
+        keys = list(zip(au.tolist(), as_.tolist()))
+        for b, pieces in bent.items():
+            # hypot(x, y) <= x + y <= sqrt(2) hypot(x, y) per piece, with a
+            # margin far over the rounding of the path's summed length
+            w = math.sqrt(2.0) * (1.0 + 1e-9)
+            keys[b] = (w * sum(abs(p.au) for p in pieces), w * sum(abs(p.as_) for p in pieces))
+        sets = np.array([length_set(k) for k in keys], dtype=np.int64).reshape(-1, 2)
+        self.e_back, self.e_fwd = sets[:, 0].copy(), sets[:, 1].copy()
+        # rows whose candidate iterates need a diameter decision
+        self.undecided = np.full(len(au), sys.chart != TORUS)
+        self.undecided[list(bent)] = True
+        self.closed = not self.undecided.any()
+        self._known = None  # per (row, iterate - _e0): 0 open, 1 no escape, 2 escape
+        self._e0 = 0
+
+    def escapes(self, shifts, rows=None, exact: bool = True) -> np.ndarray:
+        """N of each row (all, or the given ones) at each shift, as a
+        (rows, shifts) array holding horizon + 1 where no iterate within
+        the horizon escapes.  exact=False returns the lower bound j0 and
+        decides nothing."""
+        rows = np.arange(len(self.e_back)) if rows is None else np.asarray(rows)
+        s = np.asarray(shifts, dtype=np.int64)[None, :]
+        j0 = np.maximum(0, np.minimum(self.e_fwd[rows, None] - s, s - self.e_back[rows, None]))
+        n = np.minimum(j0, self.horizon + 1)
+        if not exact or self.closed:
+            return n
+        ri, si = np.nonzero((n <= self.horizon) & self.undecided[rows, None])
+        if not len(ri):
+            return n
+        b, s, j = rows[ri], s[0, si], n[ri, si]
+        hit = self._test(b, s + j)
+        back = ~hit & (j > 0)
+        hit[back] = self._test(b[back], s[back] - j[back])
+        for k in np.flatnonzero(~hit).tolist():
+            n[ri[k], si[k]] = self._scan(int(b[k]), int(s[k]), int(j[k]) + 1)
+        return n
+
+    def _scan(self, b: int, s: int, j: int) -> int:
+        """The ring scan of row b from shift s, resumed at j > 0."""
+        lo, hi = int(self.e_back[b]), int(self.e_fwd[b])
+        for j in range(j, self.horizon + 1):
+            for e in (s + j, s - j):
+                if e <= lo or e >= hi:
+                    self._cover(e, e)
+                    known = self._known[b, e - self._e0]
+                    if not known:
+                        known = 2 if self._exceeds(b, e) else 1
+                        self._known[b, e - self._e0] = known
+                    if known == 2:
+                        return j
+        return self.horizon + 1
+
+    def _test(self, b: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Whether iterate e lies in row b's length set and has diameter > c."""
+        hit = (e <= self.e_back[b]) | (e >= self.e_fwd[b])
+        if not hit.any():
+            return hit
+        b, e = b[hit], e[hit]
+        self._cover(int(e.min()), int(e.max()))
+        col = e - self._e0
+        known = self._known[b, col]
+        fresh = known == 0
+        if fresh.any():
+            width = self._known.shape[1]
+            ub, uc = np.divmod(np.unique(b[fresh] * width + col[fresh]), width)
+            self._known[ub, uc] = self._decide(ub, uc + self._e0)
+            known = self._known[b, col]
+        hit[hit] = known == 2
+        return hit
+
+    def _cover(self, lo: int, hi: int) -> None:
+        """Make the decision cache span iterates lo..hi."""
+        if self._known is None:
+            self._e0, self._known = lo - 64, np.zeros((len(self.e_back), hi - lo + 129), np.int8)
+            return
+        e1 = self._e0 + self._known.shape[1]
+        if lo >= self._e0 and hi < e1:
+            return
+        e0, e1 = min(lo - 64, self._e0), max(hi + 65, e1)
+        grown = np.zeros((len(self.e_back), e1 - e0), np.int8)
+        grown[:, self._e0 - e0:self._e0 - e0 + self._known.shape[1]] = self._known
+        self._e0, self._known = e0, grown
+
+    def _decide(self, b: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Decisions (1 no escape, 2 escape) of distinct (row, iterate) pairs.
+
+        A straight quotient row escapes iff its length ln exceeds c and the
+        fold sup of _segment_exceeds does.  That sup's sweep short-circuit,
+        (hi - lo) * max|d| > 2c with hi - lo = 2 ln - 2c, needs no start
+        point, so it is decided here for all pairs at once; only the rest
+        take the exact sup.
+        """
+        out = np.zeros(len(b), np.int8)
+        straight = np.array([k not in self.bent for k in b.tolist()], dtype=bool)
+        if straight.any():
+            el = e[straight].tolist()
+            A = self.au[b[straight]] * np.array([self.frame.su ** k for k in el])
+            B = self.as_[b[straight]] * np.array([self.frame.ss ** k for k in el])
+            ln = np.array(list(map(math.hypot, A.tolist(), B.tolist())))
+            long = ln > self.c
+            A, B, ln = A[long], B[long], ln[long]
+            eu, es = self.frame.eu, self.frame.es
+            dx = (A * eu[0] + B * es[0]) / ln
+            dy = (A * eu[1] + B * es[1]) / ln
+            sweep = ((2.0 * ln - self.c) - self.c) * np.maximum(np.abs(dx), np.abs(dy)) \
+                > 2.0 * self.c
+            settled = np.where(long, 0, 1).astype(np.int8)
+            settled[long] = np.where(sweep, 2, 0)
+            out[straight] = settled
+        for k in np.flatnonzero(out == 0).tolist():
+            out[k] = 2 if self._exceeds(int(b[k]), int(e[k])) else 1
+        return out
+
+    def _exceeds(self, b: int, e: int) -> bool:
+        pieces = self.bent.get(b) or [_Piece(self.starts[b], self.au[b], self.as_[b])]
+        return _path_exceeds(self.sys, self.frame, pieces, self.c, e)
+
+
+def _rows_of(paths: list):
+    """Block-table rows of paths given as piece lists: starts, au, as_ of
+    the straight ones (zero for singletons) and the piece lists of the
+    bent ones."""
+    starts, au, as_ = np.zeros((len(paths), 2)), np.zeros(len(paths)), np.zeros(len(paths))
+    bent = {}
+    for b, pieces in enumerate(paths):
+        if len(pieces) == 1:
+            starts[b], au[b], as_[b] = pieces[0].s, pieces[0].au, pieces[0].as_
+        elif pieces:
+            bent[b] = pieces
+    return starts, au, as_, bent
+
+
+def _path_of(sys, cont: MarkedContinuum):
+    """The eigenframe of sys and the straight cover pieces of cont."""
     if sys.kind == NORTH_SOUTH:
         raise ModelCapabilityError("the metric pipeline needs a toral model; "
                                    "the north-south map fails calibration")
@@ -433,18 +488,78 @@ def _make_engine(sys, cont: MarkedContinuum, c: float, horizon: int) -> _PathEng
         raise models.ChartError(f"continuum chart {cont.chart!r} does not match "
                                 f"model {sys.chart!r}")
     frame = models.eigen_frame(sys.matrix)
-    pieces = [] if cont.is_singleton else _pieces_of(sys, cont, frame)
-    return _PathEngine(sys, pieces, c, horizon, frame)
+    return frame, ([] if cont.is_singleton else _pieces_of(sys, cont, frame))
+
+
+def _sub_blocks(frame: models.EigenFrame, pieces: list, a: np.ndarray, b: np.ndarray):
+    """The sub-paths of a path between params a < b (arrays; params by
+    cover length): starts, au, as_ of the straight ones (zero for empty
+    ones) and the piece lists of the bent ones."""
+    lengths = [math.hypot(p.au, p.as_) for p in pieces]
+    total = float(sum(lengths))
+    ends = np.array(list(itertools.accumulate(lengths)))
+    acc = np.concatenate([[0.0], ends[:-1]])
+    lens = np.array(lengths)
+    starts = np.array([p.s for p in pieces])
+    au, as_ = np.array([[p.au, p.as_] for p in pieces]).T
+    vecs = au[:, None] * frame.eu + as_[:, None] * frame.es  # _pvec at iterate 0
+    # the piece holding each param, and the param's place along it
+    target = np.concatenate([a, b]) * total
+    at = np.minimum(np.searchsorted(ends, target, side="left"), len(pieces) - 1)
+    loc = np.divide(target - acc[at], lens[at], out=np.zeros_like(target), where=lens[at] != 0)
+    (ia, ib), (ta, tb) = np.split(at, 2), np.split(np.minimum(np.maximum(loc, 0.0), 1.0), 2)
+    w = np.where(tb > ta, tb - ta, 0.0)
+    sub_s = models._wrap1(starts[ia] + ta[:, None] * vecs[ia])
+    sub_au, sub_as = w * au[ia], w * as_[ia]
+    bent = {}
+    for k in np.flatnonzero(ia != ib).tolist():
+        sub = []
+        for i in range(ia[k], ib[k] + 1):
+            t0 = ta[k] if i == ia[k] else 0.0
+            t1 = tb[k] if i == ib[k] else 1.0
+            if t1 > t0:
+                p = pieces[i]
+                sub.append(_Piece(models._wrap1(p.s + t0 * vecs[i]),
+                                  (t1 - t0) * p.au, (t1 - t0) * p.as_))
+        sub_au[k] = sub_as[k] = 0.0
+        if len(sub) == 1:
+            sub_s[k], sub_au[k], sub_as[k] = sub[0].s, sub[0].au, sub[0].as_
+        elif sub:
+            bent[k] = sub
+    return sub_s, sub_au, sub_as, bent
+
+
+@lru_cache(maxsize=16)
+def _weights(consts: MetricConstants):
+    """alpha^-n by escape time n (0 from the horizon on, two past it),
+    lam^j and lam^-j for 0 <= j <= horizon + 1, each a scalar power."""
+    h = consts.horizon
+    rho = np.array([consts.alpha ** (-n) for n in range(h)] + [0.0, 0.0])
+    rho.setflags(write=False)  # shared by every evaluator
+    return (rho, tuple(consts.lam ** j for j in range(h + 2)),
+            tuple(consts.lam ** (-j) for j in range(h + 2)))
 
 
 class MetricEvaluator:
-    """Shared-cache evaluator of the whole pipeline for one continuum."""
+    """Shared-cache evaluator of the whole pipeline for one continuum.
+
+    The chain DP cuts the path at params k/g, g = 2^depth, and weighs the
+    block (i, j) between cuts i/g and j/g by its escape weight.  A chain
+    starts at the path's start, steps from cut to cut, and ends at the
+    path's end; its first cut lies at or past the first mark and its last
+    at or before the second.  The blocks it can use form one _BlockTable:
+    the full path, (0, j) and (i, j) between the first cut at or past the first
+    mark and the last cut it may end at, and the end blocks (i, g).  P at
+    an array of shifts is then one pass over the table: escape times,
+    weights from the alpha^-n table, and the min-plus recurrence
+    P_j = min(rho(0, j), min_i P_i + rho(i, j)) over cuts j.
+    """
 
     def __init__(self, sys, cont: MarkedContinuum, consts: MetricConstants,
                  depth: int = 4):
         self.consts = consts
         self.depth = int(depth)
-        self.engine = _make_engine(sys, cont, consts.c, consts.horizon)
+        frame, pieces = _path_of(sys, cont)
         if cont.params is not None:
             tp = float(cont.params[cont.mark_p])
             tq = float(cont.params[cont.mark_q])
@@ -464,96 +579,148 @@ class MetricEvaluator:
             else:
                 tp = tq = 0.0
         self.tp, self.tq = min(tp, tq), max(tp, tq)
-        self._chain = {}
-        self._window = {}
+        self.singleton = not float(sum(math.hypot(p.au, p.as_) for p in pieces)) > 0.0
+        g = 2 ** self.depth
+        eps = 1e-12
+        self._first = next((j for j in range(1, g + 1) if j / g >= self.tp - eps), g + 1)
+        # the last cut before g that a chain may end at, and whether it
+        # may end at g itself
+        self._last = max((i for i in range(self._first, g) if i / g <= self.tq + eps),
+                         default=self._first - 1)
+        self._to_end = self.tq >= 1.0 - eps
+        top = self._top = g if self._to_end else self._last
+        blocks = [(0, j) for j in range(self._first, top + 1) if j < g]
+        blocks += [(i, j) for i in range(self._first, top) for j in range(i + 1, top + 1)]
+        if top < g:
+            blocks += [(i, g) for i in range(self._first, self._last + 1)]
+        # row 0 is the full path itself, the others its sub-paths; every
+        # block of a singleton is the singleton
+        s0, au0, as0, bent0 = _rows_of([pieces])
+        self._row = np.zeros((g + 1, g + 1), dtype=np.int64)
+        s, au, as_, bent = s0[:0], au0[:0], as0[:0], {}
+        if blocks and not self.singleton:
+            self._row[tuple(np.array(blocks).T)] = np.arange(1, len(blocks) + 1)
+            cuts = np.array(blocks, dtype=float) / g
+            s, au, as_, bent = _sub_blocks(frame, pieces, cuts[:, 0], cuts[:, 1])
+            bent = {k + 1: v for k, v in bent.items()}
+        self.table = _BlockTable(sys, frame, consts.c, consts.horizon,
+                                 np.concatenate([s0, s]), np.concatenate([au0, au]),
+                                 np.concatenate([as0, as_]), {**bent0, **bent})
+        self._weights = _weights(consts)
+        self._chain, self._bound = {}, {}
 
     def escape(self, shift: int = 0):
-        return self.engine.escape_from(shift)
+        """N(f^shift C): math.inf for a singleton, the horizon where no
+        iterate within it escapes."""
+        if self.singleton:
+            return INFINITY
+        return min(int(self.table.escapes([shift], rows=[0])[0, 0]), self.consts.horizon)
 
     def rho(self, shift: int = 0) -> float:
-        n = self.engine.escape_from(shift)
-        if n is INFINITY or n >= self.consts.horizon:
-            return 0.0
-        return self.consts.alpha ** (-n)
+        return float(self._weights[0][self.table.escapes([shift], rows=[0])[0, 0]])
 
-    def _rho_block(self, shift: int, a: float, b: float) -> float:
-        if a == 0.0 and b == 1.0:
-            return self.rho(shift)
-        eng = self.engine.sub_engine(a, b)
-        n = eng.escape_from(shift)
-        if n is INFINITY or n >= self.consts.horizon:
-            return 0.0
-        return self.consts.alpha ** (-n)
+    def _chains(self, shifts: list, exact: bool) -> np.ndarray:
+        """P at each shift: the chain DP over the block table, with exact
+        escape times, or with their lower bounds j0 (an upper bound on P)."""
+        r = self._weights[0][self.table.escapes(shifts, exact=exact)][self._row]
+        first, top, g = self._first, self._top, 2 ** self.depth
+        if top < first:
+            return r[0, g]
+        p = np.empty((top + 1, len(shifts)))
+        p[first] = r[0, first]
+        for j in range(first + 1, top + 1):
+            p[j] = np.minimum(r[0, j], (p[first:j] + r[first:j, j]).min(axis=0))
+        ends = [r[0, g:], p[first:self._last + 1] + r[first:self._last + 1, g]]
+        if self._to_end:
+            ends.append(p[g:])
+        return np.concatenate(ends).min(axis=0)
+
+    def _chain_values(self, shifts, exact: bool = True) -> np.ndarray:
+        """P at each shift.  Exact values are cached in _chain, the upper
+        bounds from j0 in _bound, and a cached exact value stands in for a
+        bound.  On a closed table the two agree and share _chain."""
+        cache = self._chain if exact or self.table.closed else self._bound
+        todo = [s for s in shifts if s not in self._chain and s not in cache]
+        if todo:
+            cache.update(zip(todo, self._chains(todo, exact).tolist()))
+        return np.array([self._chain[s] if s in self._chain else cache[s] for s in shifts])
+
+    def _windows(self, lo: int, hi: int, exact: bool = True) -> np.ndarray:
+        """D' at shifts lo..hi: max over |i| < n0 of P(shift + i) / lam^|i|."""
+        k = self.consts.n0 - 1
+        lam_up = self._weights[1]
+        p = self._chain_values(range(lo - k, hi + k + 1), exact)
+        n = hi - lo + 1
+        w = p[k:k + n]
+        for i in range(1, k + 1):
+            w = np.maximum(w, np.maximum(p[k - i:k - i + n], p[k + i:k + i + n]) / lam_up[i])
+        return w
+
+    def _sides(self, base: int, j: int, last: int, exact: bool = True):
+        """D' at base + i and at base - i for i = j..last, as two lists."""
+        w = self._windows(base - last, base + last, exact).tolist()
+        return w[last + j:], w[last - j::-1]
 
     def chain(self, shift: int = 0) -> float:
-        got = self._chain.get(shift)
-        if got is not None:
-            return got
-        val = self._chain_raw(shift)
-        self._chain[shift] = val
-        return val
-
-    def _chain_raw(self, shift: int) -> float:
-        if self.engine.is_singleton:
-            return 0.0
-        g = 2 ** self.depth
-        full = self._rho_block(shift, 0.0, 1.0)
-        if g == 1:
-            return full
-        eps = 1e-12
-        tp, tq = self.tp, self.tq
-        best = {}
-        for j in range(1, g + 1):
-            if j / g >= tp - eps:
-                best[j] = self._rho_block(shift, 0.0, j / g)
-        for j in range(2, g + 1):
-            for i in range(1, j):
-                bi = best.get(i)
-                if bi is None:
-                    continue
-                cand = bi + self._rho_block(shift, i / g, j / g)
-                if j not in best or cand < best[j]:
-                    best[j] = cand
-        ans = full
-        for i, bi in best.items():
-            if i == g:
-                if tq >= 1.0 - eps:
-                    ans = min(ans, bi)
-            elif i / g <= tq + eps:
-                ans = min(ans, bi + self._rho_block(shift, i / g, 1.0))
-        return ans
+        return float(self._chain_values([shift])[0])
 
     def window(self, shift: int = 0) -> float:
-        got = self._window.get(shift)
-        if got is not None:
-            return got
-        n0 = self.consts.n0
-        lam = self.consts.lam
-        val = max(self.chain(shift + i) / lam ** abs(i)
-                  for i in range(-(n0 - 1), n0))
-        self._window[shift] = val
-        return val
+        return float(self._windows(shift, shift)[0])
+
+    def _reach(self, base: int, j: int, best: float) -> int:
+        """The first index from j at which the sup's stopping rule holds on
+        upper bounds of its terms, or the horizon: D' from the j0 lower
+        bounds of the escape times, exact where known.  The true terms are
+        no larger, so the sup runs at least this far.  Bounds decide
+        nothing, so they are taken 32 indices at a time."""
+        h = self.consts.horizon
+        lam_up, lam_down = self._weights[1], self._weights[2]
+        while j <= h:
+            last = min(h, j + 31)
+            up, down = self._sides(base, j, last, exact=False)
+            for i, jj in enumerate(range(j, last + 1)):
+                best = max(best, up[i] / lam_up[jj], down[i] / lam_up[jj])
+                if lam_down[jj + 1] <= best:
+                    return jj
+            j = last + 1
+        return h
 
     def metric_profile(self, base_shift: int = 0) -> dict:
-        lam = self.consts.lam
-        if self.engine.is_singleton:
+        if self.singleton:
             return {"D": 0.0, "achieved_index": 0, "tail_bound": 0.0,
                     "truncated": False}
-        best = 0.0
-        arg = 0
-        truncated = True
-        tail = lam ** (-self.consts.horizon)
-        for j in range(self.consts.horizon + 1):
-            for i in ((j,) if j == 0 else (j, -j)):
-                term = self.window(base_shift + i) / lam ** j
+        h = self.consts.horizon
+        lam_up, lam_down = self._weights[1], self._weights[2]
+        best, arg, j = 0.0, 0, 0
+        while j <= h:
+            # every term up to the bounds' stop is needed: one exact pass
+            last = self._reach(base_shift, j, best)
+            up, down = self._sides(base_shift, j, last)
+            for i, jj in enumerate(range(j, last + 1)):
+                term = up[i] / lam_up[jj]
                 if term > best:
-                    best, arg = term, i
-            if lam ** (-(j + 1)) <= best:
-                truncated = False
-                tail = 0.0
-                break
-        return {"D": best, "achieved_index": arg, "tail_bound": tail,
-                "truncated": truncated}
+                    best, arg = term, jj
+                term = down[i] / lam_up[jj]
+                if jj and term > best:
+                    best, arg = term, -jj
+                if lam_down[jj + 1] <= best:
+                    return {"D": best, "achieved_index": arg, "tail_bound": 0.0,
+                            "truncated": False}
+            j = last + 1
+        return {"D": best, "achieved_index": arg, "tail_bound": lam_down[h],
+                "truncated": True}
+
+    def metrics(self, bases: list) -> list:
+        """D at each base shift.  The chains each sup needs up to its
+        bounds' stop are computed first, in one exact pass."""
+        if not self.singleton:
+            k = self.consts.n0 - 1
+            need = set()
+            for b in bases:
+                last = self._reach(b, 0, 0.0)
+                need.update(range(b - last - k, b + last + k + 1))
+            self._chain_values(sorted(need))
+        return [self.metric(b) for b in bases]
 
     def metric(self, base_shift: int = 0) -> float:
         return self.metric_profile(base_shift)["D"]
@@ -568,14 +735,12 @@ def escape_time(sys, cont: MarkedContinuum, consts: MetricConstants):
     math.inf for singletons; the value ``consts.horizon`` is a sentinel
     meaning ">= horizon" (effective infinity for the pipeline).
     """
-    eng = _make_engine(sys, cont, consts.c, consts.horizon)
-    n = eng.escape_from(0)
-    return consts.horizon if n is INFINITY and not eng.is_singleton else n
+    return MetricEvaluator(sys, cont, consts, depth=0).escape(0)
 
 
 def escape_weight(sys, cont: MarkedContinuum, consts: MetricConstants) -> float:
     """rho(C) = alpha^(-N(C)); 0 at or beyond the horizon."""
-    return MetricEvaluator(sys, cont, consts).rho(0)
+    return MetricEvaluator(sys, cont, consts, depth=0).rho(0)
 
 
 def chain_weight(sys, cont: MarkedContinuum, consts: MetricConstants,
@@ -604,9 +769,8 @@ def cw_metric_profile(sys, cont: MarkedContinuum, consts: MetricConstants,
     """Full pipeline record {N, rho, P, Dprime, D, achieved_index, tail_bound}."""
     ev = MetricEvaluator(sys, cont, consts, depth)
     prof = ev.metric_profile(0)
-    n = ev.escape(0)
     prof.update({
-        "N": (consts.horizon if n is INFINITY and not ev.engine.is_singleton else n),
+        "N": ev.escape(0),
         "rho": ev.rho(0),
         "P": ev.chain(0),
         "Dprime": ev.window(0),
@@ -618,8 +782,8 @@ def cw_metric_profile(sys, cont: MarkedContinuum, consts: MetricConstants,
 def cw_metric_family(sys, cont: MarkedContinuum, consts: MetricConstants,
                      shifts, depth: int = 4) -> dict:
     """D(f^j C) for each j in shifts, sharing all internal caches."""
-    ev = MetricEvaluator(sys, cont, consts, depth)
-    return {int(j): ev.metric(int(j)) for j in shifts}
+    shifts = [int(j) for j in shifts]
+    return dict(zip(shifts, MetricEvaluator(sys, cont, consts, depth).metrics(shifts)))
 
 
 # -- calibration ------------------------------------------------------------
@@ -722,21 +886,20 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
         err.witness = worst
         raise err
     frame = models.eigen_frame(sys.matrix)
+    # membership: the family is continua with diameter > c/2, and on the
+    # quotient the fold can shrink an arc well below its length
+    family = [lf for lf in _eigen_arc_samples(sys, c, sample_budget, rng)
+              if _segment_exceeds(sys.chart, lf.start_arr, lf.dir_arr, lf.length, c / 2.0)]
+    table = _BlockTable(sys, frame, c, scan, *_rows_of([[_lift_piece(lf, frame)] for lf in family]))
     m_needed = 0
-    for lf in _eigen_arc_samples(sys, c, sample_budget, rng):
-        # membership: the family is continua with diameter > c/2, and on
-        # the quotient the fold can shrink an arc well below its length
-        if not _segment_exceeds(sys.chart, lf.start_arr, lf.dir_arr, lf.length, c / 2.0):
-            continue
-        eng = _PathEngine(sys, [_lift_piece(lf, frame)], c, scan, frame)
-        n = eng.escape_from(0)
-        if n is INFINITY or n > max_m:
+    for lf, n in zip(family, table.escapes([0])[:, 0].tolist()):
+        if n > max_m:
             err = CalibrationError(
                 f"sample arc (len {lf.length:.4g}) needs more than m={max_m} "
                 f"iterates to escape c={c}")
             err.witness = {"kind": "eigen-arc", "stable": lf.stable,
                            "start": list(lf.start), "length": lf.length,
-                           "escape_time": None if n is INFINITY else int(n)}
+                           "escape_time": None if n > scan else n}
             raise err
-        m_needed = max(m_needed, int(n))
+        m_needed = max(m_needed, n)
     return constants_for(c, max(m_needed, 1))

@@ -64,6 +64,8 @@ class TestParseConfig:
         (["chainrec", "--eps", "nan"], "--eps"),
         (["periodic", "--p", "0.2,0.4", "--alpha", "inf"], "--alpha"),
         (["calibrate", "--c", "nan"], "--c"),
+        (["chainrec", "--model", "cat", "--res", "1", "--eps", "0.5"], "--res"),
+        (["chainrec", "--model", "cat", "--res", "8", "--eps", "0.001"], "--eps"),
     ])
     def test_bad_flags_name_the_flag(self, argv, where):
         with pytest.raises(ConfigError, match=where.replace("-", "[-]")):
@@ -79,6 +81,13 @@ class TestParseConfig:
         ('{"seed": 1.5}', "--seed"),
         ('{"resolution": [64]}', "--res"),
         ('{"sample_budget": false}', "--sample-budget"),
+        ('{"p": [0.2]}', "--p"),
+        ('{"p": [0.2, 0.4, 0.6]}', "--p"),
+        ('{"p": [0.2, "0.4"]}', "--p"),
+        ('{"p": [true, 0.4]}', "--p"),
+        ('{"p": [0.2, Infinity]}', "--p"),
+        ('{"p": [1e999999, 0.4]}', "--p"),
+        ('{"command": "periodic"}', "periodic"),
     ])
     def test_bad_config_values_name_the_flag(self, tmp_path, text, where):
         cfgfile = tmp_path / "run.json"
@@ -196,6 +205,18 @@ class TestPeriodic:
         assert rec["distance_to_p"] < 1e-2
         assert rec["params"]["alpha_target"] == 1e-2
 
+    def test_header_config_replays(self, outdir, tmp_path):
+        # the header's config, fed back through --config, is the same config
+        assert cli.run(["periodic", "--model", "cat", "--p", "0.2,0.4",
+                        "--alpha", "1e-2"]) == 0
+        header = read_report(outdir / "periodic.jsonl")[0]
+        assert header["config"]["p"] == [0.2, 0.4]
+        cfgfile = tmp_path / "replay.json"
+        cfgfile.write_text(json.dumps(header["config"]))
+        cfg = parse_config(["periodic", "--config", str(cfgfile)])
+        assert cfg.p == (0.2, 0.4)
+        assert cfg.sha256() == header["config_sha256"]
+
     def test_bad_alpha(self, capsys):
         rc, err = run_err(["periodic", "--model", "cat", "--p", "0.1,0.1",
                            "--alpha", "0"], capsys)
@@ -235,7 +256,7 @@ class TestChainrec:
         rc, msg = run_err(["chainrec", "--model", "cat", "--res", "8",
                            "--eps", "0.001"], capsys)
         assert rc == 1
-        assert msg.startswith("cwdyn: config error: eps 0.001 below half")
+        assert msg.startswith("cwdyn: config error: --eps 0.001 below half")
         assert not (outdir / "chainrec.jsonl").exists()
 
 

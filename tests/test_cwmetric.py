@@ -1,7 +1,10 @@
+import functools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cwdyn import continua, cwmetric, models
 from cwdyn.cwmetric import (
@@ -470,23 +473,325 @@ class TestRecordLoadedArcs:
         assert abs(unstable_leg.au) == pytest.approx(leg, rel=1e-3)
 
 
-def _ring_scan(eng, shift):
-    # the quotient scan from j = 0, as it ran before it skipped the
-    # exponents that cannot escape
-    for j in range(eng.horizon + 1):
-        if eng._in_length_set(shift + j) and eng.predicate(shift + j):
+
+
+# -- the scalar pipeline, kept as the reference -----------------------------
+#
+# One engine per dyadic block, each scanning its escape times shift by
+# shift, and a dict DP per shift: the evaluation the block table replaced.
+
+
+def _ring_scan(horizon, shift, test, j0=0):
+    # the first j >= j0 with test(shift + j) or test(shift - j), + first
+    for j in range(j0, horizon + 1):
+        if test(shift + j):
             return j
-        if j and eng._in_length_set(shift - j) and eng.predicate(shift - j):
+        if j and test(shift - j):
             return j
     return math.inf
+
+
+class _ScalarEngine:
+    """Escape times of one path of pieces, one shift at a time."""
+
+    def __init__(self, sys, pieces, c, horizon):
+        self.sys, self.pieces, self.c, self.horizon = sys, pieces, c, horizon
+        self.frame = models.eigen_frame(sys.matrix)
+        self.lengths = [math.hypot(p.au, p.as_) for p in pieces]
+        self.total = float(sum(self.lengths))
+        self.thresholds = None
+        if len(pieces) == 1 and self.total > 0.0:
+            self.thresholds = cwmetric._single_thresholds(self.frame, pieces[0].au,
+                                                          pieces[0].as_, c)
+        self.decided = {}
+        self._n = {}
+
+    def in_length_set(self, e):
+        mode, e_back, e_fwd = self.thresholds
+        return mode == "always" or (e_back is not None and e <= e_back) \
+            or (e_fwd is not None and e >= e_fwd)
+
+    def predicate(self, e):
+        if e not in self.decided:
+            self.decided[e] = cwmetric._path_exceeds(self.sys, self.frame, self.pieces,
+                                                     self.c, e)
+        return self.decided[e]
+
+    def escape(self, shift):
+        if not self.total > 0.0:
+            return math.inf
+        if shift not in self._n:
+            self._n[shift] = self._escape(shift)
+        return self._n[shift]
+
+    def _escape(self, shift):
+        if self.thresholds is None:
+            return _ring_scan(self.horizon, shift, self.predicate)
+        mode, e_back, e_fwd = self.thresholds
+        gaps = [g for g in (None if e_fwd is None else e_fwd - shift,
+                            None if e_back is None else shift - e_back) if g is not None]
+        j0 = max(0, min(gaps)) if mode == "split" else 0
+        if self.sys.chart == models.TORUS:
+            return j0 if j0 <= self.horizon else math.inf
+        return _ring_scan(self.horizon, shift,
+                          lambda e: self.in_length_set(e) and self.predicate(e), j0)
+
+    def sub(self, a, b):
+        """The engine of the sub-path between params a < b."""
+
+        def locate(t):
+            target, acc = t * self.total, 0.0
+            for i, ln in enumerate(self.lengths):
+                if target <= acc + ln or i == len(self.lengths) - 1:
+                    loc = 0.0 if ln == 0 else (target - acc) / ln
+                    return i, min(max(loc, 0.0), 1.0)
+                acc += ln
+
+        (ia, ta), (ib, tb) = locate(a), locate(b)
+        pieces = []
+        for i in range(ia, ib + 1):
+            p = self.pieces[i]
+            t0 = ta if i == ia else 0.0
+            t1 = tb if i == ib else 1.0
+            if t1 > t0:
+                s = p.s + t0 * cwmetric._pvec(self.frame, p, 0)
+                pieces.append(cwmetric._Piece(models._wrap1(s), (t1 - t0) * p.au,
+                                              (t1 - t0) * p.as_))
+        return _ScalarEngine(self.sys, pieces, self.c, self.horizon)
+
+
+class _ScalarEvaluator:
+    """The per-shift dyadic chain DP, window and sup over scalar engines."""
+
+    def __init__(self, sys, cont, consts, depth):
+        frame = models.eigen_frame(sys.matrix)
+        pieces = [] if cont.is_singleton else cwmetric._pieces_of(sys, cont, frame)
+        self.engine = _ScalarEngine(sys, pieces, consts.c, consts.horizon)
+        # the mark params are the library's: only the evaluation is replaced
+        ev = cwmetric.MetricEvaluator(sys, cont, consts, depth)
+        self.tp, self.tq = ev.tp, ev.tq
+        self.consts, self.depth = consts, depth
+        self.subs, self._chain, self._window = {}, {}, {}
+
+    def rho(self, shift, a=0.0, b=1.0):
+        if a == 0.0 and b == 1.0:
+            eng = self.engine
+        else:
+            if (a, b) not in self.subs:
+                self.subs[a, b] = self.engine.sub(a, b)
+            eng = self.subs[a, b]
+        n = eng.escape(shift)
+        return 0.0 if n >= self.consts.horizon else self.consts.alpha ** (-n)
+
+    def chain(self, shift):
+        if shift not in self._chain:
+            self._chain[shift] = self._chain_raw(shift)
+        return self._chain[shift]
+
+    def _chain_raw(self, shift):
+        if not self.engine.total > 0.0:
+            return 0.0
+        g = 2 ** self.depth
+        full = self.rho(shift)
+        if g == 1:
+            return full
+        eps = 1e-12
+        best = {}
+        for j in range(1, g + 1):
+            if j / g >= self.tp - eps:
+                best[j] = self.rho(shift, 0.0, j / g)
+        for j in range(2, g + 1):
+            for i in range(1, j):
+                if i in best:
+                    cand = best[i] + self.rho(shift, i / g, j / g)
+                    if j not in best or cand < best[j]:
+                        best[j] = cand
+        ans = full
+        for i, bi in best.items():
+            if i == g:
+                if self.tq >= 1.0 - eps:
+                    ans = min(ans, bi)
+            elif i / g <= self.tq + eps:
+                ans = min(ans, bi + self.rho(shift, i / g, 1.0))
+        return ans
+
+    def window(self, shift):
+        if shift not in self._window:
+            n0, lam = self.consts.n0, self.consts.lam
+            self._window[shift] = max(self.chain(shift + i) / lam ** abs(i)
+                                      for i in range(-(n0 - 1), n0))
+        return self._window[shift]
+
+    def metric_profile(self, base):
+        lam = self.consts.lam
+        if not self.engine.total > 0.0:
+            return {"D": 0.0, "achieved_index": 0, "tail_bound": 0.0, "truncated": False}
+        best, arg, truncated = 0.0, 0, True
+        tail = lam ** (-self.consts.horizon)
+        for j in range(self.consts.horizon + 1):
+            for i in ((j,) if j == 0 else (j, -j)):
+                term = self.window(base + i) / lam ** j
+                if term > best:
+                    best, arg = term, i
+            if lam ** (-(j + 1)) <= best:
+                truncated, tail = False, 0.0
+                break
+        return {"D": best, "achieved_index": arg, "tail_bound": tail, "truncated": truncated}
+
+    def profile(self):
+        prof = self.metric_profile(0)
+        n = self.engine.escape(0)
+        prof.update({
+            "N": (self.consts.horizon if n == math.inf and self.engine.total > 0.0 else n),
+            "rho": self.rho(0), "P": self.chain(0), "Dprime": self.window(0),
+            "depth": self.depth})
+        return prof
+
+
+@functools.lru_cache(maxsize=None)
+def _model(kind):
+    sys = make_model(kind)
+    return sys, calibrate(sys)
+
+
+def _two_legs(sys, corner, leg):
+    # a stable leg into the corner, then an unstable leg out of it
+    t = np.linspace(0.0, 1.0, 5)[:, None]
+    es = sys.eigen_direction(stable=True)
+    eu = sys.eigen_direction(stable=False)
+    return continua.concat([continua.MarkedContinuum(
+        chart=sys.chart, vertices=models._wrap1(a + t * (leg * d)[None, :]),
+        mark_p=0, mark_q=4) for a, d in ((corner - leg * es, es), (corner, eu))])
+
+
+def _make_case(kind, x, y, shape, eps, res, twin, marks):
+    sys, consts = _model(kind)
+    if shape == "two-leg":
+        cont = _two_legs(sys, np.array([x, y]), eps)
+    elif shape == "generic":
+        t = np.linspace(-1.0, 1.0, res)[:, None]
+        cont = continua.MarkedContinuum(
+            chart=sys.chart, vertices=models._wrap1(np.array([x, y]) + t * (eps * np.array([0.6, 0.8]))),
+            mark_p=0, mark_q=res - 1)
+    else:
+        cont = local_arc(sys, sys.point(x, y), shape, eps, resolution=res)
+        if twin:
+            cont = _record_twin(cont)
+    p, q = marks
+    last = cont.n_vertices - 1
+    return sys, consts, cont.with_marks(min(p, last), min(q, last))
+
+
+@st.composite
+def _metric_cases(draw):
+    kind = draw(st.sampled_from(["cat-map", "sphere-pA"]))
+    shape = draw(st.sampled_from(["stable", "unstable", "generic", "two-leg"]))
+    x = draw(st.floats(0.0, 1.0, exclude_max=True))
+    y = draw(st.floats(0.0, 1.0, exclude_max=True))
+    # from far below xi up to near c/2
+    eps = 10.0 ** draw(st.floats(-10.0, -1.2))
+    res = draw(st.integers(2, 9))
+    marks = draw(st.sampled_from([(0, 99), (99, 0), (0, 0), (99, 99)])
+                 | st.tuples(st.integers(0, 9), st.integers(0, 9)))
+    return (kind, x, y, shape, eps, res, draw(st.booleans()), marks), draw(st.integers(0, 4))
+
+
+def _assert_same(got, want):
+    # bit-equal values of the same types; repr tells 4 from 4.0 and 0.0 from -0.0
+    assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def _decisions(ev):
+    # the (block, iterate) pairs the table decided, by block params
+    known = ev.table._known
+    if known is None:
+        return {}
+    g = 2 ** ev.depth
+    blocks = {int(ev._row[i, j]): (i / g, j / g) for i in range(g + 1)
+              for j in range(i + 1, g + 1) if ev._row[i, j]}
+    blocks[0] = (0.0, 1.0)
+    out = {}
+    for row, col in zip(*np.nonzero(known)):
+        out.setdefault(blocks[int(row)], set()).add(int(col) + ev.table._e0)
+    return out
+
+
+class TestScalarReference:
+    """The block table against the scalar pipeline it replaced."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(case=_metric_cases())
+    def test_profile_is_bit_equal(self, case):
+        args, depth = case
+        sys, consts, cont = _make_case(*args)
+        want = _ScalarEvaluator(sys, cont, consts, depth)
+        _assert_same(cw_metric_profile(sys, cont, consts, depth=depth), want.profile())
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(case=_metric_cases())
+    def test_family_is_bit_equal(self, case):
+        args, depth = case
+        sys, consts, cont = _make_case(*args)
+        want = _ScalarEvaluator(sys, cont, consts, depth)
+        shifts = range(-12, 13)
+        _assert_same(cw_metric_family(sys, cont, consts, shifts, depth=depth),
+                     {j: want.metric_profile(j)["D"] for j in shifts})
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_fixed_cases(self, kind, depth):
+        rng = np.random.default_rng(depth)
+        cases = [(shape, eps, twin, marks)
+                 for shape in ("stable", "unstable", "generic", "two-leg")
+                 for eps in (3e-9, 2e-4, 0.03)
+                 for twin in (False, True)
+                 for marks in ((0, 99), (99, 0), (2, 6), (3, 3))]
+        for shape, eps, twin, marks in cases:
+            sys, consts, cont = _make_case(kind, *rng.uniform(0.0, 1.0, 2), shape, eps, 9,
+                                           twin, marks)
+            want = _ScalarEvaluator(sys, cont, consts, depth)
+            _assert_same(cw_metric_profile(sys, cont, consts, depth=depth), want.profile())
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_singleton(self, kind):
+        sys, consts = _model(kind)
+        pt = continua.MarkedContinuum(chart=sys.chart, vertices=np.array([[0.3, 0.6]]),
+                                      mark_p=0, mark_q=0)
+        for depth in (0, 4):
+            want = _ScalarEvaluator(sys, pt, consts, depth)
+            _assert_same(cw_metric_profile(sys, pt, consts, depth=depth), want.profile())
+            _assert_same(cw_metric_family(sys, pt, consts, range(-3, 4), depth=depth),
+                         {j: 0.0 for j in range(-3, 4)})
+
+    @pytest.mark.parametrize("shape", ["stable", "unstable", "generic", "two-leg"])
+    def test_no_decision_the_scan_would_not_make(self, shape):
+        # every (block, iterate) the table decides, the scalar scan decides too
+        sys, consts = _model("sphere-pA")
+        rng = np.random.default_rng(29)
+        for eps in (1e-6, 1e-4, 3e-3, 0.02, 0.06):
+            for _ in range(3):
+                _, _, cont = _make_case("sphere-pA", *rng.uniform(0.0, 1.0, 2), shape, eps,
+                                        9, False, (0, 99))
+                ev = cwmetric.MetricEvaluator(sys, cont, consts, 4)
+                ev.metrics(range(-3, 4))
+                want = _ScalarEvaluator(sys, cont, consts, 4)
+                for j in range(-3, 4):
+                    want.metric_profile(j)
+                for (a, b), es in _decisions(ev).items():
+                    eng = want.engine if (a, b) == (0.0, 1.0) else want.subs[a, b]
+                    assert es <= set(eng.decided), (a, b)
 
 
 class TestQuotientRingScan:
     @pytest.mark.parametrize("arc_kind", ["stable", "unstable", "generic"])
     def test_matches_scan_from_zero(self, pa, consts_pa, arc_kind):
-        # a generic direction has both a backward and a forward tail
+        # the table's escapes, resumed per block past j0, against the scan
+        # of every exponent from j = 0; a generic direction has both a
+        # backward and a forward tail
         rng = np.random.default_rng(43)
         direction = np.array([0.6, 0.8])
+        frame = models.eigen_frame(pa.matrix)
+        h = consts_pa.horizon
         for eps in (1e-14, 1e-11, 1e-8, 1e-5, 1e-3, 3e-2, 0.1):
             xy = rng.uniform(0, 1, 2)
             if arc_kind == "generic":
@@ -496,8 +801,12 @@ class TestQuotientRingScan:
                     mark_p=0, mark_q=32)
             else:
                 arc = _arc(pa, *xy, arc_kind, eps)
-            eng = cwmetric._make_engine(pa, arc, consts_pa.c, consts_pa.horizon)
-            ref = cwmetric._make_engine(pa, arc, consts_pa.c, consts_pa.horizon)
-            assert len(eng.pieces) == 1
-            for shift in range(-40, 41):
-                assert eng.escape_from(shift) == _ring_scan(ref, shift)
+            pieces = cwmetric._pieces_of(pa, arc, frame)
+            assert len(pieces) == 1
+            table = cwmetric._BlockTable(pa, frame, consts_pa.c, h,
+                                         *cwmetric._rows_of([pieces]))
+            ref = _ScalarEngine(pa, pieces, consts_pa.c, h)
+            got = table.escapes(range(-40, 41))[0].tolist()
+            for shift, n in zip(range(-40, 41), got):
+                want = _ring_scan(h, shift, lambda e: ref.in_length_set(e) and ref.predicate(e))
+                assert (math.inf if n > h else n) == want

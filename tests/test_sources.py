@@ -82,3 +82,41 @@ def test_private_name_check_sees_them():
                      "class _C:\n    pass\n__all__ = []\n")
     assert _private_names(tree) == {"_A", "_B", "_f", "_C"}
     assert {"_A"} <= _references(tree) and "_f" not in _references(tree)
+
+
+# the per-shift scalar chain DP that the block table replaced; its
+# reference copy lives in tests/test_cwmetric.py
+_RETIRED = ("sub_engine", "_rho_block", "_chain_raw")
+
+
+def _spelled(tree, names) -> list:
+    """(line, name) of every def, class, attribute, name or argument spelled
+    as one of names."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = node.name
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        else:
+            continue
+        if name in names:
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_per_shift_block_engine(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _spelled(tree, _RETIRED) == []
+
+
+def test_retired_name_check_sees_them():
+    tree = ast.parse("class E:\n    def sub_engine(self):\n        self._rho_block = 1\n"
+                     "def f(_chain_raw):\n    return E().sub_engine\n")
+    assert _spelled(tree, _RETIRED) == [(2, "sub_engine"), (3, "_rho_block"),
+                                        (4, "_chain_raw"), (5, "sub_engine")]
