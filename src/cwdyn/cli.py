@@ -154,6 +154,17 @@ def _check_numbers(merged: dict) -> None:
             raise ConfigError(f"{flag} must be {kind}, got {val!r}")
 
 
+def _check_sectors(cfg: ExperimentConfig) -> None:
+    """The sectors command's grids and seed scale, before any work."""
+    for flag, val in (("--grid", cfg.grid), ("--res", cfg.resolution)):
+        if val is not None and val < 2:
+            raise ConfigError(f"{flag} must be at least 2, got {val}")
+    if cfg.eps is not None:
+        c = make_model(cfg.model, c=cfg.c).c
+        if not 0.0 < cfg.eps < c:
+            raise ConfigError(f"--eps must lie in (0, c={c}), got {cfg.eps}")
+
+
 def parse_config(argv) -> ExperimentConfig:
     ns = _build_parser().parse_args(argv)
     merged = {}
@@ -180,6 +191,8 @@ def parse_config(argv) -> ExperimentConfig:
     cfg = ExperimentConfig(**merged)
     if cfg.command == "chainrec":
         chainrec.check_grid(make_model(cfg.model).chart, *_chain_grid(cfg))
+    if cfg.command == "sectors":
+        _check_sectors(cfg)
     if cfg.command == "acceptance":
         try:
             acceptance.parse_suite(cfg.suite)

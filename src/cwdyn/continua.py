@@ -26,6 +26,8 @@ from .models import (
 # polyline edges must stay under one chart step
 MAX_STEP = 0.5
 EDGE_TARGET = 0.4
+# segment pairs solved at once, which bounds the crossing pass's arrays
+_PAIR_CHUNK = 4096
 
 
 class OffContinuumError(ValueError):
@@ -312,15 +314,30 @@ def image(sys, cont: MarkedContinuum, n: int, budget: int = 20000) -> MarkedCont
 # -- segments, crossings and projections ---------------------------------
 
 
-def _dedupe_points(chart: str, pts, tol: float) -> list:
+def _dedupe_points(chart: str, pts: np.ndarray, tol: float, group=None) -> np.ndarray:
+    """Mask of the (N, 2) points to keep: in order, a point is kept unless
+    it lies within tol of a point kept before it in its group.
+
+    Group ids (default: all one group) come in contiguous runs, as the
+    pair indices of _crossings do.
+    """
     # in the plane proxy the crossings are solved in: the geographic arccos
     # distance of two equal points can be ~5e-9, above a 1e-9 tol
     proxy = models.TORUS if chart == SPHERE_GEOGRAPHIC else chart
-    out = []
-    for p in pts:
-        if all(chart_distance(proxy, p, q) > tol for q in out):
-            out.append(p)
-    return out
+    n = len(pts)
+    group = np.zeros(n, dtype=int) if group is None else group
+    near = {}  # point -> the earlier points of its group within tol
+    for d in range(1, n):
+        same = group[d:] == group[:-d]
+        if not same.any():
+            break  # no run is longer than d
+        close = same & ~(chart_distance_arr(proxy, pts[d:], pts[:-d]) > tol)
+        for i in np.nonzero(close)[0] + d:
+            near.setdefault(int(i), []).append(int(i) - d)
+    keep = np.ones(n, dtype=bool)
+    for i in sorted(near):
+        keep[i] = not keep[near[i]].any()
+    return keep
 
 
 def _segments(cont: MarkedContinuum):
@@ -372,7 +389,7 @@ def _nearest_on(chart: str, segs, xy):
     return int(row[j]), float(t[j]), r[j], float(dist[j])
 
 
-def _crossings(chart: str, seg_a, seg_b, tol: float) -> np.ndarray:
+def _crossings(chart: str, seg_a, seg_b, tol: float):
     """Chart points where plane segments A meet cover copies of segments B.
 
     Each pair is solved over the representatives of B whose bounding box
@@ -381,35 +398,48 @@ def _crossings(chart: str, seg_a, seg_b, tol: float) -> np.ndarray:
     when its determinant is below 1e-14 of its length product or each
     endpoint lies within tol of the other segment's line; it then meets
     at each of its four endpoints within tol of the other segment.
+    Returns the points and the pair index i·len(B) + j of each (A's
+    segment i, B's segment j), in pair order.  At most _PAIR_CHUNK pairs
+    are solved at once, so memory does not grow with len(A)·len(B).
     """
     a0, da0, la0 = seg_a
     b0, db0, lb0 = seg_b
-    ia, ib = np.divmod(np.arange(len(a0) * len(b0)), len(b0))
-    row, s, k = cover_reps(chart, np.minimum(b0, b0 + db0)[ib], np.maximum(b0, b0 + db0)[ib],
-                           np.minimum(a0, a0 + da0)[ia], np.maximum(a0, a0 + da0)[ia])
-    ia, ib = ia[row], ib[row]
-    a, da, la = a0[ia], da0[ia], la0[ia]
-    b, db, lb = k + s[:, None] * b0[ib], s[:, None] * db0[ib], lb0[ib]
-    rhs = b - a
-    det = da[:, 0] * (-db[:, 1]) - (-db[:, 0]) * da[:, 1]
-    t_num = rhs[:, 0] * (-db[:, 1]) - (-db[:, 0]) * rhs[:, 1]
-    u_num = da[:, 0] * rhs[:, 1] - rhs[:, 0] * da[:, 1]
-    # |u_num| and |u_num - det| are la times B's end offsets from A's line
-    parallel = (np.abs(det) < 1e-14 * np.maximum(la * lb, 1e-300)) \
-        | ((np.maximum(np.abs(u_num), np.abs(u_num - det)) <= tol * la)
-           & (np.maximum(np.abs(t_num), np.abs(t_num - det)) <= tol * lb))
-    tol_a = tol / np.maximum(la, 1e-300)
-    tol_b = tol / np.maximum(lb, 1e-300)
-    den = np.where(parallel, np.nan, det)
-    t, u = t_num / den, u_num / den
-    cross = a + np.clip(t, 0.0, 1.0)[:, None] * da
-    hit = (t >= -tol_a) & (t <= 1 + tol_a) & (u >= -tol_b) & (u <= 1 + tol_b)
-    if not parallel.any():
-        return wrap_chart(chart, cross[hit])
-    ends = np.stack([b, b + db, a, a + da], axis=1)
-    _, off = _to_segment(ends, np.stack([a, a, b, b], axis=1), np.stack([da, da, db, db], axis=1))
-    keep = np.concatenate([hit[:, None], parallel[:, None] & (off <= tol)], axis=1)
-    return wrap_chart(chart, np.concatenate([cross[:, None], ends], axis=1)[keep])
+    nb = len(b0)
+    step = max(1, _PAIR_CHUNK // nb)
+    out, pairs = [], []
+    for i0 in range(0, len(a0), step):
+        ia, ib = np.divmod(np.arange(i0 * nb, min(i0 + step, len(a0)) * nb), nb)
+        row, s, k = cover_reps(chart, np.minimum(b0, b0 + db0)[ib], np.maximum(b0, b0 + db0)[ib],
+                               np.minimum(a0, a0 + da0)[ia], np.maximum(a0, a0 + da0)[ia])
+        ia, ib = ia[row], ib[row]
+        a, da, la = a0[ia], da0[ia], la0[ia]
+        b, db, lb = k + s[:, None] * b0[ib], s[:, None] * db0[ib], lb0[ib]
+        rhs = b - a
+        det = da[:, 0] * (-db[:, 1]) - (-db[:, 0]) * da[:, 1]
+        t_num = rhs[:, 0] * (-db[:, 1]) - (-db[:, 0]) * rhs[:, 1]
+        u_num = da[:, 0] * rhs[:, 1] - rhs[:, 0] * da[:, 1]
+        # |u_num| and |u_num - det| are la times B's end offsets from A's line
+        parallel = (np.abs(det) < 1e-14 * np.maximum(la * lb, 1e-300)) \
+            | ((np.maximum(np.abs(u_num), np.abs(u_num - det)) <= tol * la)
+               & (np.maximum(np.abs(t_num), np.abs(t_num - det)) <= tol * lb))
+        tol_a = tol / np.maximum(la, 1e-300)
+        tol_b = tol / np.maximum(lb, 1e-300)
+        den = np.where(parallel, np.nan, det)
+        t, u = t_num / den, u_num / den
+        cross = a + np.clip(t, 0.0, 1.0)[:, None] * da
+        hit = (t >= -tol_a) & (t <= 1 + tol_a) & (u >= -tol_b) & (u <= 1 + tol_b)
+        pair = ia * nb + ib
+        if not parallel.any():
+            out.append(cross[hit])
+            pairs.append(pair[hit])
+            continue
+        ends = np.stack([b, b + db, a, a + da], axis=1)
+        _, off = _to_segment(ends, np.stack([a, a, b, b], axis=1),
+                             np.stack([da, da, db, db], axis=1))
+        keep = np.concatenate([hit[:, None], parallel[:, None] & (off <= tol)], axis=1)
+        out.append(np.concatenate([cross[:, None], ends], axis=1)[keep])
+        pairs.append(np.broadcast_to(pair[:, None], keep.shape)[keep])
+    return wrap_chart(chart, np.concatenate(out)), np.concatenate(pairs)
 
 
 def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> list:
@@ -423,14 +453,11 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
         raise ChartError(f"chart mismatch: {c1.chart!r} vs {c2.chart!r}")
     if c1.is_singleton or c2.is_singleton:
         single, other = (c1, c2) if c1.is_singleton else (c2, c1)
-        p = single.vertices[0]
-        raw = [p] if _project_to_polyline(other, p)[2] <= tol else []
+        p = single.vertices[:1]
+        raw = p if _project_to_polyline(other, p[0])[2] <= tol else p[:0]
     else:
-        a, b = _segments(c1), _segments(c2)
-        step = max(1, 4096 // len(b[0]))  # bounds the pairs solved at once
-        raw = np.concatenate([_crossings(c1.chart, [x[i:i + step] for x in a], b, tol)
-                              for i in range(0, len(a[0]), step)])
-    pts = _dedupe_points(c1.chart, raw, max(tol, 1e-12))
+        raw = _crossings(c1.chart, _segments(c1), _segments(c2), tol)[0]
+    pts = raw[_dedupe_points(c1.chart, raw, max(tol, 1e-12))]
     return [Point(c1.chart, (float(p[0]), float(p[1]))) for p in pts]
 
 

@@ -450,7 +450,9 @@ def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
     if res > 2:
         # make sure x itself is a vertex
         tx = float(np.dot(xy - start, e)) / length
-        if not np.any(np.isclose(t, tx, atol=1e-12)):
+        # 1e-5·|tx| is np.isclose's default relative term (rtol), written
+        # out beside the 1e-12 absolute one so the vertices stay as they were
+        if not np.any(np.abs(t - tx) <= 1e-12 + 1e-5 * abs(tx)):
             t = np.sort(np.append(t, tx))
     lift = StraightLift(start=start, direction=e, length=length,
                         stable=stable, chart=sys.chart)
@@ -458,12 +460,37 @@ def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
                            mark_p=0, mark_q=len(t) - 1, lift=lift)
 
 
-def is_spine(sys: SystemModel, x: Point, eps: float, tol: float = 1e-9) -> bool:
-    """True when x is an endpoint of its own local stable arc."""
-    arc = local_arc(sys, x, "stable", eps, resolution=3)
-    d0 = chart_distance(sys.chart, x.xy(), arc.vertices[0])
-    d1 = chart_distance(sys.chart, x.xy(), arc.vertices[-1])
-    return min(d0, d1) <= tol
+def is_spine(sys: SystemModel, x, eps: float, tol: float = 1e-9):
+    """True when x is an endpoint of its own local stable arc.
+
+    x is a Point, or an (n, 2) array of chart coordinates for an (n,)
+    boolean array.  The two end vertices are computed as local_arc at
+    resolution 3 computes them, with its validation, without building
+    the arc.
+    """
+    if not sys.is_hyperbolic:
+        raise ModelCapabilityError("local arcs require a hyperbolic model")
+    if not 0.0 < eps < sys.c:
+        raise CalibrationError(f"eps must lie in (0, c={sys.c}), got {eps}")
+    if isinstance(x, Point):
+        if x.chart != sys.chart:
+            raise ChartError(f"point chart {x.chart!r} does not match model chart {sys.chart!r}")
+        return bool(is_spine(sys, x.xy()[None], eps, tol)[0])
+    xy = np.asarray(x, dtype=float).reshape(-1, 2)
+    e = eigen_frame(sys.matrix).es
+    # a spine's arc is one prong starting at it, any other arc is centered
+    fold = (_torus_norm_arr(2.0 * xy) <= SPINE_TOL) & (sys.chart == SPHERE_QUOTIENT)
+    start = np.where(fold[:, None], xy, xy - eps * e)
+    length = np.where(fold, eps, 2.0 * eps)
+    tx = np.vecdot(xy - start, e) / length
+    # the vertex parameters are 0, 1/2, 1 and tx unless tx is close to one
+    # of them (local_arc's vertex test); the ends are the extreme two
+    extra = ~(np.abs(np.array([0.0, 0.5, 1.0]) - tx[:, None])
+              <= 1e-12 + 1e-5 * np.abs(tx)[:, None]).any(axis=1)
+    ends = [np.where(extra & (tx < 0.0), tx, 0.0), np.where(extra & (tx > 1.0), tx, 1.0)]
+    d0, d1 = (chart_distance_arr(sys.chart, xy, wrap_chart(
+        sys.chart, start + (t * length)[:, None] * e)) for t in ends)
+    return np.minimum(d0, d1) <= tol
 
 
 def spine_points(sys: SystemModel) -> list[Point]:

@@ -17,9 +17,14 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from . import models
-from .models import ModelCapabilityError, chart_distance, torus_norm
-from .continua import (MarkedContinuum, _nearest_on, _segments, _to_segment,
-                       cover_reps, intersect, subcontinuum)
+from .models import (ModelCapabilityError, chart_distance, chart_distance_arr,
+                     torus_norm, wrap_chart)
+from .continua import (_PAIR_CHUNK, MarkedContinuum, _crossings, _dedupe_points,
+                       _nearest_on, _segments, _to_segment, cover_reps, intersect,
+                       subcontinuum)
+
+# seed points per batched spine test, which bounds its arrays
+_SPINE_CHUNK = 4096
 
 
 class IndeterminateCrossing(RuntimeError):
@@ -196,13 +201,13 @@ def enumerate_spines(sys, eps: float, grid_res: int) -> list:
     if grid_res < 2:
         raise ValueError("grid_res must be at least 2")
     found = {}
-    for i in range(grid_res):
-        for j in range(grid_res):
-            pt = sys.point(i / grid_res, j / grid_res)
-            if models.is_spine(sys, pt, eps):
-                w = np.round(2.0 * pt.xy()) / 2.0 % 1.0
-                key = (float(w[0]), float(w[1]))
-                found.setdefault(key, sys.point(*key))
+    for p0 in range(0, grid_res * grid_res, _SPINE_CHUNK):
+        i, j = np.divmod(np.arange(p0, min(p0 + _SPINE_CHUNK, grid_res * grid_res)), grid_res)
+        pts = wrap_chart(sys.chart, np.stack([i / grid_res, j / grid_res], axis=1))
+        for xy in pts[models.is_spine(sys, pts, eps)]:
+            w = np.round(2.0 * xy) / 2.0 % 1.0
+            key = (float(w[0]), float(w[1]))
+            found.setdefault(key, sys.point(*key))
     return [found[k] for k in sorted(found)]
 
 
@@ -226,26 +231,19 @@ def find_sectors(sys, region=None, eps: float | None = None,
     xs = np.arange(x0, x1 - 1e-12, spacing)
     ys = np.arange(y0, y1 - 1e-12, spacing)
     planned = len(xs) * len(ys)
-    probed = 0
+    # seeds run x-major; the first `budget` of them are probed
+    probed = min(max(budget, 0), planned)
     raw = []
     counts = {}
     skipped_pairs = 0
-    exhausted = False
-    for sx in xs:
-        for sy in ys:
-            if probed >= budget:
-                exhausted = True
-                break
-            probed += 1
-            pt = sys.point(float(sx), float(sy))
-            if models.is_spine(sys, pt, eps):
-                continue
-            recs, nc, nskip = _sector_from_seed(sys, pt, eps)
+    for p0 in range(0, probed, _SPINE_CHUNK):
+        ix, iy = np.divmod(np.arange(p0, min(p0 + _SPINE_CHUNK, probed)), len(ys))
+        seeds = np.stack([xs[ix], ys[iy]], axis=1)
+        for sx, sy in seeds[~models.is_spine(sys, wrap_chart(sys.chart, seeds), eps)]:
+            recs, nc, nskip = _sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
             skipped_pairs += nskip
             counts[nc] = counts.get(nc, 0) + 1
             raw.extend(recs)
-        if exhausted:
-            break
     # one minimal sector per spine
     by_spine = {}
     loose = []
@@ -259,7 +257,7 @@ def find_sectors(sys, region=None, eps: float | None = None,
             by_spine[key] = (rec, idx)
     sectors = [by_spine[k][0] for k in sorted(by_spine)] + loose
     return SectorSearch(sectors=sectors, seeds_probed=probed,
-                        seeds_planned=planned, exhausted=exhausted,
+                        seeds_planned=planned, exhausted=probed < planned,
                         crossing_counts=counts, skipped_pairs=skipped_pairs)
 
 
@@ -349,15 +347,8 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
             arcs_s.append(models.local_arc(sys, sys.point(*g), "stable", R1,
                                            resolution=3))
             gu_eig.append(eig(g))
-        out = np.empty((grid + 1, grid + 1, 2))
-        out_eig = np.empty((grid + 1, grid + 1, 2))
-        for i in range(grid + 1):
-            for j in range(grid + 1):
-                z = _select_crossing(sys, arcs_u[i], arcs_s[j],
-                                     gs_eig[i], gu_eig[j], w, Einv, R1)
-                out[i, j] = z["chart"]
-                out_eig[i, j] = z["eig"]
-        return out, out_eig
+        return _grid_crossings(sys, arcs_u, arcs_s, np.array(gs_eig),
+                               np.array(gu_eig), w, Einv, R1)
 
     f1, f1e = samples(0.0, 0.5)
     f2, f2e = samples(0.5, 1.0)
@@ -367,82 +358,104 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
             "continuity_report": report}
 
 
-def _select_crossing(sys, cu, cs, g_s, g_u, w, Einv, R1) -> dict:
-    """The arc crossing reachable without crossing the splitting curve.
+def _tsign(x: np.ndarray) -> np.ndarray:
+    # sign with a dead zone, so exact zeros full of float noise stay 0
+    return np.where(np.abs(x) <= 1e-8, 0.0, np.sign(x))
 
-    g_s and g_u are the eigen-coordinates of the parameter points whose
-    unstable (resp. stable) arcs are intersected.  A candidate qualifies
-    when some involution representative of each parameter point lies on
-    the candidate's own arc line on the same side of the splitting curve.
+
+def _grid_crossings(sys, arcs_u, arcs_s, g_s, g_u, w, Einv, R1):
+    """For each pair (arcs_u[i], arcs_s[j]), the arc crossing reachable
+    without crossing the splitting curve: its chart point and its
+    eigen-coordinates, each an (len(arcs_u), len(arcs_s), 2) array.
+
+    Row i of g_s and row j of g_u are the eigen-coordinates of the
+    parameter points whose unstable (resp. stable) arcs are intersected.
+    The pairs go through the crossing pass and the selection in blocks of
+    rows of at most _PAIR_CHUNK pairs, so memory does not grow with the grid.
     """
-    pts = intersect(cu, cs, tol=1e-9)
-    if not pts:
-        raise ValueError("parametrization arcs fail to cross; enlarge R1")
-    line_tol = 1e-6
-    cands = []
+    seg_u, seg_s = ([np.concatenate(c) for c in zip(*map(_segments, arcs))]
+                    for arcs in (arcs_u, arcs_s))
+    step = max(1, _PAIR_CHUNK // len(arcs_s))
+    blocks = [_block_crossings(sys, [x[i:i + step] for x in seg_u], seg_s,
+                               g_s[i:i + step], g_u, w, Einv, R1)
+              for i in range(0, len(arcs_u), step)]
+    return tuple(np.concatenate(b).reshape(len(arcs_u), len(arcs_s), 2)
+                 for b in zip(*blocks))
+
+
+def _block_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):
+    """_grid_crossings on one block of rows, flat in pair order.
+
+    A candidate (a cover representative of a crossing near the spine)
+    qualifies when some involution representative of each parameter
+    point lies on the candidate's own arc line on the same side of the
+    splitting curve.
+    """
+    ns = len(seg_s[0])
+    xy, pair = _crossings(sys.chart, seg_u, seg_s, 1e-9)
+    keep = _dedupe_points(sys.chart, xy, 1e-9, pair)
+    xy, pair = xy[keep], pair[keep]
     reach = 2.0 * R1 + 0.1
-    for p in pts:
-        xy = p.xy()
-        _, sg, k = cover_reps(sys.chart, xy, xy, w - reach, w + reach)
-        reps = sg[:, None] * xy + k
-        for r in reps[np.hypot(*(reps - w).T) <= reach]:
-            re = Einv @ (r - w)
-            ok_s = ok_u = False
-            for g in (g_s, -g_s):
-                if abs(g[0] - re[0]) <= line_tol and g[1] * re[1] >= -line_tol:
-                    ok_s = True
-            for g in (g_u, -g_u):
-                if abs(g[1] - re[1]) <= line_tol and g[0] * re[0] >= -line_tol:
-                    ok_u = True
-            if ok_s and ok_u:
-                cands.append((p, r, re))
-    if not cands:
+    row, sg, k = cover_reps(sys.chart, xy, xy, w - reach, w + reach)
+    reps = sg[:, None] * xy[row] + k
+    near = np.hypot(*(reps - w).T) <= reach
+    row, reps = row[near], reps[near]
+    re = np.matmul(Einv, (reps - w)[..., None])[..., 0]
+    cand_pair = pair[row]
+    gs, gu = g_s[cand_pair // ns], g_u[cand_pair % ns]
+    line_tol = 1e-6
+    ok_s = np.zeros(len(re), dtype=bool)
+    ok_u = np.zeros(len(re), dtype=bool)
+    for sign in (1.0, -1.0):
+        ok_s |= (np.abs(sign * gs[:, 0] - re[:, 0]) <= line_tol) \
+            & (sign * gs[:, 1] * re[:, 1] >= -line_tol)
+        ok_u |= (np.abs(sign * gu[:, 1] - re[:, 1]) <= line_tol) \
+            & (sign * gu[:, 0] * re[:, 0] >= -line_tol)
+    ok = ok_s & ok_u
+    missing = np.ones(len(g_s) * ns, dtype=bool)
+    missing[cand_pair[ok]] = False
+    if missing.any():
+        if not np.isin(np.argmax(missing), pair):
+            raise ValueError("parametrization arcs fail to cross; enlarge R1")
         raise ValueError("no admissible crossing; splitting-curve side "
                          "selection failed")
+    row, re, cand_pair, gs, gu = row[ok], re[ok], cand_pair[ok], gs[ok], gu[ok]
     # mirror representatives are both admissible by involution symmetry;
     # fix the one on the stable-parameter side (then the unstable side)
     # so the recorded coordinates vary continuously over the grid
-    def tsign(x):
-        # sign with a dead zone, so exact zeros full of float noise stay 0
-        return 0.0 if abs(x) <= 1e-8 else float(np.sign(x))
-
-    def key(c):
-        re = c[2]
-        su = tsign(re[1]) * tsign(g_u[1])
-        ss = tsign(re[0]) * tsign(g_s[0])
-        return (-su, -ss, float(np.linalg.norm(re - np.array([g_s[0], g_u[1]]))))
-
-    cands.sort(key=key)
-    p, r, re = cands[0]
-    return {"chart": np.array(p.xy()), "eig": np.asarray(re, dtype=float)}
-
-
-def _monotone_violations(vals: np.ndarray, tol: float = 1e-9) -> int:
-    d = np.diff(vals)
-    up = int(np.sum(d < -tol))
-    dn = int(np.sum(d > tol))
-    return min(up, dn)
+    su = _tsign(re[:, 1]) * _tsign(gu[:, 1])
+    ss = _tsign(re[:, 0]) * _tsign(gs[:, 0])
+    off = re - np.stack([gs[:, 0], gu[:, 1]], axis=1)
+    order = np.lexsort((np.arange(len(re)), np.sqrt(np.vecdot(off, off)), -ss, -su,
+                        cand_pair))
+    first = order[np.unique(cand_pair[order], return_index=True)[1]]
+    return xy[row[first]], re[first]
 
 
 def _continuity_report(chart, grid, charts, eigs) -> dict:
-    mods = []
     viol = 0
     for fe in eigs:
-        for j in range(grid + 1):
-            viol += _monotone_violations(fe[:, j, 0])
-        for i in range(grid + 1):
-            viol += _monotone_violations(fe[i, :, 1])
-    for fc in charts:
-        for a, b in ((fc[:-1], fc[1:]), (fc[:, :-1], fc[:, 1:])):
-            aa = a.reshape(-1, 2)
-            bb = b.reshape(-1, 2)
-            mods.append(max(chart_distance(chart, aa[k], bb[k])
-                            for k in range(len(aa))))
+        # eigen-coordinate a must be monotone along grid axis a
+        for a in (0, 1):
+            d = np.diff(fe[..., a], axis=a)
+            viol += int(np.minimum((d < -1e-9).sum(axis=a), (d > 1e-9).sum(axis=a)).sum())
+    mods = [float(chart_distance_arr(chart, a, b).max()) for fc in charts
+            for a, b in ((fc[:-1], fc[1:]), (fc[:, :-1], fc[:, 1:]))]
     f1e = eigs[0].reshape(-1, 2)
+    # a pair within 1e-9 is within 2e-9 along (1, 0.618...); sorted along
+    # that direction, which no grid row or column follows, the candidates
+    # for a pair sit a few places apart, and each pair is met once
+    p = f1e[:, 0] + 0.6180339887498949 * f1e[:, 1]
+    order = np.argsort(p, kind="stable")
+    p = p[order]
     dup = 0
-    for k in range(len(f1e)):
-        d = np.linalg.norm(f1e[k + 1:] - f1e[k], axis=1)
-        dup += int(np.sum(d < 1e-9))
+    for d in range(1, len(p)):
+        near = p[d:] - p[:-d] < 2e-9
+        if not near.any():
+            break  # p is sorted, so no farther shift is nearer
+        i, j = order[:-d][near], order[d:][near]
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        dup += int(np.sum(np.linalg.norm(f1e[hi] - f1e[lo], axis=-1) < 1e-9))
     return {"grid": grid, "max_modulus": float(max(mods)),
             "max_modulus_f1": float(max(mods[:2])),
             "max_modulus_f2": float(max(mods[2:])),

@@ -66,6 +66,10 @@ class TestParseConfig:
         (["calibrate", "--c", "nan"], "--c"),
         (["chainrec", "--model", "cat", "--res", "1", "--eps", "0.5"], "--res"),
         (["chainrec", "--model", "cat", "--res", "8", "--eps", "0.001"], "--eps"),
+        (["sectors", "--model", "sphere-pA", "--grid", "1"], "--grid"),
+        (["sectors", "--model", "sphere-pA", "--res", "1"], "--res"),
+        (["sectors", "--model", "sphere-pA", "--eps", "0.3"], "--eps"),
+        (["sectors", "--model", "sphere-pA", "--c", "0.2", "--eps", "0.2"], "--eps"),
     ])
     def test_bad_flags_name_the_flag(self, argv, where):
         with pytest.raises(ConfigError, match=where.replace("-", "[-]")):
@@ -273,6 +277,20 @@ class TestSectors:
         assert all(r["monotone_violations"] == 0 and r["injective_ok"]
                    for r in rec["parametrization_reports"])
         assert not rec["exhausted"]
+
+    def test_flags_checked_before_any_work(self, outdir, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("the spine scan ran")
+
+        monkeypatch.setattr(sectors, "enumerate_spines", work)
+        for flag, val in (("--grid", "1"), ("--res", "1"), ("--eps", "0.3")):
+            rc, err = run_err(["sectors", "--model", "pa", flag, val], capsys)
+            assert rc == 1 and err.startswith(f"cwdyn: config error: {flag} ")
+        assert not (outdir / "sectors.jsonl").exists()
+
+    def test_eps_checked_against_c_flag(self):
+        cfg = parse_config(["sectors", "--model", "pa", "--c", "0.5", "--eps", "0.3"])
+        assert cfg.eps == 0.3
 
     def test_cat_has_no_spines(self, outdir):
         assert cli.run(["sectors", "--model", "cat"]) == 0

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from cwdyn import models, sectors
-from cwdyn.continua import MarkedContinuum, cover_reps, diameter, image, intersect
-from cwdyn.models import ModelCapabilityError, make_model
+from cwdyn.continua import (MarkedContinuum, _dedupe_points, cover_reps, diameter, image,
+                            intersect)
+from cwdyn.models import ModelCapabilityError, chart_distance, make_model
 from cwdyn.sectors import (
     IndeterminateCrossing, SectorRecord, classify_sector,
     enclosing_sector, enumerate_spines, find_sectors, sector_parametrization,
@@ -269,3 +270,242 @@ class TestRecord:
         assert rec["spine"] == [0.0, 0.0]
         assert rec["area"] > 0
         assert len(rec["polygon"]) == 4
+
+
+# -- reference: the scalar paths that the batched sector passes replaced ----
+
+
+def _ref_select_crossing(sys, cu, cs, g_s, g_u, w, Einv, R1):
+    pts = intersect(cu, cs, tol=1e-9)
+    if not pts:
+        raise ValueError("parametrization arcs fail to cross; enlarge R1")
+    line_tol = 1e-6
+    cands = []
+    reach = 2.0 * R1 + 0.1
+    for p in pts:
+        xy = p.xy()
+        _, sg, k = cover_reps(sys.chart, xy, xy, w - reach, w + reach)
+        reps = sg[:, None] * xy + k
+        for r in reps[np.hypot(*(reps - w).T) <= reach]:
+            re = Einv @ (r - w)
+            ok_s = ok_u = False
+            for g in (g_s, -g_s):
+                if abs(g[0] - re[0]) <= line_tol and g[1] * re[1] >= -line_tol:
+                    ok_s = True
+            for g in (g_u, -g_u):
+                if abs(g[1] - re[1]) <= line_tol and g[0] * re[0] >= -line_tol:
+                    ok_u = True
+            if ok_s and ok_u:
+                cands.append((p, r, re))
+    if not cands:
+        raise ValueError("no admissible crossing; splitting-curve side "
+                         "selection failed")
+
+    def tsign(x):
+        return 0.0 if abs(x) <= 1e-8 else float(np.sign(x))
+
+    def key(c):
+        re = c[2]
+        su = tsign(re[1]) * tsign(g_u[1])
+        ss = tsign(re[0]) * tsign(g_s[0])
+        return (-su, -ss, float(np.linalg.norm(re - np.array([g_s[0], g_u[1]]))))
+
+    cands.sort(key=key)
+    p, r, re = cands[0]
+    return {"chart": np.array(p.xy()), "eig": np.asarray(re, dtype=float)}
+
+
+def _ref_monotone_violations(vals, tol=1e-9):
+    d = np.diff(vals)
+    return min(int(np.sum(d < -tol)), int(np.sum(d > tol)))
+
+
+def _ref_continuity_report(chart, grid, charts, eigs):
+    mods = []
+    viol = 0
+    for fe in eigs:
+        for j in range(grid + 1):
+            viol += _ref_monotone_violations(fe[:, j, 0])
+        for i in range(grid + 1):
+            viol += _ref_monotone_violations(fe[i, :, 1])
+    for fc in charts:
+        for a, b in ((fc[:-1], fc[1:]), (fc[:, :-1], fc[:, 1:])):
+            aa = a.reshape(-1, 2)
+            bb = b.reshape(-1, 2)
+            mods.append(max(chart_distance(chart, aa[k], bb[k]) for k in range(len(aa))))
+    f1e = eigs[0].reshape(-1, 2)
+    dup = 0
+    for k in range(len(f1e)):
+        d = np.linalg.norm(f1e[k + 1:] - f1e[k], axis=1)
+        dup += int(np.sum(d < 1e-9))
+    return {"grid": grid, "max_modulus": float(max(mods)),
+            "max_modulus_f1": float(max(mods[:2])),
+            "max_modulus_f2": float(max(mods[2:])),
+            "monotone_violations": int(viol),
+            "duplicate_pairs": dup, "injective_ok": dup == 0}
+
+
+def _ref_parametrization(sys, s, grid):
+    """sector_parametrization of a classified regular spine sector, one
+    intersect and one scalar selection per grid pair."""
+    w = np.asarray(s.mirror_center, dtype=float)
+    Einv = models.eigen_frame(sys.matrix).inv
+    A, Bs, _, Bu = s.polygon
+    eig = lambda r: Einv @ (np.asarray(r) - w)
+    amax = max(abs(float(eig(A)[0])), abs(float(eig(Bs)[0])))
+    bmax = max(abs(float(eig(A)[1])), abs(float(eig(Bu)[1])))
+    R1 = 2.4 * max(amax, bmax)
+    Ms = sectors._axis_cross(A, Bs, 0, w, Einv)
+    Mu = sectors._axis_cross(A, Bu, 1, w, Einv)
+
+    def samples(t_lo, t_hi):
+        arcs_u, arcs_s, gs_eig, gu_eig = [], [], [], []
+        for t in np.linspace(t_lo, t_hi, grid + 1):
+            g = sectors._gamma(A, Ms, Bs, float(t))
+            arcs_u.append(models.local_arc(sys, sys.point(*g), "unstable", R1, resolution=3))
+            gs_eig.append(eig(g))
+            g = sectors._gamma(A, Mu, Bu, float(t))
+            arcs_s.append(models.local_arc(sys, sys.point(*g), "stable", R1, resolution=3))
+            gu_eig.append(eig(g))
+        out = np.empty((grid + 1, grid + 1, 2))
+        out_eig = np.empty((grid + 1, grid + 1, 2))
+        for i in range(grid + 1):
+            for j in range(grid + 1):
+                z = _ref_select_crossing(sys, arcs_u[i], arcs_s[j],
+                                         gs_eig[i], gu_eig[j], w, Einv, R1)
+                out[i, j] = z["chart"]
+                out_eig[i, j] = z["eig"]
+        return out, out_eig
+
+    f1, f1e = samples(0.0, 0.5)
+    f2, f2e = samples(0.5, 1.0)
+    return {"f1_samples": f1, "f2_samples": f2, "f1_eig": f1e, "f2_eig": f2e,
+            "continuity_report": _ref_continuity_report(sys.chart, grid, (f1, f2),
+                                                        (f1e, f2e))}
+
+
+def _ref_is_spine(sys, x, eps, tol=1e-9):
+    arc = models.local_arc(sys, x, "stable", eps, resolution=3)
+    d0 = chart_distance(sys.chart, x.xy(), arc.vertices[0])
+    d1 = chart_distance(sys.chart, x.xy(), arc.vertices[-1])
+    return min(d0, d1) <= tol
+
+
+def _assert_same_parametrization(sys, s, grid):
+    got = sector_parametrization(sys, s, grid=grid)
+    want = _ref_parametrization(sys, s, grid)
+    for k in ("f1_samples", "f2_samples", "f1_eig", "f2_eig"):
+        assert got[k].shape == (grid + 1, grid + 1, 2)
+        assert got[k].tobytes() == want[k].tobytes(), k
+    assert got["continuity_report"] == want["continuity_report"]
+
+
+def _assert_same_spine_mask(sys, pts, eps):
+    got = models.is_spine(sys, pts, eps)
+    want = [_ref_is_spine(sys, models.Point(sys.chart, (float(x), float(y))), eps)
+            for x, y in pts]
+    assert got.dtype == bool and got.tolist() == want
+    return got
+
+
+# grid 64 has 65 x 65 = 4225 pairs per half, past one 4096-pair chunk
+_GRIDS = [2, 3, 8, 32, 64]
+
+
+class TestBatchedPassesMatchScalar:
+    @pytest.fixture(scope="class")
+    def enclosing(self, pa, search):
+        return [enclosing_sector(pa, s)["sector"] for s in search.sectors]
+
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_parametrization(self, pa, search, grid):
+        for s in search.sectors:
+            _assert_same_parametrization(pa, s, grid)
+
+    @pytest.mark.parametrize("grid", _GRIDS)
+    def test_parametrization_of_enclosing_sectors(self, pa, enclosing, grid):
+        for s in enclosing:
+            _assert_same_parametrization(pa, s, grid)
+
+    def test_report_on_planted_defects(self, pa, search):
+        rep = sector_parametrization(pa, search.sectors[1], grid=8)
+        charts = (rep["f1_samples"].copy(), rep["f2_samples"].copy())
+        f1e, f2e = rep["f1_eig"].copy(), rep["f2_eig"].copy()
+        f1e[2, 3] = f1e[5, 1]                                   # exact duplicate
+        f1e[0, 0] = f1e[7, 7] + [0.9e-9, 0.0]                   # within 1e-9
+        f1e[1, 1] = f1e[6, 6] + [0.0, 1.1e-9]                   # just outside
+        f1e[4, 4] = f1e[4, 5] = f1e[3, 5] + [5e-10, -5e-10]     # a triple
+        f1e[8, 8] = f1e[8, 0] + 2e-9 * np.array([0.6180339887498949, -1.0])
+        f2e[3, 2, 0], f2e[4, 2, 0] = f2e[4, 2, 0], f2e[3, 2, 0]  # not monotone
+        charts[0][0, 1] = charts[0][0, 0] + [0.1, 0.0]          # a modulus jump
+        got = sectors._continuity_report(pa.chart, 8, charts, (f1e, f2e))
+        want = _ref_continuity_report(pa.chart, 8, charts, (f1e, f2e))
+        assert got == want
+        assert got["duplicate_pairs"] == 5 and got["monotone_violations"] > 0
+
+    def test_dedupe_keeps_the_sequential_rule_per_pair(self, pa):
+        chain = np.array([0.3, 0.2]) + np.array([[0.0, 0.0], [0.8e-9, 0.0], [1.6e-9, 0.0]])
+        rng = np.random.default_rng(5)
+        loose = rng.uniform(0.0, 0.5, size=(6, 2))
+        pts = np.concatenate([chain, chain, loose, loose[[1, 1, 4]]])
+        group = np.repeat([0, 1, 2], [3, 3, 9])
+        want = []
+        for g in range(3):
+            kept = []
+            for p in pts[group == g]:
+                want.append(all(chart_distance(pa.chart, p, q) > 1e-9 for q in kept))
+                if want[-1]:
+                    kept.append(p)
+        assert _dedupe_points(pa.chart, pts, 1e-9, group).tolist() == want
+        assert want[:6] == [True, False, True] * 2
+
+    def test_selection_errors(self, pa):
+        Einv = models.eigen_frame(pa.matrix).inv
+        w = np.array([0.5, 0.5])
+        cu = models.local_arc(pa, pa.point(0.3, 0.3), "unstable", 0.01, resolution=3)
+        far = models.local_arc(pa, pa.point(0.1, 0.4), "stable", 0.01, resolution=3)
+        near = models.local_arc(pa, pa.point(0.3, 0.3), "stable", 0.01, resolution=3)
+        g = np.array([[0.2, 0.2]])
+        for cs, msg in ((far, "fail to cross"), (near, "no admissible crossing")):
+            with pytest.raises(ValueError, match=msg):
+                _ref_select_crossing(pa, cu, cs, g[0], g[0], w, Einv, 0.1)
+            with pytest.raises(ValueError, match=msg):
+                sectors._grid_crossings(pa, [cu], [cs], g, g, w, Einv, 0.1)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("res", [7, 37, 64, 128])
+    def test_spine_mask_on_grids(self, pa, cat, res, eps):
+        for sys in (pa, cat):
+            pts = np.array([sys.point(i / res, j / res).coords
+                            for i in range(res) for j in range(res)])
+            want = set()
+            for p in pts[_assert_same_spine_mask(sys, pts, eps)]:
+                w = np.round(2.0 * p) / 2.0 % 1.0
+                want.add((float(w[0]), float(w[1])))
+            assert [q.coords for q in enumerate_spines(sys, eps, res)] == sorted(want)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_spine_mask_near_the_half_lattice(self, pa, cat, eps):
+        rng = np.random.default_rng(11)
+        half = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
+        r = np.array([0.0, 2.5e-10, 5e-10 * (1 - 1e-7), 5e-10, 5e-10 * (1 + 1e-7),
+                      7.5e-10, 1e-9, 2e-9])
+        th = rng.uniform(0.0, 2.0 * np.pi, size=(len(half), len(r)))
+        off = r[None, :, None] * np.stack([np.cos(th), np.sin(th)], axis=-1)
+        raw = (half[:, None, :] + off).reshape(-1, 2)
+        for sys in (pa, cat):
+            _assert_same_spine_mask(sys, models.wrap_chart(sys.chart, raw), eps)
+
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
+    def test_spine_mask_at_the_fold(self, pa, cat, eps):
+        # the stable arc of w - (eps/2)·e_s ends at the mirror image of its
+        # centre, so the per-point test calls it a spine though it is not
+        # one; the mask must agree there too
+        es = models.eigen_frame(pa.matrix).es
+        half = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
+        delta = np.array([-6e-10, -5e-10, -1e-10, 0.0, 1e-10, 5e-10, 6e-10])
+        along = half[:, None] - (eps / 2) * es + delta[:, None] * es
+        across = half[:, None] - (eps / 2) * es + delta[:, None] * np.array([1.0, -1.0])
+        raw = np.concatenate([along, across]).reshape(-1, 2)
+        assert _assert_same_spine_mask(pa, models.wrap_chart(pa.chart, raw), eps).any()
+        _assert_same_spine_mask(cat, models.wrap_chart(cat.chart, raw), eps)

@@ -120,3 +120,21 @@ def test_retired_name_check_sees_them():
                      "def f(_chain_raw):\n    return E().sub_engine\n")
     assert _spelled(tree, _RETIRED) == [(2, "sub_engine"), (3, "_rho_block"),
                                         (4, "_chain_raw"), (5, "sub_engine")]
+
+
+# the per-pair scalar crossing selection that the grid crossing pass of
+# sector_parametrization replaced; its reference copy lives in
+# tests/test_sectors.py
+_RETIRED_SECTORS = ("_select_crossing",)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_per_pair_crossing_selection(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _spelled(tree, _RETIRED_SECTORS) == []
+
+
+def test_retired_sector_name_check_sees_it():
+    tree = ast.parse("def _select_crossing(sys):\n    return sectors._select_crossing\n")
+    assert _spelled(tree, _RETIRED_SECTORS) == [(1, "_select_crossing"),
+                                                (2, "_select_crossing")]
