@@ -80,51 +80,192 @@ def _cell_diagonals(chart: str, res: int) -> np.ndarray:
                       models.chart_distance_arr(chart, c3, c4))
 
 
+# Candidate (source, target) pairs an edge builder holds at once, whatever
+# --res and --eps: a few 8 MB temporaries.
+_CHUNK_PAIRS = 1 << 20
+# Relative margin of the squared-norm pre-test around thr**2.  The squares,
+# their sum or difference and hypot each round by an ulp or two, so on
+# either side of this band (about 4500 ulp) hypot(x, y) <= thr is decided.
+_SQ_MARGIN = 1e-12
+
+
+def _row_sets(keys: np.ndarray, n: int):
+    """Sorted distinct entries below ``n`` of each row of ``keys``.
+
+    ``n`` marks a non-edge.  Sorts ``keys`` in place; returns the per-row
+    counts and the entries in row order.
+    """
+    keys.sort(axis=1)
+    keep = keys < n
+    keep[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+    return keep.sum(axis=1), keys[keep]
+
+
+def _window_edges(chart, res, img, offs, thr):
+    """Target keys of each row's candidate cells, ``res**2`` where the cell
+    is no edge of the row: the cells at ``offs`` x ``offs`` from the
+    cell of its image ``img`` (and, on the quotient, of ``-img``).
+
+    Both coordinates wrap on their own, so the lattice residuals of each
+    axis are an (offsets, m) array, and the squared norms compare on
+    their broadcast.  That decides every pair outside the ``_SQ_MARGIN``
+    band around thr; ``hypot``, the chart distance, decides the rest.
+    """
+    h = 1.0 / res
+    signs = (1.0,) if chart == models.TORUS else (1.0, -1.0)
+    lo, hi = thr * thr * (1.0 - _SQ_MARGIN), thr * thr * (1.0 + _SQ_MARGIN)
+    # pair arrays run (window, x-offset, y-offset, row): long inner loops
+    edge = np.zeros((len(signs), offs.size, offs.size, img.shape[0]), dtype=bool)
+    cells = []
+    for win, sgn in enumerate(signs):
+        base = np.floor(sgn * img / h - 0.5).astype(int)
+        cand = (base[:, 0] + offs[:, None], base[:, 1] + offs[:, None])
+        cells.append(cand)
+        tcx, tcy = ((c + 0.5) * h for c in cand)
+        sides = [(img[:, 0] - tcx, img[:, 1] - tcy)]
+        if chart == models.SPHERE_QUOTIENT:
+            sides.append((img[:, 0] + tcx, img[:, 1] + tcy))
+        for wx, wy in sides:
+            rx, ry = wx - np.round(wx), wy - np.round(wy)
+            rx2, ry2 = (rx * rx)[:, None, :], (ry * ry)[None, :, :]
+            sure = ry2 <= lo - rx2
+            edge[win] |= sure
+            near = ry2 <= hi - rx2
+            if np.count_nonzero(near) > np.count_nonzero(sure):
+                ox, oy, i = np.nonzero(near & ~sure)
+                edge[win, ox, oy, i] |= np.hypot(rx[ox, i], ry[oy, i]) <= thr
+    cx = np.stack([np.mod(c[0], res) * res for c in cells], axis=1).astype(np.int32).T
+    cy = np.stack([np.mod(c[1], res) for c in cells], axis=1).astype(np.int32).T
+    keys = cx[:, :, :, None] + cy[:, :, None, :]
+    edge = np.ascontiguousarray(edge.transpose(3, 0, 1, 2))
+    return np.where(edge, keys, np.int32(res * res)).reshape(img.shape[0], -1)
+
+
+def _stencil_offsets(chart, res, thr):
+    """Cell offsets of a flat chart's stencil and the candidate pairs of
+    one source: (2r+1)**2 per window, two windows on the quotient."""
+    # no lattice residual reaches 0.75 (the largest is hypot(0.5, 0.5)): a
+    # larger thr makes every candidate an edge, and this stencil spans the grid
+    r = int(np.ceil(min(thr, 0.75) * res)) + 1
+    offs = np.arange(-r, r + 1)
+    return offs, (1 if chart == models.TORUS else 2) * offs.size ** 2
+
+
 def _edges_wrapped(chart, res, imgs, thr):
-    """Candidate windows in index space for the flat (wrapping) charts."""
+    """CSR rows of the flat (wrapping) charts, one stencil pass per chunk.
+
+    ``thr`` is the one threshold of a flat grid.  A source's candidates
+    are the (2r+1)**2 cells around its image (and, on the quotient,
+    around minus its image), each tested against both quotient
+    representatives; repeats, from overlapping windows or a stencil wider
+    than the grid, are edges when any of their tests passes.  A chunk
+    holds whole sources; ``check_grid`` refuses a grid where one source
+    alone exceeds it.
+    """
+    n = imgs.shape[0]
+    offs, row_pairs = _stencil_offsets(chart, res, thr)
+    step = _CHUNK_PAIRS // row_pairs
+    counts, indices = [], []
+    for lo in range(0, n, step):
+        c, k = _row_sets(_window_edges(chart, res, imgs[lo:lo + step], offs, thr), n)
+        counts.append(c)
+        indices.append(k)
+    return np.concatenate(counts), np.concatenate(indices)
+
+
+def _lon_windows(lon, col, ja, nj, tcol, tmax, res):
+    """Longitude cell windows of each source's band rows: (first, last),
+    first in [0, res) and last possibly past res - 1 for a window that
+    wraps, last < first where no cell of the row can pass the test.
+
+    A pair at angle pi*d with d <= t has, by the haversine formula,
+    sin(th1) sin(th2) sin^2(dphi/2) = hav(pi d) - hav(dth) <= sin^2(pi t'/2)
+    - hav(dth), with t' = min(t, 1): d never exceeds 1, and past 1 the sine
+    falls again.  The bound gets 1e-12 of slack: the test's rounding moves
+    hav by about 1e-15, and the slack moves a window edge by at least
+    1e-12/pi, far above the rounding of the window and index arithmetic.
+    A row the bound cannot narrow takes all res cells; so does every row
+    with t >= 1, since sin(th1) sin(th2) <= cos^2(dth/2) = 1 - hav(dth).
+    """
+    h = 1.0 / res
+    jr = np.arange(nj.max())
+    tj = np.minimum(ja[:, None] + jr, res - 1)
+    gap = np.abs(col[:, None] - tcol[tj])
+    room = (np.sin(0.5 * np.pi * np.minimum(tmax[tj], 1.0)) ** 2 + 1e-12
+            - np.sin(0.5 * np.pi * gap) ** 2)
+    prod = np.sin(np.pi * col)[:, None] * np.sin(np.pi * tcol[tj])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = room / prod
+    full = ~((prod > 0.0) & (bound < 1.0))
+    half = np.arcsin(np.sqrt(np.clip(bound, 0.0, 1.0))) / np.pi
+    first = np.ceil((lon[:, None] - half) / h - 0.5)
+    span = np.floor((lon[:, None] + half) / h - 0.5) - first
+    first[full], span[full] = 0, res
+    # the chart distance's own prefilter, as in the test
+    span[(jr >= nj[:, None]) | (gap > tmax[tj]) | (room < 0.0)] = -1
+    first = np.mod(first, res).astype(np.int32)
+    return first, first + np.minimum(span, res).astype(np.int32)
+
+
+def _edges_geographic(res, imgs, thr):
+    """CSR rows of the geographic chart from per-source windows.
+
+    A source's candidates are a band of target colatitude rows, those
+    within the largest row threshold of its image, each cut to the
+    longitude window of ``_lon_windows``.  The windows of one source
+    share its longitude as centre, so they nest in the widest one, and
+    candidates run over that window's cells in index order, each over its
+    rows: in target order, so each chunk's edges append to the CSR as
+    they are.  The prefilter and the test are the chart distance's,
+    unchanged.
+    """
     h = 1.0 / res
     n = imgs.shape[0]
-    r = int(np.ceil(thr.max() * res)) + 1
-    offs = np.stack(np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1),
-                                indexing="ij"), axis=-1).reshape(-1, 2)
-    signs = (1.0,) if chart == models.TORUS else (1.0, -1.0)
-    rows, cols = [], []
-    for lo in range(0, n, 4096):
-        hi = min(lo + 4096, n)
-        img = imgs[lo:hi]
-        for sgn in signs:
-            tgt = sgn * img
-            base = np.floor(tgt / h - 0.5).astype(int)
-            cand = base[:, None, :] + offs[None, :, :]
-            tc = (cand + 0.5) * h
-            d = models.chart_distance_arr(chart, img[:, None, :], tc)
-            ci = np.mod(cand[..., 0], res)
-            cj = np.mod(cand[..., 1], res)
-            tix = ci * res + cj
-            m = d <= thr[tix]
-            rows.append(np.broadcast_to(np.arange(lo, hi)[:, None], m.shape)[m])
-            cols.append(tix[m])
-    return np.concatenate(rows), np.concatenate(cols)
-
-
-def _edges_geographic(chart, res, imgs, thr):
-    """Band over target colatitude rows; lon windows vary too much."""
-    h = 1.0 / res
-    rows, cols = [], []
-    col_idx = np.arange(res)
-    for tj in range(res):
-        tcol = (tj + 0.5) * h
-        tidx = col_idx * res + tj
-        t = thr[tidx]
-        src = np.nonzero(np.abs(imgs[:, 1] - tcol) <= t.max())[0]
-        if src.size == 0:
-            continue
-        tc = np.stack([(col_idx + 0.5) * h, np.full(res, tcol)], axis=1)
-        d = models.chart_distance_arr(chart, imgs[src][:, None, :], tc[None, :, :])
-        r, c = np.nonzero(d <= t[None, :])
-        rows.append(src[r])
-        cols.append(tidx[c])
-    return np.concatenate(rows), np.concatenate(cols)
+    tcol = (np.arange(res) + 0.5) * h
+    tmax = thr.reshape(res, res).max(axis=0)
+    big = float(tmax.max())
+    lon, col = imgs[:, 0], imgs[:, 1]
+    ja = np.clip(np.ceil((col - big - 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
+    jb = np.clip(np.floor((col + big + 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
+    nj = jb - ja + 1  # at least 1: big is at least h, a cell's colatitude side
+    block = max(1, _CHUNK_PAIRS // int(nj.max()))
+    # the widest window of each source: its first cell and its length
+    a = np.zeros(n, dtype=np.int64)
+    nl = np.zeros(n, dtype=np.int64)
+    for s0 in range(0, n, block):
+        sl = slice(s0, s0 + block)
+        first, last = _lon_windows(lon[sl], col[sl], ja[sl], nj[sl], tcol, tmax, res)
+        widest = np.argmax(last - first, axis=1)[:, None]
+        a[sl] = np.take_along_axis(first, widest, axis=1)[:, 0]
+        nl[sl] = np.minimum(np.take_along_axis(last - first, widest, axis=1)[:, 0] + 1, res)
+    # a window that wraps lists its cells from index 0 on: rotate it there
+    rot = np.mod(-a, res)
+    rot[rot >= nl] = 0
+    ends = np.cumsum(nl)
+    e_src = models._geo_embed(imgs)
+    ex, ey, ez = models._geo_embed(_grid_centers(res)).T
+    counts = np.zeros(n, dtype=np.int64)
+    indices = [np.zeros(0, np.int32)]
+    for k0 in range(0, int(ends[-1]), block):
+        k1 = min(k0 + block, int(ends[-1]))
+        s0 = int(np.searchsorted(ends, k0, side="right"))
+        s1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
+        taken = np.minimum(ends[s0:s1], k1) - np.maximum(ends[s0:s1] - nl[s0:s1], k0)
+        s = np.repeat(np.arange(s0, s1), taken)
+        li = np.arange(k0, k1) - (ends[s] - nl[s])
+        ci = np.mod(a[s] + np.mod(li + rot[s], nl[s]), res).astype(np.int32)[:, None]
+        sl = slice(s0, s1)
+        first, last = (np.repeat(w, taken, axis=0) for w in
+                       _lon_windows(lon[sl], col[sl], ja[sl], nj[sl], tcol, tmax, res))
+        p, jj = np.nonzero(((ci >= first) & (ci <= last)) | (ci + res <= last))
+        s = s[p]
+        tix = ci[p, 0] * res + (ja[s] + jj)
+        # np.sum's order over the embedding axis, as in chart_distance_arr
+        d = (e_src[s, 0] * ex[tix] + e_src[s, 1] * ey[tix]) + e_src[s, 2] * ez[tix]
+        ok = np.arccos(np.clip(d, -1.0, 1.0)) / np.pi <= thr[tix]
+        counts[s0:s1] += np.bincount(s[ok] - s0, minlength=s1 - s0)
+        indices.append(tix[ok].astype(np.int32))
+    return counts, np.concatenate(indices)
 
 
 def check_grid(chart: str, grid_resolution: int, eps: float) -> np.ndarray:
@@ -140,6 +281,14 @@ def check_grid(chart: str, grid_resolution: int, eps: float) -> np.ndarray:
         raise ConfigError(
             f"--eps {eps} below half the largest cell diagonal {diag.max():.4g} at "
             f"--res {grid_resolution}; raise --eps or --res")
+    if chart in (models.TORUS, models.SPHERE_QUOTIENT):
+        # past this the graph itself holds 5e10 edges or more (200 GB of indices)
+        row_pairs = _stencil_offsets(chart, grid_resolution, eps + diag[0])[1]
+        if row_pairs > _CHUNK_PAIRS:
+            raise ConfigError(
+                f"--eps {eps} at --res {grid_resolution} gives each cell {row_pairs} "
+                f"candidate targets, more than the {_CHUNK_PAIRS} an edge-build chunk "
+                f"holds; lower --eps or --res")
     return diag
 
 
@@ -161,12 +310,15 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
                       else models.iterate_arr(sys, centers, 1), dtype=float)
     thr = eps + diag
     if chart in (models.TORUS, models.SPHERE_QUOTIENT):
-        r, c = _edges_wrapped(chart, res, imgs, thr)
+        # flat cells are all alike: one threshold
+        counts, indices = _edges_wrapped(chart, res, imgs, thr[0])
     else:
-        r, c = _edges_geographic(chart, res, imgs, thr)
+        counts, indices = _edges_geographic(res, imgs, thr)
     n = res * res
-    adj = sp.csr_matrix((np.ones(len(r), np.int8), (r, c)), shape=(n, n))
-    adj.data = np.ones_like(adj.data)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    adj = sp.csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
+    adj.has_canonical_format = True  # each row sorted and free of repeats
     return ChainClassGraph(kind=sys.kind, chart=chart, grid_resolution=res,
                            eps=eps, centers=centers, cell_diag=diag,
                            adjacency=adj)
@@ -189,23 +341,30 @@ class _Union:
             self.parent[max(ra, rb)] = min(ra, rb)
 
 
-def _merge_close_classes(g: ChainClassGraph, lab, rec_mask):
-    """Union recurrent classes whose cells sit within one edge slack."""
-    rec = np.nonzero(rec_mask)[0]
+def _merge_close_classes(g: ChainClassGraph, lab, rec) -> np.ndarray:
+    """Union recurrent classes whose cells sit within one edge slack.
+
+    ``rec`` lists the recurrent cells.  Returns each SCC label's merged
+    root, the smallest label of its union (-1 for labels of no recurrent
+    cell).
+    """
     ids = np.unique(lab[rec])
     uf = _Union(ids)
     if len(ids) > 1:
         slack = g.eps + float(g.cell_diag.max())
         pts = g.centers[rec]
         labs = lab[rec]
-        for lo in range(0, len(rec), 2048):
-            hi = min(lo + 2048, len(rec))
+        step = max(1, _CHUNK_PAIRS // len(rec))
+        for lo in range(0, len(rec), step):
+            hi = min(lo + step, len(rec))
             d = models.chart_distance_arr(g.chart, pts[lo:hi, None, :],
                                           pts[None, :, :])
             a, b = np.nonzero((d <= slack) & (labs[lo:hi, None] != labs[None, :]))
             for pair in set(zip(labs[lo + a].tolist(), labs[b].tolist())):
                 uf.union(*pair)
-    return {int(i): uf.find(int(i)) for i in ids}
+    root = np.full(int(lab.max()) + 1, -1)
+    root[ids] = [uf.find(int(i)) for i in ids]
+    return root
 
 
 def chain_classes(g: ChainClassGraph) -> Partition:
@@ -225,14 +384,15 @@ def chain_classes(g: ChainClassGraph) -> Partition:
     labels = np.full(g.n_cells, -1, dtype=int)
     classes = []
     if rec_mask.any():
-        remap = _merge_close_classes(g, lab, rec_mask)
-        groups = {}
-        for i in np.nonzero(rec_mask)[0]:
-            groups.setdefault(remap[int(lab[i])], []).append(int(i))
-        for cells in sorted(groups.values(), key=min):
-            arr = np.array(sorted(cells), dtype=int)
-            labels[arr] = len(classes)
-            classes.append(arr)
+        rec = np.nonzero(rec_mask)[0]
+        key = _merge_close_classes(g, lab, rec)[lab[rec]]
+        # a stable sort keeps each class's cells ascending: its first is its min
+        by_class = np.argsort(key, kind="stable")
+        key = key[by_class]
+        groups = np.split(rec[by_class], np.flatnonzero(key[1:] != key[:-1]) + 1)
+        for cells in sorted(groups, key=lambda c: c[0]):
+            labels[cells] = len(classes)
+            classes.append(cells)
     g.scc_labels = labels
     g.classes = classes
     return Partition(labels=labels, classes=classes, n_cells=g.n_cells)
@@ -286,7 +446,8 @@ def class_order(sys, g: ChainClassGraph, partition: Partition) -> dict:
     """
     k = partition.n_classes
     fwd = [_reachable(g.adjacency, c) for c in partition.classes]
-    bwd = [_reachable(g.adjacency.T.tocsr(), c) for c in partition.classes]
+    adj_t = g.adjacency.T.tocsr()
+    bwd = [_reachable(adj_t, c) for c in partition.classes]
     order = []
     for i in range(k):
         for j in range(k):

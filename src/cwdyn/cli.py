@@ -131,6 +131,9 @@ def _load_config_file(path) -> dict:
 _POSITIVE_INTS = ("depth", "resolution", "budget", "grid")
 _INTS = _POSITIVE_INTS + ("sample_budget", "seed")
 _FLOATS = ("c", "eps", "alpha")
+# arc half-length of the sectors command's spine scan, whatever --eps is;
+# a local arc needs it below c
+_SPINE_SCAN_EPS = 0.1
 _FLAGS = {"resolution": "--res", "sample_budget": "--sample-budget"}
 
 
@@ -159,8 +162,11 @@ def _check_sectors(cfg: ExperimentConfig) -> None:
     for flag, val in (("--grid", cfg.grid), ("--res", cfg.resolution)):
         if val is not None and val < 2:
             raise ConfigError(f"{flag} must be at least 2, got {val}")
+    c = make_model(cfg.model, c=cfg.c).c
+    if not c > _SPINE_SCAN_EPS:
+        raise ConfigError(f"--c must exceed {_SPINE_SCAN_EPS}, the spine scan's "
+                          f"arc half-length, got {c}")
     if cfg.eps is not None:
-        c = make_model(cfg.model, c=cfg.c).c
         if not 0.0 < cfg.eps < c:
             raise ConfigError(f"--eps must lie in (0, c={c}), got {cfg.eps}")
 
@@ -403,7 +409,7 @@ def _cmd_chainrec(cfg):
 def _cmd_sectors(cfg):
     sys_model = make_model(cfg.model, c=cfg.c)
     res = cfg.resolution if cfg.resolution is not None else 64
-    spines = sectors.enumerate_spines(sys_model, eps=0.1, grid_res=res)
+    spines = sectors.enumerate_spines(sys_model, eps=_SPINE_SCAN_EPS, grid_res=res)
     kw = {}
     if cfg.eps is not None:
         kw["eps"] = cfg.eps

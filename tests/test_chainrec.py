@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from cwdyn import chainrec, models
 from cwdyn.chainrec import (
@@ -187,3 +188,281 @@ class TestRecord:
         assert rec["roles"] == {"0": "repeller", "1": "attractor"}
         assert len(rec["classes"]) == 2
         assert rec["n_edges"] == g.adjacency.nnz
+
+
+# -- reference: the COO edge builders that the CSR passes replaced ----------
+
+
+def _ref_edges_wrapped(chart, res, imgs, thr):
+    h = 1.0 / res
+    n = imgs.shape[0]
+    r = int(np.ceil(thr.max() * res)) + 1
+    offs = np.stack(np.meshgrid(np.arange(-r, r + 1), np.arange(-r, r + 1),
+                                indexing="ij"), axis=-1).reshape(-1, 2)
+    signs = (1.0,) if chart == models.TORUS else (1.0, -1.0)
+    rows, cols = [], []
+    for lo in range(0, n, 4096):
+        hi = min(lo + 4096, n)
+        img = imgs[lo:hi]
+        for sgn in signs:
+            tgt = sgn * img
+            base = np.floor(tgt / h - 0.5).astype(int)
+            cand = base[:, None, :] + offs[None, :, :]
+            tc = (cand + 0.5) * h
+            d = models.chart_distance_arr(chart, img[:, None, :], tc)
+            ci = np.mod(cand[..., 0], res)
+            cj = np.mod(cand[..., 1], res)
+            tix = ci * res + cj
+            m = d <= thr[tix]
+            rows.append(np.broadcast_to(np.arange(lo, hi)[:, None], m.shape)[m])
+            cols.append(tix[m])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _ref_edges_geographic(chart, res, imgs, thr):
+    h = 1.0 / res
+    rows, cols = [], []
+    col_idx = np.arange(res)
+    for tj in range(res):
+        tcol = (tj + 0.5) * h
+        tidx = col_idx * res + tj
+        t = thr[tidx]
+        src = np.nonzero(np.abs(imgs[:, 1] - tcol) <= t.max())[0]
+        if src.size == 0:
+            continue
+        tc = np.stack([(col_idx + 0.5) * h, np.full(res, tcol)], axis=1)
+        d = models.chart_distance_arr(chart, imgs[src][:, None, :], tc[None, :, :])
+        r, c = np.nonzero(d <= t[None, :])
+        rows.append(src[r])
+        cols.append(tidx[c])
+    return np.concatenate(rows), np.concatenate(cols)
+
+
+def _ref_adjacency(sys, res, eps, step=None):
+    centers = chainrec._grid_centers(res)
+    diag = chainrec._cell_diagonals(sys.chart, res)
+    imgs = np.asarray(step(centers) if step is not None
+                      else models.iterate_arr(sys, centers, 1), dtype=float)
+    thr = eps + diag
+    if sys.chart in (models.TORUS, models.SPHERE_QUOTIENT):
+        r, c = _ref_edges_wrapped(sys.chart, res, imgs, thr)
+    else:
+        r, c = _ref_edges_geographic(sys.chart, res, imgs, thr)
+    n = res * res
+    adj = sp.csr_matrix((np.ones(len(r), np.int8), (r, c)), shape=(n, n))
+    adj.data = np.ones_like(adj.data)
+    return adj
+
+
+def _assert_same_csr(got, want):
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert np.array_equal(a, b), name
+    assert got.shape == want.shape
+
+
+def _toward_spines(pts):
+    # every image within a cell or two of a half-lattice point (a quotient
+    # spine), where the +img and -img windows overlap
+    return 0.5 * np.round(2.0 * pts) + 0.02 * (pts - 0.5)
+
+
+def _poles_and_seams(pts):
+    # longitudes across the 0/1 seam, colatitudes on and next to the poles
+    out = pts.copy()
+    out[:, 0] = np.mod(0.97 + 0.06 * pts[:, 0], 1.0)
+    out[::3, 1] = np.round(pts[::3, 1])
+    out[1::3, 1] = np.clip(np.round(pts[1::3, 1]) + 0.01 * (pts[1::3, 1] - 0.5), 0.0, 1.0)
+    return out
+
+
+def _random_images(pts):
+    return np.random.default_rng(len(pts)).random(pts.shape)
+
+
+_STEPS = {"identity": lambda pts: pts, "spines": _toward_spines,
+          "poles": _poles_and_seams, "random": _random_images}
+
+
+class TestCsrMatchesCooReference:
+    # (model, res, eps): stencils wider than the grid (res 5 and 8), odd
+    # sizes, grid-scan's own grids at res 128, and north-south row
+    # thresholds eps + diag in (1, 2) (res 4 and 8, eps 0.8: the CLI's
+    # default eps 6.4/res)
+    CASES = [("cat-map", 5, 0.3), ("cat-map", 8, 0.3), ("cat-map", 17, 0.1),
+             ("cat-map", 64, 0.1), ("cat-map", 128, 0.05),
+             ("sphere-pA", 5, 0.3), ("sphere-pA", 8, 0.3), ("sphere-pA", 17, 0.1),
+             ("sphere-pA", 64, 0.1), ("sphere-pA", 128, 0.05),
+             ("north-south", 5, 0.3), ("north-south", 8, 0.3), ("north-south", 17, 0.1),
+             ("north-south", 64, 0.02), ("north-south", 96, 0.012),
+             ("north-south", 128, 0.01), ("north-south", 4, 0.8),
+             ("north-south", 8, 0.8)]
+
+    @pytest.mark.parametrize("kind,res,eps", CASES)
+    def test_model_grids(self, kind, res, eps):
+        sys = make_model(kind)
+        _assert_same_csr(build_graph(sys, res, eps).adjacency, _ref_adjacency(sys, res, eps))
+
+    @pytest.mark.parametrize("step", sorted(_STEPS))
+    @pytest.mark.parametrize("kind,res,eps", [("cat-map", 6, 0.25), ("cat-map", 32, 0.06),
+                                              ("sphere-pA", 6, 0.25), ("sphere-pA", 32, 0.06),
+                                              ("north-south", 6, 0.25),
+                                              ("north-south", 6, 0.9),
+                                              ("north-south", 32, 0.06)])
+    def test_synthetic_steps(self, kind, res, eps, step):
+        sys = make_model(kind)
+        f = _STEPS[step]
+        _assert_same_csr(build_graph(sys, res, eps, step=f).adjacency,
+                         _ref_adjacency(sys, res, eps, step=f))
+
+    @pytest.mark.parametrize("kind,budgets", [("cat-map", (81, 100, 170)),
+                                              ("sphere-pA", (162, 200, 340)),
+                                              ("north-south", (1, 7, 60))])
+    def test_tiny_chunks(self, kind, budgets, monkeypatch):
+        # flat chunks of one source (a 9 x 9 stencil per window) up to a
+        # few; geographic chunks far below one source, which then splits
+        # across chunks
+        sys = make_model(kind)
+        want = _ref_adjacency(sys, 12, 0.1, step=_toward_spines)
+        for pairs in budgets:
+            monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", pairs)
+            got = build_graph(sys, 12, 0.1, step=_toward_spines).adjacency
+            _assert_same_csr(got, want)
+
+    @pytest.mark.parametrize("kind,res,eps", [("cat-map", 8, 0.3), ("sphere-pA", 8, 0.3),
+                                              ("cat-map", 6, 5.0), ("sphere-pA", 6, 5.0)])
+    def test_chunks_hold_at_most_the_pair_budget(self, kind, res, eps, monkeypatch):
+        # rows of 121 to 338 pairs, one to three a chunk; eps 5 would ask
+        # for a 67-wide stencil without the clamp at the diameter
+        sizes = []
+        real = chainrec._window_edges
+
+        def spy(*args):
+            out = real(*args)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(chainrec, "_window_edges", spy)
+        monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", 400)
+        sys = make_model(kind)
+        got = build_graph(sys, res, eps).adjacency
+        assert 0 < max(sizes) <= 400
+        _assert_same_csr(got, _ref_adjacency(sys, res, eps))
+
+    @pytest.mark.parametrize("chart,res,eps", [
+        (models.TORUS, 12, 0.1), (models.SPHERE_QUOTIENT, 12, 0.1),
+        (models.TORUS, 700, 0.75), (models.SPHERE_QUOTIENT, 500, 0.75)])
+    def test_grid_past_the_chunk_is_refused(self, chart, res, eps, monkeypatch):
+        # one source's stencil above the budget (81 or 162 pairs against
+        # 80 at res 12; over 2**20 at res 500-700): refused up front
+        if res == 12:
+            monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", 80)
+        with pytest.raises(ConfigError, match="--eps.*--res"):
+            chainrec.check_grid(chart, res, eps)
+
+    @pytest.mark.parametrize("kind,eps", [("cat-map", 1.0), ("sphere-pA", 1.0),
+                                          ("north-south", 1.0), ("north-south", 5.0)])
+    def test_threshold_past_the_diameter(self, kind, eps):
+        # thr above every chart distance: the clamped stencil, and the
+        # longitude windows past t = 1, still find every cell
+        sys = make_model(kind)
+        got = build_graph(sys, 8, eps).adjacency
+        _assert_same_csr(got, _ref_adjacency(sys, 8, eps))
+        assert got.nnz == 64 * 64
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_distances_at_the_threshold(self, kind):
+        # identity images sit on the cell lattice, so with thr = 5h some
+        # candidate norms are hypot(3h, 4h): inside the pre-test's band,
+        # decided by hypot alone
+        res = 16
+        h = 1.0 / res
+        eps = 5.0 * h - np.sqrt(2.0) * h
+        thr = eps + np.sqrt(2.0) * h
+        assert abs(np.hypot(3 * h, 4 * h) - thr) <= chainrec._SQ_MARGIN * thr
+        sys = make_model(kind)
+        ident = _STEPS["identity"]
+        got = build_graph(sys, res, eps, step=ident).adjacency
+        _assert_same_csr(got, _ref_adjacency(sys, res, eps, step=ident))
+
+    def test_geographic_pair_at_the_threshold(self):
+        # eps set so that one pair's distance meets its target's threshold:
+        # that cell sits on the edge of its row's longitude window
+        res = 16
+        centers = chainrec._grid_centers(res)
+        diag = chainrec._cell_diagonals(models.SPHERE_GEOGRAPHIC, res)
+        s, t = 3 * res + 7, 5 * res + 7
+        d = models.chart_distance_arr(models.SPHERE_GEOGRAPHIC, centers[s], centers[t])
+        eps = float(d - diag[t])
+        while eps + diag[t] < d:
+            eps = float(np.nextafter(eps, 1.0))
+        sys = make_model("north-south")
+        ident = _STEPS["identity"]
+        want = _ref_adjacency(sys, res, eps, step=ident)
+        assert want[s, t] == 1
+        _assert_same_csr(build_graph(sys, res, eps, step=ident).adjacency, want)
+
+
+# -- reference: the per-cell grouping and row-block merge that the array
+# passes of chain_classes replaced ------------------------------------------
+
+
+def _ref_chain_labels(g):
+    n_comp, lab = connected_components(g.adjacency, directed=True, connection="strong")
+    sizes = np.bincount(lab, minlength=n_comp)
+    rec_mask = (sizes[lab] >= 2) | g.adjacency.diagonal().astype(bool)
+    rec = np.nonzero(rec_mask)[0]
+    ids = np.unique(lab[rec])
+    uf = chainrec._Union(ids)
+    if len(ids) > 1:
+        slack = g.eps + float(g.cell_diag.max())
+        pts = g.centers[rec]
+        labs = lab[rec]
+        for lo in range(0, len(rec), 2048):
+            hi = min(lo + 2048, len(rec))
+            d = models.chart_distance_arr(g.chart, pts[lo:hi, None, :], pts[None, :, :])
+            a, b = np.nonzero((d <= slack) & (labs[lo:hi, None] != labs[None, :]))
+            for pair in set(zip(labs[lo + a].tolist(), labs[b].tolist())):
+                uf.union(*pair)
+    remap = {int(i): uf.find(int(i)) for i in ids}
+    labels = np.full(g.n_cells, -1, dtype=int)
+    classes = []
+    groups = {}
+    for i in rec:
+        groups.setdefault(remap[int(lab[i])], []).append(int(i))
+    for cells in sorted(groups.values(), key=min):
+        arr = np.array(sorted(cells), dtype=int)
+        labels[arr] = len(classes)
+        classes.append(arr)
+    return labels, classes
+
+
+def _sinks(pts):
+    # contract toward the points of the quarter lattice: attracting blobs,
+    # more than one slack apart
+    q = np.round(4.0 * pts) / 4.0
+    return q + 0.1 * (pts - q)
+
+
+class TestChainClassesMatchReference:
+    @pytest.mark.parametrize("kind,res,eps,step", [
+        ("cat-map", 64, 0.1, None), ("sphere-pA", 64, 0.1, None),
+        ("north-south", 128, 0.01, None), ("north-south", 96, 0.012, None),
+        ("cat-map", 64, 0.012, "sinks"), ("sphere-pA", 64, 0.012, "sinks"),
+        ("north-south", 64, 0.03, "sinks"), ("cat-map", 16, 0.05, "identity")])
+    def test_labels_and_classes(self, kind, res, eps, step, monkeypatch):
+        f = {None: None, "sinks": _sinks, "identity": _STEPS["identity"]}[step]
+        g = build_graph(make_model(kind), res, eps, step=f)
+        labels, classes = _ref_chain_labels(g)
+        for pairs in (chainrec._CHUNK_PAIRS, 1000):
+            monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", pairs)
+            part = chain_classes(g)
+            assert part.labels.dtype == labels.dtype
+            assert np.array_equal(part.labels, labels)
+            assert len(part.classes) == len(classes)
+            for got, want in zip(part.classes, classes):
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+        if step == "sinks":
+            assert len(classes) > 1

@@ -70,6 +70,8 @@ class TestParseConfig:
         (["sectors", "--model", "sphere-pA", "--res", "1"], "--res"),
         (["sectors", "--model", "sphere-pA", "--eps", "0.3"], "--eps"),
         (["sectors", "--model", "sphere-pA", "--c", "0.2", "--eps", "0.2"], "--eps"),
+        (["sectors", "--model", "sphere-pA", "--c", "0.08"], "--c"),
+        (["sectors", "--model", "sphere-pA", "--c", "0.1"], "--c"),
     ])
     def test_bad_flags_name_the_flag(self, argv, where):
         with pytest.raises(ConfigError, match=where.replace("-", "[-]")):
@@ -287,6 +289,18 @@ class TestSectors:
             rc, err = run_err(["sectors", "--model", "pa", flag, val], capsys)
             assert rc == 1 and err.startswith(f"cwdyn: config error: {flag} ")
         assert not (outdir / "sectors.jsonl").exists()
+
+    def test_c_checked_against_the_spine_scan(self, outdir, capsys, monkeypatch):
+        # the spine scan's arcs have a fixed half-length, which must lie below c
+        def work(*args, **kwargs):
+            raise AssertionError("the spine scan ran")
+
+        monkeypatch.setattr(sectors, "enumerate_spines", work)
+        rc, err = run_err(["sectors", "--model", "pa", "--c", "0.08"], capsys)
+        assert rc == 1 and err.startswith("cwdyn: config error: --c ")
+        assert "0.1" in err
+        assert not (outdir / "sectors.jsonl").exists()
+        assert parse_config(["sectors", "--model", "pa", "--c", "0.12"]).c == 0.12
 
     def test_eps_checked_against_c_flag(self):
         cfg = parse_config(["sectors", "--model", "pa", "--c", "0.5", "--eps", "0.3"])
