@@ -76,8 +76,8 @@ def _cell_diagonals(chart: str, res: int) -> np.ndarray:
     c2 = np.stack([np.full(n, h), colat_lo + h], axis=1)
     c3 = np.stack([np.zeros(n), colat_lo + h], axis=1)
     c4 = np.stack([np.full(n, h), colat_lo], axis=1)
-    return np.maximum(models.chart_distance_arr(chart, c1, c2),
-                      models.chart_distance_arr(chart, c3, c4))
+    return np.maximum(models.chart_distance(chart, c1, c2),
+                      models.chart_distance(chart, c3, c4))
 
 
 # Candidate (source, target) pairs an edge builder holds at once, whatever
@@ -260,7 +260,7 @@ def _edges_geographic(res, imgs, thr):
         p, jj = np.nonzero(((ci >= first) & (ci <= last)) | (ci + res <= last))
         s = s[p]
         tix = ci[p, 0] * res + (ja[s] + jj)
-        # np.sum's order over the embedding axis, as in chart_distance_arr
+        # np.sum's order over the embedding axis, as in chart_distance
         d = (e_src[s, 0] * ex[tix] + e_src[s, 1] * ey[tix]) + e_src[s, 2] * ez[tix]
         ok = np.arccos(np.clip(d, -1.0, 1.0)) / np.pi <= thr[tix]
         counts[s0:s1] += np.bincount(s[ok] - s0, minlength=s1 - s0)
@@ -357,8 +357,7 @@ def _merge_close_classes(g: ChainClassGraph, lab, rec) -> np.ndarray:
         step = max(1, _CHUNK_PAIRS // len(rec))
         for lo in range(0, len(rec), step):
             hi = min(lo + step, len(rec))
-            d = models.chart_distance_arr(g.chart, pts[lo:hi, None, :],
-                                          pts[None, :, :])
+            d = models.chart_distance(g.chart, pts[lo:hi, None, :], pts[None, :, :])
             a, b = np.nonzero((d <= slack) & (labs[lo:hi, None] != labs[None, :]))
             for pair in set(zip(labs[lo + a].tolist(), labs[b].tolist())):
                 uf.union(*pair)

@@ -20,7 +20,7 @@ from . import models
 from .models import (
     SPHERE_QUOTIENT, SPHERE_GEOGRAPHIC,
     BudgetError, ChartError, HorizonError, Point,
-    chart_distance, chart_distance_arr, wrap_chart,
+    chart_distance, wrap_chart,
 )
 
 # polyline edges must stay under one chart step
@@ -187,7 +187,7 @@ class MarkedContinuum:
             if not 0 <= idx < n:
                 raise ValueError(f"{name}={idx} out of range for {n} vertices")
         if n > 1:
-            steps = chart_distance_arr(self.chart, v[:-1], v[1:])
+            steps = chart_distance(self.chart, v[:-1], v[1:])
             if np.any(steps >= MAX_STEP):
                 raise ValueError(f"consecutive vertices exceed one chart step "
                                  f"(max {float(np.max(steps)):.4f} >= {MAX_STEP})")
@@ -230,7 +230,7 @@ def diameter(cont: MarkedContinuum) -> float:
     chunk = 512
     for i in range(0, n, chunk):
         block = v[i:i + chunk]
-        d = chart_distance_arr(cont.chart, block[:, None, :], v[None, :, :])
+        d = chart_distance(cont.chart, block[:, None, :], v[None, :, :])
         best = max(best, float(np.max(d)))
     return best
 
@@ -244,11 +244,11 @@ def _diameter_exceeds(chart: str, pts: np.ndarray, thr: float) -> bool:
     diameter), then the triangle in row blocks, stopping at the first
     block over thr; only a set of diameter <= thr pays the whole triangle.
     """
-    if float(chart_distance_arr(chart, pts[[0, -1], None, :], pts[None, :, :]).max()) > thr:
+    if float(chart_distance(chart, pts[[0, -1], None, :], pts[None, :, :]).max()) > thr:
         return True
     block = 64
     for i in range(0, len(pts), block):
-        d = chart_distance_arr(chart, pts[i:i + block, None, :], pts[None, i:, :])
+        d = chart_distance(chart, pts[i:i + block, None, :], pts[None, i:, :])
         if float(d.max()) > thr:
             return True
     return False
@@ -331,7 +331,7 @@ def _dedupe_points(chart: str, pts: np.ndarray, tol: float, group=None) -> np.nd
         same = group[d:] == group[:-d]
         if not same.any():
             break  # no run is longer than d
-        close = same & ~(chart_distance_arr(proxy, pts[d:], pts[:-d]) > tol)
+        close = same & ~(chart_distance(proxy, pts[d:], pts[:-d]) > tol)
         for i in np.nonzero(close)[0] + d:
             near.setdefault(int(i), []).append(int(i) - d)
     keep = np.ones(n, dtype=bool)

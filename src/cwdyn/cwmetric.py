@@ -36,7 +36,7 @@ import numpy as np
 from . import models
 from .models import (
     CalibrationError, ModelCapabilityError, TORUS, SPHERE_QUOTIENT,
-    NORTH_SOUTH, chart_distance_arr,
+    NORTH_SOUTH, chart_distance,
 )
 from .continua import MarkedContinuum, _diameter_exceeds, unwrap_path
 
@@ -571,7 +571,7 @@ class MetricEvaluator:
             # cumulative-length params of the marked vertices
             v = cont.vertices
             if len(v) > 1:
-                steps = chart_distance_arr(cont.chart, v[:-1], v[1:])
+                steps = chart_distance(cont.chart, v[:-1], v[1:])
                 cum = np.concatenate([[0.0], np.cumsum(steps)])
                 tot = cum[-1] if cum[-1] > 0 else 1.0
                 tp = float(cum[cont.mark_p] / tot)
@@ -838,11 +838,6 @@ def _ns_samples(c: float, budget: int, rng) -> list:
     return samples[:budget]
 
 
-def _ns_colat(t: float, n: int) -> float:
-    p = 2.0 ** n
-    return p * t / (1.0 + (p - 1.0) * t)
-
-
 def calibrate(sys, c: float | None = None, sample_budget: int = 400,
               seed: int = 0, max_m: int | None = None) -> MetricConstants:
     """Find the escape bound m on a sampled continuum family and derive
@@ -867,9 +862,9 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
     if sys.kind == NORTH_SOUTH:
         worst = None
         for lon, t0, t1 in _ns_samples(c, sample_budget, rng):
-            sup = 0.0
-            for n in range(-scan, scan + 1):
-                sup = max(sup, _ns_colat(t1, n) - _ns_colat(t0, n))
+            n = np.arange(-scan, scan + 1)
+            sup = float(np.max(models._north_south_colat(t1, n)
+                               - models._north_south_colat(t0, n)))
             if sup <= c:
                 # spans shrink monotonically toward both poles, so the
                 # scanned window bounds the true sup

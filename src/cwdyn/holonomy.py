@@ -126,15 +126,13 @@ def holonomy(sys, x: Point, y: Point, z: Point, kind: str,
     HolonomyFault when the crossing promised by the product structure
     is missing (model fault).  Points are ordered by distance from z.
     """
-    if kind not in ("stable", "unstable"):
-        raise ValueError(f"kind must be 'stable' or 'unstable', got {kind!r}")
+    other = "unstable" if models._want_stable(kind) else "stable"
     dxy = models.distance(sys, x, y)
     if not dxy < params.delta:
         raise ValueError(f"d(x, y) = {dxy:.3g} is not below delta = {params.delta:.3g}")
     if not _on_arc(sys, x, z, kind, params.delta, 10.0 * params.tol,
                    resolution=params.resolution):
         raise ValueError(f"z is not on the local {kind} arc of x at scale delta")
-    other = "unstable" if kind == "stable" else "stable"
     carrier = models.local_arc(sys, z, other, params.eps, resolution=params.resolution)
     target = models.local_arc(sys, y, kind, params.eps, resolution=params.resolution)
     pts = intersect(carrier, target, tol=params.tol)

@@ -83,12 +83,16 @@ class Point:
 
     def dyadic(self) -> tuple:
         """Exact (num_x, num_y, den) of the coordinates."""
-        if self.exact is not None:
-            return self.exact
-        n1, d1 = float(self.coords[0]).as_integer_ratio()
-        n2, d2 = float(self.coords[1]).as_integer_ratio()
-        dd = max(d1, d2)
-        return (n1 * (dd // d1), n2 * (dd // d2), dd)
+        return self.exact if self.exact is not None else _dyadic(self.coords)
+
+
+def _dyadic(xy) -> tuple:
+    """Exact (num_x, num_y, den) of a float pair.  Floats are binary
+    rationals, so den is the larger of two powers of two."""
+    n1, d1 = float(xy[0]).as_integer_ratio()
+    n2, d2 = float(xy[1]).as_integer_ratio()
+    dd = max(d1, d2)
+    return (n1 * (dd // d1), n2 * (dd // d2), dd)
 
 
 def _wrap1(v):
@@ -124,15 +128,12 @@ def wrap_chart(chart: str, pts) -> np.ndarray:
     raise ChartError(f"unknown chart {chart!r}")
 
 
-def torus_norm(w) -> float:
-    """Distance from a displacement vector to the integer lattice."""
+def torus_norm(w):
+    """Distance from displacement vectors (..., 2) to the integer lattice."""
     w = np.asarray(w, dtype=float)
-    r = w - np.round(w)
-    return float(np.hypot(r[..., 0], r[..., 1])) if r.ndim else float(np.hypot(r[0], r[1]))
-
-
-def _torus_norm_arr(w: np.ndarray) -> np.ndarray:
-    r = w - np.round(w)
+    # np.rint is np.round at 0 decimals without its wrapper's overhead,
+    # which dominates on the single pairs most callers pass
+    r = w - np.rint(w)
     return np.hypot(r[..., 0], r[..., 1])
 
 
@@ -144,8 +145,9 @@ def _geo_embed(xy: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(lon), st * np.sin(lon), np.cos(th)], axis=-1)
 
 
-def chart_distance(chart: str, a, b) -> float:
-    """Metric of the chart: flat torus, quotient of it, or round sphere.
+def chart_distance(chart: str, a, b):
+    """Metric of the chart over broadcastable (..., 2) arrays: flat torus,
+    quotient of it, or round sphere.  A single pair gives a np.float64.
 
     The round-sphere distance is scaled by 1/pi so the three charts share
     a comparable desk scale (diameters 0.707, 0.707/2-ish, 1).
@@ -155,21 +157,7 @@ def chart_distance(chart: str, a, b) -> float:
     if chart == TORUS:
         return torus_norm(a - b)
     if chart == SPHERE_QUOTIENT:
-        return min(torus_norm(a - b), torus_norm(a + b))
-    if chart == SPHERE_GEOGRAPHIC:
-        d = float(np.dot(_geo_embed(a), _geo_embed(b)))
-        return math.acos(max(-1.0, min(1.0, d))) / math.pi
-    raise ChartError(f"unknown chart {chart!r}")
-
-
-def chart_distance_arr(chart: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`chart_distance` over broadcastable (..., 2) arrays."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if chart == TORUS:
-        return _torus_norm_arr(a - b)
-    if chart == SPHERE_QUOTIENT:
-        return np.minimum(_torus_norm_arr(a - b), _torus_norm_arr(a + b))
+        return np.minimum(torus_norm(a - b), torus_norm(a + b))
     if chart == SPHERE_GEOGRAPHIC:
         d = np.sum(_geo_embed(a) * _geo_embed(b), axis=-1)
         return np.arccos(np.clip(d, -1.0, 1.0)) / math.pi
@@ -238,7 +226,7 @@ class SystemModel:
         """Modulus of the expanding eigenvalue."""
         if not self.is_hyperbolic:
             raise ModelCapabilityError("north-south map has no hyperbolic splitting")
-        return float(np.max(np.abs(np.linalg.eigvals(np.asarray(self.matrix, dtype=float)))))
+        return abs(eigen_frame(self.matrix).su)
 
     def eigen_direction(self, stable: bool) -> np.ndarray:
         """Unit eigenvector of the stable or unstable line."""
@@ -332,11 +320,7 @@ def _exact_linear_mod1(matrix_pow: tuple, xy) -> np.ndarray:
     reduction are computed in integer arithmetic; only the final division
     rounds.
     """
-    n1, d1 = float(xy[0]).as_integer_ratio()
-    n2, d2 = float(xy[1]).as_integer_ratio()
-    dd = max(d1, d2)  # both are powers of two
-    a = n1 * (dd // d1)
-    b = n2 * (dd // d2)
+    a, b, dd = _dyadic(xy)
     ((m00, m01), (m10, m11)) = matrix_pow
     u = (m00 * a + m01 * b) % dd
     v = (m10 * a + m11 * b) % dd
@@ -353,21 +337,41 @@ def iterate(sys: SystemModel, x: Point, n: int) -> Point:
         return x
     if sys.kind == NORTH_SOUTH:
         lon, colat = x.coords
-        p = 2.0 ** n
-        colat2 = p * colat / (1.0 + (p - 1.0) * colat)
+        colat2 = _north_south_colat(colat, n)
         return Point(sys.chart, (float(lon), float(min(1.0, max(0.0, colat2)))))
     a, b, d = x.dyadic()
     ((m00, m01), (m10, m11)) = _mat_power(sys.matrix, n)
     return _exact_point(sys.chart, (m00 * a + m01 * b) % d, (m10 * a + m11 * b) % d, d)
 
 
+def _north_south_colat(colat, n):
+    """Colatitude after n steps of the north-south map, unclipped, for a
+    float or an array of them and an int or an array of ints.
+
+    The Moebius map p*t / (1 + (p - 1)*t), p = 2^n, fixes both poles.  For
+    n <= -54, p - 1 rounds to -1, so the denominator at the pole t = 1 is
+    0; the pole is kept fixed there too.
+    """
+    p = 2.0 ** np.asarray(n, dtype=float)
+    with np.errstate(divide="ignore"):
+        t = p * colat / (1.0 + (p - 1.0) * colat)
+    return np.where(colat == 1.0, 1.0, t)[()]
+
+
+def _quotient_class(chart: str, u: int, v: int, den: int) -> tuple:
+    """Residue pairs of the class of (u/den, v/den), u and v in [0, den):
+    (u, v) and (-u, -v) mod den on the quotient sphere, (u, v) alone on
+    the torus.  The smallest is the representative :func:`wrap_chart`
+    picks."""
+    if chart == SPHERE_QUOTIENT:
+        return ((u, v), ((-u) % den, (-v) % den))
+    return ((u, v),)
+
+
 def _exact_point(chart: str, u: int, v: int, den: int) -> Point:
     """The point (u/den, v/den) of residues u, v in [0, den), with the
     quotient representative picked exactly as :func:`wrap_chart` does."""
-    if chart == SPHERE_QUOTIENT:
-        u2, v2 = (-u) % den, (-v) % den
-        if (u2, v2) < (u, v):
-            u, v = u2, v2
+    u, v = min(_quotient_class(chart, u, v, den))
     return Point(chart, (u / den, v / den), exact=(u, v, den))
 
 
@@ -387,8 +391,7 @@ def iterate_arr(sys: SystemModel, pts: np.ndarray, n: int) -> np.ndarray:
         raise HorizonError(f"|n|={abs(n)} exceeds horizon {sys.horizon}")
     pts = np.asarray(pts, dtype=float)
     if sys.kind == NORTH_SOUTH:
-        p = 2.0 ** n
-        colat = p * pts[:, 1] / (1.0 + (p - 1.0) * pts[:, 1])
+        colat = _north_south_colat(pts[:, 1], n)
         return np.stack([pts[:, 0], np.clip(colat, 0.0, 1.0)], axis=1)
     m = np.array(_mat_power(sys.matrix, n), dtype=float)
     return wrap_chart(sys.chart, pts @ m.T)
@@ -399,21 +402,44 @@ def distance(sys: SystemModel, a: Point, b: Point) -> float:
         raise ChartError(f"chart mismatch: {a.chart!r} vs {b.chart!r}")
     if a.chart != sys.chart:
         raise ChartError(f"point chart {a.chart!r} does not match model chart {sys.chart!r}")
-    return chart_distance(a.chart, a.xy(), b.xy())
+    return float(chart_distance(a.chart, a.xy(), b.xy()))
 
 
 # -- local stable/unstable arcs -----------------------------------------
-
-
-def _is_half_lattice(xy: np.ndarray, tol: float = SPINE_TOL) -> bool:
-    """True when 2*xy is within tol of the integer lattice (quotient spine)."""
-    return torus_norm(2.0 * np.asarray(xy, dtype=float)) <= tol
 
 
 def _want_stable(kind: str) -> bool:
     if kind not in ("stable", "unstable"):
         raise ValueError(f"kind must be 'stable' or 'unstable', got {kind!r}")
     return kind == "stable"
+
+
+def _arc_frame(sys: SystemModel, chart: str, xy: np.ndarray, stable: bool,
+               eps: float, t: np.ndarray):
+    """The local arcs at scale eps of the (n, 2) points xy of ``chart``.
+
+    Returns the unit eigen-direction e, the cover starts (n, 2) and
+    lengths (n,), so that arc i is start_i + s*length_i*e for s in [0, 1],
+    the parameter tx (n,) of each point on its arc, and whether tx is a
+    new vertex among the base parameters t: it is not when it lies within
+    1e-12 + 1e-5*|tx| of one of them (np.isclose's default tolerances).
+    On the quotient sphere the arc of a spine folds onto a single prong
+    with the spine as an endpoint; any other arc is centered on its point.
+    """
+    if not sys.is_hyperbolic:
+        raise ModelCapabilityError("local arcs require a hyperbolic model")
+    if not 0.0 < eps < sys.c:
+        raise CalibrationError(f"eps must lie in (0, c={sys.c}), got {eps}")
+    if chart != sys.chart:
+        raise ChartError(f"point chart {chart!r} does not match model chart {sys.chart!r}")
+    frame = eigen_frame(sys.matrix)
+    e = frame.es if stable else frame.eu
+    fold = (torus_norm(2.0 * xy) <= SPINE_TOL) & (chart == SPHERE_QUOTIENT)
+    start = np.where(fold[:, None], xy, xy - eps * e)
+    length = np.where(fold, eps, 2.0 * eps)
+    tx = np.vecdot(xy - start, e) / length
+    new = ~(np.abs(t - tx[:, None]) <= 1e-12 + 1e-5 * np.abs(tx)[:, None]).any(axis=1)
+    return e, start, length, tx, new
 
 
 def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
@@ -431,30 +457,15 @@ def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
     from .continua import MarkedContinuum, StraightLift
 
     stable = _want_stable(kind)
-    if not sys.is_hyperbolic:
-        raise ModelCapabilityError("local arcs require a hyperbolic model")
-    if not 0.0 < eps < sys.c:
-        raise CalibrationError(f"eps must lie in (0, c={sys.c}), got {eps}")
-    if x.chart != sys.chart:
-        raise ChartError(f"point chart {x.chart!r} does not match model chart {sys.chart!r}")
     res = sys.resolution if resolution is None else int(resolution)
     if res < 2:
         raise ValueError("resolution must be at least 2")
-    e = sys.eigen_direction(stable=stable)
-    xy = x.xy()
-    if sys.chart == SPHERE_QUOTIENT and _is_half_lattice(xy):
-        start, length = xy.copy(), eps  # one-prong: the spine is an endpoint
-    else:
-        start, length = xy - eps * e, 2.0 * eps
     t = np.linspace(0.0, 1.0, res)
-    if res > 2:
+    e, start, length, tx, new = _arc_frame(sys, x.chart, x.xy()[None], stable, eps, t)
+    if res > 2 and new[0]:
         # make sure x itself is a vertex
-        tx = float(np.dot(xy - start, e)) / length
-        # 1e-5·|tx| is np.isclose's default relative term (rtol), written
-        # out beside the 1e-12 absolute one so the vertices stay as they were
-        if not np.any(np.abs(t - tx) <= 1e-12 + 1e-5 * abs(tx)):
-            t = np.sort(np.append(t, tx))
-    lift = StraightLift(start=start, direction=e, length=length,
+        t = np.sort(np.append(t, tx))
+    lift = StraightLift(start=start[0], direction=e, length=float(length[0]),
                         stable=stable, chart=sys.chart)
     return MarkedContinuum(chart=sys.chart, vertices=lift.project(t), params=t,
                            mark_p=0, mark_q=len(t) - 1, lift=lift)
@@ -468,29 +479,18 @@ def is_spine(sys: SystemModel, x, eps: float, tol: float = 1e-9):
     resolution 3 computes them, with its validation, without building
     the arc.
     """
-    if not sys.is_hyperbolic:
-        raise ModelCapabilityError("local arcs require a hyperbolic model")
-    if not 0.0 < eps < sys.c:
-        raise CalibrationError(f"eps must lie in (0, c={sys.c}), got {eps}")
-    if isinstance(x, Point):
-        if x.chart != sys.chart:
-            raise ChartError(f"point chart {x.chart!r} does not match model chart {sys.chart!r}")
-        return bool(is_spine(sys, x.xy()[None], eps, tol)[0])
-    xy = np.asarray(x, dtype=float).reshape(-1, 2)
-    e = eigen_frame(sys.matrix).es
-    # a spine's arc is one prong starting at it, any other arc is centered
-    fold = (_torus_norm_arr(2.0 * xy) <= SPINE_TOL) & (sys.chart == SPHERE_QUOTIENT)
-    start = np.where(fold[:, None], xy, xy - eps * e)
-    length = np.where(fold, eps, 2.0 * eps)
-    tx = np.vecdot(xy - start, e) / length
-    # the vertex parameters are 0, 1/2, 1 and tx unless tx is close to one
-    # of them (local_arc's vertex test); the ends are the extreme two
-    extra = ~(np.abs(np.array([0.0, 0.5, 1.0]) - tx[:, None])
-              <= 1e-12 + 1e-5 * np.abs(tx)[:, None]).any(axis=1)
-    ends = [np.where(extra & (tx < 0.0), tx, 0.0), np.where(extra & (tx > 1.0), tx, 1.0)]
-    d0, d1 = (chart_distance_arr(sys.chart, xy, wrap_chart(
-        sys.chart, start + (t * length)[:, None] * e)) for t in ends)
-    return np.minimum(d0, d1) <= tol
+    point = isinstance(x, Point)
+    chart, xy = (x.chart, x.xy()[None]) if point else \
+        (sys.chart, np.asarray(x, dtype=float).reshape(-1, 2))
+    e, start, length, tx, new = _arc_frame(sys, chart, xy, True, eps,
+                                           np.array([0.0, 0.5, 1.0]))
+    # the ends are the extreme two of the vertex parameters 0, 1/2, 1 and
+    # tx when tx is a new vertex
+    ends = [np.where(new & (tx < 0.0), tx, 0.0), np.where(new & (tx > 1.0), tx, 1.0)]
+    d0, d1 = (chart_distance(chart, xy, wrap_chart(
+        chart, start + (t * length)[:, None] * e)) for t in ends)
+    spine = np.minimum(d0, d1) <= tol
+    return bool(spine[0]) if point else spine
 
 
 def spine_points(sys: SystemModel) -> list[Point]:

@@ -131,18 +131,11 @@ def plan_katok(sys, consts: MetricConstants, alpha_target: float,
 def _exact_period(sys, num_x: int, num_y: int, den: int, cap: int):
     """Exact orbit period of the rational point, or None past cap steps."""
     ((a, b), (c, d)) = sys.matrix
-    if sys.chart == models.SPHERE_QUOTIENT:
-        def canon(s):
-            t = ((-s[0]) % den, (-s[1]) % den)
-            return min(s, t)
-    else:
-        def canon(s):
-            return s
-    start = canon((num_x % den, num_y % den))
-    u, v = start
+    u, v = num_x % den, num_y % den
+    start_class = models._quotient_class(sys.chart, u, v, den)
     for j in range(1, cap + 1):
         u, v = (a * u + b * v) % den, (c * u + d * v) % den
-        if canon((u, v)) == start:
+        if (u, v) in start_class:
             return j
     return None
 

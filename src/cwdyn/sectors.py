@@ -17,8 +17,7 @@ import numpy as np
 from dataclasses import dataclass, field
 
 from . import models
-from .models import (ModelCapabilityError, chart_distance, chart_distance_arr,
-                     torus_norm, wrap_chart)
+from .models import ModelCapabilityError, chart_distance, torus_norm, wrap_chart
 from .continua import (_PAIR_CHUNK, MarkedContinuum, _crossings, _dedupe_points,
                        _nearest_on, _segments, _to_segment, cover_reps, intersect,
                        subcontinuum)
@@ -99,29 +98,19 @@ def _arc_pos(pts: np.ndarray, cross) -> np.ndarray:
 
 def _walk(pts: np.ndarray, cross, side: int, h: float) -> np.ndarray:
     """Point at arclength h beyond an arc position, following the polyline."""
-    i, t = cross
+    i, _ = cross
     pos = _arc_pos(pts, cross)
     remain = h
-    if side > 0:
-        j = i
-        while j < len(pts) - 1:
-            seg_end = pts[j + 1]
-            d = float(np.linalg.norm(seg_end - pos))
-            if d >= remain > 0:
-                return pos + (seg_end - pos) * (remain / d)
-            remain -= d
-            pos = seg_end
-            j += 1
-    else:
-        j = i
-        while j >= 0:
-            seg_end = pts[j]
-            d = float(np.linalg.norm(seg_end - pos))
-            if d >= remain > 0:
-                return pos + (seg_end - pos) * (remain / d)
-            remain -= d
-            pos = seg_end
-            j -= 1
+    step = 1 if side > 0 else -1
+    j = i + 1 if side > 0 else i
+    while 0 <= j < len(pts):
+        seg_end = pts[j]
+        d = float(np.linalg.norm(seg_end - pos))
+        if d >= remain > 0:
+            return pos + (seg_end - pos) * (remain / d)
+        remain -= d
+        pos = seg_end
+        j += step
     raise IndeterminateCrossing("continuation truncated at the arc end")
 
 
@@ -439,7 +428,7 @@ def _continuity_report(chart, grid, charts, eigs) -> dict:
         for a in (0, 1):
             d = np.diff(fe[..., a], axis=a)
             viol += int(np.minimum((d < -1e-9).sum(axis=a), (d > 1e-9).sum(axis=a)).sum())
-    mods = [float(chart_distance_arr(chart, a, b).max()) for fc in charts
+    mods = [float(chart_distance(chart, a, b).max()) for fc in charts
             for a, b in ((fc[:-1], fc[1:]), (fc[:, :-1], fc[:, 1:]))]
     f1e = eigs[0].reshape(-1, 2)
     # a pair within 1e-9 is within 2e-9 along (1, 0.618...); sorted along

@@ -42,7 +42,7 @@ class TestBuildGraph:
         adj = g.adjacency.tocoo()
         rng = np.random.default_rng(2)
         take = rng.integers(0, adj.nnz, size=200)
-        d = models.chart_distance_arr(
+        d = models.chart_distance(
             cat.chart, imgs[adj.row[take]], g.centers[adj.col[take]])
         assert np.all(d <= 0.08 + g.cell_diag[adj.col[take]] + 1e-12)
         # random non-edges must violate the same inequality
@@ -118,7 +118,7 @@ class TestChainClasses:
         imgs = models.iterate_arr(
             make_model("north-south"), g.centers, 1)
         for cells in part.classes:
-            d = models.chart_distance_arr(
+            d = models.chart_distance(
                 g.chart, imgs[cells][:, None, :], g.centers[cells][None, :, :])
             assert d.min(axis=1).max() <= slack
 
@@ -169,13 +169,13 @@ class TestClassOrder:
         cells = part.classes[att]
         pts = g.centers[cells]
         fwd = models.iterate_arr(ns, pts, 5)
-        d = models.chart_distance_arr(g.chart, fwd[:, None, :], pts[None, :, :])
+        d = models.chart_distance(g.chart, fwd[:, None, :], pts[None, :, :])
         assert d.min(axis=1).max() <= g.eps + g.cell_diag.max()
         # minimal class: backward orbits of its cells stay near it
         rep = [i for i, r in orr["roles"].items() if r == "repeller"][0]
         rpts = g.centers[part.classes[rep]]
         bwd = models.iterate_arr(ns, rpts, -5)
-        d = models.chart_distance_arr(g.chart, bwd[:, None, :], rpts[None, :, :])
+        d = models.chart_distance(g.chart, bwd[:, None, :], rpts[None, :, :])
         assert d.min(axis=1).max() <= g.eps + g.cell_diag.max()
 
 
@@ -209,7 +209,7 @@ def _ref_edges_wrapped(chart, res, imgs, thr):
             base = np.floor(tgt / h - 0.5).astype(int)
             cand = base[:, None, :] + offs[None, :, :]
             tc = (cand + 0.5) * h
-            d = models.chart_distance_arr(chart, img[:, None, :], tc)
+            d = models.chart_distance(chart, img[:, None, :], tc)
             ci = np.mod(cand[..., 0], res)
             cj = np.mod(cand[..., 1], res)
             tix = ci * res + cj
@@ -231,7 +231,7 @@ def _ref_edges_geographic(chart, res, imgs, thr):
         if src.size == 0:
             continue
         tc = np.stack([(col_idx + 0.5) * h, np.full(res, tcol)], axis=1)
-        d = models.chart_distance_arr(chart, imgs[src][:, None, :], tc[None, :, :])
+        d = models.chart_distance(chart, imgs[src][:, None, :], tc[None, :, :])
         r, c = np.nonzero(d <= t[None, :])
         rows.append(src[r])
         cols.append(tidx[c])
@@ -393,7 +393,7 @@ class TestCsrMatchesCooReference:
         centers = chainrec._grid_centers(res)
         diag = chainrec._cell_diagonals(models.SPHERE_GEOGRAPHIC, res)
         s, t = 3 * res + 7, 5 * res + 7
-        d = models.chart_distance_arr(models.SPHERE_GEOGRAPHIC, centers[s], centers[t])
+        d = models.chart_distance(models.SPHERE_GEOGRAPHIC, centers[s], centers[t])
         eps = float(d - diag[t])
         while eps + diag[t] < d:
             eps = float(np.nextafter(eps, 1.0))
@@ -421,7 +421,7 @@ def _ref_chain_labels(g):
         labs = lab[rec]
         for lo in range(0, len(rec), 2048):
             hi = min(lo + 2048, len(rec))
-            d = models.chart_distance_arr(g.chart, pts[lo:hi, None, :], pts[None, :, :])
+            d = models.chart_distance(g.chart, pts[lo:hi, None, :], pts[None, :, :])
             a, b = np.nonzero((d <= slack) & (labs[lo:hi, None] != labs[None, :]))
             for pair in set(zip(labs[lo + a].tolist(), labs[b].tolist())):
                 uf.union(*pair)

@@ -211,6 +211,14 @@ class TestPeriodic:
         assert rec["distance_to_p"] < 1e-2
         assert rec["params"]["alpha_target"] == 1e-2
 
+    def test_distance_to_p_is_the_chart_distance(self, outdir):
+        # q = (0, 0.5) lies across the torus seam from p, 5e-4 away
+        assert cli.run(["periodic", "--model", "cat", "--p", "0.9995,0.5"]) == 0
+        rec = next(r for r in read_report(outdir / "periodic.jsonl")
+                   if r["record"] == "periodic")
+        assert rec["q"] == [0.0, 0.5]
+        assert rec["distance_to_p"] == pytest.approx(5e-4, abs=1e-12)
+
     def test_header_config_replays(self, outdir, tmp_path):
         # the header's config, fed back through --config, is the same config
         assert cli.run(["periodic", "--model", "cat", "--p", "0.2,0.4",

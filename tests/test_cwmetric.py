@@ -104,7 +104,7 @@ def _calibration_point_sets(sys):
 
 
 def _full_max(chart, pts):
-    return float(models.chart_distance_arr(chart, pts[:, None, :], pts[None, :, :]).max())
+    return float(models.chart_distance(chart, pts[:, None, :], pts[None, :, :]).max())
 
 
 def _assert_sharp(chart, pts, full):

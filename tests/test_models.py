@@ -77,6 +77,23 @@ class TestIterate:
             p = ns.point(0.1, colat)
             assert iterate(ns, p, 4).coords[1] == colat
 
+    def test_north_south_colatitude_agrees_bit_for_bit(self, ns):
+        # calibration's meridian scan reads the colatitude map over all n at
+        # once and unclipped; iterate and iterate_arr clip it.  At the poles
+        # and out to the horizon the three give the same bits
+        colat = np.concatenate([[0.0, 1.0, 0.5, 1e-300, 1.0 - 2.0 ** -53],
+                                np.random.default_rng(0).random(16)])
+        steps = np.arange(-ns.horizon, ns.horizon + 1)
+        raw = np.array([models._north_south_colat(float(t), steps) for t in colat])
+        assert (raw[0] == 0.0).all() and (raw[1] == 1.0).all()  # the poles are fixed
+        scan = np.clip(raw, 0.0, 1.0)
+        one = np.array([[iterate(ns, ns.point(0.25, float(t)), int(n)).coords[1]
+                         for n in steps] for t in colat])
+        pts = np.stack([np.full_like(colat, 0.25), colat], axis=1)
+        arr = np.stack([models.iterate_arr(ns, pts, int(n))[:, 1] for n in steps], axis=1)
+        assert one.tobytes() == scan.tobytes()
+        assert arr.tobytes() == one.tobytes()
+
 
 class TestDistance:
     def test_torus_wraparound(self, cat):

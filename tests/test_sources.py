@@ -138,3 +138,14 @@ def test_retired_sector_name_check_sees_it():
     tree = ast.parse("def _select_crossing(sys):\n    return sectors._select_crossing\n")
     assert _spelled(tree, _RETIRED_SECTORS) == [(1, "_select_crossing"),
                                                 (2, "_select_crossing")]
+
+
+# the scalar/array twins that one vectorized chart_distance and torus_norm,
+# one north-south colatitude map and one local-arc frame replaced
+_RETIRED_TWINS = ("chart_distance_arr", "_torus_norm_arr", "_is_half_lattice", "_ns_colat")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_chart_primitive_twins(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _spelled(tree, _RETIRED_TWINS) == []
