@@ -2,15 +2,27 @@
 
 Cells are grid boxes on the model's chart; an edge u -> v states that
 one application of the map carries u's center to within eps plus the
-target cell's metric diagonal of v's center, an over-approximation of
-the point relation d(f(x), x') <= eps.  Chain classes are strongly
-connected components restricted to cycle-carrying cells, then classes
-whose cells sit within the edge slack of each other are merged: two
-chain-recurrent points that close are chain-equivalent at a tolerance
-inflated by at most one slack, and the merge removes grid artifacts
-(rings of cells that recur in place but whose sub-cell drift the grid
-cannot represent).  Verdicts are one-sided: not-transitive is
-certified at grid scale, transitive-candidate is evidence.
+target cell's metric diagonal of v's center: d(f(c_u), c_v) <= eps +
+diag_v, a rule on centers alone.  It is not an outer approximation of
+the point relation d(f(x), x') <= eps: for x in u and x' in v that
+relation bounds d(f(c_u), c_v) only by L diag_u / 2 + eps + diag_v / 2,
+with L the Lipschitz constant of f, so a pair of points can chain where
+the graph has no edge: on cat-map at res 64 and eps 0.1, x = (0.53392,
+0.59618) and x' = (0.59355, 0.06184) have d(f(x), x') = 0.0981, but
+d(f(c_u), c_v) = 0.1272 exceeds eps + diag_v = 0.1221.
+
+Chain classes are strongly connected components restricted to
+cycle-carrying cells, then classes whose cells sit within the edge slack
+of each other are merged: two chain-recurrent points that close are
+chain-equivalent at a tolerance inflated by at most one slack, and the
+merge removes grid artifacts (rings of cells that recur in place but
+whose sub-cell drift the grid cannot represent).
+
+Neither verdict is certified: a missing edge can split a class, so
+not-transitive is grid-scale evidence, as transitive-candidate is.  A
+certified outer approximation, with a per-cell Lipschitz bound in the
+threshold (Kalies, Mischaikow and VanderVorst, Found. Comput. Math.
+2005), is not implemented; ROADMAP.md tracks it.
 """
 
 from __future__ import annotations
@@ -324,46 +336,77 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
                            adjacency=adj)
 
 
-class _Union:
-    def __init__(self, ids):
-        self.parent = {int(i): int(i) for i in ids}
+def _blocks(ends):
+    """Runs ``(lo, hi)`` of items, whole items of at most ``_CHUNK_PAIRS``
+    entries a run (or one item), from the items' cumulative entry counts."""
+    lo = 0
+    while lo < ends.size:
+        done = int(ends[lo - 1]) if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _CHUNK_PAIRS, side="right")))
+        yield lo, hi
+        lo = hi
 
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
+# Absolute pad of the KD-tree radius over the chart's own test: the tree's
+# Euclidean and chord lengths round apart from chart_distance, whose arccos
+# resolves the geographic distance to only about 1.5e-8 near 0.
+_TREE_PAD = 1e-7
+
+
+def _candidate_pairs(chart, pts, slack):
+    """Blocks ``(a, b)`` of row pairs of ``pts`` that hold, as ``a < b`` or
+    ``b < a``, every pair of rows within ``slack`` of each other in the
+    chart's distance, and more.
+
+    The flat torus is a periodic KD-tree; the quotient adds each point's
+    mirror ``(-x) mod 1``, its distance being the torus distance to x' or
+    to -x'; on the sphere, a distance d <= s <= 1 is a chord of at most
+    2 sin(pi s / 2).  Rows ``[lo, hi)`` query the rows from ``lo`` on, in
+    blocks of at most ``_CHUNK_PAIRS`` pairs (or one row).
+    """
+    # imported here: scipy.spatial adds about 0.1 s and 8 MB to every process
+    # that imports this module, and only a merge of two classes or more needs it
+    from scipy.spatial import cKDTree
+
+    m = pts.shape[0]
+    if chart == models.SPHERE_GEOGRAPHIC:
+        data, box = models._geo_embed(pts), None
+        radius = 2.0 * np.sin(0.5 * np.pi * min(slack, 1.0)) + _TREE_PAD
+    else:
+        data, box, radius = pts, 1.0, slack + _TREE_PAD
+        if chart == models.SPHERE_QUOTIENT:
+            data = np.stack([pts, np.mod(-pts, 1.0)], axis=1).reshape(-1, 2)
+    reps = data.shape[0] // m  # tree rows per point, a point's first its own
+    counts = cKDTree(data, boxsize=box).query_ball_point(data[::reps], radius,
+                                                        return_length=True)
+    for lo, hi in _blocks(np.cumsum(counts)):
+        rest = cKDTree(data[reps * lo:], boxsize=box)
+        found = cKDTree(data[reps * lo:reps * hi:reps], boxsize=box).sparse_distance_matrix(
+            rest, radius, output_type="ndarray")
+        yield lo + found["i"], lo + found["j"] // reps
 
 
 def _merge_close_classes(g: ChainClassGraph, lab, rec) -> np.ndarray:
-    """Union recurrent classes whose cells sit within one edge slack.
+    """Group the recurrent classes whose cells sit within one edge slack.
 
-    ``rec`` lists the recurrent cells.  Returns each SCC label's merged
-    root, the smallest label of its union (-1 for labels of no recurrent
-    cell).
+    ``rec`` lists the recurrent cells; returns a group id for each.  The
+    groups are the components of the graph on SCC labels that links two
+    labels with a pair of their cells within the slack.
     """
-    ids = np.unique(lab[rec])
-    uf = _Union(ids)
-    if len(ids) > 1:
+    ids, labs = np.unique(lab[rec], return_inverse=True)
+    k = len(ids)
+    links = [np.zeros(0, np.int64)]
+    if k > 1:
         slack = g.eps + float(g.cell_diag.max())
         pts = g.centers[rec]
-        labs = lab[rec]
-        step = max(1, _CHUNK_PAIRS // len(rec))
-        for lo in range(0, len(rec), step):
-            hi = min(lo + step, len(rec))
-            d = models.chart_distance(g.chart, pts[lo:hi, None, :], pts[None, :, :])
-            a, b = np.nonzero((d <= slack) & (labs[lo:hi, None] != labs[None, :]))
-            for pair in set(zip(labs[lo + a].tolist(), labs[b].tolist())):
-                uf.union(*pair)
-    root = np.full(int(lab.max()) + 1, -1)
-    root[ids] = [uf.find(int(i)) for i in ids]
-    return root
+        for a, b in _candidate_pairs(g.chart, pts, slack):
+            cross = (a < b) & (labs[a] != labs[b])
+            a, b = a[cross], b[cross]
+            near = models.chart_distance(g.chart, pts[a], pts[b]) <= slack
+            links.append(np.unique(labs[a[near]] * k + labs[b[near]]))
+    key = np.unique(np.concatenate(links))
+    pairs = sp.csr_matrix((np.ones(key.size, np.int8), (key // k, key % k)), shape=(k, k))
+    return connected_components(pairs, directed=False)[1][labs]
 
 
 def chain_classes(g: ChainClassGraph) -> Partition:
@@ -375,16 +418,20 @@ def chain_classes(g: ChainClassGraph) -> Partition:
     are assigned by each class's smallest cell index, so they do not
     depend on node traversal order.
     """
-    n_comp, lab = connected_components(g.adjacency, directed=True,
-                                       connection="strong")
+    adj = g.adjacency
+    # float64 data as a zero-stride view on the stored indices: scipy's
+    # validate_graph then converts nothing (astype(float64, copy=False))
+    view = sp.csr_matrix((np.broadcast_to(1.0, adj.nnz), adj.indices, adj.indptr),
+                         shape=adj.shape)
+    n_comp, lab = connected_components(view, directed=True, connection="strong")
     sizes = np.bincount(lab, minlength=n_comp)
-    selfloop = g.adjacency.diagonal().astype(bool)
+    selfloop = adj.diagonal().astype(bool)
     rec_mask = (sizes[lab] >= 2) | selfloop
     labels = np.full(g.n_cells, -1, dtype=int)
     classes = []
     if rec_mask.any():
         rec = np.nonzero(rec_mask)[0]
-        key = _merge_close_classes(g, lab, rec)[lab[rec]]
+        key = _merge_close_classes(g, lab, rec)
         # a stable sort keeps each class's cells ascending: its first is its min
         by_class = np.argsort(key, kind="stable")
         key = key[by_class]
@@ -398,13 +445,24 @@ def chain_classes(g: ChainClassGraph) -> Partition:
 
 
 def _reachable(adj: sp.csr_matrix, seed: np.ndarray) -> np.ndarray:
+    """Mask of the cells reachable from ``seed`` along the rows of ``adj``,
+    ``seed`` included.
+
+    Each level gathers only its frontier's rows, in blocks of at most
+    ``_CHUNK_PAIRS`` entries, and marks their targets in a mask; the
+    targets not reached before are the next frontier.
+    """
+    indptr = adj.indptr
     state = np.zeros(adj.shape[0], dtype=bool)
     state[seed] = True
-    frontier = state.copy()
-    while frontier.any():
-        nxt = (adj.T @ frontier.astype(np.int32)).astype(bool) & ~state
-        state |= nxt
-        frontier = nxt
+    frontier = np.flatnonzero(state)
+    while frontier.size:
+        hit = np.zeros_like(state)
+        for lo, hi in _blocks(np.cumsum(indptr[frontier + 1] - indptr[frontier])):
+            hit[adj[frontier[lo:hi]].indices] = True
+        hit &= ~state
+        state |= hit
+        frontier = np.flatnonzero(hit)
     return state
 
 
@@ -444,19 +502,20 @@ def class_order(sys, g: ChainClassGraph, partition: Partition) -> dict:
     lone class) reports neither.
     """
     k = partition.n_classes
-    fwd = [_reachable(g.adjacency, c) for c in partition.classes]
-    adj_t = g.adjacency.T.tocsr()
-    bwd = [_reachable(adj_t, c) for c in partition.classes]
     order = []
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            mid = fwd[i] & bwd[j]
-            mid[partition.classes[i]] = False
-            mid[partition.classes[j]] = False
-            if mid.any():
-                order.append((i, j))
+    if k > 1:  # a lone class relates to nothing: skip its reachability
+        fwd = [_reachable(g.adjacency, c) for c in partition.classes]
+        adj_t = g.adjacency.T.tocsr()
+        bwd = [_reachable(adj_t, c) for c in partition.classes]
+        for i in range(k):
+            for j in range(k):
+                if i == j:
+                    continue
+                mid = fwd[i] & bwd[j]
+                mid[partition.classes[i]] = False
+                mid[partition.classes[j]] = False
+                if mid.any():
+                    order.append((i, j))
     _assert_acyclic(order, k)
     below = {i for i, _ in order}
     above = {j for _, j in order}

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -404,17 +406,36 @@ class TestCsrMatchesCooReference:
         _assert_same_csr(build_graph(sys, res, eps, step=ident).adjacency, want)
 
 
-# -- reference: the per-cell grouping and row-block merge that the array
-# passes of chain_classes replaced ------------------------------------------
+# -- reference: the per-cell grouping and the all-pairs merge over a
+# dict-based union-find that the array passes of chain_classes and its
+# KD-tree candidate pairs replaced --------------------------------------------
+
+
+class _Union:
+    def __init__(self, ids):
+        self.parent = {int(i): int(i) for i in ids}
+
+    def find(self, a):
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[max(ra, rb)] = min(ra, rb)
 
 
 def _ref_chain_labels(g):
+    """Labels, classes and the number of SCC ids the merge sees."""
     n_comp, lab = connected_components(g.adjacency, directed=True, connection="strong")
     sizes = np.bincount(lab, minlength=n_comp)
     rec_mask = (sizes[lab] >= 2) | g.adjacency.diagonal().astype(bool)
     rec = np.nonzero(rec_mask)[0]
     ids = np.unique(lab[rec])
-    uf = chainrec._Union(ids)
+    uf = _Union(ids)
     if len(ids) > 1:
         slack = g.eps + float(g.cell_diag.max())
         pts = g.centers[rec]
@@ -435,7 +456,7 @@ def _ref_chain_labels(g):
         arr = np.array(sorted(cells), dtype=int)
         labels[arr] = len(classes)
         classes.append(arr)
-    return labels, classes
+    return labels, classes, len(ids)
 
 
 def _sinks(pts):
@@ -445,17 +466,60 @@ def _sinks(pts):
     return q + 0.1 * (pts - q)
 
 
+def _basin_sinks(sinks, radius, flat=True):
+    """Contract the points within ``radius`` of a sink toward it by 0.1;
+    send every other point to (0.5, 0), a fixed point of the quotient.
+    Displacements wrap in longitude, and on the flat charts in colatitude
+    too.
+
+    The cells that a quotient identifies with a basin do not recur, so
+    two sinks' classes can come within one slack only across a seam or
+    the fold.
+    """
+    sinks = np.asarray(sinks, dtype=float)
+
+    def step(pts):
+        out = np.zeros_like(pts)
+        out[:, 0] = 0.5
+        for s in sinks:
+            w = pts - s
+            w[:, 0] -= np.rint(w[:, 0])
+            if flat:
+                w[:, 1] -= np.rint(w[:, 1])
+            near = np.hypot(w[:, 0], w[:, 1]) <= radius
+            out[near] = np.mod(s + 0.1 * w[near], 1.0)
+        return out
+
+    return step
+
+
+# At res 64 and eps 0.02 the flat threshold is 0.0421.  Sinks 2.4 of it
+# apart, each with a basin of half that, share no edge, but their classes
+# come within one slack: on the torus only across the seam x = 0, on the
+# quotient only through x ~ -x ((0.3, 0.5) and (0.801, 0.5) sum to
+# (0.101, 0) mod 1).
+_GAP = 2.4 * (0.02 + np.sqrt(2.0) / 64)
+_STEPS_CLASSES = {
+    None: None, "sinks": _sinks, "identity": _STEPS["identity"],
+    "seam": _basin_sinks([(0.5 * _GAP, 0.5), (1.0 - 0.5 * _GAP, 0.5)], 0.5 * _GAP),
+    "fold": _basin_sinks([(0.3, 0.5), (0.7 + _GAP, 0.5)], 0.5 * _GAP),
+    # 0.035 of longitude on each side of the seam, on the equator
+    "lon-seam": _basin_sinks([(0.035, 0.5), (0.965, 0.5)], 0.035, flat=False),
+}
+
+
 class TestChainClassesMatchReference:
     @pytest.mark.parametrize("kind,res,eps,step", [
         ("cat-map", 64, 0.1, None), ("sphere-pA", 64, 0.1, None),
         ("north-south", 128, 0.01, None), ("north-south", 96, 0.012, None),
         ("cat-map", 64, 0.012, "sinks"), ("sphere-pA", 64, 0.012, "sinks"),
-        ("north-south", 64, 0.03, "sinks"), ("cat-map", 16, 0.05, "identity")])
+        ("north-south", 64, 0.03, "sinks"), ("cat-map", 16, 0.05, "identity"),
+        ("cat-map", 64, 0.02, "seam"), ("sphere-pA", 64, 0.02, "fold"),
+        ("north-south", 64, 0.02, "lon-seam")])
     def test_labels_and_classes(self, kind, res, eps, step, monkeypatch):
-        f = {None: None, "sinks": _sinks, "identity": _STEPS["identity"]}[step]
-        g = build_graph(make_model(kind), res, eps, step=f)
-        labels, classes = _ref_chain_labels(g)
-        for pairs in (chainrec._CHUNK_PAIRS, 1000):
+        g = build_graph(make_model(kind), res, eps, step=_STEPS_CLASSES[step])
+        labels, classes, n_ids = _ref_chain_labels(g)
+        for pairs in (chainrec._CHUNK_PAIRS, 1000, 1):
             monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", pairs)
             part = chain_classes(g)
             assert part.labels.dtype == labels.dtype
@@ -464,5 +528,138 @@ class TestChainClassesMatchReference:
             for got, want in zip(part.classes, classes):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want)
-        if step == "sinks":
-            assert len(classes) > 1
+        if step is not None and step != "identity":
+            # more than one SCC id reaches the merge
+            assert n_ids > 1 and len(classes) > 1
+        if step in ("seam", "fold", "lon-seam") or kind == "north-south":
+            # and the merge joins some of them
+            assert len(classes) < n_ids
+
+    def test_fold_merge_needs_the_quotient(self):
+        # the same sinks on the torus chart stay apart
+        g = build_graph(make_model("cat-map"), 64, 0.02, step=_STEPS_CLASSES["fold"])
+        labels, classes, n_ids = _ref_chain_labels(g)
+        assert len(classes) == n_ids == 3
+        assert chain_classes(g).n_classes == 3
+
+
+class TestCandidatePairs:
+    @pytest.mark.parametrize("chart", [models.TORUS, models.SPHERE_QUOTIENT,
+                                       models.SPHERE_GEOGRAPHIC])
+    @pytest.mark.parametrize("budget", [1 << 20, 200])
+    def test_superset_of_the_close_pairs(self, chart, budget, monkeypatch):
+        # slacks equal to pair distances of the grid: pairs at the slack
+        # itself are candidates too; past 1 every geographic pair is
+        monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", budget)
+        pts = chainrec._grid_centers(24)
+        d = models.chart_distance(chart, pts[:, None, :], pts[None, :, :])
+        for slack in list(np.unique(d)[[1, 4, 30, 200]]) + [1.5]:
+            got = set()
+            for a, b in chainrec._candidate_pairs(chart, pts, slack):
+                assert a.size <= budget or np.unique(a).size == 1
+                got |= set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+            i, j = np.nonzero(np.triu(d <= slack, 1))
+            assert set(zip(i.tolist(), j.tolist())) <= got
+
+    def test_blocks_hold_whole_items_up_to_the_budget(self, monkeypatch):
+        monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", 6)
+        ends = np.cumsum([3, 3, 3, 7, 1, 0, 2, 6])
+        assert list(chainrec._blocks(ends)) == [(0, 2), (2, 3), (3, 4), (4, 7), (7, 8)]
+
+
+class TestChainClassesMemory:
+    def test_no_copy_of_the_edges(self, cat):
+        # cat-map res 128: 3.1M edges, one SCC.  A float64 copy of the
+        # graph for scipy would take 12 bytes an edge or more
+        g = build_graph(cat, 128, 6.4 / 128)
+        nnz = g.adjacency.nnz
+        assert nnz > 3_000_000
+        tracemalloc.start()
+        try:
+            part = chain_classes(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert part.n_classes == 1
+        assert peak < 2 * nnz
+
+
+# -- reference: reachability as one full sparse matvec per BFS level, and
+# the class order on it ------------------------------------------------------
+
+
+def _ref_reachable(adj, seed):
+    state = np.zeros(adj.shape[0], dtype=bool)
+    state[seed] = True
+    frontier = state.copy()
+    while frontier.any():
+        nxt = (adj.T @ frontier.astype(np.int32)).astype(bool) & ~state
+        state |= nxt
+        frontier = nxt
+    return state
+
+
+def _ref_class_order(g, partition):
+    k = partition.n_classes
+    fwd = [_ref_reachable(g.adjacency, c) for c in partition.classes]
+    adj_t = g.adjacency.T.tocsr()
+    bwd = [_ref_reachable(adj_t, c) for c in partition.classes]
+    order = []
+    for i in range(k):
+        for j in range(k):
+            if i == j:
+                continue
+            mid = fwd[i] & bwd[j]
+            mid[partition.classes[i]] = False
+            mid[partition.classes[j]] = False
+            if mid.any():
+                order.append((i, j))
+    chainrec._assert_acyclic(order, k)
+    below = {i for i, _ in order}
+    above = {j for _, j in order}
+    roles = {}
+    for i in range(k):
+        maximal = i not in below
+        minimal = i not in above
+        if maximal and not minimal:
+            roles[i] = "attractor"
+        elif minimal and not maximal:
+            roles[i] = "repeller"
+        else:
+            roles[i] = "neither"
+    return {"order": order, "roles": roles}
+
+
+class TestReachabilityMatchesReference:
+    @pytest.mark.parametrize("kind,res,eps,step", [
+        ("north-south", 96, 0.012, None), ("north-south", 128, 0.01, None),
+        ("cat-map", 64, 0.012, "sinks"), ("sphere-pA", 64, 0.012, "sinks"),
+        ("north-south", 64, 0.03, "sinks"), ("cat-map", 16, 0.05, "identity"),
+        ("sphere-pA", 64, 0.02, "fold")])
+    def test_reach_and_order(self, kind, res, eps, step, monkeypatch):
+        sys = make_model(kind)
+        g = build_graph(sys, res, eps, step=_STEPS_CLASSES[step])
+        part = chain_classes(g)
+        adj_t = g.adjacency.T.tocsr()
+        want = _ref_class_order(g, part)
+        for pairs in (chainrec._CHUNK_PAIRS, 1000):
+            monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", pairs)
+            for c in part.classes:
+                for adj in (g.adjacency, adj_t):
+                    got = chainrec._reachable(adj, c)
+                    assert got.dtype == bool
+                    assert np.array_equal(got, _ref_reachable(adj, c))
+            assert class_order(sys, g, part) == want
+        if kind == "north-south" and step is None:
+            assert want["order"] == [(0, 1)]
+        elif step == "sinks":
+            assert part.n_classes > 2
+
+    def test_seeds_of_the_synthetic_graph(self):
+        # every cell as a seed, on a graph with sources, sinks and cycles
+        g = _synthetic_graph()
+        adj_t = g.adjacency.T.tocsr()
+        for cell in range(g.n_cells):
+            for adj in (g.adjacency, adj_t):
+                assert np.array_equal(chainrec._reachable(adj, np.array([cell])),
+                                      _ref_reachable(adj, np.array([cell])))

@@ -149,3 +149,19 @@ _RETIRED_TWINS = ("chart_distance_arr", "_torus_norm_arr", "_is_half_lattice", "
 def test_no_chart_primitive_twins(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     assert _spelled(tree, _RETIRED_TWINS) == []
+
+
+# the dict-based union-find that the SCC-id pair graph of the class merge
+# replaced; its reference copy lives in tests/test_chainrec.py
+_RETIRED_CHAINREC = ("_Union",)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dict_union_find(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _spelled(tree, _RETIRED_CHAINREC) == []
+
+
+def test_retired_chainrec_name_check_sees_it():
+    tree = ast.parse("class _Union:\n    pass\nuf = chainrec._Union(ids)\n")
+    assert _spelled(tree, _RETIRED_CHAINREC) == [(1, "_Union"), (3, "_Union")]
