@@ -37,14 +37,15 @@ class _Ctx:
         return self._consts[sys.kind]
 
 
-def _family(sys, n, seed, lo=-7.0, hi=None, n_singletons=0):
-    """n marked continua: random local arcs, log-uniform size, plus points."""
+def _family(sys, n, seed, n_singletons=0):
+    """n marked continua: random local arcs, log-uniform size in
+    [1e-7, 0.45 c], plus points."""
     rng = np.random.default_rng(seed)
-    hi = math.log10(0.45 * sys.c) if hi is None else hi
+    hi = math.log10(0.45 * sys.c)
     fam = []
     for _ in range(n - n_singletons):
         kind = "stable" if rng.integers(2) else "unstable"
-        eps = float(10 ** rng.uniform(lo, hi))
+        eps = float(10 ** rng.uniform(-7.0, hi))
         fam.append(local_arc(sys, sys.point(*rng.uniform(0.0, 1.0, 2)), kind, eps))
     for _ in range(n_singletons):
         p = sys.point(*rng.uniform(0.0, 1.0, 2))
@@ -249,18 +250,19 @@ def _crit_tail_exponent(ctx):
 # -- criterion 6: periodic density --------------------------------------------
 
 
-def _rational_match(sys, q, tol=1e-6, max_den=200, cap=2000):
-    """Brute-force oracle: q is near a rational point with a closed orbit."""
+def _rational_match(sys, q):
+    """Brute-force oracle: q is within 1e-6 of a rational point of
+    denominator at most 200 whose orbit closes within 2000 steps."""
     ((a, b), (c, d)) = sys.matrix
     qxy = q.xy()
-    for den in range(1, max_den + 1):
+    for den in range(1, 201):
         nx, ny = int(round(qxy[0] * den)), int(round(qxy[1] * den))
         cand = np.array([(nx % den) / den, (ny % den) / den])
-        if models.chart_distance(sys.chart, qxy, cand) >= tol:
+        if models.chart_distance(sys.chart, qxy, cand) >= 1e-6:
             continue
         u0, v0 = nx % den, ny % den
         u, v = u0, v0
-        for _ in range(cap):
+        for _ in range(2000):
             u, v = (a * u + b * v) % den, (c * u + d * v) % den
             if (u, v) == (u0, v0):
                 return True

@@ -208,14 +208,6 @@ class MarkedContinuum:
     def point(self, idx: int) -> Point:
         return Point(self.chart, (float(self.vertices[idx, 0]), float(self.vertices[idx, 1])))
 
-    @property
-    def point_p(self) -> Point:
-        return self.point(self.mark_p)
-
-    @property
-    def point_q(self) -> Point:
-        return self.point(self.mark_q)
-
     def with_marks(self, mark_p: int, mark_q: int) -> "MarkedContinuum":
         return replace(self, mark_p=mark_p, mark_q=mark_q)
 

@@ -79,7 +79,11 @@ class MetricConstants:
             raise ValueError("horizon must be positive")
 
 
-def constants_for(c: float, m: int, tail: float = 1e-12) -> MetricConstants:
+# the metric's horizon is the smallest n with lam^-n below this
+_HORIZON_TAIL = 1e-12
+
+
+def constants_for(c: float, m: int) -> MetricConstants:
     """Derive the full constant set from c and the escape bound m."""
     m = int(m)
     alpha = 2.0 ** (1.0 / m)
@@ -87,8 +91,8 @@ def constants_for(c: float, m: int, tail: float = 1e-12) -> MetricConstants:
     n0 = 2 * m + 1
     k = 2.0 ** (n0 / m - 2.0)
     lam = 2.0 ** (1.0 / (m * n0))
-    horizon = max(1, int(math.ceil(math.log(1.0 / tail) / math.log(lam))))
-    while lam ** (-horizon) >= tail:
+    horizon = max(1, int(math.ceil(math.log(1.0 / _HORIZON_TAIL) / math.log(lam))))
+    while lam ** (-horizon) >= _HORIZON_TAIL:
         horizon += 1
     xi = 1.0 / (4.0 * alpha * lam ** (n0 - 1))
     return MetricConstants(c=float(c), m=m, alpha=alpha, n0=n0, k=k,
@@ -178,7 +182,7 @@ def _lift_piece(lf, frame: models.EigenFrame) -> _Piece:
     return _eigen_piece(frame, lf.start_arr, lf.length * d)
 
 
-def _pieces_of(sys, cont: MarkedContinuum, frame: models.EigenFrame) -> list:
+def _pieces_of(cont: MarkedContinuum, frame: models.EigenFrame) -> list:
     """Decompose a continuum into straight cover pieces.
 
     Lifted arcs give one piece with exact eigen components; plain
@@ -488,7 +492,7 @@ def _path_of(sys, cont: MarkedContinuum):
         raise models.ChartError(f"continuum chart {cont.chart!r} does not match "
                                 f"model {sys.chart!r}")
     frame = models.eigen_frame(sys.matrix)
-    return frame, ([] if cont.is_singleton else _pieces_of(sys, cont, frame))
+    return frame, ([] if cont.is_singleton else _pieces_of(cont, frame))
 
 
 def _sub_blocks(frame: models.EigenFrame, pieces: list, a: np.ndarray, b: np.ndarray):
@@ -839,26 +843,24 @@ def _ns_samples(c: float, budget: int, rng) -> list:
 
 
 def calibrate(sys, c: float | None = None, sample_budget: int = 400,
-              seed: int = 0, max_m: int | None = None) -> MetricConstants:
+              seed: int = 0) -> MetricConstants:
     """Find the escape bound m on a sampled continuum family and derive
     the metric constants.
 
     m is the smallest integer such that every sampled continuum with
     diameter above c/2 reaches diameter above c within m iterates (either
-    direction).  The samples on the toral models are straight eigen-arcs,
-    and whether one's diameter exceeds c/2 is decided exactly from its
-    lift by the straight-segment identity (``_segment_exceeds``).  A
-    sample that never escapes within the scan window is a counterexample
-    certificate: calibration fails and the witness is attached to the
-    raised error.
+    direction); it may not exceed the model's horizon.  The samples on
+    the toral models are straight eigen-arcs, and whether one's diameter
+    exceeds c/2 is decided exactly from its lift by the straight-segment
+    identity (``_segment_exceeds``).  A sample that never escapes within
+    the scan window is a counterexample certificate: calibration fails
+    and the witness is attached to the raised error.
     """
     c = float(sys.c if c is None else c)
     if not 0.0 < c < MAX_C:
         raise ValueError(f"c must lie in (0, {MAX_C}) at chart scale, got {c}")
-    if max_m is None:
-        max_m = sys.horizon
     rng = np.random.default_rng(seed)
-    scan = max_m + 40
+    scan = sys.horizon + 40
     if sys.kind == NORTH_SOUTH:
         worst = None
         for lon, t0, t1 in _ns_samples(c, sample_budget, rng):
@@ -875,7 +877,7 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
         if worst is None:
             worst = {"kind": "exhausted", "note": "no witness found"}
         err = CalibrationError(
-            f"no escape bound m <= {max_m}: witness continuum of diameter "
+            f"no escape bound m <= {sys.horizon}: witness continuum of diameter "
             f"{worst.get('diam', 0):.4g} never exceeds c={c} "
             f"(sup {worst.get('sup_diam', 0):.4g} over |n| <= {scan})")
         err.witness = worst
@@ -888,9 +890,9 @@ def calibrate(sys, c: float | None = None, sample_budget: int = 400,
     table = _BlockTable(sys, frame, c, scan, *_rows_of([[_lift_piece(lf, frame)] for lf in family]))
     m_needed = 0
     for lf, n in zip(family, table.escapes([0])[:, 0].tolist()):
-        if n > max_m:
+        if n > sys.horizon:
             err = CalibrationError(
-                f"sample arc (len {lf.length:.4g}) needs more than m={max_m} "
+                f"sample arc (len {lf.length:.4g}) needs more than m={sys.horizon} "
                 f"iterates to escape c={c}")
             err.witness = {"kind": "eigen-arc", "stable": lf.stable,
                            "start": list(lf.start), "length": lf.length,

@@ -24,6 +24,9 @@ from .continua import OffContinuumError, intersect, subcontinuum, _project_to_po
 from .cwmetric import MetricConstants, cw_metric
 from .models import Point
 
+# vertices of the local arcs that holonomy transport builds
+ARC_RESOLUTION = 9
+
 
 class HolonomyFault(RuntimeError):
     """Empty holonomy despite satisfied preconditions.
@@ -47,7 +50,6 @@ class HolonomyParams:
     eps: float
     delta: float
     tol: float = 1e-9
-    resolution: int = 9
 
     def __post_init__(self):
         if not 0.0 < self.delta < self.eps:
@@ -101,17 +103,15 @@ def product_structure_radius(sys, eps: float, sample_budget: int = 160,
     return lo
 
 
-def default_params(sys, sample_budget: int = 160, seed: int = 0,
-                   tol: float = 1e-9) -> HolonomyParams:
+def default_params(sys, sample_budget: int = 160, seed: int = 0) -> HolonomyParams:
     """eps = c/2 and delta = half the certified product-structure radius."""
     eps = sys.c / 2.0
     dp = product_structure_radius(sys, eps, sample_budget=sample_budget, seed=seed)
-    return HolonomyParams(eps=eps, delta=dp / 2.0, tol=tol)
+    return HolonomyParams(eps=eps, delta=dp / 2.0)
 
 
-def _on_arc(sys, x: Point, z: Point, kind: str, radius: float, tol: float,
-            resolution: int = 9) -> bool:
-    arc = models.local_arc(sys, x, kind, radius, resolution=resolution)
+def _on_arc(sys, x: Point, z: Point, kind: str, radius: float, tol: float) -> bool:
+    arc = models.local_arc(sys, x, kind, radius, resolution=ARC_RESOLUTION)
     _, _, d, _ = _project_to_polyline(arc, z.xy())
     return d <= tol
 
@@ -130,11 +130,10 @@ def holonomy(sys, x: Point, y: Point, z: Point, kind: str,
     dxy = models.distance(sys, x, y)
     if not dxy < params.delta:
         raise ValueError(f"d(x, y) = {dxy:.3g} is not below delta = {params.delta:.3g}")
-    if not _on_arc(sys, x, z, kind, params.delta, 10.0 * params.tol,
-                   resolution=params.resolution):
+    if not _on_arc(sys, x, z, kind, params.delta, 10.0 * params.tol):
         raise ValueError(f"z is not on the local {kind} arc of x at scale delta")
-    carrier = models.local_arc(sys, z, other, params.eps, resolution=params.resolution)
-    target = models.local_arc(sys, y, kind, params.eps, resolution=params.resolution)
+    carrier = models.local_arc(sys, z, other, params.eps, resolution=ARC_RESOLUTION)
+    target = models.local_arc(sys, y, kind, params.eps, resolution=ARC_RESOLUTION)
     pts = intersect(carrier, target, tol=params.tol)
     if not pts:
         raise HolonomyFault(
@@ -158,7 +157,7 @@ def _sample_rectangle(sys, rng, params: HolonomyParams, diam_range):
     off = rng.uniform(0.3, 0.9) * params.delta * rng.choice([-1.0, 1.0])
     es = sys.eigen_direction(stable=True)
     eu = sys.eigen_direction(stable=False)
-    arc = models.local_arc(sys, p, "stable", params.eps, resolution=params.resolution)
+    arc = models.local_arc(sys, p, "stable", params.eps, resolution=ARC_RESOLUTION)
     q = sys.point(*(p.xy() + (2.0 * half) * es * rng.choice([-1.0, 1.0])))
     pstar = sys.point(*(p.xy() + off * eu))
     return subcontinuum(arc, p, q, tol=1e-6), p, q, pstar
@@ -168,8 +167,7 @@ def _branch_ratios(sys, C, p, q, pstar, params, consts, depth: int = 3):
     """D(C*)/D(C) for every admissible branch of the transported side."""
     d_c = cw_metric(sys, C, consts, depth=depth)
     cands = holonomy(sys, p, pstar, q, "stable", params)
-    arc_s = models.local_arc(sys, pstar, "stable", params.eps,
-                             resolution=params.resolution)
+    arc_s = models.local_arc(sys, pstar, "stable", params.eps, resolution=ARC_RESOLUTION)
     ratios = []
     for qstar in cands:
         try:

@@ -145,6 +145,13 @@ def _geo_embed(xy: np.ndarray) -> np.ndarray:
     return np.stack([st * np.cos(lon), st * np.sin(lon), np.cos(th)], axis=-1)
 
 
+def _geo_distance(ea: np.ndarray, eb: np.ndarray):
+    """Round-sphere distance, scaled by 1/pi, of unit-sphere embeddings
+    (..., 3) as :func:`_geo_embed` gives them."""
+    d = np.sum(ea * eb, axis=-1)
+    return np.arccos(np.clip(d, -1.0, 1.0)) / math.pi
+
+
 def chart_distance(chart: str, a, b):
     """Metric of the chart over broadcastable (..., 2) arrays: flat torus,
     quotient of it, or round sphere.  A single pair gives a np.float64.
@@ -159,8 +166,7 @@ def chart_distance(chart: str, a, b):
     if chart == SPHERE_QUOTIENT:
         return np.minimum(torus_norm(a - b), torus_norm(a + b))
     if chart == SPHERE_GEOGRAPHIC:
-        d = np.sum(_geo_embed(a) * _geo_embed(b), axis=-1)
-        return np.arccos(np.clip(d, -1.0, 1.0)) / math.pi
+        return _geo_distance(_geo_embed(a), _geo_embed(b))
     raise ChartError(f"unknown chart {chart!r}")
 
 
@@ -180,18 +186,17 @@ def _check_matrix(matrix) -> tuple[tuple[int, int], tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SystemModel:
-    """A concrete system: model kind, defining data, and discretization caps.
+    """A concrete system: model kind, defining data, and iterate cap.
 
     ``c`` is the expansivity working constant used by default throughout
     (0.25 for the toral families; the north-south map has none and keeps
     a placeholder for reporting only).  ``horizon`` caps |n| in iterate
-    requests; ``resolution`` is the default polyline vertex count.
+    requests.
     """
 
     kind: str
     matrix: tuple[tuple[int, int], tuple[int, int]] = ((2, 1), (1, 1))
     c: float = 0.25
-    resolution: int = 64
     horizon: int = 160
 
     @property
@@ -273,19 +278,16 @@ def eigen_frame(matrix: tuple) -> EigenFrame:
                       inv=inv)
 
 
-def make_model(kind: str, matrix=None, c: float | None = None,
-               resolution: int = 64, horizon: int = 160) -> SystemModel:
+def make_model(kind: str, matrix=None, c: float | None = None) -> SystemModel:
     """Build a :class:`SystemModel`, validating the defining data."""
     if kind not in MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     if kind == NORTH_SOUTH:
         if matrix is not None:
             raise ValueError("north-south map takes no matrix")
-        return SystemModel(kind=kind, c=c if c is not None else 0.25,
-                           resolution=resolution, horizon=horizon)
+        return SystemModel(kind=kind, c=c if c is not None else 0.25)
     mat = _check_matrix(matrix if matrix is not None else ((2, 1), (1, 1)))
-    return SystemModel(kind=kind, matrix=mat, c=c if c is not None else 0.25,
-                       resolution=resolution, horizon=horizon)
+    return SystemModel(kind=kind, matrix=mat, c=c if c is not None else 0.25)
 
 
 # -- exact toral iteration ----------------------------------------------
@@ -443,7 +445,7 @@ def _arc_frame(sys: SystemModel, chart: str, xy: np.ndarray, stable: bool,
 
 
 def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
-              resolution: int | None = None):
+              resolution: int = 64):
     """Local stable (or unstable) arc of ``x`` at scale ``eps``.
 
     The arc is the connected piece of {y : d(f^n x, f^n y) <= eps for all
@@ -451,13 +453,14 @@ def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
     half-length eps in the universal cover.  On the quotient sphere the
     arc of a spine folds onto a single prong with x as an endpoint.
 
-    Returns a marked continuum whose marks are the arc endpoints and
-    which carries its straight lift for downstream exact geometry.
+    Returns a marked continuum of ``resolution`` vertices (and x) whose
+    marks are the arc endpoints and which carries its straight lift for
+    downstream exact geometry.
     """
     from .continua import MarkedContinuum, StraightLift
 
     stable = _want_stable(kind)
-    res = sys.resolution if resolution is None else int(resolution)
+    res = int(resolution)
     if res < 2:
         raise ValueError("resolution must be at least 2")
     t = np.linspace(0.0, 1.0, res)
@@ -471,8 +474,8 @@ def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
                            mark_p=0, mark_q=len(t) - 1, lift=lift)
 
 
-def is_spine(sys: SystemModel, x, eps: float, tol: float = 1e-9):
-    """True when x is an endpoint of its own local stable arc.
+def is_spine(sys: SystemModel, x, eps: float):
+    """True when x is within SPINE_TOL of an end of its own local stable arc.
 
     x is a Point, or an (n, 2) array of chart coordinates for an (n,)
     boolean array.  The two end vertices are computed as local_arc at
@@ -489,7 +492,7 @@ def is_spine(sys: SystemModel, x, eps: float, tol: float = 1e-9):
     ends = [np.where(new & (tx < 0.0), tx, 0.0), np.where(new & (tx > 1.0), tx, 1.0)]
     d0, d1 = (chart_distance(chart, xy, wrap_chart(
         chart, start + (t * length)[:, None] * e)) for t in ends)
-    spine = np.minimum(d0, d1) <= tol
+    spine = np.minimum(d0, d1) <= SPINE_TOL
     return bool(spine[0]) if point else spine
 
 

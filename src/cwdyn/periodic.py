@@ -24,7 +24,7 @@ import numpy as np
 from . import models
 from .continua import MarkedContinuum, concat, intersect, subcontinuum
 from .cwmetric import MetricConstants, cw_metric
-from .holonomy import HolonomyFault, HolonomyParams, product_structure_radius
+from .holonomy import ARC_RESOLUTION, HolonomyFault, product_structure_radius
 from .models import BudgetError, Point
 
 
@@ -96,13 +96,12 @@ def validate_chain(params: KatokParams, consts: MetricConstants) -> None:
 
 
 def plan_katok(sys, consts: MetricConstants, alpha_target: float,
-               gamma: float | None = None, sample_budget: int = 120,
-               seed: int = 0) -> KatokParams:
+               sample_budget: int = 120, seed: int = 0) -> KatokParams:
     """Derive a full parameter chain for the target accuracy.
 
-    gamma defaults to just under delta/2; it is the one scale the chain
-    cannot pin down a priori (it reflects the empirically measured
-    pseudo-isometry modulus at eta = delta), so it stays tunable.
+    gamma is just under delta/2; it is the one scale the chain cannot pin
+    down a priori (it reflects the empirically measured pseudo-isometry
+    modulus at eta = delta).
     """
     if not alpha_target > 0.0:
         raise ValueError("alpha_target must be positive")
@@ -111,8 +110,7 @@ def plan_katok(sys, consts: MetricConstants, alpha_target: float,
     delta_prime = product_structure_radius(sys, eps, sample_budget=sample_budget,
                                            seed=seed)
     delta = delta_prime / 2.0
-    if gamma is None:
-        gamma = 0.49 * delta
+    gamma = 0.49 * delta
     beta = 0.99 * gamma / 3.0
     lam_c = 1.0 / consts.lam
     k_tail = tail_exponent(4.0 * (1.0 + delta) ** 2, lam_c, beta)
@@ -209,7 +207,7 @@ def find_return(sys, p: Point, bound: float, k_min: int,
 
 
 def _oriented(leg: MarkedContinuum) -> MarkedContinuum:
-    """The same polyline with vertices running from point_p to point_q."""
+    """The same polyline with vertices running from mark_p to mark_q."""
     if leg.mark_p <= leg.mark_q:
         return leg
     n = leg.n_vertices
@@ -217,7 +215,7 @@ def _oriented(leg: MarkedContinuum) -> MarkedContinuum:
                            mark_p=n - 1 - leg.mark_p, mark_q=n - 1 - leg.mark_q)
 
 
-def _step_continuum(sys, ca, cb, start: Point, mid: Point, end: Point) -> MarkedContinuum:
+def _step_continuum(ca, cb, start: Point, mid: Point, end: Point) -> MarkedContinuum:
     leg_a = _oriented(subcontinuum(ca, start, mid, tol=1e-7))
     leg_b = _oriented(subcontinuum(cb, mid, end, tol=1e-7))
     return concat([leg_a, leg_b], tol=1e-7)
@@ -232,7 +230,7 @@ def _best_crossing(sys, ca, cb, start: Point, end: Point,
     best = None
     for z in cands:
         try:
-            path = _step_continuum(sys, ca, cb, start, z, end)
+            path = _step_continuum(ca, cb, start, z, end)
         except ValueError:
             continue
         d_f = cw_metric(sys, path, consts, depth=3)
@@ -244,8 +242,7 @@ def _best_crossing(sys, ca, cb, start: Point, end: Point,
 
 
 def katok_iterate(sys, y: Point, k: int, params: KatokParams,
-                  consts: MetricConstants, max_steps: int = 40,
-                  tol: float = 1e-11) -> dict:
+                  consts: MetricConstants, max_steps: int = 40) -> dict:
     """Run the corrective loop from the recurrent pair (y, k).
 
     Each step's connecting path F_n (stable leg from y_n to the
@@ -259,14 +256,13 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
     the result.
 
     The run stops after three consecutive gaps d(y_n, f^k y_n) below
-    max(tol, 2 * 2^-52 * lam_u^k): f^k amplifies the rounding of y_n by
+    max(1e-11, 2 * 2^-52 * lam_u^k): f^k amplifies the rounding of y_n by
     about lam_u^k (lam_u the expansion rate), so below that floor the
     gap is rounding noise and cannot shrink further.
     """
-    gap_tol = max(tol, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
+    gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
     lam_c = 1.0 / consts.lam
     ratio = 4.0 * (1.0 + params.delta) ** 2 * lam_c ** k
-    hol = HolonomyParams(eps=params.eps, delta=params.delta, resolution=9)
     y_n = y
     seq = [y]
     steps = []
@@ -288,19 +284,15 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
             consec = 0
         if n == max_steps:
             break
-        cs = models.local_arc(sys, y_n, "stable", params.eps,
-                              resolution=hol.resolution)
-        cu = models.local_arc(sys, fky, "unstable", params.eps,
-                              resolution=hol.resolution)
+        cs = models.local_arc(sys, y_n, "stable", params.eps, resolution=ARC_RESOLUTION)
+        cu = models.local_arc(sys, fky, "unstable", params.eps, resolution=ARC_RESOLUTION)
         z, d_f = _best_crossing(sys, cs, cu, y_n, fky, consts,
                                 f"step {n} (gap {gap:.3g})")
         # pull the crossing back one return and holonomy-correct: the
         # unstable displacement component contracts here
         fmz = models.iterate(sys, z, -k)
-        cu2 = models.local_arc(sys, z, "unstable", params.eps,
-                               resolution=hol.resolution)
-        cs2 = models.local_arc(sys, fmz, "stable", params.eps,
-                               resolution=hol.resolution)
+        cu2 = models.local_arc(sys, z, "unstable", params.eps, resolution=ARC_RESOLUTION)
+        cs2 = models.local_arc(sys, fmz, "stable", params.eps, resolution=ARC_RESOLUTION)
         y_next, _ = _best_crossing(sys, cu2, cs2, z, fmz, consts,
                                    f"step {n} transport")
         bound = ratio ** (n + 1) * params.c

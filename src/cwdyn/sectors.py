@@ -45,7 +45,6 @@ class SectorRecord:
     u_cross: tuple | None = None
     polygon: np.ndarray | None = None    # closed disc boundary in cover coords
     mirror_center: np.ndarray | None = None
-    seed: "models.Point | None" = None
 
     @property
     def area(self) -> float:
@@ -117,10 +116,10 @@ def _walk(pts: np.ndarray, cross, side: int, h: float) -> np.ndarray:
 # -- construction --------------------------------------------------------
 
 
-def _sector_from_seed(sys, x, eps: float, resolution: int = 5):
+def _sector_from_seed(sys, x, eps: float):
     """Sector records seeded at x, plus the crossing count of its arc pair."""
-    cs = models.local_arc(sys, x, "stable", eps, resolution=resolution)
-    cu = models.local_arc(sys, x, "unstable", eps, resolution=resolution)
+    cs = models.local_arc(sys, x, "stable", eps, resolution=5)
+    cu = models.local_arc(sys, x, "unstable", eps, resolution=5)
     pts = intersect(cs, cu, tol=1e-9)
     if len(pts) < 2:
         return [], len(pts), 0
@@ -135,7 +134,7 @@ def _sector_from_seed(sys, x, eps: float, resolution: int = 5):
     records = []
     skipped = 0
     for k in range(len(info) - 1):
-        rec = _close_pair(sys, cs, cu, info[k], info[k + 1], x)
+        rec = _close_pair(sys, cs, cu, info[k], info[k + 1])
         if rec is None:
             skipped += 1
         else:
@@ -143,7 +142,7 @@ def _sector_from_seed(sys, x, eps: float, resolution: int = 5):
     return records, len(info), skipped
 
 
-def _close_pair(sys, cs, cu, ia, ib, seed):
+def _close_pair(sys, cs, cu, ia, ib):
     """Assemble the disc bounded between two adjacent arc crossings.
 
     The stable and unstable sub-arcs share one crossing in the cover (the
@@ -179,7 +178,7 @@ def _close_pair(sys, cs, cu, ia, ib, seed):
                           cu.lift.start_arr + cu.lift.length * cu.lift.dir_arr]),
         s_cross=((0, lo["ts"]), (0, hi["ts"])),
         u_cross=((0, lo["tu"]), (0, hi["tu"])),
-        polygon=polygon, mirror_center=w, seed=seed)
+        polygon=polygon, mirror_center=w)
 
 
 # -- enumeration ---------------------------------------------------------
@@ -233,18 +232,14 @@ def find_sectors(sys, region=None, eps: float | None = None,
             skipped_pairs += nskip
             counts[nc] = counts.get(nc, 0) + 1
             raw.extend(recs)
-    # one minimal sector per spine
+    # one minimal sector per spine; _close_pair gives every record one
     by_spine = {}
-    loose = []
     for idx, rec in enumerate(raw):
-        if rec.spine is None:
-            loose.append(rec)
-            continue
         key = rec.spine.coords
         cur = by_spine.get(key)
         if cur is None or (rec.area, idx) < (cur[0].area, cur[1]):
             by_spine[key] = (rec, idx)
-    sectors = [by_spine[k][0] for k in sorted(by_spine)] + loose
+    sectors = [by_spine[k][0] for k in sorted(by_spine)]
     return SectorSearch(sectors=sectors, seeds_probed=probed,
                         seeds_planned=planned, exhausted=probed < planned,
                         crossing_counts=counts, skipped_pairs=skipped_pairs)
@@ -455,12 +450,12 @@ def _continuity_report(chart, grid, charts, eigs) -> dict:
 # -- enclosing sectors ---------------------------------------------------
 
 
-def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8,
-                     margin: float = 0.3) -> dict:
+def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8) -> dict:
     """A regular sector whose disc strictly contains the given one.
 
     Seeds a ladder of points moving away from the spine along the ray
-    through the original seed corner; each rung rebuilds the sector at a
+    through the original seed corner, rung j at 1.3^j times the corner's
+    offset from the spine; each rung rebuilds the sector at a
     matching arc scale and checks vertex-wise strict containment.  A
     not-found report is data, not an exception.
     """
@@ -470,7 +465,7 @@ def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8,
     Einv = models.eigen_frame(sys.matrix).inv
     v0 = s.polygon[0] - w
     for j in range(1, margin_budget + 1):
-        vj = v0 * (1.0 + margin) ** j
+        vj = v0 * 1.3 ** j
         ej = Einv @ vj
         eps_j = 2.4 * float(np.max(np.abs(ej)))
         if eps_j >= 0.98 * sys.c:

@@ -126,7 +126,7 @@ class TestIntersect:
         long, short = (local_arc(cat, x, "stable", eps) for eps in (0.1, 0.03))
         got = intersect(long, short)
         assert _same_points(got, intersect(short, long))
-        ends = [short.point_p, short.point_q]
+        ends = [short.point(short.mark_p), short.point(short.mark_q)]
         assert _same_points(got, ends)
         tl, ts = from_record(to_record(long)), from_record(to_record(short))
         got = intersect(tl, ts)
@@ -147,8 +147,8 @@ class TestSubcontinuum:
         a = arc.point(5)
         b = arc.point(40)
         sub = subcontinuum(arc, a, b)
-        assert models.distance(cat, sub.point_p, a) < 1e-12
-        assert models.distance(cat, sub.point_q, b) < 1e-12
+        assert models.distance(cat, sub.point(sub.mark_p), a) < 1e-12
+        assert models.distance(cat, sub.point(sub.mark_q), b) < 1e-12
 
     def test_long_image_lift(self, cat):
         # a lift 9.4 long: the nearest representative of a vertex lies
@@ -156,8 +156,8 @@ class TestSubcontinuum:
         im = image(cat, local_arc(cat, cat.point(0.31, 0.47), "unstable", 0.1), 4)
         assert im.lift.length > 9.0
         sub = subcontinuum(im, im.point(0), im.point(3))
-        assert models.distance(cat, sub.point_p, im.point(0)) < 1e-12
-        assert models.distance(cat, sub.point_q, im.point(3)) < 1e-12
+        assert models.distance(cat, sub.point(sub.mark_p), im.point(0)) < 1e-12
+        assert models.distance(cat, sub.point(sub.mark_q), im.point(3)) < 1e-12
 
     def test_off_continuum(self, cat):
         arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.05)
@@ -181,8 +181,8 @@ class TestConcat:
         right = subcontinuum(u_leg, mid, u_leg.point(u_leg.n_vertices - 1))
         path = concat([left, right])
         assert path.n_vertices == left.n_vertices + right.n_vertices - 1
-        assert models.distance(cat, path.point_p, left.point_p) < 1e-12
-        assert models.distance(cat, path.point_q, right.point_q) < 1e-12
+        assert models.distance(cat, path.point(path.mark_p), left.point(left.mark_p)) < 1e-12
+        assert models.distance(cat, path.point(path.mark_q), right.point(right.mark_q)) < 1e-12
 
     def test_gap_rejected(self, cat):
         a = local_arc(cat, cat.point(0.1, 0.1), "stable", 0.02)
@@ -208,8 +208,8 @@ def test_image_preserves_marked_points(cat):
     # the image of the p-mark is the iterate of the p-mark
     arc = local_arc(cat, cat.point(0.3, 0.7), "stable", 0.02)
     img = image(cat, arc, 2)
-    want = models.iterate(cat, arc.point_p, 2)
-    assert models.distance(cat, img.point_p, want) < 1e-9
+    want = models.iterate(cat, arc.point(arc.mark_p), 2)
+    assert models.distance(cat, img.point(img.mark_p), want) < 1e-9
 
 
 # -- properties on all three charts --------------------------------------------
@@ -340,7 +340,7 @@ class TestCoverProperties:
         j = draw(st.integers(0, c.n_vertices - 1))
         a, b = c.point(i), c.point(j)
         sub = subcontinuum(c, a, b)
-        assert _gap(chart, sub.point_p.xy(), a.xy()) < 1e-9
-        assert _gap(chart, sub.point_q.xy(), b.xy()) < 1e-9
+        assert _gap(chart, sub.point(sub.mark_p).xy(), a.xy()) < 1e-9
+        assert _gap(chart, sub.point(sub.mark_q).xy(), b.xy()) < 1e-9
         for v in sub.vertices:
             assert _project_to_polyline(c, v)[2] < 1e-9

@@ -436,7 +436,7 @@ class TestRecordLoadedArcs:
                 for _ in range(2):
                     arc = local_arc(sys, sys.point(*rng.uniform(0, 1, 2)), arc_kind, eps)
                     rec = _record_twin(arc)
-                    assert len(cwmetric._pieces_of(sys, rec, frame)) == 1
+                    assert len(cwmetric._pieces_of(rec, frame)) == 1
                     assert cw_metric_profile(sys, rec, consts, depth=2) \
                         == cw_metric_profile(sys, arc, consts, depth=2)
 
@@ -464,7 +464,7 @@ class TestRecordLoadedArcs:
             chart=sys.chart, vertices=models._wrap1(a + t * (leg * d)[None, :]),
             mark_p=0, mark_q=8) for a, d in ((corner - leg * es, es), (corner, eu))]
         path = continua.concat(legs)
-        pieces = cwmetric._pieces_of(sys, path, models.eigen_frame(sys.matrix))
+        pieces = cwmetric._pieces_of(path, models.eigen_frame(sys.matrix))
         assert len(pieces) == 2
         stable_leg, unstable_leg = pieces
         assert abs(stable_leg.au) < 1e-3 * leg
@@ -565,7 +565,7 @@ class _ScalarEvaluator:
 
     def __init__(self, sys, cont, consts, depth):
         frame = models.eigen_frame(sys.matrix)
-        pieces = [] if cont.is_singleton else cwmetric._pieces_of(sys, cont, frame)
+        pieces = [] if cont.is_singleton else cwmetric._pieces_of(cont, frame)
         self.engine = _ScalarEngine(sys, pieces, consts.c, consts.horizon)
         # the mark params are the library's: only the evaluation is replaced
         ev = cwmetric.MetricEvaluator(sys, cont, consts, depth)
@@ -801,7 +801,7 @@ class TestQuotientRingScan:
                     mark_p=0, mark_q=32)
             else:
                 arc = _arc(pa, *xy, arc_kind, eps)
-            pieces = cwmetric._pieces_of(pa, arc, frame)
+            pieces = cwmetric._pieces_of(arc, frame)
             assert len(pieces) == 1
             table = cwmetric._BlockTable(pa, frame, consts_pa.c, h,
                                          *cwmetric._rows_of([pieces]))

@@ -1,4 +1,7 @@
 import ast
+import dataclasses
+import importlib
+import inspect
 import pathlib
 import warnings
 
@@ -165,3 +168,56 @@ def test_no_dict_union_find(path):
 def test_retired_chainrec_name_check_sees_it():
     tree = ast.parse("class _Union:\n    pass\nuf = chainrec._Union(ids)\n")
     assert _spelled(tree, _RETIRED_CHAINREC) == [(1, "_Union"), (3, "_Union")]
+
+
+# public names that only tests read; MarkedContinuum.point(mark) does
+_RETIRED_TEST_ONLY = ("point_p", "point_q")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_test_only_mark_points(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _spelled(tree, _RETIRED_TEST_ONLY) == []
+
+
+# parameters that had one value in use (now constants) and unused ones
+_RETIRED_PARAMS = {
+    "models.make_model": ("resolution", "horizon"),
+    "models.is_spine": ("tol",),
+    "cwmetric.constants_for": ("tail",),
+    "cwmetric.calibrate": ("max_m",),
+    "cwmetric._pieces_of": ("sys",),
+    "holonomy.default_params": ("tol",),
+    "periodic.plan_katok": ("gamma",),
+    "periodic.katok_iterate": ("tol",),
+    "periodic._step_continuum": ("sys",),
+    "sectors.enclosing_sector": ("margin",),
+    "sectors._sector_from_seed": ("resolution",),
+    "acceptance._family": ("lo", "hi"),
+    "acceptance._rational_match": ("tol", "max_den", "cap"),
+}
+
+# fields that had one value in use, and result state that nothing read
+_RETIRED_FIELDS = {
+    "models.SystemModel": ("resolution",),
+    "holonomy.HolonomyParams": ("resolution",),
+    "chainrec.ChainClassGraph": ("scc_labels", "classes", "order", "roles"),
+    "sectors.SectorRecord": ("seed",),
+}
+
+
+def _resolve(dotted):
+    module, name = dotted.split(".")
+    return getattr(importlib.import_module(f"cwdyn.{module}"), name)
+
+
+@pytest.mark.parametrize("dotted", sorted(_RETIRED_PARAMS))
+def test_retired_parameters_are_gone(dotted):
+    params = inspect.signature(_resolve(dotted)).parameters
+    assert [p for p in _RETIRED_PARAMS[dotted] if p in params] == []
+
+
+@pytest.mark.parametrize("dotted", sorted(_RETIRED_FIELDS))
+def test_retired_fields_are_gone(dotted):
+    names = {f.name for f in dataclasses.fields(_resolve(dotted))}
+    assert [f for f in _RETIRED_FIELDS[dotted] if f in names] == []
