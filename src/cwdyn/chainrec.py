@@ -469,29 +469,16 @@ def _reachable(adj: sp.csr_matrix, seed: np.ndarray) -> np.ndarray:
 
 
 def _assert_acyclic(order: list, n_classes: int) -> None:
-    adj = {i: [] for i in range(n_classes)}
-    for i, j in order:
-        adj[i].append(j)
-    state = {}
-    for start in range(n_classes):
-        stack = [(start, iter(adj[start]))]
-        if state.get(start):
-            continue
-        state[start] = 1
-        while stack:
-            node, it = stack[-1]
-            for nxt in it:
-                if state.get(nxt) == 1:
-                    raise DiscretizationError(
-                        f"cyclic class order {nxt} <-> {node}; the grid is "
-                        f"too coarse, refine the resolution and retry")
-                if nxt not in state:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(adj[nxt])))
-                    break
-            else:
-                state[node] = 2
-                stack.pop()
+    """Raise when the order has a cycle: a strong component of two or
+    more classes, since no class is ordered against itself."""
+    i, j = np.array(order, dtype=int).reshape(-1, 2).T
+    rel = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n_classes, n_classes))
+    n_comp, lab = connected_components(rel, directed=True, connection="strong")
+    on_cycle = np.flatnonzero(np.bincount(lab, minlength=n_comp)[lab] >= 2)
+    if on_cycle.size:
+        raise DiscretizationError(
+            f"cyclic class order among classes {on_cycle.tolist()}; the grid "
+            f"is too coarse, refine the resolution and retry")
 
 
 def class_order(sys, g: ChainClassGraph, partition: Partition) -> dict:
@@ -521,16 +508,9 @@ def class_order(sys, g: ChainClassGraph, partition: Partition) -> dict:
     _assert_acyclic(order, k)
     below = {i for i, _ in order}
     above = {j for _, j in order}
-    roles = {}
-    for i in range(k):
-        maximal = i not in below
-        minimal = i not in above
-        if maximal and not minimal:
-            roles[i] = "attractor"
-        elif minimal and not maximal:
-            roles[i] = "repeller"
-        else:
-            roles[i] = "neither"
+    attractors, repellers = above - below, below - above
+    roles = {i: "attractor" if i in attractors else "repeller" if i in repellers
+             else "neither" for i in range(k)}
     return {"order": order, "roles": roles}
 
 

@@ -166,7 +166,10 @@ class StraightLift:
 
 @dataclass
 class MarkedContinuum:
-    """Polyline continuum with marked points p and q (vertex indices)."""
+    """Polyline continuum with marked points p and q (vertex indices).
+
+    A lifted arc carries its lift with each vertex's lift param, 0 to 1.
+    """
 
     chart: str
     vertices: np.ndarray
@@ -191,10 +194,14 @@ class MarkedContinuum:
             if np.any(steps >= MAX_STEP):
                 raise ValueError(f"consecutive vertices exceed one chart step "
                                  f"(max {float(np.max(steps)):.4f} >= {MAX_STEP})")
+        if (self.lift is None) != (self.params is None):
+            raise ValueError("a lift and its params come together")
         if self.params is not None:
             t = np.asarray(self.params, dtype=float)
             if t.shape != (n,) or np.any(np.diff(t) < 0):
                 raise ValueError("params must be a nondecreasing length-N array")
+            if t[0] != 0.0 or t[-1] != (1.0 if n > 1 else 0.0):
+                raise ValueError("lift params must run from 0 to 1 ([0] on one vertex)")
             self.params = t
 
     @property
@@ -266,7 +273,7 @@ def image(sys, cont: MarkedContinuum, n: int, budget: int = 20000) -> MarkedCont
         raise HorizonError(f"|n|={abs(n)} exceeds horizon {sys.horizon}")
     if cont.chart != sys.chart:
         raise ChartError(f"continuum chart {cont.chart!r} does not match model {sys.chart!r}")
-    if cont.lift is not None and cont.params is not None:
+    if cont.lift is not None:
         lift2 = cont.lift.iterated(sys, n)
         t = cont.params
         need = _required_count(lift2.length, budget)
@@ -338,7 +345,7 @@ def _segments(cont: MarkedContinuum):
     A lifted arc is its one cover segment; a plain polyline is the edges
     of its unwrapped path.
     """
-    if cont.lift is not None and cont.params is not None:
+    if cont.lift is not None:
         lf = cont.lift
         return (lf.start_arr[None, :], (lf.dir_arr * lf.length)[None, :],
                 np.array([lf.length]))
@@ -390,15 +397,16 @@ def _crossings(chart: str, seg_a, seg_b, tol: float):
     when its determinant is below 1e-14 of its length product or each
     endpoint lies within tol of the other segment's line; it then meets
     at each of its four endpoints within tol of the other segment.
-    Returns the points and the pair index i·len(B) + j of each (A's
-    segment i, B's segment j), in pair order.  At most _PAIR_CHUNK pairs
-    are solved at once, so memory does not grow with len(A)·len(B).
+    Returns the points, the pair index i·len(B) + j of each (A's
+    segment i, B's segment j), in pair order, and whether each needed no
+    clamping.  At most _PAIR_CHUNK pairs are solved at once, so memory
+    does not grow with len(A)·len(B).
     """
     a0, da0, la0 = seg_a
     b0, db0, lb0 = seg_b
     nb = len(b0)
     step = max(1, _PAIR_CHUNK // nb)
-    out, pairs = [], []
+    out, pairs, exact = [], [], []
     for i0 in range(0, len(a0), step):
         ia, ib = np.divmod(np.arange(i0 * nb, min(i0 + step, len(a0)) * nb), nb)
         row, s, k = cover_reps(chart, np.minimum(b0, b0 + db0)[ib], np.maximum(b0, b0 + db0)[ib],
@@ -421,9 +429,11 @@ def _crossings(chart: str, seg_a, seg_b, tol: float):
         cross = a + np.clip(t, 0.0, 1.0)[:, None] * da
         hit = (t >= -tol_a) & (t <= 1 + tol_a) & (u >= -tol_b) & (u <= 1 + tol_b)
         pair = ia * nb + ib
+        on_a = (t >= 0.0) & (t <= 1.0)
         if not parallel.any():
             out.append(cross[hit])
             pairs.append(pair[hit])
+            exact.append(on_a[hit])
             continue
         ends = np.stack([b, b + db, a, a + da], axis=1)
         _, off = _to_segment(ends, np.stack([a, a, b, b], axis=1),
@@ -431,7 +441,9 @@ def _crossings(chart: str, seg_a, seg_b, tol: float):
         keep = np.concatenate([hit[:, None], parallel[:, None] & (off <= tol)], axis=1)
         out.append(np.concatenate([cross[:, None], ends], axis=1)[keep])
         pairs.append(np.broadcast_to(pair[:, None], keep.shape)[keep])
-    return wrap_chart(chart, np.concatenate(out)), np.concatenate(pairs)
+        # a parallel pair's hits are segment ends, which need no clamping
+        exact.append(np.concatenate([on_a[:, None], keep[:, 1:]], axis=1)[keep])
+    return wrap_chart(chart, np.concatenate(out)), np.concatenate(pairs), np.concatenate(exact)
 
 
 def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> list:
@@ -440,16 +452,22 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
     Lifted arcs meet as their cover segments and plain polylines edge by
     edge, under one rule (see _crossings): tol is a distance along each
     segment.  A singleton meets a continuum that passes within tol of it.
+    A crossing up to tol past one edge's end is clamped onto that end,
+    while the next edge holds it exactly: the hits that needed no
+    clamping are deduplicated first, and the survivors keep pair order.
     """
     if c1.chart != c2.chart:
         raise ChartError(f"chart mismatch: {c1.chart!r} vs {c2.chart!r}")
     if c1.is_singleton or c2.is_singleton:
         single, other = (c1, c2) if c1.is_singleton else (c2, c1)
         p = single.vertices[:1]
-        raw = p if _project_to_polyline(other, p[0])[2] <= tol else p[:0]
+        pts = p if _project_to_polyline(other, p[0])[1] <= tol else p[:0]
     else:
-        raw = _crossings(c1.chart, _segments(c1), _segments(c2), tol)[0]
-    pts = raw[_dedupe_points(c1.chart, raw, max(tol, 1e-12))]
+        raw, _, exact = _crossings(c1.chart, _segments(c1), _segments(c2), tol)
+        first = np.argsort(~exact, kind="stable")
+        keep = np.empty(len(raw), dtype=bool)
+        keep[first] = _dedupe_points(c1.chart, raw[first], max(tol, 1e-12))
+        pts = raw[keep]
     return [Point(c1.chart, (float(p[0]), float(p[1]))) for p in pts]
 
 
@@ -457,27 +475,20 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
 
 
 def _project_to_polyline(cont: MarkedContinuum, xy: np.ndarray):
-    """Nearest (edge index, edge param, distance, point) on the polyline.
+    """Nearest (place, distance, point) on the continuum.
 
-    A lifted arc is projected onto its cover segment, and the foot is
-    then located among the polyline's edges by its lift parameter.
+    The place orders points along the continuum: the lift parameter of
+    the foot on a lifted arc, (edge index, edge param) on a polyline.
     """
     v = cont.vertices
     if len(v) == 1:
-        d = chart_distance(cont.chart, v[0], xy)
-        return 0, 0.0, d, v[0].copy()
+        place = 0.0 if cont.lift is not None else (0, 0.0)
+        return place, chart_distance(cont.chart, v[0], xy), v[0].copy()
     segs = _segments(cont)
     i, t, _, dist = _nearest_on(cont.chart, segs, xy)
     g = min(max(t, 0.0), 1.0)
     pt = wrap_chart(cont.chart, segs[0][i] + g * segs[1][i])
-    tp = cont.params
-    if cont.lift is None or tp is None:
-        return i, g, dist, pt
-    i = int(np.searchsorted(tp, g, side="right") - 1)
-    i = min(max(i, 0), len(tp) - 2)
-    span = float(tp[i + 1] - tp[i])
-    t_edge = 0.0 if span <= 0 else min(max((g - tp[i]) / span, 0.0), 1.0)
-    return i, t_edge, dist, pt
+    return (g if cont.lift is not None else (i, g)), dist, pt
 
 
 def subcontinuum(cont: MarkedContinuum, a: Point, b: Point,
@@ -486,34 +497,32 @@ def subcontinuum(cont: MarkedContinuum, a: Point, b: Point,
     for p in (a, b):
         if p.chart != cont.chart:
             raise ChartError(f"point chart {p.chart!r} does not match continuum {cont.chart!r}")
-    ia, ta, da, pa = _project_to_polyline(cont, a.xy())
-    ib, tb, db, pb = _project_to_polyline(cont, b.xy())
+    ka, da, pa = _project_to_polyline(cont, a.xy())
+    kb, db, pb = _project_to_polyline(cont, b.xy())
     if da > tol:
         raise OffContinuumError(f"point p is {da:.3g} from the continuum (tol {tol})")
     if db > tol:
         raise OffContinuumError(f"point q is {db:.3g} from the continuum (tol {tol})")
-    ka, kb = (ia, ta), (ib, tb)
     swapped = kb < ka
-    (i0, t0), (i1, t1) = (kb, ka) if swapped else (ka, kb)
+    k0, k1 = (kb, ka) if swapped else (ka, kb)
     first, last = (pb, pa) if swapped else (pa, pb)
 
-    if cont.lift is not None and cont.params is not None:
+    if cont.lift is not None:
+        # the places are lift parameters: cut the lift there
         tp = cont.params
-        g0 = tp[i0] + t0 * (tp[i0 + 1] - tp[i0]) if len(tp) > i0 + 1 else tp[i0]
-        g1 = tp[i1] + t1 * (tp[i1 + 1] - tp[i1]) if len(tp) > i1 + 1 else tp[i1]
-        sub = cont.lift.subsegment(g0, g1)
-        inner = tp[(tp > g0 + 1e-15) & (tp < g1 - 1e-15)]
-        span = max(g1 - g0, 1e-300)
-        t = np.concatenate([[0.0], (inner - g0) / span, [1.0]]) if g1 > g0 else np.array([0.0])
+        sub = cont.lift.subsegment(k0, k1)
+        inner = tp[(tp > k0 + 1e-15) & (tp < k1 - 1e-15)]
+        span = max(k1 - k0, 1e-300)
+        t = np.concatenate([[0.0], (inner - k0) / span, [1.0]]) if k1 > k0 else np.array([0.0])
         verts = sub.project(t)
         mk = (len(t) - 1, 0) if swapped else (0, len(t) - 1)
         return MarkedContinuum(chart=cont.chart, vertices=verts, params=t,
                                mark_p=mk[0], mark_q=mk[1], lift=sub)
 
     verts = [first]
-    for j in range(i0 + 1, i1 + 1):
+    for j in range(k0[0] + 1, k1[0] + 1):
         verts.append(cont.vertices[j].copy())
-    if (i1, t1) != (i0, t0):
+    if k1 != k0:
         verts.append(last)
     # drop coincident joints
     out = [verts[0]]

@@ -38,7 +38,7 @@ from .models import (
     CalibrationError, ModelCapabilityError, TORUS, SPHERE_QUOTIENT,
     NORTH_SOUTH, chart_distance,
 )
-from .continua import MarkedContinuum, _diameter_exceeds, unwrap_path
+from .continua import MarkedContinuum, StraightLift, _diameter_exceeds, unwrap_path
 
 INFINITY = math.inf
 
@@ -564,13 +564,10 @@ class MetricEvaluator:
         self.consts = consts
         self.depth = int(depth)
         frame, pieces = _path_of(sys, cont)
-        if cont.params is not None:
+        if cont.lift is not None:
+            # lift params run from 0 to 1
             tp = float(cont.params[cont.mark_p])
             tq = float(cont.params[cont.mark_q])
-            span = float(cont.params[-1] - cont.params[0])
-            if span > 0:
-                tp = (tp - float(cont.params[0])) / span
-                tq = (tq - float(cont.params[0])) / span
         else:
             # cumulative-length params of the marked vertices
             v = cont.vertices
@@ -795,8 +792,6 @@ def cw_metric_family(sys, cont: MarkedContinuum, consts: MetricConstants,
 
 def _eigen_arc_samples(sys, c: float, budget: int, rng) -> list:
     """Stable/unstable arc sample family with diameters in (c/2, c]."""
-    from .continua import StraightLift
-
     lens = [0.505 * c, 0.75 * c, 0.999 * c]
     samples = []
     grid = [i / 8.0 for i in range(8)]
@@ -842,21 +837,20 @@ def _ns_samples(c: float, budget: int, rng) -> list:
     return samples[:budget]
 
 
-def calibrate(sys, c: float | None = None, sample_budget: int = 400,
-              seed: int = 0) -> MetricConstants:
+def calibrate(sys, sample_budget: int = 400, seed: int = 0) -> MetricConstants:
     """Find the escape bound m on a sampled continuum family and derive
     the metric constants.
 
     m is the smallest integer such that every sampled continuum with
-    diameter above c/2 reaches diameter above c within m iterates (either
-    direction); it may not exceed the model's horizon.  The samples on
+    diameter above c/2 reaches diameter above c = ``sys.c`` within m
+    iterates (either direction); it may not exceed the model's horizon.  The samples on
     the toral models are straight eigen-arcs, and whether one's diameter
     exceeds c/2 is decided exactly from its lift by the straight-segment
     identity (``_segment_exceeds``).  A sample that never escapes within
     the scan window is a counterexample certificate: calibration fails
     and the witness is attached to the raised error.
     """
-    c = float(sys.c if c is None else c)
+    c = float(sys.c)
     if not 0.0 < c < MAX_C:
         raise ValueError(f"c must lie in (0, {MAX_C}) at chart scale, got {c}")
     rng = np.random.default_rng(seed)

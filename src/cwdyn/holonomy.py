@@ -112,8 +112,7 @@ def default_params(sys, sample_budget: int = 160, seed: int = 0) -> HolonomyPara
 
 def _on_arc(sys, x: Point, z: Point, kind: str, radius: float, tol: float) -> bool:
     arc = models.local_arc(sys, x, kind, radius, resolution=ARC_RESOLUTION)
-    _, _, d, _ = _project_to_polyline(arc, z.xy())
-    return d <= tol
+    return _project_to_polyline(arc, z.xy())[1] <= tol
 
 
 def holonomy(sys, x: Point, y: Point, z: Point, kind: str,

@@ -199,8 +199,7 @@ def enumerate_spines(sys, eps: float, grid_res: int) -> list:
     return [found[k] for k in sorted(found)]
 
 
-def find_sectors(sys, region=None, eps: float | None = None,
-                 budget: int = 1500) -> SectorSearch:
+def find_sectors(sys, eps: float | None = None, budget: int = 1500) -> SectorSearch:
     """Scan a seed grid for stable/unstable arc pairs that bound discs.
 
     Seeds are spaced eps/4 apart so every spine neighborhood is probed.
@@ -214,10 +213,8 @@ def find_sectors(sys, region=None, eps: float | None = None,
         eps = sys.c / 2.0
     if not 0.0 < eps < sys.c:
         raise ValueError(f"eps must lie in (0, c={sys.c}), got {eps}")
-    (x0, x1), (y0, y1) = region if region is not None else ((0.0, 1.0), (0.0, 1.0))
     spacing = eps / 4.0
-    xs = np.arange(x0, x1 - 1e-12, spacing)
-    ys = np.arange(y0, y1 - 1e-12, spacing)
+    xs = ys = np.arange(0.0, 1.0 - 1e-12, spacing)
     planned = len(xs) * len(ys)
     # seeds run x-major; the first `budget` of them are probed
     probed = min(max(budget, 0), planned)
@@ -376,7 +373,7 @@ def _block_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):
     splitting curve.
     """
     ns = len(seg_s[0])
-    xy, pair = _crossings(sys.chart, seg_u, seg_s, 1e-9)
+    xy, pair, _ = _crossings(sys.chart, seg_u, seg_s, 1e-9)
     keep = _dedupe_points(sys.chart, xy, 1e-9, pair)
     xy, pair = xy[keep], pair[keep]
     reach = 2.0 * R1 + 0.1

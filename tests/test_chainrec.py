@@ -161,8 +161,9 @@ class TestClassOrder:
         assert orr["roles"] == {0: "neither"}
 
     def test_forged_cycle_detected(self):
-        with pytest.raises(DiscretizationError):
-            chainrec._assert_acyclic([(0, 1), (1, 2), (2, 0)], 3)
+        # a 3-cycle and a separate pair: the message names the cycle's classes
+        with pytest.raises(DiscretizationError, match=r"classes \[1, 2, 4\];"):
+            chainrec._assert_acyclic([(1, 2), (2, 4), (4, 1), (0, 3)], 5)
 
     def test_attractor_forward_invariant(self, ns, ns_graph):
         # maximal class: forward orbits of its cells stay near it

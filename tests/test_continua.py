@@ -64,7 +64,7 @@ class TestImage:
         arc = local_arc(pa, pa.point(0.002, 0.001), "unstable", 0.004)
         a, b = image(pa, arc, 3), image(pa, from_record(to_record(arc)), 3)
         assert diameter(b) == pytest.approx(diameter(a), rel=1e-9)
-        assert max(_project_to_polyline(a, v)[2] for v in b.vertices) < 1e-9
+        assert max(_project_to_polyline(a, v)[1] for v in b.vertices) < 1e-9
 
     def test_generic_matches_lifted(self, cat):
         arc = local_arc(cat, cat.point(0.41, 0.87), "unstable", 0.004)
@@ -133,6 +133,16 @@ class TestIntersect:
         assert _same_points(got, intersect(ts, tl))
         assert all(min(models.distance(cat, e, p) for p in got) < 1e-12 for e in ends)
 
+    def test_crossing_past_an_edge_end_comes_from_the_next_edge(self, cat):
+        # the crossing (2.76e-10, 0.99999999955) lies on the stable twin's
+        # edge 32 and 5.3e-10 past the end of edge 31, which clamps it onto
+        # the vertex (0, 0); the twins must report it as the lifts do
+        cs = local_arc(cat, cat.point(0.0, 0.0), "stable", 0.0625)
+        cu = local_arc(cat, cat.point(1e-9, 0.0), "unstable", 0.0625)
+        twins = [from_record(to_record(c)) for c in (cs, cu)]
+        assert _same_points(intersect(cs, cu), intersect(*twins), tol=1e-11)
+        assert _same_points(intersect(cu, cs), intersect(*twins[::-1]), tol=1e-11)
+
     def test_singleton_on_arc(self, cat):
         arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.1)
         pt = MarkedContinuum(chart="torus", vertices=np.array([[0.3, 0.3]]),
@@ -189,6 +199,19 @@ class TestConcat:
         b = local_arc(cat, cat.point(0.6, 0.6), "stable", 0.02)
         with pytest.raises(ValueError):
             concat([a, b])
+
+
+def test_lift_and_params_come_together(cat):
+    arc = local_arc(cat, cat.point(0.3, 0.4), "stable", 0.05)
+    v, t = arc.vertices, arc.params
+    for half_built in ({"lift": arc.lift}, {"params": t},
+                       {"lift": arc.lift, "params": t / 2},
+                       {"lift": arc.lift, "params": (t + 1) / 2}):
+        with pytest.raises(ValueError):
+            MarkedContinuum(cat.chart, v, 0, len(v) - 1, **half_built)
+    one = MarkedContinuum(cat.chart, v[:1], 0, 0, params=[0.0],
+                          lift=arc.lift.subsegment(0.0, 0.0))
+    assert one.is_singleton
 
 
 def test_record_round_trip(cat):
@@ -343,4 +366,4 @@ class TestCoverProperties:
         assert _gap(chart, sub.point(sub.mark_p).xy(), a.xy()) < 1e-9
         assert _gap(chart, sub.point(sub.mark_q).xy(), b.xy()) < 1e-9
         for v in sub.vertices:
-            assert _project_to_polyline(c, v)[2] < 1e-9
+            assert _project_to_polyline(c, v)[1] < 1e-9

@@ -79,9 +79,9 @@ class TestCalibrate:
         assert w["sup_diam"] <= 0.25
         assert w["diam"] > 0.125
 
-    def test_c_range_validation(self, cat):
+    def test_c_range_validation(self):
         with pytest.raises(ValueError):
-            calibrate(cat, c=0.6)
+            calibrate(make_model("cat-map", c=0.6))
 
     def test_constants_validation(self):
         good = constants_for(0.25, 1)

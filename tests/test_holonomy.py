@@ -66,6 +66,15 @@ class TestParams:
         with pytest.raises(ValueError):
             HolonomyParams(eps=0.1, delta=0.05, tol=0.0)
 
+    def test_bisection_below_the_first_probe(self):
+        # eigenvectors 120 degrees apart: the first probe at eps fails and
+        # the bisection runs, landing above the transversal bound eps sin(theta)
+        sys = make_model("cat-map", matrix=((2, 1), (3, 2)))
+        es, eu = sys.eigen_direction(stable=True), sys.eigen_direction(stable=False)
+        eps = sys.c / 2.0
+        r = holonomy.product_structure_radius(sys, eps, sample_budget=40)
+        assert eps * abs(es[0] * eu[1] - es[1] * eu[0]) <= r < eps * (1.0 - 1e-9)
+
 
 class TestHolonomy:
     def test_identity_fixes_z(self, cat, params):
@@ -120,7 +129,7 @@ class TestHolonomy:
             target = models.local_arc(pa, y, "stable", params_pa.eps)
             for p in pts:
                 for arc in (carrier, target):
-                    _, _, d, _ = _project_to_polyline(arc, p.xy())
+                    _, d, _ = _project_to_polyline(arc, p.xy())
                     assert d <= 10 * params_pa.tol
 
     def test_two_branches_near_spine(self, pa, params_pa):

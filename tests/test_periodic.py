@@ -141,7 +141,7 @@ class TestFindReturn:
         y, k = find_return(cat, p, 5e-3, 27)
         assert models.distance(cat, y, p) == 0.0
         assert k % 27 != 0 or k >= 27
-        assert verify_periodic(cat, y, k, tol=1e-12)["ok"]
+        assert verify_periodic(cat, y, k)["ok"]
 
     def test_contract_on_random_targets(self, cat):
         rng = np.random.default_rng(23)
@@ -152,7 +152,7 @@ class TestFindReturn:
             assert models.distance(cat, y, p) < 2e-2
             fky = models.iterate(cat, y, k)
             assert models.distance(cat, fky, p) < 2e-2
-            assert verify_periodic(cat, y, k, tol=1e-12)["ok"]
+            assert verify_periodic(cat, y, k)["ok"]
 
     def test_quotient_fixed_class(self, pa):
         # (1/5, 2/5) maps to its mirror class, a quotient fixed point
@@ -293,6 +293,6 @@ class TestVerifyPeriodic:
             per = periodic._exact_period(cat, nx, ny, den, 10000)
             assert per is not None
             y = cat.rational_point(nx, ny, den)
-            assert verify_periodic(cat, y, per, tol=1e-12)["ok"]
+            assert verify_periodic(cat, y, per)["ok"]
             if per > 1:
-                assert not verify_periodic(cat, y, per - 1, tol=1e-12)["ok"]
+                assert not verify_periodic(cat, y, per - 1)["ok"]

@@ -107,11 +107,6 @@ class TestFindSectors:
         assert out.sectors == []
         assert set(out.crossing_counts) == {1}
 
-    def test_region_narrows_search(self, pa):
-        out = find_sectors(pa, region=((0.4, 0.6), (0.4, 0.6)))
-        assert len(out.sectors) == 1
-        assert out.sectors[0].spine.coords == (0.5, 0.5)
-
     def test_budget_flagged(self, pa):
         out = find_sectors(pa, budget=10)
         assert out.exhausted

@@ -180,19 +180,21 @@ def test_no_test_only_mark_points(path):
     assert _spelled(tree, _RETIRED_TEST_ONLY) == []
 
 
-# parameters that had one value in use (now constants) and unused ones
+# parameters that had one value in use outside tests (now constants) and unused ones
 _RETIRED_PARAMS = {
     "models.make_model": ("resolution", "horizon"),
     "models.is_spine": ("tol",),
     "cwmetric.constants_for": ("tail",),
-    "cwmetric.calibrate": ("max_m",),
+    "cwmetric.calibrate": ("max_m", "c"),
     "cwmetric._pieces_of": ("sys",),
     "holonomy.default_params": ("tol",),
     "periodic.plan_katok": ("gamma",),
     "periodic.katok_iterate": ("tol",),
     "periodic._step_continuum": ("sys",),
+    "periodic.verify_periodic": ("tol",),
     "sectors.enclosing_sector": ("margin",),
     "sectors._sector_from_seed": ("resolution",),
+    "sectors.find_sectors": ("region",),
     "acceptance._family": ("lo", "hi"),
     "acceptance._rational_match": ("tol", "max_den", "cap"),
 }
