@@ -1,7 +1,8 @@
 """Constructive continuum-wise hyperbolic dynamics on concrete surfaces.
 
 Subpackages: models (systems and charts), continua (marked polylines),
-cwmetric (self-similar hyperbolic metric on continua), holonomy
+cwmetric (self-similar hyperbolic metric on continua, which iterates a
+continuum in closed form from its pieces), holonomy
 (stable/unstable holonomies and rectangles), periodic (iterative periodic
 point construction), chainrec (chain recurrence decomposition), sectors
 (bi-asymptotic sectors and spines).
@@ -13,5 +14,5 @@ from .models import (  # noqa: F401
     Point, SystemModel, make_model, iterate, distance, local_arc, is_spine,
 )
 from .continua import (  # noqa: F401
-    MarkedContinuum, StraightLift, diameter, image, intersect, subcontinuum,
+    MarkedContinuum, StraightLift, intersect, subcontinuum,
 )

@@ -3,15 +3,15 @@
 A continuum is stored as an ordered vertex polyline in a chart, with two
 marked vertex indices.  Arcs produced by the model constructors also
 carry a *straight lift*: the exact segment in the universal cover that
-the polyline discretizes.  Lifted arcs support closed-form iteration
-(eigen-rescaling of the lift) that never accumulates float error along
-an orbit, which the metric pipeline depends on.
+the polyline discretizes.  No image continuum is ever built: cwmetric
+iterates a lift in closed form (its cover start by exact integer
+arithmetic mod 1, its eigen components by the eigenvalue powers), so
+no float error accumulates along an orbit.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,13 +19,12 @@ import numpy as np
 from . import models
 from .models import (
     SPHERE_QUOTIENT, SPHERE_GEOGRAPHIC,
-    BudgetError, ChartError, HorizonError, Point,
+    ChartError, Point,
     chart_distance, wrap_chart,
 )
 
 # polyline edges must stay under one chart step
 MAX_STEP = 0.5
-EDGE_TARGET = 0.4
 # segment pairs solved at once, which bounds the crossing pass's arrays
 _PAIR_CHUNK = 4096
 
@@ -128,32 +127,6 @@ class StraightLift:
     def project(self, t) -> np.ndarray:
         return wrap_chart(self.chart, self.cover_points(t))
 
-    def iterated(self, sys, n: int) -> "StraightLift":
-        """The lift of the n-th image.  Exact: the cover start is moved by
-        integer arithmetic mod 1 and the length is rescaled in closed form
-        (eigen-tagged) or by the integer matrix power (generic)."""
-        if n == 0:
-            return self
-        if abs(n) > sys.horizon:
-            raise HorizonError(f"|n|={abs(n)} exceeds horizon {sys.horizon}")
-        mp = models._mat_power(sys.matrix, n)
-        start = models._exact_linear_mod1(mp, self.start_arr)
-        if self.stable is not None:
-            frame = models.eigen_frame(sys.matrix)
-            ev = frame.ss if self.stable else frame.su
-            length = self.length * abs(ev) ** n
-            direction = self.dir_arr if (ev > 0 or n % 2 == 0) else -self.dir_arr
-        else:
-            v = np.array(mp, dtype=float) @ (self.length * self.dir_arr)
-            length = float(np.linalg.norm(v))
-            if not math.isfinite(length):
-                raise HorizonError("generic lift overflows at this iterate")
-            direction = v / length if length > 0 else self.dir_arr
-        if not math.isfinite(length):
-            raise HorizonError("lift length overflows at this iterate")
-        return StraightLift(start=tuple(start), direction=tuple(direction),
-                            length=length, chart=self.chart, stable=self.stable)
-
     def subsegment(self, t0: float, t1: float) -> "StraightLift":
         """Sub-lift over cover params [t0, t1] of this one, re-parameterized
         to [0, 1] and oriented from t0 to t1."""
@@ -219,21 +192,6 @@ class MarkedContinuum:
         return replace(self, mark_p=mark_p, mark_q=mark_q)
 
 
-def diameter(cont: MarkedContinuum) -> float:
-    """Max pairwise chart distance over the polyline vertices."""
-    v = cont.vertices
-    n = v.shape[0]
-    if n == 1:
-        return 0.0
-    best = 0.0
-    chunk = 512
-    for i in range(0, n, chunk):
-        block = v[i:i + chunk]
-        d = chart_distance(cont.chart, block[:, None, :], v[None, :, :])
-        best = max(best, float(np.max(d)))
-    return best
-
-
 def _diameter_exceeds(chart: str, pts: np.ndarray, thr: float) -> bool:
     """Whether the max pairwise chart distance over pts exceeds thr.
 
@@ -251,63 +209,6 @@ def _diameter_exceeds(chart: str, pts: np.ndarray, thr: float) -> bool:
         if float(d.max()) > thr:
             return True
     return False
-
-
-def _required_count(length: float, budget: int) -> int:
-    need = length / EDGE_TARGET + 1.0
-    if need > budget:
-        raise BudgetError(f"image needs ~{need:.3g} vertices, budget {budget}")
-    return int(math.ceil(need))
-
-
-def image(sys, cont: MarkedContinuum, n: int, budget: int = 20000) -> MarkedContinuum:
-    """The continuum f^n(C) with marks carried along.
-
-    Lifted arcs are rescaled in closed form and re-sampled; generic
-    polylines are iterated vertex-wise with edge bisection until every
-    image edge is below the chart-step bound.
-    """
-    if n == 0:
-        return cont
-    if abs(n) > sys.horizon:
-        raise HorizonError(f"|n|={abs(n)} exceeds horizon {sys.horizon}")
-    if cont.chart != sys.chart:
-        raise ChartError(f"continuum chart {cont.chart!r} does not match model {sys.chart!r}")
-    if cont.lift is not None:
-        lift2 = cont.lift.iterated(sys, n)
-        t = cont.params
-        need = _required_count(lift2.length, budget)
-        if need > len(t):
-            t = np.unique(np.concatenate([t, np.linspace(0.0, 1.0, need)]))
-        mp = int(np.searchsorted(t, cont.params[cont.mark_p]))
-        mq = int(np.searchsorted(t, cont.params[cont.mark_q]))
-        return MarkedContinuum(chart=cont.chart, vertices=lift2.project(t),
-                               params=t, mark_p=mp, mark_q=mq, lift=lift2)
-    # generic path: the image of a straight cover edge is straight, so its
-    # exact length |A^n v| fixes the subdivision count per edge (endpoint
-    # chart distance would alias once an edge wraps the torus)
-    verts = cont.vertices
-    if sys.is_hyperbolic:
-        mf = np.array(models._mat_power(sys.matrix, n), dtype=float)
-        stretch = lambda v: float(np.linalg.norm(mf @ v))
-    else:
-        rate = 2.0 ** abs(n)  # colat-derivative bound of the pole map
-        stretch = lambda v: rate * float(np.linalg.norm(v))
-    path = unwrap_path(cont.chart, verts)
-    edges = [(v, max(1, int(math.ceil(stretch(v) / EDGE_TARGET)))) for v in np.diff(path, axis=0)]
-    total = 1 + sum(k for _, k in edges)
-    if total > budget:
-        raise BudgetError(f"image needs {total} vertices, budget {budget}")
-    out = [models.iterate_xy(sys, verts[0], n)]
-    idx_map = [0]
-    for i, (v, k) in enumerate(edges):
-        for j in range(1, k + 1):
-            p = wrap_chart(cont.chart, path[i] + (j / k) * v)
-            out.append(models.iterate_xy(sys, p, n))
-        idx_map.append(len(out) - 1)
-    return MarkedContinuum(chart=cont.chart, vertices=np.array(out),
-                           mark_p=idx_map[cont.mark_p],
-                           mark_q=idx_map[cont.mark_q])
 
 
 # -- segments, crossings and projections ---------------------------------

@@ -377,11 +377,6 @@ def _exact_point(chart: str, u: int, v: int, den: int) -> Point:
     return Point(chart, (u / den, v / den), exact=(u, v, den))
 
 
-def iterate_xy(sys: SystemModel, xy, n: int) -> np.ndarray:
-    """Exact iterate on raw chart coordinates (same contract as iterate)."""
-    return iterate(sys, Point(sys.chart, (float(xy[0]), float(xy[1]))), n).xy()
-
-
 def iterate_arr(sys: SystemModel, pts: np.ndarray, n: int) -> np.ndarray:
     """Vectorized float iterate of an (N, 2) batch.
 

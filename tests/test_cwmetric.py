@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import diameter, image, iterate_lift
 from cwdyn import continua, cwmetric, models
 from cwdyn.cwmetric import (
     MetricConstants, calibrate, chain_weight, constants_for, cw_metric,
@@ -62,13 +63,16 @@ class TestCalibrate:
         start = np.array([0.06681, 0.1237])
         e = pa.eigen_direction(stable=True)
         ln = 0.12625
-        verts = start[None, :] + np.linspace(0, 1, 513)[:, None] * (ln * e)[None, :]
+        t = np.linspace(0, 1, 513)
+        verts = start[None, :] + t[:, None] * (ln * e)[None, :]
         cont = continua.MarkedContinuum(
             chart=pa.chart, vertices=models._wrap1(verts), mark_p=0, mark_q=512)
-        assert continua.diameter(cont) > consts_pa.c / 2
+        assert diameter(cont) > consts_pa.c / 2
         assert escape_time(pa, cont, consts_pa) == 2
-        img = continua.image(pa, cont, -1)
-        assert continua.diameter(img) < consts_pa.c
+        lift = continua.StraightLift(start, e, ln, pa.chart, stable=True)
+        twin = continua.MarkedContinuum(pa.chart, lift.project(t), 0, 512,
+                                        params=t, lift=lift)
+        assert diameter(image(pa, twin, -1)) < consts_pa.c
 
     def test_north_south_fails_with_witness(self):
         ns = make_model("north-south")
@@ -301,8 +305,8 @@ class TestWindowWeight:
             if dp > consts.xi:
                 continue
             found += 1
-            up = max(window_weight(cat, continua.image(cat, arc, 1), consts, 3),
-                     window_weight(cat, continua.image(cat, arc, -1), consts, 3))
+            up = max(window_weight(cat, image(cat, arc, 1), consts, 3),
+                     window_weight(cat, image(cat, arc, -1), consts, 3))
             assert up >= consts.lam * dp - 1e-12
         assert found > 10
 
@@ -354,8 +358,8 @@ class TestCwMetric:
             if d > consts.xi or d == 0.0:
                 continue
             checked += 1
-            up = max(cw_metric(cat, continua.image(cat, arc, 1), consts, 3),
-                     cw_metric(cat, continua.image(cat, arc, -1), consts, 3))
+            up = max(cw_metric(cat, image(cat, arc, 1), consts, 3),
+                     cw_metric(cat, image(cat, arc, -1), consts, 3))
             assert up == pytest.approx(consts.lam * d, rel=1e-6)
         assert checked > 40
 
@@ -365,7 +369,7 @@ class TestCwMetric:
         d0 = cw_metric(cat, arc, consts, depth=3)
         assert d0 <= consts.xi
         for k in (1, 2, 5, 8):
-            dk = cw_metric(cat, continua.image(cat, arc, k), consts, depth=3)
+            dk = cw_metric(cat, image(cat, arc, k), consts, depth=3)
             assert dk == pytest.approx(consts.lam ** -k * d0, rel=1e-9)
 
     def test_hyperbolic_decay(self, cat, consts):
@@ -377,7 +381,7 @@ class TestCwMetric:
                        float(rng.uniform(1e-5, 1e-3)))
             d0 = cw_metric(cat, arc, consts, depth=3)
             for n in range(1, 11):
-                dn = cw_metric(cat, continua.image(cat, arc, n), consts, depth=3)
+                dn = cw_metric(cat, image(cat, arc, n), consts, depth=3)
                 assert dn <= 4 * contraction ** n * d0 + 1e-12
 
     def test_compatibility_moduli(self, cat, consts):
@@ -388,7 +392,7 @@ class TestCwMetric:
             kind = "stable" if rng.integers(2) else "unstable"
             eps = 10 ** rng.uniform(-7, -1.2)
             arc = _arc(cat, *rng.uniform(0, 1, 2), kind, float(eps))
-            pairs.append((continua.diameter(arc),
+            pairs.append((diameter(arc),
                           cw_metric(cat, arc, consts, depth=2)))
         pairs.sort()
         diams = np.array([p[0] for p in pairs])
@@ -399,12 +403,20 @@ class TestCwMetric:
         assert diams[ds < 0.04].max() < 1e-5
         assert ds[diams > 0.05].min() > 0.1
 
-    def test_family_matches_images(self, cat, consts):
-        arc = _arc(cat, 0.35, 0.15, "unstable", 0.003)
-        fam = cw_metric_family(cat, arc, consts, shifts=[-2, -1, 0, 1, 2], depth=3)
-        for j, dj in fam.items():
-            via_image = cw_metric(cat, continua.image(cat, arc, j), consts, depth=3)
-            assert dj == pytest.approx(via_image, rel=1e-12)
+    @settings(max_examples=90, derandomize=True, deadline=None)
+    @given(model=st.sampled_from(("cat-map", "sphere-pA")),
+           x=st.floats(0.0, 1.0), y=st.floats(0.0, 1.0),
+           kind=st.sampled_from(("stable", "unstable")), scale=st.floats(0.0, 1.0))
+    def test_family_matches_images(self, cat, pa, consts, consts_pa,
+                                   model, x, y, kind, scale):
+        # D(f^j C) from C's pieces in closed form is D of the built image
+        sys, cts = (cat, consts) if model == "cat-map" else (pa, consts_pa)
+        half = 1e-7 * (0.45 * sys.c / 1e-7) ** scale  # 1e-7 to 0.45·c
+        arc = local_arc(sys, sys.point(x, y), kind, half)
+        shifts = list(range(-3, 4))
+        fam = cw_metric_family(sys, arc, cts, shifts=shifts, depth=3)
+        for j in shifts:
+            assert fam[j] == cw_metric(sys, image(sys, arc, j), cts, depth=3)
 
     def test_quotient_spine_arc(self, pa, consts_pa):
         arc = local_arc(pa, pa.point(0.5, 0.5), "unstable", 0.01)
@@ -445,7 +457,7 @@ class TestRecordLoadedArcs:
         # its quotient diameter at 0.2477 < c, so N = 6 and D = lam^-6
         arc = local_arc(pa, pa.point(0.22266062595706415, 0.5661483186220022),
                         "unstable", 0.0016705757884060248)
-        pts = arc.lift.iterated(pa, 5).cover_points(np.linspace(0.0, 1.0, 2001))
+        pts = iterate_lift(pa, arc.lift, 5).cover_points(np.linspace(0.0, 1.0, 2001))
         assert 0.247 < _full_max(pa.chart, pts) < consts_pa.c
         lifted = cw_metric_profile(pa, arc, consts_pa, depth=2)
         assert lifted["N"] == 6

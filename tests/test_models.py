@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import diameter, image
 from cwdyn import models
 from cwdyn.models import (
     CalibrationError, ChartError, ModelCapabilityError,
@@ -209,12 +210,10 @@ class TestLocalArc:
     def test_maximality(self, cat):
         # every forward image of the stable arc stays within eps of the
         # orbit of x; one more contraction step of slack would break it
-        from cwdyn import continua
         eps = 0.1
         arc = local_arc(cat, cat.point(0.21, 0.68), "stable", eps)
         for n in range(0, 6):
-            img = continua.image(cat, arc, n)
-            assert continua.diameter(img) <= 2 * eps + 1e-12
+            assert diameter(image(cat, arc, n)) <= 2 * eps + 1e-12
 
     def test_one_prong_at_spine(self, pa):
         sp = pa.point(0.5, 0.5)

@@ -263,12 +263,12 @@ class TestKatokIterate:
         target = pa.point(0.2, 0.4)
         assert models.distance(pa, res["q"], target) < 1e-9
 
-    def test_sequence_tracks_steps(self, cat, consts, plan):
+    def test_steps_count_from_one(self, cat, consts, plan):
         y = cat.point(0.2 + 1e-9, 0.4 + 1.3e-9)
         res = katok_iterate(cat, y, 2, plan, consts)
-        assert len(res["sequence"]) == len(res["steps"]) + 1
-        assert res["sequence"][0].coords == y.coords
-        assert res["sequence"][-1].coords == res["q"].coords
+        assert [s["n"] for s in res["steps"]] == list(range(1, len(res["steps"]) + 1))
+        assert res["steps"][0]["gap"] == models.distance(cat, y, models.iterate(cat, y, 2))
+        assert res["residual"] == models.distance(cat, res["q"], models.iterate(cat, res["q"], 2))
 
 
 class TestVerifyPeriodic:

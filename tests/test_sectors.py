@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from _reference import diameter, image
 from cwdyn import models, sectors
-from cwdyn.continua import (MarkedContinuum, _dedupe_points, cover_reps, diameter, image,
-                            intersect)
+from cwdyn.continua import MarkedContinuum, _dedupe_points, cover_reps, intersect
 from cwdyn.models import ModelCapabilityError, chart_distance, make_model
 from cwdyn.sectors import (
     IndeterminateCrossing, SectorRecord, classify_sector,

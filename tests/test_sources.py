@@ -223,3 +223,108 @@ def test_retired_parameters_are_gone(dotted):
 def test_retired_fields_are_gone(dotted):
     names = {f.name for f in dataclasses.fields(_resolve(dotted))}
     assert [f for f in _RETIRED_FIELDS[dotted] if f in names] == []
+
+
+# -- public names a caller outside the tests reaches -------------------------
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _read(node) -> tuple:
+    """The names a node refers to: a name read, an attribute, an imported
+    name or a string constant (a table of stage names refers by string)."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return (node.id,)
+    if isinstance(node, ast.Attribute):
+        return (node.attr,)
+    if isinstance(node, ast.ImportFrom):
+        return tuple(alias.name for alias in node.names)
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return (node.value,)
+    return ()
+
+
+def _overrides(module, cls, name) -> bool:
+    klass = getattr(importlib.import_module(f"cwdyn.{module}"), cls)
+    return any(hasattr(base, name) for base in klass.__mro__[1:])
+
+
+def _public_units(module, tree) -> dict:
+    """id(node) -> dotted name of each public module-level function and
+    class and each public method that overrides no base class's."""
+    units = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                and not node.name.startswith("_"):
+            units[id(node)] = f"{module}.{node.name}"
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("_") \
+                        and not (node.bases and _overrides(module, node.name, item.name)):
+                    units[id(item)] = f"{module}.{node.name}.{item.name}"
+    return units
+
+
+def _uses(node, units, owners=()) -> list:
+    """(name, dotted names of the units that enclose it) of each reference."""
+    if id(node) in units:
+        owners += (units[id(node)],)
+    out = [(name, owners) for name in _read(node)]
+    for child in ast.iter_child_nodes(node):
+        out += _uses(child, units, owners)
+    return out
+
+
+def _unreferenced(trees: dict, outside: set) -> list:
+    """Public library names that no caller reaches.
+
+    A name is reached from outside (names in ``outside``) or from library
+    code outside its own definition and outside every unreached
+    definition, so a caller that only tests reach keeps nothing alive.
+    ``trees`` maps module names to parsed modules; re-exports in the
+    package ``__init__`` are not uses.
+    """
+    units, uses = {}, []
+    for module, tree in trees.items():
+        found = _public_units(module, tree)
+        units.update(found)
+        if module != "__init__":
+            uses += _uses(tree, found)
+    by_name = {}
+    for name, owners in uses:
+        by_name.setdefault(name, []).append(set(owners))
+    dead = set()
+    while True:
+        now = set()
+        for label in units.values():
+            name = label.rsplit(".", 1)[1]
+            reached = any(not owners & (dead | {label}) for owners in by_name.get(name, ()))
+            if name not in outside and not reached:
+                now.add(label)
+        if now == dead:
+            return sorted(dead)
+        dead = now
+
+
+def test_public_names_are_used_by_the_library():
+    # a public function, class or method that only tests call is dead
+    # library code; perfbench calls the library as a user would
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in SOURCES}
+    outside = {name for p in PERFBENCH.rglob("*.py")
+               for node in ast.walk(ast.parse(p.read_text(encoding="utf-8")))
+               for name in _read(node)}
+    assert _unreferenced(trees, outside) == []
+
+
+def test_public_name_check_sees_them():
+    # g is reached only from f, which nothing reaches; h only from itself;
+    # K.m by nothing; K.n by its string name
+    trees = {"a": ast.parse("def f():\n    return g()\ndef g():\n    return 1\n"
+                            "def h():\n    return h()\n"
+                            "class K:\n    def m(self):\n        return K\n"
+                            "    def n(self):\n        return 0\n"),
+             "b": ast.parse("from a import K\nSTAGES = ('n',)\nK()\n"),
+             "__init__": ast.parse("from a import f, g, h\n")}
+    assert _unreferenced(trees, set()) == ["a.K.m", "a.f", "a.g", "a.h"]
+    assert _unreferenced(trees, {"f"}) == ["a.K.m", "a.h"]
