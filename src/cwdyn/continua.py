@@ -289,62 +289,83 @@ def _nearest_on(chart: str, segs, xy):
     return int(row[j]), float(t[j]), r[j], float(dist[j])
 
 
-def _crossings(chart: str, seg_a, seg_b, tol: float):
-    """Chart points where plane segments A meet cover copies of segments B.
+def _all_pairs(na: int, nb: int):
+    """Index arrays (ia, ib) of the pairs range(na) x range(nb), in
+    lexicographic order and in blocks of whole rows of at most _PAIR_CHUNK
+    pairs (one row when nb alone exceeds it), so that a crossing pass over
+    them does not grow with na·nb."""
+    step = max(1, _PAIR_CHUNK // nb)
+    for i0 in range(0, na, step):
+        yield np.divmod(np.arange(i0 * nb, min(i0 + step, na) * nb), nb)
 
-    Each pair is solved over the representatives of B whose bounding box
-    meets A's.  tol is a distance along each segment: a crossing up to
-    tol beyond an end counts and is clamped onto A.  A pair is parallel
-    when its determinant is below 1e-14 of its length product or each
-    endpoint lies within tol of the other segment's line; it then meets
-    at each of its four endpoints within tol of the other segment.
-    Returns the points, the pair index i·len(B) + j of each (A's
-    segment i, B's segment j), in pair order, and whether each needed no
-    clamping.  At most _PAIR_CHUNK pairs are solved at once, so memory
-    does not grow with len(A)·len(B).
+
+def _crossings(chart: str, seg_a, seg_b, ia, ib, tol: float):
+    """Chart points where plane segment A[ia[m]] meets cover copies of
+    segment B[ib[m]], for each pair m.
+
+    Each pair is solved over the representatives of B's segment whose
+    bounding box meets A's.  tol is a distance along each segment: a
+    crossing up to tol beyond an end counts and is clamped onto A.  A pair
+    is parallel when its determinant is below 1e-14 of its length product
+    or each endpoint lies within tol of the other segment's line; it then
+    meets at each of its four endpoints within tol of the other segment.
+    Returns the points, the pair m of each, in pair order, and whether
+    each needed no clamping.  All pairs are solved at once: a caller
+    bounds their number (see _all_pairs).
     """
     a0, da0, la0 = seg_a
     b0, db0, lb0 = seg_b
-    nb = len(b0)
-    step = max(1, _PAIR_CHUNK // nb)
-    out, pairs, exact = [], [], []
-    for i0 in range(0, len(a0), step):
-        ia, ib = np.divmod(np.arange(i0 * nb, min(i0 + step, len(a0)) * nb), nb)
-        row, s, k = cover_reps(chart, np.minimum(b0, b0 + db0)[ib], np.maximum(b0, b0 + db0)[ib],
-                               np.minimum(a0, a0 + da0)[ia], np.maximum(a0, a0 + da0)[ia])
-        ia, ib = ia[row], ib[row]
-        a, da, la = a0[ia], da0[ia], la0[ia]
-        b, db, lb = k + s[:, None] * b0[ib], s[:, None] * db0[ib], lb0[ib]
-        rhs = b - a
-        det = da[:, 0] * (-db[:, 1]) - (-db[:, 0]) * da[:, 1]
-        t_num = rhs[:, 0] * (-db[:, 1]) - (-db[:, 0]) * rhs[:, 1]
-        u_num = da[:, 0] * rhs[:, 1] - rhs[:, 0] * da[:, 1]
-        # |u_num| and |u_num - det| are la times B's end offsets from A's line
-        parallel = (np.abs(det) < 1e-14 * np.maximum(la * lb, 1e-300)) \
-            | ((np.maximum(np.abs(u_num), np.abs(u_num - det)) <= tol * la)
-               & (np.maximum(np.abs(t_num), np.abs(t_num - det)) <= tol * lb))
-        tol_a = tol / np.maximum(la, 1e-300)
-        tol_b = tol / np.maximum(lb, 1e-300)
-        den = np.where(parallel, np.nan, det)
-        t, u = t_num / den, u_num / den
-        cross = a + np.clip(t, 0.0, 1.0)[:, None] * da
-        hit = (t >= -tol_a) & (t <= 1 + tol_a) & (u >= -tol_b) & (u <= 1 + tol_b)
-        pair = ia * nb + ib
-        on_a = (t >= 0.0) & (t <= 1.0)
-        if not parallel.any():
-            out.append(cross[hit])
-            pairs.append(pair[hit])
-            exact.append(on_a[hit])
-            continue
-        ends = np.stack([b, b + db, a, a + da], axis=1)
-        _, off = _to_segment(ends, np.stack([a, a, b, b], axis=1),
-                             np.stack([da, da, db, db], axis=1))
-        keep = np.concatenate([hit[:, None], parallel[:, None] & (off <= tol)], axis=1)
-        out.append(np.concatenate([cross[:, None], ends], axis=1)[keep])
-        pairs.append(np.broadcast_to(pair[:, None], keep.shape)[keep])
-        # a parallel pair's hits are segment ends, which need no clamping
-        exact.append(np.concatenate([on_a[:, None], keep[:, 1:]], axis=1)[keep])
-    return wrap_chart(chart, np.concatenate(out)), np.concatenate(pairs), np.concatenate(exact)
+    m, s, k = cover_reps(chart, np.minimum(b0, b0 + db0)[ib], np.maximum(b0, b0 + db0)[ib],
+                         np.minimum(a0, a0 + da0)[ia], np.maximum(a0, a0 + da0)[ia])
+    ia, ib = ia[m], ib[m]
+    a, da, la = a0[ia], da0[ia], la0[ia]
+    b, db, lb = k + s[:, None] * b0[ib], s[:, None] * db0[ib], lb0[ib]
+    rhs = b - a
+    det = da[:, 0] * (-db[:, 1]) - (-db[:, 0]) * da[:, 1]
+    t_num = rhs[:, 0] * (-db[:, 1]) - (-db[:, 0]) * rhs[:, 1]
+    u_num = da[:, 0] * rhs[:, 1] - rhs[:, 0] * da[:, 1]
+    # |u_num| and |u_num - det| are la times B's end offsets from A's line
+    parallel = (np.abs(det) < 1e-14 * np.maximum(la * lb, 1e-300)) \
+        | ((np.maximum(np.abs(u_num), np.abs(u_num - det)) <= tol * la)
+           & (np.maximum(np.abs(t_num), np.abs(t_num - det)) <= tol * lb))
+    tol_a = tol / np.maximum(la, 1e-300)
+    tol_b = tol / np.maximum(lb, 1e-300)
+    den = np.where(parallel, np.nan, det)
+    t, u = t_num / den, u_num / den
+    cross = a + np.clip(t, 0.0, 1.0)[:, None] * da
+    hit = (t >= -tol_a) & (t <= 1 + tol_a) & (u >= -tol_b) & (u <= 1 + tol_b)
+    on_a = (t >= 0.0) & (t <= 1.0)
+    if not parallel.any():
+        return wrap_chart(chart, cross[hit]), m[hit], on_a[hit]
+    ends = np.stack([b, b + db, a, a + da], axis=1)
+    _, off = _to_segment(ends, np.stack([a, a, b, b], axis=1),
+                         np.stack([da, da, db, db], axis=1))
+    keep = np.concatenate([hit[:, None], parallel[:, None] & (off <= tol)], axis=1)
+    # a parallel pair's hits are segment ends, which need no clamping
+    return (wrap_chart(chart, np.concatenate([cross[:, None], ends], axis=1)[keep]),
+            np.broadcast_to(m[:, None], keep.shape)[keep],
+            np.concatenate([on_a[:, None], keep[:, 1:]], axis=1)[keep])
+
+
+def _arc_pair_hits(sys, xs, ys, eps: float) -> np.ndarray:
+    """Raw crossing count of the local stable arc of xs[i] with the local
+    unstable arc of ys[i] at scale eps, for each row i.
+
+    xs and ys are (n, 2) chart points, normalized as ``sys.point`` leaves
+    them.  Each arc is the lift ``models.local_arc`` gives it, and row i
+    is solved against row i alone, at intersect's default tol, as
+    intersect solves two lifted arcs.  The count is taken before
+    deduplication, so a count below two is the number of points that
+    intersect returns for the pair.
+    """
+    segs = []
+    for xy, stable in ((xs, True), (ys, False)):
+        e, start, length, _, _ = models._arc_frame(sys, sys.chart, xy, stable, eps,
+                                                   np.empty(0))
+        segs.append((start, e * length[:, None], length))
+    rows = np.arange(len(xs))
+    _, pair, _ = _crossings(sys.chart, *segs, rows, rows, 1e-9)
+    return np.bincount(pair, minlength=len(rows))
 
 
 def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> list:
@@ -364,7 +385,10 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
         p = single.vertices[:1]
         pts = p if _project_to_polyline(other, p[0])[1] <= tol else p[:0]
     else:
-        raw, _, exact = _crossings(c1.chart, _segments(c1), _segments(c2), tol)
+        sa, sb = _segments(c1), _segments(c2)
+        hits = [_crossings(c1.chart, sa, sb, ia, ib, tol)
+                for ia, ib in _all_pairs(len(sa[0]), len(sb[0]))]
+        raw, exact = (np.concatenate([h[j] for h in hits]) for j in (0, 2))
         first = np.argsort(~exact, kind="stable")
         keep = np.empty(len(raw), dtype=bool)
         keep[first] = _dedupe_points(c1.chart, raw[first], max(tol, 1e-12))

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .continua import OffContinuumError, intersect, subcontinuum, _project_to_polyline
+from .continua import (OffContinuumError, _arc_pair_hits, _project_to_polyline, intersect,
+                       subcontinuum)
 from .cwmetric import MetricConstants, cw_metric
 from .models import Point
 
@@ -79,15 +80,13 @@ def product_structure_radius(sys, eps: float, sample_budget: int = 160,
                 ang = rng.random() * 2.0 * math.pi
                 bases.append(sys.point(*(w.xy() + r * np.array([math.cos(ang), math.sin(ang)]))))
     dirs = rng.random(len(bases)) * 2.0 * math.pi
+    xs = np.array([x.coords for x in bases]).reshape(-1, 2)
+    unit = np.array([[math.cos(ang), math.sin(ang)] for ang in dirs]).reshape(-1, 2)
 
     def ok(d: float) -> bool:
-        for x, ang in zip(bases, dirs):
-            y = sys.point(*(x.xy() + d * np.array([math.cos(ang), math.sin(ang)])))
-            cs = models.local_arc(sys, x, "stable", eps)
-            cu = models.local_arc(sys, y, "unstable", eps)
-            if not intersect(cs, cu):
-                return False
-        return True
+        # y is each base displaced by d, normalized as sys.point does
+        ys = models.wrap_chart(sys.chart, xs + d * unit)
+        return bool((_arc_pair_hits(sys, xs, ys, eps) > 0).all())
 
     lo, hi = 0.0, eps * (1.0 - 1e-9)
     if ok(hi):

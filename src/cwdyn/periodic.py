@@ -137,6 +137,31 @@ def _exact_period(sys, num_x: int, num_y: int, den: int, cap: int):
     return None
 
 
+def _return_candidates(chart: str, pxy: np.ndarray, bound: float):
+    """The rationals next to p, nearest first: (distances, [(u, v, den)]).
+
+    For each den in 1..200 the ring (round(p*den) + (dx, dy)) / den with
+    dx, dy in (0, -1, 1), in that loop order, rounding half to even as
+    round does.  A point is kept at its first occurrence, in lowest terms
+    (u, v, den); those within bound of p are sorted by distance, then by
+    the den it first occurred at, then by its coordinates.
+    """
+    den = np.repeat(np.arange(1, 201), 9)
+    ring = np.array([0, -1, 1])
+    u = (np.rint(pxy[0] * den).astype(np.int64) + np.tile(np.repeat(ring, 3), 200)) % den
+    v = (np.rint(pxy[1] * den).astype(np.int64) + np.tile(ring, 600)) % den
+    # in lowest terms the common denominator is the lcm of the two reduced ones
+    g = np.gcd(np.gcd(u, v), den)
+    keys = np.stack([u // g, v // g, den // g], axis=1)
+    first = np.unique(keys, axis=0, return_index=True)[1]
+    x, y = u[first] / den[first], v[first] / den[first]
+    dist = models.chart_distance(chart, pxy, np.stack([x, y], axis=1))
+    # the fields never all tie: equal den, x and y are one point, seen once
+    order = np.lexsort((y, x, den[first], dist))
+    order = order[dist[order] < bound]
+    return dist[order], keys[first[order]].tolist()
+
+
 def find_return(sys, p: Point, bound: float, k_min: int,
                 search_budget: int = 200000):
     """A nearby recurrent pair: y with d(y,p) < bound, d(f^k(y),p) < bound.
@@ -152,31 +177,12 @@ def find_return(sys, p: Point, bound: float, k_min: int,
         raise ValueError("k_min must be at least 1")
     if not bound > 0.0:
         raise ValueError("bound must be positive")
-    pxy = p.xy()
-    cands = []
-    seen = set()
-    for den in range(1, 201):
-        nx = round(pxy[0] * den)
-        ny = round(pxy[1] * den)
-        for dx in (0, -1, 1):
-            for dy in (0, -1, 1):
-                u, v = (int(nx) + dx) % den, (int(ny) + dy) % den
-                # in lowest terms the common denominator is the lcm of
-                # the two reduced ones
-                g = math.gcd(u, v, den)
-                key = (u // g, v // g, den // g)
-                if key in seen:
-                    continue
-                seen.add(key)
-                dist = models.chart_distance(sys.chart, pxy, np.array([u / den, v / den]))
-                if dist < bound:
-                    cands.append((dist, den, u / den, v / den, key))
-    cands.sort()  # equal leading fields would be one point, seen once
+    dist, keys = _return_candidates(sys.chart, p.xy(), bound)
 
     steps_used = 0
     tried = 0
     horizon_skipped = 0
-    for *_, (u, v, com) in cands:
+    for u, v, com in keys:
         cap = min(6 * com + 12, search_budget - steps_used)
         if cap <= 0:
             break
@@ -193,7 +199,7 @@ def find_return(sys, p: Point, bound: float, k_min: int,
     err = BudgetError(f"no recurrent pair within bound {bound} of {tuple(p.coords)} "
                       f"after {tried} candidates / {steps_used} orbit steps")
     err.diagnostics = {"candidates_tried": tried, "orbit_steps": steps_used,
-                       "nearest_distance": cands[0][0] if cands else math.inf,
+                       "nearest_distance": dist[0] if len(dist) else math.inf,
                        "bound": bound, "k_min": k_min,
                        "horizon_skipped": horizon_skipped}
     raise err
@@ -217,23 +223,30 @@ def _step_continuum(ca, cb, start: Point, mid: Point, end: Point) -> MarkedConti
     return concat([leg_a, leg_b], tol=1e-7)
 
 
-def _best_crossing(sys, ca, cb, start: Point, end: Point,
-                   consts: MetricConstants, label: str):
-    """The crossing of ca and cb whose connecting path has smallest cw-size."""
+def _crossing_paths(ca, cb, start: Point, end: Point, label: str) -> list:
+    """(z, path) for each crossing z of ca and cb whose connecting path
+    from start through z to end can be built, in intersect's order."""
     cands = intersect(ca, cb, tol=1e-9)
     if not cands:
         raise HolonomyFault(f"no crossing at {label}")
-    best = None
+    paths = []
     for z in cands:
         try:
-            path = _step_continuum(ca, cb, start, z, end)
+            paths.append((z, _step_continuum(ca, cb, start, z, end)))
         except ValueError:
             continue
+    if not paths:
+        raise HolonomyFault(f"no admissible crossing branch at {label}")
+    return paths
+
+
+def _best_crossing(sys, paths: list, consts: MetricConstants):
+    """The crossing whose connecting path has smallest cw-size, and that size."""
+    best = None
+    for z, path in paths:
         d_f = cw_metric(sys, path, consts, depth=3)
         if best is None or d_f < best[0]:
             best = (d_f, z)
-    if best is None:
-        raise HolonomyFault(f"no admissible crossing branch at {label}")
     return best[1], best[0]
 
 
@@ -281,15 +294,16 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
             break
         cs = models.local_arc(sys, y_n, "stable", params.eps, resolution=ARC_RESOLUTION)
         cu = models.local_arc(sys, fky, "unstable", params.eps, resolution=ARC_RESOLUTION)
-        z, d_f = _best_crossing(sys, cs, cu, y_n, fky, consts,
-                                f"step {n} (gap {gap:.3g})")
+        z, d_f = _best_crossing(sys, _crossing_paths(cs, cu, y_n, fky,
+                                                     f"step {n} (gap {gap:.3g})"), consts)
         # pull the crossing back one return and holonomy-correct: the
         # unstable displacement component contracts here
         fmz = models.iterate(sys, z, -k)
         cu2 = models.local_arc(sys, z, "unstable", params.eps, resolution=ARC_RESOLUTION)
         cs2 = models.local_arc(sys, fmz, "stable", params.eps, resolution=ARC_RESOLUTION)
-        y_next, _ = _best_crossing(sys, cu2, cs2, z, fmz, consts,
-                                   f"step {n} transport")
+        # only the choice among several crossings needs their cw-sizes
+        paths = _crossing_paths(cu2, cs2, z, fmz, f"step {n} transport")
+        y_next = paths[0][0] if len(paths) == 1 else _best_crossing(sys, paths, consts)[0]
         bound = ratio ** (n + 1) * params.c
         ok = d_f <= bound
         step = {"n": n + 1, "gap": gap, "D_F": d_f, "bound": bound, "ok": ok}

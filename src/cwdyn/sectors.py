@@ -18,11 +18,11 @@ from dataclasses import dataclass, field
 
 from . import models
 from .models import ModelCapabilityError, chart_distance, torus_norm, wrap_chart
-from .continua import (_PAIR_CHUNK, MarkedContinuum, _crossings, _dedupe_points,
-                       _nearest_on, _segments, _to_segment, cover_reps, intersect,
-                       subcontinuum)
+from .continua import (_PAIR_CHUNK, MarkedContinuum, _arc_pair_hits, _crossings,
+                       _dedupe_points, _nearest_on, _segments, _to_segment, cover_reps,
+                       intersect, subcontinuum)
 
-# seed points per batched spine test, which bounds its arrays
+# seed points per batched spine test and crossing screen, which bounds their arrays
 _SPINE_CHUNK = 4096
 
 
@@ -224,11 +224,17 @@ def find_sectors(sys, eps: float | None = None, budget: int = 1500) -> SectorSea
     for p0 in range(0, probed, _SPINE_CHUNK):
         ix, iy = np.divmod(np.arange(p0, min(p0 + _SPINE_CHUNK, probed)), len(ys))
         seeds = np.stack([xs[ix], ys[iy]], axis=1)
-        for sx, sy in seeds[~models.is_spine(sys, wrap_chart(sys.chart, seeds), eps)]:
-            recs, nc, nskip = _sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
-            skipped_pairs += nskip
+        xy = wrap_chart(sys.chart, seeds)
+        keep = ~models.is_spine(sys, xy, eps)
+        # an arc pair with fewer than two crossings bounds no disc, and its
+        # raw count is the count intersect would return
+        for (sx, sy), hits in zip(seeds[keep], _arc_pair_hits(sys, xy[keep], xy[keep], eps)):
+            nc = int(hits)
+            if nc >= 2:
+                recs, nc, nskip = _sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
+                skipped_pairs += nskip
+                raw.extend(recs)
             counts[nc] = counts.get(nc, 0) + 1
-            raw.extend(recs)
     # one minimal sector per spine; _close_pair gives every record one
     by_spine = {}
     for idx, rec in enumerate(raw):
@@ -373,7 +379,9 @@ def _block_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):
     splitting curve.
     """
     ns = len(seg_s[0])
-    xy, pair, _ = _crossings(sys.chart, seg_u, seg_s, 1e-9)
+    # _grid_crossings bounds a block as _all_pairs bounds a block of rows
+    ia, ib = np.divmod(np.arange(len(seg_u[0]) * ns), ns)
+    xy, pair, _ = _crossings(sys.chart, seg_u, seg_s, ia, ib, 1e-9)
     keep = _dedupe_points(sys.chart, xy, 1e-9, pair)
     xy, pair = xy[keep], pair[keep]
     reach = 2.0 * R1 + 0.1

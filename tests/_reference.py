@@ -1,15 +1,21 @@
-"""Image continua for the tests to compare the closed-form metric against.
+"""Direct versions of library passes, for the tests to compare against.
 
 The library never builds f^n(C): cwmetric evaluates each piece of a
-continuum at iterate n in closed form.  These helpers build the image of
-a lifted eigen-arc the direct way, so a test can run the metric on it
-and check that the closed form gives the same value.
+continuum at iterate n in closed form.  The first helpers build the image
+of a lifted eigen-arc the direct way, so a test can run the metric on it
+and check that the closed form gives the same value.  The rest are the
+per-point loops that array passes replaced, kept so that a test can ask
+for the same bits from both.
 """
+
+import math
 
 import numpy as np
 
-from cwdyn import models
-from cwdyn.continua import MarkedContinuum, StraightLift
+from cwdyn import models, periodic, sectors
+from cwdyn.continua import MarkedContinuum, StraightLift, intersect
+from cwdyn.cwmetric import cw_metric
+from cwdyn.holonomy import ARC_RESOLUTION, HolonomyFault
 
 # image vertices are spaced at most this far apart along the lift
 _EDGE = 0.4
@@ -49,3 +55,145 @@ def diameter(cont: MarkedContinuum) -> float:
     """Max pairwise chart distance over the vertices."""
     v = cont.vertices
     return float(models.chart_distance(cont.chart, v[:, None, :], v[None, :, :]).max())
+
+
+# -- per-point loops --------------------------------------------------------
+
+
+def find_sectors(sys, eps=None, budget=1500):
+    """find_sectors with every non-spine seed through _sector_from_seed:
+    (minimal sector per spine, crossing counts, skipped pairs)."""
+    eps = sys.c / 2.0 if eps is None else eps
+    xs = ys = np.arange(0.0, 1.0 - 1e-12, eps / 4.0)
+    ix, iy = np.divmod(np.arange(min(max(budget, 0), len(xs) * len(ys))), len(ys))
+    seeds = np.stack([xs[ix], ys[iy]], axis=1)
+    raw, counts, skipped = [], {}, 0
+    for sx, sy in seeds[~models.is_spine(sys, models.wrap_chart(sys.chart, seeds), eps)]:
+        recs, nc, nskip = sectors._sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
+        skipped += nskip
+        counts[nc] = counts.get(nc, 0) + 1
+        raw.extend(recs)
+    by_spine = {}
+    for idx, rec in enumerate(raw):
+        cur = by_spine.get(rec.spine.coords)
+        if cur is None or (rec.area, idx) < (cur[0].area, cur[1]):
+            by_spine[rec.spine.coords] = (rec, idx)
+    return [by_spine[k][0] for k in sorted(by_spine)], counts, skipped
+
+
+def product_structure_radius(sys, eps, sample_budget=160, seed=0):
+    """product_structure_radius probing each base with two local_arcs and
+    one intersect."""
+    rng = np.random.default_rng(seed)
+    bases = [sys.point(*xy) for xy in rng.random((sample_budget, 2))]
+    if sys.chart == models.SPHERE_QUOTIENT:
+        for w in models.spine_points(sys):
+            for r in (1e-6, 1e-3, 0.02):
+                ang = rng.random() * 2.0 * math.pi
+                bases.append(sys.point(*(w.xy() + r * np.array([math.cos(ang), math.sin(ang)]))))
+    dirs = rng.random(len(bases)) * 2.0 * math.pi
+
+    def ok(d):
+        for x, ang in zip(bases, dirs):
+            y = sys.point(*(x.xy() + d * np.array([math.cos(ang), math.sin(ang)])))
+            if not intersect(models.local_arc(sys, x, "stable", eps),
+                             models.local_arc(sys, y, "unstable", eps)):
+                return False
+        return True
+
+    lo, hi = 0.0, eps * (1.0 - 1e-9)
+    if ok(hi):
+        return hi
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if ok(mid) else (lo, mid)
+    return lo
+
+
+def return_candidates(chart, pxy, bound):
+    """find_return's candidate ring, one rational at a time: (distances,
+    [(u, v, den)]) as periodic._return_candidates gives them."""
+    cands, seen = [], set()
+    for den in range(1, 201):
+        nx, ny = round(pxy[0] * den), round(pxy[1] * den)
+        for dx in (0, -1, 1):
+            for dy in (0, -1, 1):
+                u, v = (int(nx) + dx) % den, (int(ny) + dy) % den
+                g = math.gcd(u, v, den)
+                key = (u // g, v // g, den // g)
+                if key in seen:
+                    continue
+                seen.add(key)
+                dist = models.chart_distance(chart, pxy, np.array([u / den, v / den]))
+                if dist < bound:
+                    cands.append((dist, den, u / den, v / den, key))
+    cands.sort()
+    return [c[0] for c in cands], [list(c[4]) for c in cands]
+
+
+def find_return(sys, p, bound, k_min, search_budget=200000):
+    """find_return over return_candidates: (y, k), or the BudgetError's
+    diagnostics."""
+    dist, keys = return_candidates(sys.chart, p.xy(), bound)
+    steps_used = tried = horizon_skipped = 0
+    for u, v, com in keys:
+        cap = min(6 * com + 12, search_budget - steps_used)
+        if cap <= 0:
+            break
+        tried += 1
+        per = periodic._exact_period(sys, u, v, com, cap)
+        steps_used += per if per is not None else cap
+        if per is None:
+            continue
+        k = per * math.ceil(k_min / per)
+        if k > sys.horizon:
+            horizon_skipped += 1
+            continue
+        return sys.rational_point(u, v, com), k
+    return {"candidates_tried": tried, "orbit_steps": steps_used,
+            "nearest_distance": dist[0] if dist else math.inf,
+            "bound": bound, "k_min": k_min, "horizon_skipped": horizon_skipped}
+
+
+def katok_iterate(sys, y, k, params, consts, max_steps=40):
+    """katok_iterate with the cw-size of every crossing evaluated, the
+    transport's too."""
+    gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
+    ratio = 4.0 * (1.0 + params.delta) ** 2 * (1.0 / consts.lam) ** k
+    y_n, steps, consec, converged = y, [], 0, False
+
+    def best(ca, cb, start, end):
+        out = None
+        for z in intersect(ca, cb, tol=1e-9):
+            try:
+                path = periodic._step_continuum(ca, cb, start, z, end)
+            except ValueError:
+                continue
+            d_f = cw_metric(sys, path, consts, depth=3)
+            if out is None or d_f < out[0]:
+                out = (d_f, z)
+        if out is None:
+            raise HolonomyFault("no admissible crossing")
+        return out[1], out[0]
+
+    for n in range(max_steps + 1):
+        fky = models.iterate(sys, y_n, k)
+        gap = models.distance(sys, y_n, fky)
+        consec = consec + 1 if gap < gap_tol else 0
+        if gap == 0.0 or consec >= 3:
+            converged = True
+            break
+        if n == max_steps:
+            break
+        arc = lambda x, kind: models.local_arc(sys, x, kind, params.eps,
+                                               resolution=ARC_RESOLUTION)
+        z, d_f = best(arc(y_n, "stable"), arc(fky, "unstable"), y_n, fky)
+        fmz = models.iterate(sys, z, -k)
+        y_next, _ = best(arc(z, "unstable"), arc(fmz, "stable"), z, fmz)
+        bound = ratio ** (n + 1) * params.c
+        steps.append({"n": n + 1, "gap": gap, "D_F": d_f, "bound": bound,
+                      "ok": d_f <= bound})
+        y_n = y_next
+    bad = [s for s in steps if not s["ok"]]
+    return {"q": y_n, "k": k, "steps": steps, "converged": converged,
+            "residual": gap, "envelope_ok": not bad, "counterexamples": bad}

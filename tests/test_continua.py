@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from _reference import diameter, image
 from cwdyn import models
 from cwdyn.continua import (
-    MarkedContinuum, OffContinuumError, StraightLift, _project_to_polyline,
-    concat, from_record, intersect, subcontinuum, to_record, unwrap_to,
+    MarkedContinuum, OffContinuumError, StraightLift, _arc_pair_hits, _crossings,
+    _project_to_polyline, concat, from_record, intersect, subcontinuum, to_record,
+    unwrap_to,
 )
 from cwdyn.models import local_arc, make_model
 
@@ -347,3 +348,52 @@ class TestCoverProperties:
         assert _gap(chart, sub.point(sub.mark_q).xy(), b.xy()) < 1e-9
         for v in sub.vertices:
             assert _project_to_polyline(c, v)[1] < 1e-9
+
+
+# -- the paired crossing pass ---------------------------------------------------
+
+
+@st.composite
+def _segment_rows(draw):
+    """n segments A and n segments B in the plane, B's row i next to A's
+    row i; some B rows run along their A row, so parallel pairs occur."""
+    chart = draw(st.sampled_from(CHARTS))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.uniform(-0.5, 1.5, (n, 2))
+    ang = rng.uniform(0.0, 2.0 * math.pi, (2, n))
+    length = rng.uniform(0.01, 0.3, (2, n))
+    along = rng.random(n) < 0.3
+    ang[1, along] = ang[0, along]
+    u = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    b = np.where(along[:, None], a + 0.5 * length[0, :, None] * u[0],
+                 a + rng.uniform(-0.1, 0.1, (n, 2)))
+    segs = [(s, length[i, :, None] * u[i], length[i]) for i, s in enumerate((a, b))]
+    return chart, n, segs
+
+
+class TestPairedCrossings:
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(case=_segment_rows())
+    def test_paired_solve_is_the_product_diagonal(self, case):
+        chart, n, (sa, sb) = case
+        rows = np.arange(n)
+        pts, pair, exact = _crossings(chart, sa, sb, rows, rows, 1e-9)
+        ia, ib = np.divmod(np.arange(n * n), n)
+        all_pts, all_pair, all_exact = _crossings(chart, sa, sb, ia, ib, 1e-9)
+        diag = ia[all_pair] == ib[all_pair]
+        assert pts.tobytes() == all_pts[diag].tobytes()
+        assert pair.tolist() == ia[all_pair[diag]].tolist()
+        assert exact.tolist() == all_exact[diag].tolist()
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(sys=st.sampled_from((CAT, PA)), x=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+           off=st.tuples(st.floats(-0.2, 0.2), st.floats(-0.2, 0.2)),
+           eps=st.floats(0.005, 0.2))
+    def test_arc_pair_hits_count_what_intersect_returns(self, sys, x, off, eps):
+        px, py = sys.point(*x), sys.point(x[0] + off[0], x[1] + off[1])
+        hits = int(_arc_pair_hits(sys, px.xy()[None], py.xy()[None], eps)[0])
+        got = len(intersect(local_arc(sys, px, "stable", eps),
+                            local_arc(sys, py, "unstable", eps)))
+        # the count is raw: only two or more hits can be fewer points
+        assert hits == got if hits < 2 else got <= hits

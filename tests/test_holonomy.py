@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _reference import product_structure_radius as radius_by_base
 from cwdyn import holonomy, models
 from cwdyn.continua import unwrap_to, _project_to_polyline
 from cwdyn.cwmetric import calibrate
@@ -74,6 +75,15 @@ class TestParams:
         eps = sys.c / 2.0
         r = holonomy.product_structure_radius(sys, eps, sample_budget=40)
         assert eps * abs(es[0] * eu[1] - es[1] * eu[0]) <= r < eps * (1.0 - 1e-9)
+
+
+    @pytest.mark.parametrize("kind, matrix", [("cat-map", None), ("sphere-pA", None),
+                                              ("cat-map", ((2, 1), (3, 2)))])
+    def test_radius_matches_the_per_base_loop(self, kind, matrix):
+        sys = make_model(kind, matrix=matrix)
+        eps = sys.c / 2.0
+        got = holonomy.product_structure_radius(sys, eps)
+        assert got.hex() == radius_by_base(sys, eps).hex()
 
 
 class TestHolonomy:

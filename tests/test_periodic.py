@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _reference
 from cwdyn import models, periodic
 from cwdyn.cwmetric import calibrate
 from cwdyn.models import BudgetError, make_model
@@ -186,6 +188,26 @@ class TestFindReturn:
             find_return(cat, cat.point(0.1, 0.1), 0.0, 5)
 
 
+    # exact multiples of 1/400 put p*den on half-integers, where the ring
+    # rounds half to even
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(sys=st.sampled_from((make_model("cat-map"), make_model("sphere-pA"))),
+           xy=st.tuples(*[st.one_of(st.floats(0.0, 1.0, exclude_max=True),
+                                    st.integers(0, 399).map(lambda i: i / 400))] * 2),
+           bound=st.floats(1e-4, 0.05), k_min=st.integers(1, 40))
+    def test_candidate_ring_matches_the_loop(self, sys, xy, bound, k_min):
+        p = sys.point(*xy)
+        dist, keys = periodic._return_candidates(sys.chart, p.xy(), bound)
+        want_dist, want_keys = _reference.return_candidates(sys.chart, p.xy(), bound)
+        assert keys == want_keys
+        assert np.asarray(dist, dtype=float).tobytes() == np.asarray(want_dist, dtype=float).tobytes()
+        try:
+            got = find_return(sys, p, bound, k_min)
+        except BudgetError as err:
+            got = err.diagnostics
+        assert got == _reference.find_return(sys, p, bound, k_min)
+
+
 class TestKatokIterate:
     def test_already_periodic_converges_at_once(self, cat, consts, plan):
         y, k = find_return(cat, cat.point(0.3, 0.7), 1e-3, plan.k0)
@@ -269,6 +291,29 @@ class TestKatokIterate:
         assert [s["n"] for s in res["steps"]] == list(range(1, len(res["steps"]) + 1))
         assert res["steps"][0]["gap"] == models.distance(cat, y, models.iterate(cat, y, 2))
         assert res["residual"] == models.distance(cat, res["q"], models.iterate(cat, res["q"], 2))
+
+
+    @pytest.mark.parametrize("start, k", [((0.2 + 1e-9, 0.4 + 1.3e-9), 2),
+                                          ((2 / 13 + 1e-9, 5 / 13 + 1.3e-9), 14)])
+    def test_one_metric_per_step(self, cat, consts, plan, monkeypatch, start, k):
+        # one crossing per arc pair on the torus: the transport needs no cw-size
+        calls = []
+        metric = periodic.cw_metric
+        monkeypatch.setattr(periodic, "cw_metric",
+                            lambda *a, **kw: calls.append(1) or metric(*a, **kw))
+        y = cat.point(*start)
+        res = katok_iterate(cat, y, k, plan, consts)
+        assert res["steps"] and len(calls) == len(res["steps"])
+        assert res == _reference.katok_iterate(cat, y, k, plan, consts)
+
+    # next to the origin spine the folded arcs cross twice, so there the
+    # transport picks between two crossings by their cw-sizes
+    @pytest.mark.parametrize("start", [(0.2 + 1e-9, 0.4 + 1.3e-9), (1e-4, 2e-4)])
+    def test_quotient_run_matches_the_reference(self, pa, consts_pa, plan_pa, start):
+        y = pa.point(*start)
+        res = katok_iterate(pa, y, 1, plan_pa, consts_pa)
+        assert res["steps"]
+        assert res == _reference.katok_iterate(pa, y, 1, plan_pa, consts_pa)
 
 
 class TestVerifyPeriodic:

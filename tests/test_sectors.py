@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _reference import diameter, image
+from _reference import diameter, find_sectors as find_sectors_by_seed, image
 from cwdyn import models, sectors
 from cwdyn.continua import MarkedContinuum, _dedupe_points, cover_reps, intersect
 from cwdyn.models import ModelCapabilityError, chart_distance, make_model
@@ -106,6 +106,20 @@ class TestFindSectors:
         out = find_sectors(cat, budget=400)
         assert out.sectors == []
         assert set(out.crossing_counts) == {1}
+
+    @pytest.mark.parametrize("kind, budget", [("sphere-pA", 1500), ("cat-map", 400)])
+    def test_screen_matches_the_per_seed_loop(self, kind, budget):
+        # seeds below two raw crossings skip _sector_from_seed; nothing moves
+        sys = make_model(kind)
+        out = find_sectors(sys, budget=budget)
+        want, counts, skipped = find_sectors_by_seed(sys, budget=budget)
+        assert list(out.crossing_counts.items()) == list(counts.items())
+        assert out.skipped_pairs == skipped
+        assert len(out.sectors) == len(want)
+        for got, ref in zip(out.sectors, want):
+            assert got.polygon.tobytes() == ref.polygon.tobytes()
+            for p, q in ((got.spine, ref.spine), (got.a1, ref.a1), (got.a2, ref.a2)):
+                assert p.xy().tobytes() == q.xy().tobytes()
 
     def test_budget_flagged(self, pa):
         out = find_sectors(pa, budget=10)
