@@ -28,13 +28,17 @@ threshold (Kalies, Mischaikow and VanderVorst, Found. Comput. Math.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from . import models
 from .models import ConfigError
+
+# scipy is imported where a graph is built or read: importing scipy.sparse
+# adds about 25 MB and 0.25 s to every process that imports this module
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class DiscretizationError(RuntimeError):
@@ -310,6 +314,8 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
     Requires eps at least half the largest cell diagonal, otherwise the
     grid can sever genuine chains and the decomposition is meaningless.
     """
+    import scipy.sparse as sp
+
     chart = sys.chart
     res = grid_resolution
     # centres before the diagonals' temporaries: the other order peaks
@@ -362,8 +368,8 @@ def _candidate_pairs(chart, pts, slack):
     2 sin(pi s / 2).  Rows ``[lo, hi)`` query the rows from ``lo`` on, in
     blocks of at most ``_CHUNK_PAIRS`` pairs (or one row).
     """
-    # imported here: scipy.spatial adds about 0.1 s and 8 MB to every process
-    # that imports this module, and only a merge of two classes or more needs it
+    # imported here, not with scipy.sparse: only a merge of two classes or
+    # more needs it, and it adds about 0.1 s and 8 MB
     from scipy.spatial import cKDTree
 
     m = pts.shape[0]
@@ -391,6 +397,9 @@ def _merge_close_classes(g: ChainClassGraph, lab, rec) -> np.ndarray:
     groups are the components of the graph on SCC labels that links two
     labels with a pair of their cells within the slack.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     ids, labs = np.unique(lab[rec], return_inverse=True)
     k = len(ids)
     links = [np.zeros(0, np.int64)]
@@ -422,6 +431,9 @@ def chain_classes(g: ChainClassGraph) -> Partition:
     are assigned by each class's smallest cell index, so they do not
     depend on node traversal order.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     adj = g.adjacency
     # float64 data as a zero-stride view on the stored indices: scipy's
     # validate_graph then converts nothing (astype(float64, copy=False))
@@ -471,6 +483,9 @@ def _reachable(adj: sp.csr_matrix, seed: np.ndarray) -> np.ndarray:
 def _assert_acyclic(order: list, n_classes: int) -> None:
     """Raise when the order has a cycle: a strong component of two or
     more classes, since no class is ordered against itself."""
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
+
     i, j = np.array(order, dtype=int).reshape(-1, 2).T
     rel = sp.csr_matrix((np.ones(len(i)), (i, j)), shape=(n_classes, n_classes))
     n_comp, lab = connected_components(rel, directed=True, connection="strong")

@@ -279,6 +279,29 @@ def _single_thresholds(frame: models.EigenFrame, au: float, as_: float, c: float
         except OverflowError:
             return INFINITY
 
+    def first_above(e, lo):
+        # the least exponent from lo on with length > c, walking from e;
+        # the length increases from lo on
+        e = max(e, lo)
+        while not ln_at(e) > c:
+            e += 1
+        while e > lo and ln_at(e - 1) > c:
+            e -= 1
+        return e
+
+    def last_above(e, hi):
+        # the greatest exponent up to hi with length > c, walking from e;
+        # the length decreases up to hi
+        e = min(e, hi)
+        while not ln_at(e) > c:
+            e -= 1
+        while e < hi and ln_at(e + 1) > c:
+            e += 1
+        return e
+
+    # the walks start near where one eigen-component alone reaches c
+    e_u = int(math.ceil(math.log(c / abs(au)) / math.log(lu))) - 2 if au else None
+    e_s = int(math.floor(math.log(c / abs(as_)) / math.log(ls))) + 2 if as_ else None
     if au != 0 and as_ != 0:
         # integer exponents bracketing the length minimum
         estar = math.log((abs(as_) * math.log(1.0 / ls))
@@ -286,29 +309,11 @@ def _single_thresholds(frame: models.EigenFrame, au: float, as_: float, c: float
         lo, hi = int(math.floor(estar)), int(math.floor(estar)) + 1
         if min(ln_at(lo), ln_at(hi)) > c:
             return ("always", None, None)
-        e = hi
-        while not ln_at(e) > c:
-            e += 1
-        e_fwd = e
-        e = lo
-        while not ln_at(e) > c:
-            e -= 1
-        e_back = e
-        return ("split", e_back, e_fwd)
+        return ("split", last_above(e_s, lo), first_above(e_u, hi))
     if au != 0:  # pure expanding: escapes forward only
-        e = int(math.ceil(math.log(c / abs(au)) / math.log(lu))) - 2
-        while not ln_at(e) > c:
-            e += 1
-        while ln_at(e - 1) > c:
-            e -= 1
-        return ("split", None, e)
+        return ("split", None, first_above(e_u, -INFINITY))
     # pure contracting: escapes backward only
-    e = int(math.floor(math.log(c / abs(as_)) / math.log(ls))) + 2
-    while not ln_at(e) > c:
-        e -= 1
-    while ln_at(e + 1) > c:
-        e += 1
-    return ("split", e, None)
+    return ("split", last_above(e_s, INFINITY), None)
 
 
 # an exponent past every shift and horizon: the length set's missing tail
@@ -538,10 +543,35 @@ def _weights(consts: MetricConstants):
     """alpha^-n by escape time n (0 from the horizon on, two past it),
     lam^j and lam^-j for 0 <= j <= horizon + 1, each a scalar power."""
     h = consts.horizon
-    rho = np.array([consts.alpha ** (-n) for n in range(h)] + [0.0, 0.0])
-    rho.setflags(write=False)  # shared by every evaluator
-    return (rho, tuple(consts.lam ** j for j in range(h + 2)),
-            tuple(consts.lam ** (-j) for j in range(h + 2)))
+    out = (np.array([consts.alpha ** (-n) for n in range(h)] + [0.0, 0.0]),
+           np.array([consts.lam ** j for j in range(h + 2)]),
+           np.array([consts.lam ** (-j) for j in range(h + 2)]))
+    for a in out:
+        a.setflags(write=False)  # shared by every evaluator
+    return out
+
+
+@lru_cache(maxsize=64)
+def _layout(depth: int, first: int, last: int, to_end: bool):
+    """The blocks a chain may use, as (row of block (i, j), cut params of
+    the blocks in row order); row 0 is the full path."""
+    g = 2 ** depth
+    top = g if to_end else last
+    blocks = [(0, j) for j in range(first, top + 1) if j < g]
+    blocks += [(i, j) for i in range(first, top) for j in range(i + 1, top + 1)]
+    if top < g:
+        blocks += [(i, g) for i in range(first, last + 1)]
+    row = np.zeros((g + 1, g + 1), dtype=np.int64)
+    if blocks:
+        row[tuple(np.array(blocks).T)] = np.arange(1, len(blocks) + 1)
+    cuts = np.array(blocks, dtype=float).reshape(-1, 2) / g
+    row.setflags(write=False)
+    cuts.setflags(write=False)
+    return row, cuts
+
+
+# the first width of the sup's reach on upper bounds; later widths double
+_REACH = 32
 
 
 class MetricEvaluator:
@@ -557,6 +587,11 @@ class MetricEvaluator:
     an array of shifts is then one pass over the table: escape times,
     weights from the alpha^-n table, and the min-plus recurrence
     P_j = min(rho(0, j), min_i P_i + rho(i, j)) over cuts j.
+
+    P is held in one array over a run of shifts that grows only at its
+    ends: upper bounds from the j0 lower bounds of the escape times, exact
+    where marked.  On a closed table the two agree.  The sup D at a set of
+    bases is one pass over it (_sups).
     """
 
     def __init__(self, sys, cont: MarkedContinuum, consts: MetricConstants,
@@ -589,26 +624,21 @@ class MetricEvaluator:
         self._last = max((i for i in range(self._first, g) if i / g <= self.tq + eps),
                          default=self._first - 1)
         self._to_end = self.tq >= 1.0 - eps
-        top = self._top = g if self._to_end else self._last
-        blocks = [(0, j) for j in range(self._first, top + 1) if j < g]
-        blocks += [(i, j) for i in range(self._first, top) for j in range(i + 1, top + 1)]
-        if top < g:
-            blocks += [(i, g) for i in range(self._first, self._last + 1)]
-        # row 0 is the full path itself, the others its sub-paths; every
-        # block of a singleton is the singleton
-        s0, au0, as0, bent0 = _rows_of([pieces])
-        self._row = np.zeros((g + 1, g + 1), dtype=np.int64)
-        s, au, as_, bent = s0[:0], au0[:0], as0[:0], {}
-        if blocks and not self.singleton:
-            self._row[tuple(np.array(blocks).T)] = np.arange(1, len(blocks) + 1)
-            cuts = np.array(blocks, dtype=float) / g
-            s, au, as_, bent = _sub_blocks(frame, pieces, cuts[:, 0], cuts[:, 1])
-            bent = {k + 1: v for k, v in bent.items()}
-        self.table = _BlockTable(sys, frame, consts.c, consts.horizon,
-                                 np.concatenate([s0, s]), np.concatenate([au0, au]),
-                                 np.concatenate([as0, as_]), {**bent0, **bent})
+        self._top = g if self._to_end else self._last
+        self._row, cuts = _layout(self.depth, self._first, self._last, self._to_end)
+        s, au, as_, bent = _rows_of([pieces])
+        if self.singleton:
+            # every block of a singleton is the singleton
+            self._row = np.zeros_like(self._row)
+        elif len(cuts):
+            s1, au1, as1, bent1 = _sub_blocks(frame, pieces, cuts[:, 0], cuts[:, 1])
+            s, au, as_ = np.concatenate([s, s1]), np.concatenate([au, au1]), \
+                np.concatenate([as_, as1])
+            bent.update((k + 1, v) for k, v in bent1.items())
+        self.table = _BlockTable(sys, frame, consts.c, consts.horizon, s, au, as_, bent)
         self._weights = _weights(consts)
-        self._chain, self._bound = {}, {}
+        self._s0, self._p, self._exact = 0, np.empty(0), np.empty(0, dtype=bool)
+        self._w = None  # D' from _p, when current
 
     def escape(self, shift: int = 0):
         """N(f^shift C): math.inf for a singleton, the horizon where no
@@ -620,7 +650,7 @@ class MetricEvaluator:
     def rho(self, shift: int = 0) -> float:
         return float(self._weights[0][self.table.escapes([shift], rows=[0])[0, 0]])
 
-    def _chains(self, shifts: list, exact: bool) -> np.ndarray:
+    def _chains(self, shifts, exact: bool) -> np.ndarray:
         """P at each shift: the chain DP over the block table, with exact
         escape times, or with their lower bounds j0 (an upper bound on P)."""
         r = self._weights[0][self.table.escapes(shifts, exact=exact)][self._row]
@@ -636,92 +666,143 @@ class MetricEvaluator:
             ends.append(p[g:])
         return np.concatenate(ends).min(axis=0)
 
-    def _chain_values(self, shifts, exact: bool = True) -> np.ndarray:
-        """P at each shift.  Exact values are cached in _chain, the upper
-        bounds from j0 in _bound, and a cached exact value stands in for a
-        bound.  On a closed table the two agree and share _chain."""
-        cache = self._chain if exact or self.table.closed else self._bound
-        todo = [s for s in shifts if s not in self._chain and s not in cache]
-        if todo:
-            cache.update(zip(todo, self._chains(todo, exact).tolist()))
-        return np.array([self._chain[s] if s in self._chain else cache[s] for s in shifts])
+    def _hold(self, lo: int, hi: int, spans=()) -> None:
+        """Hold P at shifts lo..hi, exact at every shift of the spans
+        (a, b) inside them.  New shifts outside the spans get upper bounds,
+        and the exact ones come from one pass over the table."""
+        s0, n = self._s0, len(self._p)
+        if n and s0 <= lo and hi < s0 + n and \
+                all(self._exact[a - s0:b + 1 - s0].all() for a, b in spans):
+            return
+        if n:
+            lo, hi = min(lo, s0), max(hi, s0 + n - 1)
+        shifts = np.arange(lo, hi + 1)
+        p, exact = np.empty(len(shifts)), np.zeros(len(shifts), dtype=bool)
+        p[s0 - lo:s0 - lo + n], exact[s0 - lo:s0 - lo + n] = self._p, self._exact
+        want = np.zeros(len(shifts), dtype=bool)
+        for a, b in spans:
+            want[a - lo:b + 1 - lo] = True
+        new = np.ones(len(shifts), dtype=bool)
+        new[s0 - lo:s0 - lo + n] = False
+        for todo, sure in ((new & ~want, False), (want & ~exact, True)):
+            if todo.any():
+                p[todo] = self._chains(shifts[todo], exact=sure)
+                exact[todo] = sure or self.table.closed
+        self._s0, self._p, self._exact, self._w = lo, p, exact, None
 
-    def _windows(self, lo: int, hi: int, exact: bool = True) -> np.ndarray:
-        """D' at shifts lo..hi: max over |i| < n0 of P(shift + i) / lam^|i|."""
-        k = self.consts.n0 - 1
-        lam_up = self._weights[1]
-        p = self._chain_values(range(lo - k, hi + k + 1), exact)
-        n = hi - lo + 1
-        w = p[k:k + n]
-        for i in range(1, k + 1):
-            w = np.maximum(w, np.maximum(p[k - i:k - i + n], p[k + i:k + i + n]) / lam_up[i])
-        return w
-
-    def _sides(self, base: int, j: int, last: int, exact: bool = True):
-        """D' at base + i and at base - i for i = j..last, as two lists."""
-        w = self._windows(base - last, base + last, exact).tolist()
-        return w[last + j:], w[last - j::-1]
+    def _windows(self) -> np.ndarray:
+        """D' at shifts _s0 + k.. from the held P, k = n0 - 1: max over
+        |i| <= k of P(shift + i) / lam^|i|, exact where those P are."""
+        if self._w is None:
+            k, p, lam_up = self.consts.n0 - 1, self._p, self._weights[1]
+            n = len(p) - 2 * k
+            w = p[k:k + n]
+            for i in range(1, k + 1):
+                w = np.maximum(w, np.maximum(p[k - i:k - i + n], p[k + i:k + i + n]) / lam_up[i])
+            self._w = w
+        return self._w
 
     def chain(self, shift: int = 0) -> float:
-        return float(self._chain_values([shift])[0])
+        self._hold(shift, shift, [(shift, shift)])
+        return float(self._p[shift - self._s0])
 
     def window(self, shift: int = 0) -> float:
-        return float(self._windows(shift, shift)[0])
+        k = self.consts.n0 - 1
+        self._hold(shift - k, shift + k, [(shift - k, shift + k)])
+        return float(self._windows()[shift - self._s0 - k])
 
-    def _reach(self, base: int, j: int, best: float) -> int:
-        """The first index from j at which the sup's stopping rule holds on
-        upper bounds of its terms, or the horizon: D' from the j0 lower
-        bounds of the escape times, exact where known.  The true terms are
-        no larger, so the sup runs at least this far.  Bounds decide
-        nothing, so they are taken 32 indices at a time."""
-        h = self.consts.horizon
-        lam_up, lam_down = self._weights[1], self._weights[2]
-        while j <= h:
-            last = min(h, j + 31)
-            up, down = self._sides(base, j, last, exact=False)
-            for i, jj in enumerate(range(j, last + 1)):
-                best = max(best, up[i] / lam_up[jj], down[i] / lam_up[jj])
-                if lam_down[jj + 1] <= best:
-                    return jj
-            j = last + 1
-        return h
+    def _sweep(self, base, j, last, best, arg):
+        """The sup's running max at each base over its indices j..last, on
+        the held D', from (best, arg): lists, one entry per base.  Returns
+        lists of the first index at which the stopping rule holds (-1 where
+        none does), of best and of the achieved index.  At index i the up
+        term D'(base + i)/lam^i comes before the down term D'(base - i)/lam^i,
+        and only a term strictly above the running best takes its place."""
+        w, lam_up, lam_down = self._windows(), self._weights[1], self._weights[2]
+        j, last, best = np.array(j), np.array(last), np.array(best)
+        # past its last index a row repeats its last terms, which moves no max
+        i = np.minimum(j[:, None] + np.arange(int((last - j).max()) + 1), last[:, None])
+        at = np.array(base)[:, None] - (self._s0 + self.consts.n0 - 1)
+        lam = lam_up[i]
+        terms = np.empty((len(base), 2 * i.shape[1]))
+        terms[:, 0::2] = w[at + i] / lam
+        terms[:, 1::2] = w[at - i] / lam
+        run = np.maximum(np.maximum.accumulate(terms, axis=1), best[:, None])
+        stop = lam_down[i + 1] <= run[:, 1::2]
+        rows, first = np.arange(len(base)), stop.argmax(axis=1)
+        found = stop[rows, first]
+        top = run[rows, 2 * np.where(found, first, i.shape[1] - 1) + 1]
+        pos = (terms == top[:, None]).argmax(axis=1)
+        arg = np.where(top > best, i[rows, pos // 2] * (1 - 2 * (pos % 2)), arg)
+        return np.where(found, j + first, -1).tolist(), top.tolist(), arg.tolist()
+
+    def _sups(self, bases) -> dict:
+        """{base: (D, achieved index, whether the stopping rule held within
+        the horizon)} for each distinct base.
+
+        Each round first finds, for every open base, the first index at
+        which the stopping rule holds on upper bounds of the terms, sweeping
+        widths that double from _REACH.  The true terms are no larger, so
+        the exact sup runs at least that far; on a closed table the bounds
+        are exact and that is the sup's stop.  Otherwise the open bases' P
+        are made exact in one pass over the union of their spans, and each
+        sweeps on from its exact prefix; one that does not stop opens the
+        next round.  So P is made exact at just the shifts within n0 - 1 of
+        the indices that some base's sup reaches.
+        """
+        h, k = self.consts.horizon, self.consts.n0 - 1
+        # the terms below index j are exact, with their running (best, arg)
+        state, out = {int(b): (0, 0.0, 0) for b in bases}, {}
+        while state:
+            reach, run, width = {}, state, _REACH
+            while run:
+                # a sweep first takes the indices whose terms are held
+                b = list(run)
+                j = [run[x][0] for x in b]
+                lo, hi = self._s0 + k, self._s0 + len(self._p) - 1 - k
+                held = [min(x - lo, hi - x) for x in b]
+                ends = [min(h, e if e >= y else y + width - 1) for y, e in zip(j, held)]
+                self._hold(min(map(int.__sub__, b, ends)) - k,
+                           max(map(int.__add__, b, ends)) + k)
+                swept = self._sweep(b, j, ends, [run[x][1] for x in b], [run[x][2] for x in b])
+                run, width = {}, 2 * width
+                for x, e, stop, best, arg in zip(b, ends, *swept):
+                    if stop < 0 and e < h:
+                        run[x] = (e + 1, best, arg)
+                    else:
+                        reach[x] = (e if stop < 0 else stop, best, arg, stop >= 0)
+            if self.table.closed:
+                out.update((x, v[1:]) for x, v in reach.items())
+                break
+            b = list(reach)
+            r = [reach[x][0] for x in b]
+            self._hold(min(map(int.__sub__, b, r)) - k, max(map(int.__add__, b, r)) + k,
+                       [(x - e - k, x + e + k) for x, e in zip(b, r)])
+            swept = self._sweep(b, [state[x][0] for x in b], r,
+                                [state[x][1] for x in b], [state[x][2] for x in b])
+            state = {}
+            for x, e, stop, best, arg in zip(b, r, *swept):
+                if stop < 0 and e < h:
+                    state[x] = (e + 1, best, arg)
+                else:
+                    out[x] = (best, arg, stop >= 0)
+        return out
 
     def metric_profile(self, base_shift: int = 0) -> dict:
         if self.singleton:
             return {"D": 0.0, "achieved_index": 0, "tail_bound": 0.0,
                     "truncated": False}
-        h = self.consts.horizon
-        lam_up, lam_down = self._weights[1], self._weights[2]
-        best, arg, j = 0.0, 0, 0
-        while j <= h:
-            # every term up to the bounds' stop is needed: one exact pass
-            last = self._reach(base_shift, j, best)
-            up, down = self._sides(base_shift, j, last)
-            for i, jj in enumerate(range(j, last + 1)):
-                term = up[i] / lam_up[jj]
-                if term > best:
-                    best, arg = term, jj
-                term = down[i] / lam_up[jj]
-                if jj and term > best:
-                    best, arg = term, -jj
-                if lam_down[jj + 1] <= best:
-                    return {"D": best, "achieved_index": arg, "tail_bound": 0.0,
-                            "truncated": False}
-            j = last + 1
-        return {"D": best, "achieved_index": arg, "tail_bound": lam_down[h],
-                "truncated": True}
+        best, arg, stopped = self._sups([base_shift])[int(base_shift)]
+        return {"D": best, "achieved_index": arg,
+                "tail_bound": 0.0 if stopped else float(self._weights[2][self.consts.horizon]),
+                "truncated": not stopped}
 
     def metrics(self, bases: list) -> list:
-        """D at each base shift.  The chains each sup needs up to its
-        bounds' stop are computed first, in one exact pass."""
-        if not self.singleton:
-            k = self.consts.n0 - 1
-            need = set()
-            for b in bases:
-                last = self._reach(b, 0, 0.0)
-                need.update(range(b - last - k, b + last + k + 1))
-            self._chain_values(sorted(need))
-        return [self.metric(b) for b in bases]
+        """D at each base shift, in one pass for all of them."""
+        if self.singleton:
+            return [0.0 for _ in bases]
+        sups = self._sups(bases)
+        return [sups[int(b)][0] for b in bases]
 
     def metric(self, base_shift: int = 0) -> float:
         return self.metric_profile(base_shift)["D"]

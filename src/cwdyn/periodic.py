@@ -153,12 +153,14 @@ def _return_candidates(chart: str, pxy: np.ndarray, bound: float):
     # in lowest terms the common denominator is the lcm of the two reduced ones
     g = np.gcd(np.gcd(u, v), den)
     keys = np.stack([u // g, v // g, den // g], axis=1)
-    first = np.unique(keys, axis=0, return_index=True)[1]
+    # one int64 per point: reduced u and v lie in 0..200
+    first = np.unique((keys[:, 2] * 201 + keys[:, 0]) * 201 + keys[:, 1], return_index=True)[1]
     x, y = u[first] / den[first], v[first] / den[first]
     dist = models.chart_distance(chart, pxy, np.stack([x, y], axis=1))
+    near = dist < bound
+    first, x, y, dist = first[near], x[near], y[near], dist[near]
     # the fields never all tie: equal den, x and y are one point, seen once
     order = np.lexsort((y, x, den[first], dist))
-    order = order[dist[order] < bound]
     return dist[order], keys[first[order]].tolist()
 
 

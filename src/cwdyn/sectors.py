@@ -322,20 +322,19 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
     Ms = _axis_cross(A, Bs, 0, w, Einv)
     Mu = _axis_cross(A, Bu, 1, w, Einv)
 
+    def arcs(M, B, tt, stable):
+        # the cover segments of the local arcs through the points gamma(t),
+        # each the lift models.local_arc gives it, and the points' eigen-coordinates
+        g = [_gamma(A, M, B, float(t)) for t in tt]
+        e, start, length, _, _ = models._arc_frame(sys, sys.chart, wrap_chart(sys.chart, g),
+                                                   stable, R1, np.empty(0))
+        return (start, e * length[:, None], length), np.array([eig(r) for r in g])
+
     def samples(t_lo, t_hi):
         tt = np.linspace(t_lo, t_hi, grid + 1)
-        arcs_u, arcs_s, gs_eig, gu_eig = [], [], [], []
-        for t in tt:
-            g = _gamma(A, Ms, Bs, float(t))
-            arcs_u.append(models.local_arc(sys, sys.point(*g), "unstable", R1,
-                                           resolution=3))
-            gs_eig.append(eig(g))
-            g = _gamma(A, Mu, Bu, float(t))
-            arcs_s.append(models.local_arc(sys, sys.point(*g), "stable", R1,
-                                           resolution=3))
-            gu_eig.append(eig(g))
-        return _grid_crossings(sys, arcs_u, arcs_s, np.array(gs_eig),
-                               np.array(gu_eig), w, Einv, R1)
+        seg_u, gs_eig = arcs(Ms, Bs, tt, False)
+        seg_s, gu_eig = arcs(Mu, Bu, tt, True)
+        return _grid_crossings(sys, seg_u, seg_s, gs_eig, gu_eig, w, Einv, R1)
 
     f1, f1e = samples(0.0, 0.5)
     f2, f2e = samples(0.5, 1.0)
@@ -350,24 +349,24 @@ def _tsign(x: np.ndarray) -> np.ndarray:
     return np.where(np.abs(x) <= 1e-8, 0.0, np.sign(x))
 
 
-def _grid_crossings(sys, arcs_u, arcs_s, g_s, g_u, w, Einv, R1):
-    """For each pair (arcs_u[i], arcs_s[j]), the arc crossing reachable
-    without crossing the splitting curve: its chart point and its
-    eigen-coordinates, each an (len(arcs_u), len(arcs_s), 2) array.
+def _grid_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):
+    """For each pair (unstable arc i, stable arc j), the arc crossing
+    reachable without crossing the splitting curve: its chart point and
+    its eigen-coordinates, each an (nu, ns, 2) array.
 
-    Row i of g_s and row j of g_u are the eigen-coordinates of the
-    parameter points whose unstable (resp. stable) arcs are intersected.
-    The pairs go through the crossing pass and the selection in blocks of
-    rows of at most _PAIR_CHUNK pairs, so memory does not grow with the grid.
+    seg_u and seg_s are the arcs' straight cover segments (starts,
+    vectors, lengths), one row per arc.  Row i of g_s and row j of g_u are
+    the eigen-coordinates of the parameter points whose unstable (resp.
+    stable) arcs are intersected.  The pairs go through the crossing pass
+    and the selection in blocks of rows of at most _PAIR_CHUNK pairs, so
+    memory does not grow with the grid.
     """
-    seg_u, seg_s = ([np.concatenate(c) for c in zip(*map(_segments, arcs))]
-                    for arcs in (arcs_u, arcs_s))
-    step = max(1, _PAIR_CHUNK // len(arcs_s))
+    nu, ns = len(seg_u[0]), len(seg_s[0])
+    step = max(1, _PAIR_CHUNK // ns)
     blocks = [_block_crossings(sys, [x[i:i + step] for x in seg_u], seg_s,
                                g_s[i:i + step], g_u, w, Einv, R1)
-              for i in range(0, len(arcs_u), step)]
-    return tuple(np.concatenate(b).reshape(len(arcs_u), len(arcs_s), 2)
-                 for b in zip(*blocks))
+              for i in range(0, nu, step)]
+    return tuple(np.concatenate(b).reshape(nu, ns, 2) for b in zip(*blocks))
 
 
 def _block_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):

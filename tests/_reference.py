@@ -57,6 +57,46 @@ def diameter(cont: MarkedContinuum) -> float:
     return float(models.chart_distance(cont.chart, v[:, None, :], v[None, :, :]).max())
 
 
+def single_thresholds(frame, au, as_, c):
+    """cwmetric._single_thresholds with each mixed-case tail walked from
+    the length minimum, one exponent at a time."""
+    lu, ls = abs(frame.su), abs(frame.ss)
+
+    def ln_at(e):
+        try:
+            return math.hypot(au * (lu ** e), as_ * (ls ** e))
+        except OverflowError:
+            return math.inf
+
+    if au != 0 and as_ != 0:
+        estar = math.log((abs(as_) * math.log(1.0 / ls))
+                         / (abs(au) * math.log(lu))) / math.log(lu / ls)
+        lo, hi = int(math.floor(estar)), int(math.floor(estar)) + 1
+        if min(ln_at(lo), ln_at(hi)) > c:
+            return ("always", None, None)
+        e = hi
+        while not ln_at(e) > c:
+            e += 1
+        e_fwd = e
+        e = lo
+        while not ln_at(e) > c:
+            e -= 1
+        return ("split", e, e_fwd)
+    if au != 0:
+        e = int(math.ceil(math.log(c / abs(au)) / math.log(lu))) - 2
+        while not ln_at(e) > c:
+            e += 1
+        while ln_at(e - 1) > c:
+            e -= 1
+        return ("split", None, e)
+    e = int(math.floor(math.log(c / abs(as_)) / math.log(ls))) + 2
+    while not ln_at(e) > c:
+        e -= 1
+    while ln_at(e + 1) > c:
+        e += 1
+    return ("split", e, None)
+
+
 # -- per-point loops --------------------------------------------------------
 
 

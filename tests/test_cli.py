@@ -411,3 +411,16 @@ def test_module_entry_point():
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "usage: cwdyn" in proc.stdout
+
+
+def test_import_leaves_scipy_sparse_unloaded():
+    # chainrec imports scipy only where a graph is built or read
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p)
+    code = "import sys, cwdyn.cli; print('scipy.sparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import diameter, image, iterate_lift
+from _reference import diameter, image, iterate_lift, single_thresholds
 from cwdyn import continua, cwmetric, models
 from cwdyn.cwmetric import (
     MetricConstants, calibrate, chain_weight, constants_for, cw_metric,
@@ -218,6 +218,25 @@ class TestFoldEscape:
         pts = start[None, :] + np.linspace(0.0, 0.375, 513)[:, None] * es[None, :]
         assert _full_max(pa.chart, pts) < 0.25
         assert not cwmetric._segment_exceeds(pa.chart, start, es, 0.375, 0.25)
+
+
+# an eigen-component: zero, or a signed magnitude from 1e-12 to 100
+_component = st.one_of(
+    st.just(0.0),
+    st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-12.0, 2.0))
+    .map(lambda t: t[0] * 10.0 ** t[1]))
+
+
+class TestSingleThresholds:
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(kind=st.sampled_from(["cat-map", "sphere-pA"]), au=_component, as_=_component,
+           c=st.floats(1e-3, 0.45))
+    def test_matches_the_walk_from_the_minimum(self, kind, au, as_, c):
+        if au == 0.0 and as_ == 0.0:
+            return
+        frame = models.eigen_frame(_model(kind)[0].matrix)
+        assert cwmetric._single_thresholds(frame, au, as_, c) \
+            == single_thresholds(frame, au, as_, c)
 
 
 class TestEscape:
@@ -792,6 +811,39 @@ class TestScalarReference:
                 for (a, b), es in _decisions(ev).items():
                     eng = want.engine if (a, b) == (0.0, 1.0) else want.subs[a, b]
                     assert es <= set(eng.decided), (a, b)
+
+
+    @pytest.mark.parametrize("shape", ["stable", "unstable"])
+    @pytest.mark.parametrize("depth", [2, 3])
+    def test_long_sups_over_spread_bases(self, shape, depth):
+        # sphere-pA arcs far below xi: their sups pass indices 32, 64 and
+        # 128, where the reach on bounds doubles its width, and the
+        # shortest stop past the horizon.  The bases are further apart than
+        # 2 n0, unsorted and repeated, so the exact spans leave gaps.
+        sys, consts = _model("sphere-pA")
+        rng = np.random.default_rng(31 + depth)
+        bases = [17, -25, 3, 17, 40, -3, 3]
+        stops = []
+        for eps in (1e-40, 1e-60, 1e-90, 1e-200):
+            _, _, cont = _make_case("sphere-pA", *rng.uniform(0.0, 1.0, 2), shape, eps, 9,
+                                    False, (0, 99))
+            ev = cwmetric.MetricEvaluator(sys, cont, consts, depth)
+            got = ev.metrics(bases)
+            want = _ScalarEvaluator(sys, cont, consts, depth)
+            profiles = [want.metric_profile(b) for b in bases]
+            _assert_same(got, [p["D"] for p in profiles])
+            # every (block, iterate) the pass decides, the scalar scan decides too
+            for (a, b), es in _decisions(ev).items():
+                eng = want.engine if (a, b) == (0.0, 1.0) else want.subs[a, b]
+                assert es <= set(eng.decided), (a, b)
+            # one base is one row of the same pass
+            for b, d, prof in zip(bases, got, profiles):
+                one = cwmetric.MetricEvaluator(sys, cont, consts, depth).metric_profile(b)
+                _assert_same(one, prof)
+                assert one["D"] == d
+            stops += [(p["achieved_index"], p["truncated"]) for p in profiles]
+        assert max(abs(i) for i, _ in stops) > 128
+        assert any(t for _, t in stops) and not all(t for _, t in stops)
 
 
 class TestQuotientRingScan:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _reference import diameter, find_sectors as find_sectors_by_seed, image
-from cwdyn import models, sectors
+from cwdyn import continua, models, sectors
 from cwdyn.continua import MarkedContinuum, _dedupe_points, cover_reps, intersect
 from cwdyn.models import ModelCapabilityError, chart_distance, make_model
 from cwdyn.sectors import (
@@ -209,19 +209,19 @@ class TestParametrization:
 
     def test_monotone_and_injective(self, pa, search, monkeypatch):
         centres = set()
-        real_local_arc = models.local_arc
+        real_arc_frame = models._arc_frame
 
-        def local_arc(sys, x, *args, **kwargs):
-            centres.add(x.coords)
-            return real_local_arc(sys, x, *args, **kwargs)
+        def arc_frame(sys, chart, xy, *args, **kwargs):
+            centres.update(map(tuple, xy.tolist()))
+            return real_arc_frame(sys, chart, xy, *args, **kwargs)
 
-        monkeypatch.setattr(models, "local_arc", local_arc)
+        monkeypatch.setattr(models, "_arc_frame", arc_frame)
         for s in search.sectors:
             rep = sector_parametrization(pa, s, grid=32)["continuity_report"]
             assert rep["monotone_violations"] == 0
             assert rep["injective_ok"]
             assert rep["max_modulus"] < 5e-3
-        # arc centres go into pa.point as raw cover points, so next to the
+        # arc centres go into wrap_chart as raw cover points, so next to the
         # origin spine the quotient mirror keeps their full precision
         near_spine = pa.point(-0.0064815165793436534, 0.5079306403068854)
         assert near_spine.coords[0] == 0.0064815165793436534
@@ -479,7 +479,8 @@ class TestBatchedPassesMatchScalar:
             with pytest.raises(ValueError, match=msg):
                 _ref_select_crossing(pa, cu, cs, g[0], g[0], w, Einv, 0.1)
             with pytest.raises(ValueError, match=msg):
-                sectors._grid_crossings(pa, [cu], [cs], g, g, w, Einv, 0.1)
+                sectors._grid_crossings(pa, continua._segments(cu), continua._segments(cs),
+                                        g, g, w, Einv, 0.1)
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     @pytest.mark.parametrize("res", [7, 37, 64, 128])
