@@ -3,10 +3,13 @@
 A continuum is stored as an ordered vertex polyline in a chart, with two
 marked vertex indices.  Arcs produced by the model constructors also
 carry a *straight lift*: the exact segment in the universal cover that
-the polyline discretizes.  No image continuum is ever built: cwmetric
-iterates a lift in closed form (its cover start by exact integer
-arithmetic mod 1, its eigen components by the eigenvalue powers), so
-no float error accumulates along an orbit.
+the polyline discretizes.  Crossings, cuts and projections work on that
+segment and take lifted arcs only; a plain polyline (a record, or a
+``concat`` of cuts) is measured by cwmetric but never crossed or cut.
+No image continuum is ever built: cwmetric iterates a lift in closed
+form (its cover start by exact integer arithmetic mod 1, its eigen
+components by the eigenvalue powers), so no float error accumulates
+along an orbit.
 """
 
 from __future__ import annotations
@@ -25,8 +28,6 @@ from .models import (
 
 # polyline edges must stay under one chart step
 MAX_STEP = 0.5
-# segment pairs solved at once, which bounds the crossing pass's arrays
-_PAIR_CHUNK = 4096
 
 
 class OffContinuumError(ValueError):
@@ -241,18 +242,13 @@ def _dedupe_points(chart: str, pts: np.ndarray, tol: float, group=None) -> np.nd
 
 
 def _segments(cont: MarkedContinuum):
-    """The plane segments behind a continuum: (starts, vectors, lengths).
-
-    A lifted arc is its one cover segment; a plain polyline is the edges
-    of its unwrapped path.
-    """
-    if cont.lift is not None:
-        lf = cont.lift
-        return (lf.start_arr[None, :], (lf.dir_arr * lf.length)[None, :],
-                np.array([lf.length]))
-    path = unwrap_path(cont.chart, cont.vertices)
-    d = np.diff(path, axis=0)
-    return path[:-1], d, np.linalg.norm(d, axis=-1)
+    """A lifted arc's one cover segment as (starts, vectors, lengths)."""
+    lf = cont.lift
+    if lf is None:
+        raise ValueError("continuum has no lift: crossings, cuts and projections "
+                         "take lifted arcs (models.local_arc or a cut of one)")
+    return (lf.start_arr[None, :], (lf.dir_arr * lf.length)[None, :],
+            np.array([lf.length]))
 
 
 def _to_segment(p, a, d):
@@ -289,16 +285,6 @@ def _nearest_on(chart: str, segs, xy):
     return int(row[j]), float(t[j]), r[j], float(dist[j])
 
 
-def _all_pairs(na: int, nb: int):
-    """Index arrays (ia, ib) of the pairs range(na) x range(nb), in
-    lexicographic order and in blocks of whole rows of at most _PAIR_CHUNK
-    pairs (one row when nb alone exceeds it), so that a crossing pass over
-    them does not grow with na·nb."""
-    step = max(1, _PAIR_CHUNK // nb)
-    for i0 in range(0, na, step):
-        yield np.divmod(np.arange(i0 * nb, min(i0 + step, na) * nb), nb)
-
-
 def _crossings(chart: str, seg_a, seg_b, ia, ib, tol: float):
     """Chart points where plane segment A[ia[m]] meets cover copies of
     segment B[ib[m]], for each pair m.
@@ -311,7 +297,7 @@ def _crossings(chart: str, seg_a, seg_b, ia, ib, tol: float):
     meets at each of its four endpoints within tol of the other segment.
     Returns the points, the pair m of each, in pair order, and whether
     each needed no clamping.  All pairs are solved at once: a caller
-    bounds their number (see _all_pairs).
+    bounds their number.
     """
     a0, da0, la0 = seg_a
     b0, db0, lb0 = seg_b
@@ -347,6 +333,14 @@ def _crossings(chart: str, seg_a, seg_b, ia, ib, tol: float):
             np.concatenate([on_a[:, None], keep[:, 1:]], axis=1)[keep])
 
 
+def _arc_segments(sys, chart: str, xy, stable: bool, eps: float):
+    """The cover segments (starts, vectors, lengths) of the local arcs at
+    scale eps of the (n, 2) chart points xy, the lifts ``models.local_arc``
+    gives them, without their vertices."""
+    e, start, length, _, _ = models._arc_frame(sys, chart, xy, stable, eps, np.empty(0))
+    return start, e * length[:, None], length
+
+
 def _arc_pair_hits(sys, xs, ys, eps: float) -> np.ndarray:
     """Raw crossing count of the local stable arc of xs[i] with the local
     unstable arc of ys[i] at scale eps, for each row i.
@@ -358,107 +352,67 @@ def _arc_pair_hits(sys, xs, ys, eps: float) -> np.ndarray:
     deduplication, so a count below two is the number of points that
     intersect returns for the pair.
     """
-    segs = []
-    for xy, stable in ((xs, True), (ys, False)):
-        e, start, length, _, _ = models._arc_frame(sys, sys.chart, xy, stable, eps,
-                                                   np.empty(0))
-        segs.append((start, e * length[:, None], length))
+    segs = [_arc_segments(sys, sys.chart, xy, stable, eps)
+            for xy, stable in ((xs, True), (ys, False))]
     rows = np.arange(len(xs))
     _, pair, _ = _crossings(sys.chart, *segs, rows, rows, 1e-9)
     return np.bincount(pair, minlength=len(rows))
 
 
 def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> list:
-    """All intersection points of two continua, deduplicated within tol.
+    """All intersection points of two lifted arcs, deduplicated within tol.
 
-    Lifted arcs meet as their cover segments and plain polylines edge by
-    edge, under one rule (see _crossings): tol is a distance along each
-    segment.  A singleton meets a continuum that passes within tol of it.
-    A crossing up to tol past one edge's end is clamped onto that end,
-    while the next edge holds it exactly: the hits that needed no
-    clamping are deduplicated first, and the survivors keep pair order.
+    The arcs meet as their cover segments under _crossings' rule: tol is
+    a distance along each segment, and a crossing up to tol past an end
+    is clamped onto that end.  Near a spine two cover representatives
+    can cross within tol of each other, one of them past the end: the
+    hits that needed no clamping are deduplicated first, so the exact
+    crossing is the one kept, and the survivors keep the order of the
+    representatives that give them.
     """
     if c1.chart != c2.chart:
         raise ChartError(f"chart mismatch: {c1.chart!r} vs {c2.chart!r}")
-    if c1.is_singleton or c2.is_singleton:
-        single, other = (c1, c2) if c1.is_singleton else (c2, c1)
-        p = single.vertices[:1]
-        pts = p if _project_to_polyline(other, p[0])[1] <= tol else p[:0]
-    else:
-        sa, sb = _segments(c1), _segments(c2)
-        hits = [_crossings(c1.chart, sa, sb, ia, ib, tol)
-                for ia, ib in _all_pairs(len(sa[0]), len(sb[0]))]
-        raw, exact = (np.concatenate([h[j] for h in hits]) for j in (0, 2))
-        first = np.argsort(~exact, kind="stable")
-        keep = np.empty(len(raw), dtype=bool)
-        keep[first] = _dedupe_points(c1.chart, raw[first], max(tol, 1e-12))
-        pts = raw[keep]
-    return [Point(c1.chart, (float(p[0]), float(p[1]))) for p in pts]
+    one = np.zeros(1, dtype=int)
+    raw, _, exact = _crossings(c1.chart, _segments(c1), _segments(c2), one, one, tol)
+    first = np.argsort(~exact, kind="stable")
+    keep = np.empty(len(raw), dtype=bool)
+    keep[first] = _dedupe_points(c1.chart, raw[first], max(tol, 1e-12))
+    return [Point(c1.chart, (float(p[0]), float(p[1]))) for p in raw[keep]]
 
 
-# -- sub-polylines and concatenation -------------------------------------
+# -- sub-arcs and concatenation -------------------------------------------
 
 
 def _project_to_polyline(cont: MarkedContinuum, xy: np.ndarray):
-    """Nearest (place, distance, point) on the continuum.
-
-    The place orders points along the continuum: the lift parameter of
-    the foot on a lifted arc, (edge index, edge param) on a polyline.
-    """
-    v = cont.vertices
-    if len(v) == 1:
-        place = 0.0 if cont.lift is not None else (0, 0.0)
-        return place, chart_distance(cont.chart, v[0], xy), v[0].copy()
-    segs = _segments(cont)
-    i, t, _, dist = _nearest_on(cont.chart, segs, xy)
-    g = min(max(t, 0.0), 1.0)
-    pt = wrap_chart(cont.chart, segs[0][i] + g * segs[1][i])
-    return (g if cont.lift is not None else (i, g)), dist, pt
+    """Lift parameter of the nearest point of a lifted arc to xy, clamped
+    to [0, 1], and xy's distance from the arc."""
+    _, t, _, dist = _nearest_on(cont.chart, _segments(cont), xy)
+    return min(max(t, 0.0), 1.0), dist
 
 
 def subcontinuum(cont: MarkedContinuum, a: Point, b: Point,
                  tol: float = 1e-9) -> MarkedContinuum:
-    """Sub-polyline between the projections of a and b, marked at a and b."""
+    """Sub-arc of a lifted arc between the projections of a and b, marked
+    at a and b: the lift cut at their lift parameters."""
     for p in (a, b):
         if p.chart != cont.chart:
             raise ChartError(f"point chart {p.chart!r} does not match continuum {cont.chart!r}")
-    ka, da, pa = _project_to_polyline(cont, a.xy())
-    kb, db, pb = _project_to_polyline(cont, b.xy())
+    ka, da = _project_to_polyline(cont, a.xy())
+    kb, db = _project_to_polyline(cont, b.xy())
     if da > tol:
         raise OffContinuumError(f"point p is {da:.3g} from the continuum (tol {tol})")
     if db > tol:
         raise OffContinuumError(f"point q is {db:.3g} from the continuum (tol {tol})")
     swapped = kb < ka
     k0, k1 = (kb, ka) if swapped else (ka, kb)
-    first, last = (pb, pa) if swapped else (pa, pb)
-
-    if cont.lift is not None:
-        # the places are lift parameters: cut the lift there
-        tp = cont.params
-        sub = cont.lift.subsegment(k0, k1)
-        inner = tp[(tp > k0 + 1e-15) & (tp < k1 - 1e-15)]
-        span = max(k1 - k0, 1e-300)
-        t = np.concatenate([[0.0], (inner - k0) / span, [1.0]]) if k1 > k0 else np.array([0.0])
-        verts = sub.project(t)
-        mk = (len(t) - 1, 0) if swapped else (0, len(t) - 1)
-        return MarkedContinuum(chart=cont.chart, vertices=verts, params=t,
-                               mark_p=mk[0], mark_q=mk[1], lift=sub)
-
-    verts = [first]
-    for j in range(k0[0] + 1, k1[0] + 1):
-        verts.append(cont.vertices[j].copy())
-    if k1 != k0:
-        verts.append(last)
-    # drop coincident joints
-    out = [verts[0]]
-    for w in verts[1:]:
-        if chart_distance(cont.chart, out[-1], w) > 1e-15:
-            out.append(w)
-    if len(out) == 1:
-        return MarkedContinuum(chart=cont.chart, vertices=np.array(out), mark_p=0, mark_q=0)
-    mk = (len(out) - 1, 0) if swapped else (0, len(out) - 1)
-    return MarkedContinuum(chart=cont.chart, vertices=np.array(out),
-                           mark_p=mk[0], mark_q=mk[1])
+    tp = cont.params
+    sub = cont.lift.subsegment(k0, k1)
+    inner = tp[(tp > k0 + 1e-15) & (tp < k1 - 1e-15)]
+    span = max(k1 - k0, 1e-300)
+    t = np.concatenate([[0.0], (inner - k0) / span, [1.0]]) if k1 > k0 else np.array([0.0])
+    mk = (len(t) - 1, 0) if swapped else (0, len(t) - 1)
+    return MarkedContinuum(chart=cont.chart, vertices=sub.project(t), params=t,
+                           mark_p=mk[0], mark_q=mk[1], lift=sub)
 
 
 def concat(parts: list, tol: float = 1e-9) -> MarkedContinuum:

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .continua import (OffContinuumError, _arc_pair_hits, _project_to_polyline, intersect,
-                       subcontinuum)
+from .continua import (OffContinuumError, _arc_pair_hits, _arc_segments, _nearest_on,
+                       intersect, subcontinuum)
 from .cwmetric import MetricConstants, cw_metric
 from .models import Point
 
@@ -110,8 +110,8 @@ def default_params(sys, sample_budget: int = 160, seed: int = 0) -> HolonomyPara
 
 
 def _on_arc(sys, x: Point, z: Point, kind: str, radius: float, tol: float) -> bool:
-    arc = models.local_arc(sys, x, kind, radius, resolution=ARC_RESOLUTION)
-    return _project_to_polyline(arc, z.xy())[1] <= tol
+    seg = _arc_segments(sys, x.chart, x.xy()[None], models._want_stable(kind), radius)
+    return _nearest_on(sys.chart, seg, z.xy())[3] <= tol
 
 
 def holonomy(sys, x: Point, y: Point, z: Point, kind: str,

@@ -18,12 +18,14 @@ from dataclasses import dataclass, field
 
 from . import models
 from .models import ModelCapabilityError, chart_distance, torus_norm, wrap_chart
-from .continua import (_PAIR_CHUNK, MarkedContinuum, _arc_pair_hits, _crossings,
+from .continua import (MarkedContinuum, _arc_pair_hits, _arc_segments, _crossings,
                        _dedupe_points, _nearest_on, _segments, _to_segment, cover_reps,
                        intersect, subcontinuum)
 
 # seed points per batched spine test and crossing screen, which bounds their arrays
 _SPINE_CHUNK = 4096
+# arc pairs per crossing pass and selection of a parametrization grid block
+_PAIR_CHUNK = 4096
 
 
 class IndeterminateCrossing(RuntimeError):
@@ -326,9 +328,8 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
         # the cover segments of the local arcs through the points gamma(t),
         # each the lift models.local_arc gives it, and the points' eigen-coordinates
         g = [_gamma(A, M, B, float(t)) for t in tt]
-        e, start, length, _, _ = models._arc_frame(sys, sys.chart, wrap_chart(sys.chart, g),
-                                                   stable, R1, np.empty(0))
-        return (start, e * length[:, None], length), np.array([eig(r) for r in g])
+        return (_arc_segments(sys, sys.chart, wrap_chart(sys.chart, g), stable, R1),
+                np.array([eig(r) for r in g]))
 
     def samples(t_lo, t_hi):
         tt = np.linspace(t_lo, t_hi, grid + 1)
@@ -378,7 +379,7 @@ def _block_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):
     splitting curve.
     """
     ns = len(seg_s[0])
-    # _grid_crossings bounds a block as _all_pairs bounds a block of rows
+    # every pair of the block, row by row: _grid_crossings bounds its size
     ia, ib = np.divmod(np.arange(len(seg_u[0]) * ns), ns)
     xy, pair, _ = _crossings(sys.chart, seg_u, seg_s, ia, ib, 1e-9)
     keep = _dedupe_points(sys.chart, xy, 1e-9, pair)

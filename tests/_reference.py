@@ -3,9 +3,10 @@
 The library never builds f^n(C): cwmetric evaluates each piece of a
 continuum at iterate n in closed form.  The first helpers build the image
 of a lifted eigen-arc the direct way, so a test can run the metric on it
-and check that the closed form gives the same value.  The rest are the
-per-point loops that array passes replaced, kept so that a test can ask
-for the same bits from both.
+and check that the closed form gives the same value.  Then come the
+crossings of plain polylines edge by edge, which the library, crossing
+lifted arcs only, no longer has, and the per-point loops that array
+passes replaced, kept so that a test can ask for the same bits from both.
 """
 
 import math
@@ -13,7 +14,8 @@ import math
 import numpy as np
 
 from cwdyn import models, periodic, sectors
-from cwdyn.continua import MarkedContinuum, StraightLift, intersect
+from cwdyn.continua import (MarkedContinuum, StraightLift, _crossings, _dedupe_points,
+                            _segments, intersect, unwrap_path)
 from cwdyn.cwmetric import cw_metric
 from cwdyn.holonomy import ARC_RESOLUTION, HolonomyFault
 
@@ -95,6 +97,33 @@ def single_thresholds(frame, au, as_, c):
     while ln_at(e + 1) > c:
         e += 1
     return ("split", e, None)
+
+
+# -- polyline crossings -----------------------------------------------------
+
+
+def polyline_intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> list:
+    """Crossings of two continua of two or more vertices, edge pair by edge
+    pair in lexicographic order: a lifted arc is its one cover segment, a
+    plain polyline the edges of its unwrapped path.  A crossing up to tol
+    past one edge's end is clamped onto it while the next edge holds it
+    exactly, so the hits that needed no clamping are deduplicated first;
+    the survivors keep pair order."""
+    segs = []
+    for c in (c1, c2):
+        if c.lift is not None:
+            segs.append(_segments(c))
+        else:
+            path = unwrap_path(c.chart, c.vertices)
+            d = np.diff(path, axis=0)
+            segs.append((path[:-1], d, np.linalg.norm(d, axis=-1)))
+    nb = len(segs[1][0])
+    ia, ib = np.divmod(np.arange(len(segs[0][0]) * nb), nb)
+    raw, _, exact = _crossings(c1.chart, *segs, ia, ib, tol)
+    first = np.argsort(~exact, kind="stable")
+    keep = np.empty(len(raw), dtype=bool)
+    keep[first] = _dedupe_points(c1.chart, raw[first], max(tol, 1e-12))
+    return [models.Point(c1.chart, (float(p[0]), float(p[1]))) for p in raw[keep]]
 
 
 # -- per-point loops --------------------------------------------------------

@@ -2,7 +2,9 @@
 
 The suite fixture runs every criterion once at seed 0; each test then
 pins the stated tolerance for its criterion against the recorded detail,
-so a regression names the exact bound it broke.
+so a regression names the exact bound it broke.  The canonical body
+hashes are pinned too, so a change that moves any reported number fails
+here until it declares the new values.
 """
 
 import hashlib
@@ -10,6 +12,11 @@ import hashlib
 import pytest
 
 from cwdyn import acceptance
+
+# the canonical bodies at seed 0: a change that moves a number moves these,
+# and says which number moved and why
+BODY_SHA256 = "aa9ace17f704875bdea1e95783755c5e52d6ef0597daa8b1d5f9153dbfeb6dcc"
+BODIES_1_TO_10_SHA256 = "cb57d1325c1a22c29416f4c04bc8a067dded67d07eebebb89d0611947ad0f9fb"
 
 
 @pytest.fixture(scope="module")
@@ -144,14 +151,14 @@ def test_c11_reproducibility(suite):
     d = r["detail"]
     assert d["criteria"] == list(range(1, 11))
     assert d["bodies_match"]
-    assert d["body_sha256_first"] == d["body_sha256_second"]
+    assert d["body_sha256_first"] == d["body_sha256_second"] == BODIES_1_TO_10_SHA256
 
 
 def test_manifest_and_lines(suite):
     assert suite["passed"] is True
     assert suite["suite"] == list(range(1, 12))
     body = acceptance.canonical_body(suite["criteria"])
-    assert hashlib.sha256(body.encode()).hexdigest() == suite["body_sha256"]
+    assert hashlib.sha256(body.encode()).hexdigest() == suite["body_sha256"] == BODY_SHA256
     assert '"seconds":' not in body   # budget_seconds stays, timing goes
     lines = acceptance.format_lines(suite)
     assert len(lines) == 12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from _reference import diameter, image
+from _reference import diameter, image, polyline_intersect
 from cwdyn import models
 from cwdyn.continua import (
     MarkedContinuum, OffContinuumError, StraightLift, _arc_pair_hits, _crossings,
@@ -81,11 +81,12 @@ class TestIntersect:
         assert intersect(a, b) == []
 
     def test_geographic_translates_move_only_the_longitude(self):
-        # the two edges sit at opposite poles; shifting the colatitude by 1
-        # once made them cross at (0.32, 1.0)
+        # the two segments sit at opposite poles; shifting the colatitude
+        # by 1 once made them cross at (0.32, 1.0)
         g = models.SPHERE_GEOGRAPHIC
-        a = MarkedContinuum(g, np.array([[0.28, 0.96], [0.32, 1.0]]), 0, 1)
-        b = MarkedContinuum(g, np.array([[0.32, 0.0], [0.28, 0.04]]), 0, 1)
+        u = np.array([1.0, 1.0]) / math.sqrt(2.0)
+        a = _straight(g, (0.28, 0.96), u, 0.04 * math.sqrt(2.0), 2)
+        b = _straight(g, (0.32, 0.0), u * [-1.0, 1.0], 0.04 * math.sqrt(2.0), 2)
         assert intersect(a, b) == []
         assert intersect(b, a) == []
 
@@ -97,10 +98,10 @@ class TestIntersect:
         cs = local_arc(cat, x, "stable", 0.05)
         cu = local_arc(cat, cat.point(*(x.xy() + (0.05 + 1e-8) * eu)), "unstable", 0.05)
         twins = [from_record(to_record(c)) for c in (cu, cs)]
-        for a, b in ((cu, cs), twins):
-            assert len(intersect(a, b, tol=1e-6)) == 1
-            assert len(intersect(b, a, tol=1e-6)) == 1
-            assert intersect(a, b, tol=1e-9) == []
+        for meet, (a, b) in ((intersect, (cu, cs)), (polyline_intersect, twins)):
+            assert len(meet(a, b, tol=1e-6)) == 1
+            assert len(meet(b, a, tol=1e-6)) == 1
+            assert meet(a, b, tol=1e-9) == []
 
     def test_collinear_overlap_is_symmetric(self, cat):
         x = cat.point(0.3, 0.3)
@@ -110,8 +111,8 @@ class TestIntersect:
         ends = [short.point(short.mark_p), short.point(short.mark_q)]
         assert _same_points(got, ends)
         tl, ts = from_record(to_record(long)), from_record(to_record(short))
-        got = intersect(tl, ts)
-        assert _same_points(got, intersect(ts, tl))
+        got = polyline_intersect(tl, ts)
+        assert _same_points(got, polyline_intersect(ts, tl))
         assert all(min(models.distance(cat, e, p) for p in got) < 1e-12 for e in ends)
 
     def test_crossing_past_an_edge_end_comes_from_the_next_edge(self, cat):
@@ -121,15 +122,30 @@ class TestIntersect:
         cs = local_arc(cat, cat.point(0.0, 0.0), "stable", 0.0625)
         cu = local_arc(cat, cat.point(1e-9, 0.0), "unstable", 0.0625)
         twins = [from_record(to_record(c)) for c in (cs, cu)]
-        assert _same_points(intersect(cs, cu), intersect(*twins), tol=1e-11)
-        assert _same_points(intersect(cu, cs), intersect(*twins[::-1]), tol=1e-11)
+        assert _same_points(intersect(cs, cu), polyline_intersect(*twins), tol=1e-11)
+        assert _same_points(intersect(cu, cs), polyline_intersect(*twins[::-1]), tol=1e-11)
 
-    def test_singleton_on_arc(self, cat):
-        arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.1)
-        pt = MarkedContinuum(chart="torus", vertices=np.array([[0.3, 0.3]]),
-                             mark_p=0, mark_q=0)
-        pts = intersect(arc, pt)
+    def test_exact_crossing_is_kept_near_a_spine(self):
+        # the stable arc starts 1e-9 from the spine (0, 0); two cover copies
+        # of the unstable arc meet it 8.6e-10 apart, the first just before
+        # its start, clamped onto the start, the second 6.9e-9 along it:
+        # the one that needed no clamping is kept
+        q = models.SPHERE_QUOTIENT
+        es, eu = PA.eigen_direction(stable=True), PA.eigen_direction(stable=False)
+        cs = _straight(q, (5.403023028982545e-10, 1.000000000841471), es, 0.125, 64)
+        cu = _straight(q, (-0.053165674981700196, -0.032858193665974866), eu, 0.125, 64)
+        pts = intersect(cs, cu)
         assert len(pts) == 1
+        assert _project_to_polyline(cs, pts[0].xy())[0] > 1e-9
+
+    def test_plain_polylines_are_refused(self, cat):
+        arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.1)
+        twin = from_record(to_record(arc))
+        for call in (lambda: intersect(arc, twin), lambda: intersect(twin, arc),
+                     lambda: subcontinuum(twin, twin.point(0), twin.point(3)),
+                     lambda: _project_to_polyline(twin, twin.vertices[2])):
+            with pytest.raises(ValueError, match="no lift"):
+                call()
 
 
 class TestSubcontinuum:
@@ -238,13 +254,11 @@ def _same_points(ps, qs, tol=1e-12) -> bool:
     return covered(ps, qs) and covered(qs, ps)
 
 
-def _straight(chart, start, u, length, n, lifted):
-    """A straight polyline of n vertices, with its lift or as plain vertices."""
+def _straight(chart, start, u, length, n):
+    """A lifted straight arc of n vertices."""
     lift = StraightLift(start=start, direction=u, length=length, chart=chart)
     t = np.linspace(0.0, 1.0, n)
-    if lifted:
-        return MarkedContinuum(chart, lift.project(t), 0, n - 1, params=t, lift=lift)
-    return MarkedContinuum(chart, lift.project(t), 0, n - 1)
+    return MarkedContinuum(chart, lift.project(t), 0, n - 1, params=t, lift=lift)
 
 
 @st.composite
@@ -259,14 +273,13 @@ def _transverse_pair(draw):
     k = np.array([draw(st.integers(-2, 2)),
                   0 if chart == models.SPHERE_GEOGRAPHIC else draw(st.integers(-2, 2))])
     n = draw(st.integers(2, 5))
-    lifted = draw(st.booleans())
     conts = []
     for i, ang in enumerate(angs):
         u = np.array([math.cos(ang), math.sin(ang)])
         length = draw(st.floats(0.02, 0.12))
         start = p - draw(st.floats(0.1, 0.9)) * length * u
         s, kk = (1.0, 0.0) if i == 0 else (sign, k)
-        conts.append(_straight(chart, s * start + kk, s * u, length, n, lifted))
+        conts.append(_straight(chart, s * start + kk, s * u, length, n))
     return p, conts[0], conts[1]
 
 
@@ -290,7 +303,39 @@ def _arc_pair(draw):
     return sys, cs, cu
 
 
+@st.composite
+def _arc_pair_near_ends(draw):
+    """A stable and an unstable local arc whose lines cross at p: p near a
+    spine or anywhere, and up to 1e-10 from the end of one arc, or inside."""
+    sys = draw(st.sampled_from((CAT, PA)))
+    if sys is PA and draw(st.booleans()):
+        w = np.array(draw(st.sampled_from(((0.0, 0.0), (0.5, 0.0), (0.0, 0.5), (0.5, 0.5)))))
+        r, ang = 10.0 ** draw(st.floats(-10.0, -1.0)), draw(st.floats(0.0, 2.0 * math.pi))
+        p = w + r * np.array([math.cos(ang), math.sin(ang)])
+    else:
+        p = np.array([draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))])
+    eps = [draw(st.floats(0.005, 0.11)) for _ in range(2)]
+    at = [draw(st.floats(-1.0, 1.0)) * e for e in eps]
+    end = draw(st.sampled_from((None, 0, 1)))
+    if end is not None:
+        at[end] = draw(st.sampled_from((-1.0, 1.0))) * (eps[end] + draw(st.floats(-1e-10, 1e-10)))
+    x = p - at[0] * sys.eigen_direction(stable=True)
+    y = p - at[1] * sys.eigen_direction(stable=False)
+    return (local_arc(sys, sys.point(*x), "stable", eps[0]),
+            local_arc(sys, sys.point(*y), "unstable", eps[1]))
+
+
 class TestCoverProperties:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(case=_arc_pair_near_ends())
+    def test_lifted_arcs_cross_as_the_polyline_reference(self, case):
+        # the one pair of cover segments gives the edge-pair pass's points,
+        # bit for bit and in its order
+        for a, b in (case, case[::-1]):
+            got = np.array([p.coords for p in intersect(a, b)])
+            want = np.array([p.coords for p in polyline_intersect(a, b)])
+            assert got.tobytes() == want.tobytes()
+
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(case=_transverse_pair())
     def test_transverse_segments_cross_at_their_point(self, case):
@@ -312,34 +357,30 @@ class TestCoverProperties:
         sys, cs, cu = case
         assume(_clear_of_spines(sys, cs) and _clear_of_spines(sys, cu))
         twins = [from_record(to_record(c)) for c in (cs, cu)]
-        assert _same_points(intersect(cs, cu), intersect(*twins), tol=1e-11)
+        assert _same_points(intersect(cs, cu), polyline_intersect(*twins), tol=1e-11)
 
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(case=_transverse_pair())
     def test_twins_agree_on_every_chart(self, case):
         _, a, b = case
         twins = [MarkedContinuum(c.chart, c.vertices, c.mark_p, c.mark_q) for c in (a, b)]
-        assert _same_points(intersect(a, b), intersect(*twins))
+        assert _same_points(intersect(a, b), polyline_intersect(*twins))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
-    @given(chart=st.sampled_from(CHARTS), n_img=st.integers(0, 5),
-           twin=st.booleans(), data=st.data())
-    def test_subcontinuum_marks_its_ends_on_the_continuum(self, chart, n_img, twin, data):
+    @given(chart=st.sampled_from(CHARTS), n_img=st.integers(0, 5), data=st.data())
+    def test_subcontinuum_marks_its_ends_on_the_continuum(self, chart, n_img, data):
         draw = data.draw
         if chart == models.SPHERE_GEOGRAPHIC:
             ang = draw(st.floats(0.0, 2.0 * math.pi))
             u = np.array([math.cos(ang), math.sin(ang)])
             start = np.array([draw(st.floats(-0.2, 0.2)), 0.5]) - 0.15 * u
-            c = _straight(chart, start, u, 0.3, 7, not twin)
+            c = _straight(chart, start, u, 0.3, 7)
         else:
             sys = CAT if chart == models.TORUS else PA
             x = sys.point(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
             kind = draw(st.sampled_from(("stable", "unstable")))
             c = image(sys, local_arc(sys, x, kind, draw(st.floats(0.005, 0.11))),
                       n_img if kind == "unstable" else -n_img)
-            if twin:
-                assume(_clear_of_spines(sys, c))
-                c = from_record(to_record(c))
         i = draw(st.integers(0, c.n_vertices - 1))
         j = draw(st.integers(0, c.n_vertices - 1))
         a, b = c.point(i), c.point(j)
