@@ -421,7 +421,7 @@ def _cmd_sectors(cfg):
             sector_recs.append({**sectors.to_record(s), "indeterminate": str(err)})
             continue
         sector_recs.append(sectors.to_record(s))
-        if s.regular and s.spine is not None:
+        if s.regular:
             rep = sectors.sector_parametrization(sys_model, s, grid=cfg.grid)
             param_reports.append({"spine": [float(v) for v in s.spine.xy()],
                                   **rep["continuity_report"]})

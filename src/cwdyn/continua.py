@@ -269,9 +269,9 @@ def _to_segment(p, a, d):
 def _nearest_on(chart: str, segs, xy):
     """Nearest cover point to a chart point on plane segments (see _segments).
 
-    Returns (i, t, r, dist): segment i, the unclamped parameter of the
-    foot on it, the representative r of xy, and r's distance from the
-    segment.  Representatives come from each segment's bounding box
+    Returns (t, r, dist) for the nearest segment: the unclamped parameter
+    of the foot on it, the representative r of xy, and r's distance from
+    the segment.  Representatives come from each segment's bounding box
     widened by 0.75, which holds the one nearest the segment, also on a
     lift many chart steps long.
     """
@@ -282,7 +282,7 @@ def _nearest_on(chart: str, segs, xy):
     r = s[:, None] * xy + k
     t, dist = _to_segment(r, a[row], d[row])
     j = int(np.argmin(dist))
-    return int(row[j]), float(t[j]), r[j], float(dist[j])
+    return float(t[j]), r[j], float(dist[j])
 
 
 def _crossings(chart: str, seg_a, seg_b, ia, ib, tol: float):
@@ -337,7 +337,7 @@ def _arc_segments(sys, chart: str, xy, stable: bool, eps: float):
     """The cover segments (starts, vectors, lengths) of the local arcs at
     scale eps of the (n, 2) chart points xy, the lifts ``models.local_arc``
     gives them, without their vertices."""
-    e, start, length, _, _ = models._arc_frame(sys, chart, xy, stable, eps, np.empty(0))
+    e, start, length = models._arc_frame(sys, chart, xy, stable, eps)
     return start, e * length[:, None], length
 
 
@@ -386,7 +386,7 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
 def _project_to_polyline(cont: MarkedContinuum, xy: np.ndarray):
     """Lift parameter of the nearest point of a lifted arc to xy, clamped
     to [0, 1], and xy's distance from the arc."""
-    _, t, _, dist = _nearest_on(cont.chart, _segments(cont), xy)
+    t, _, dist = _nearest_on(cont.chart, _segments(cont), xy)
     return min(max(t, 0.0), 1.0), dist
 
 

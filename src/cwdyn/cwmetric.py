@@ -186,17 +186,15 @@ def _pieces_of(cont: MarkedContinuum, frame: models.EigenFrame) -> list:
     """Decompose a continuum into straight cover pieces.
 
     Lifted arcs give one piece with exact eigen components; plain
-    polylines are unwrapped edge by edge, merging each vertex into the
+    polylines of two or more vertices (_path_of passes no singleton)
+    are unwrapped edge by edge, merging each vertex into the
     current run while it lies within _MERGE_TOL of the run's line and
     still moves forward.
     """
     if cont.lift is not None:
         return [_lift_piece(cont.lift, frame)]
-    v = cont.vertices
-    if len(v) < 2:
-        return []
     pieces = []
-    path = unwrap_path(cont.chart, v)
+    path = unwrap_path(cont.chart, cont.vertices)
     run = None  # (start, accumulated vec)
     prev = path[0]
     for nxt in path[1:]:

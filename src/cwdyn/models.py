@@ -411,17 +411,14 @@ def _want_stable(kind: str) -> bool:
     return kind == "stable"
 
 
-def _arc_frame(sys: SystemModel, chart: str, xy: np.ndarray, stable: bool,
-               eps: float, t: np.ndarray):
+def _arc_frame(sys: SystemModel, chart: str, xy: np.ndarray, stable: bool, eps: float):
     """The local arcs at scale eps of the (n, 2) points xy of ``chart``.
 
     Returns the unit eigen-direction e, the cover starts (n, 2) and
-    lengths (n,), so that arc i is start_i + s*length_i*e for s in [0, 1],
-    the parameter tx (n,) of each point on its arc, and whether tx is a
-    new vertex among the base parameters t: it is not when it lies within
-    1e-12 + 1e-5*|tx| of one of them (np.isclose's default tolerances).
-    On the quotient sphere the arc of a spine folds onto a single prong
-    with the spine as an endpoint; any other arc is centered on its point.
+    lengths (n,), so that arc i is the segment start_i + s*length_i*e for
+    s in [0, 1].  On the quotient sphere the arc of a spine folds onto a
+    single prong with the spine as an endpoint; any other arc is centered
+    on its point.
     """
     if not sys.is_hyperbolic:
         raise ModelCapabilityError("local arcs require a hyperbolic model")
@@ -434,9 +431,7 @@ def _arc_frame(sys: SystemModel, chart: str, xy: np.ndarray, stable: bool,
     fold = (torus_norm(2.0 * xy) <= SPINE_TOL) & (chart == SPHERE_QUOTIENT)
     start = np.where(fold[:, None], xy, xy - eps * e)
     length = np.where(fold, eps, 2.0 * eps)
-    tx = np.vecdot(xy - start, e) / length
-    new = ~(np.abs(t - tx[:, None]) <= 1e-12 + 1e-5 * np.abs(tx)[:, None]).any(axis=1)
-    return e, start, length, tx, new
+    return e, start, length
 
 
 def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
@@ -459,9 +454,12 @@ def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
     if res < 2:
         raise ValueError("resolution must be at least 2")
     t = np.linspace(0.0, 1.0, res)
-    e, start, length, tx, new = _arc_frame(sys, x.chart, x.xy()[None], stable, eps, t)
-    if res > 2 and new[0]:
-        # make sure x itself is a vertex
+    xy = x.xy()
+    e, start, length = _arc_frame(sys, x.chart, xy[None], stable, eps)
+    # x's own parameter, added as a vertex unless it lies within
+    # 1e-12 + 1e-5*|tx| of one (np.isclose's default tolerances)
+    tx = np.vecdot(xy[None] - start, e) / length
+    if res > 2 and not (np.abs(t - tx) <= 1e-12 + 1e-5 * np.abs(tx)).any():
         t = np.sort(np.append(t, tx))
     lift = StraightLift(start=start[0], direction=e, length=float(length[0]),
                         stable=stable, chart=sys.chart)
@@ -473,20 +471,15 @@ def is_spine(sys: SystemModel, x, eps: float):
     """True when x is within SPINE_TOL of an end of its own local stable arc.
 
     x is a Point, or an (n, 2) array of chart coordinates for an (n,)
-    boolean array.  The two end vertices are computed as local_arc at
-    resolution 3 computes them, with its validation, without building
-    the arc.
+    boolean array.  The arc's two ends are its cover segment's, with
+    local_arc's validation, without building the arc.
     """
     point = isinstance(x, Point)
     chart, xy = (x.chart, x.xy()[None]) if point else \
         (sys.chart, np.asarray(x, dtype=float).reshape(-1, 2))
-    e, start, length, tx, new = _arc_frame(sys, chart, xy, True, eps,
-                                           np.array([0.0, 0.5, 1.0]))
-    # the ends are the extreme two of the vertex parameters 0, 1/2, 1 and
-    # tx when tx is a new vertex
-    ends = [np.where(new & (tx < 0.0), tx, 0.0), np.where(new & (tx > 1.0), tx, 1.0)]
-    d0, d1 = (chart_distance(chart, xy, wrap_chart(
-        chart, start + (t * length)[:, None] * e)) for t in ends)
+    e, start, length = _arc_frame(sys, chart, xy, True, eps)
+    d0, d1 = (chart_distance(chart, xy, wrap_chart(chart, end))
+              for end in (start, start + length[:, None] * e))
     spine = np.minimum(d0, d1) <= SPINE_TOL
     return bool(spine[0]) if point else spine
 

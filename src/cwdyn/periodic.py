@@ -26,6 +26,11 @@ from .cwmetric import MetricConstants, cw_metric
 from .holonomy import ARC_RESOLUTION, HolonomyFault, product_structure_radius
 from .models import BudgetError, Point
 
+# exact orbit steps find_return may spend on its candidates
+_SEARCH_BUDGET = 200000
+# corrective steps katok_iterate takes at most
+_MAX_STEPS = 40
+
 
 def tail_exponent(a: float, b: float, eps: float) -> int:
     """Smallest k with a*b^k < 1 and geometric tail sum(n>=1) <= eps.
@@ -164,8 +169,7 @@ def _return_candidates(chart: str, pxy: np.ndarray, bound: float):
     return dist[order], keys[first[order]].tolist()
 
 
-def find_return(sys, p: Point, bound: float, k_min: int,
-                search_budget: int = 200000):
+def find_return(sys, p: Point, bound: float, k_min: int):
     """A nearby recurrent pair: y with d(y,p) < bound, d(f^k(y),p) < bound.
 
     Searches the rational grid around p in order of distance; every
@@ -173,7 +177,7 @@ def find_return(sys, p: Point, bound: float, k_min: int,
     multiple at least k_min and both bounds hold by construction.
     Candidates whose k would exceed the model horizon are skipped.
     Raises BudgetError with diagnostics when the exact orbit scans
-    exhaust the budget.
+    exhaust _SEARCH_BUDGET steps.
     """
     if k_min < 1:
         raise ValueError("k_min must be at least 1")
@@ -185,7 +189,7 @@ def find_return(sys, p: Point, bound: float, k_min: int,
     tried = 0
     horizon_skipped = 0
     for u, v, com in keys:
-        cap = min(6 * com + 12, search_budget - steps_used)
+        cap = min(6 * com + 12, _SEARCH_BUDGET - steps_used)
         if cap <= 0:
             break
         tried += 1
@@ -253,7 +257,7 @@ def _best_crossing(sys, paths: list, consts: MetricConstants):
 
 
 def katok_iterate(sys, y: Point, k: int, params: KatokParams,
-                  consts: MetricConstants, max_steps: int = 40) -> dict:
+                  consts: MetricConstants) -> dict:
     """Run the corrective loop from the recurrent pair (y, k).
 
     Each step's connecting path F_n (stable leg from y_n to the
@@ -270,6 +274,7 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
     max(1e-11, 2 * 2^-52 * lam_u^k): f^k amplifies the rounding of y_n by
     about lam_u^k (lam_u the expansion rate), so below that floor the
     gap is rounding noise and cannot shrink further.
+    It stops unconverged after _MAX_STEPS steps.
     """
     gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
     lam_c = 1.0 / consts.lam
@@ -279,7 +284,7 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
     counterexamples = []
     converged = False
     consec = 0
-    for n in range(max_steps + 1):
+    for n in range(_MAX_STEPS + 1):
         fky = models.iterate(sys, y_n, k)
         gap = models.distance(sys, y_n, fky)
         if gap == 0.0:
@@ -292,7 +297,7 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
                 break
         else:
             consec = 0
-        if n == max_steps:
+        if n == _MAX_STEPS:
             break
         cs = models.local_arc(sys, y_n, "stable", params.eps, resolution=ARC_RESOLUTION)
         cu = models.local_arc(sys, fky, "unstable", params.eps, resolution=ARC_RESOLUTION)

@@ -26,6 +26,8 @@ from .continua import (MarkedContinuum, _arc_pair_hits, _arc_segments, _crossing
 _SPINE_CHUNK = 4096
 # arc pairs per crossing pass and selection of a parametrization grid block
 _PAIR_CHUNK = 4096
+# rungs of the enclosing-sector ladder
+_MARGIN_BUDGET = 8
 
 
 class IndeterminateCrossing(RuntimeError):
@@ -34,23 +36,30 @@ class IndeterminateCrossing(RuntimeError):
 
 @dataclass
 class SectorRecord:
+    """A spine sector: its boundary arcs between the corners a1 and a2,
+    and the cover geometry that classification and containment share:
+    the ends (2, 2) of each full arc's cover segment (cover_s, cover_u),
+    the lift parameters (at a1, at a2) of the corners on it (s_cross,
+    u_cross), and the closed disc boundary around mirror_center, the
+    spine's cover representative.  classify_sector sets regular.
+    """
+
     boundary_s: MarkedContinuum
     boundary_u: MarkedContinuum
     a1: "models.Point"
     a2: "models.Point"
+    spine: "models.Point"
+    cover_s: np.ndarray
+    cover_u: np.ndarray
+    s_cross: tuple
+    u_cross: tuple
+    polygon: np.ndarray
+    mirror_center: np.ndarray
     regular: bool | None = None
-    spine: "models.Point | None" = None
-    # cover-frame geometry, shared by classification and containment
-    cover_s: np.ndarray | None = None    # full stable arc in cover coords
-    cover_u: np.ndarray | None = None
-    s_cross: tuple | None = None         # ((seg, frac) at a1, (seg, frac) at a2)
-    u_cross: tuple | None = None
-    polygon: np.ndarray | None = None    # closed disc boundary in cover coords
-    mirror_center: np.ndarray | None = None
 
     @property
     def area(self) -> float:
-        return _poly_area(self.polygon) if self.polygon is not None else 0.0
+        return _poly_area(self.polygon)
 
 
 @dataclass
@@ -92,26 +101,14 @@ def _poly_clearance(poly: np.ndarray, p) -> float:
     return float(_to_segment(p, poly, np.roll(poly, -1, axis=0) - poly)[1].min())
 
 
-def _arc_pos(pts: np.ndarray, cross) -> np.ndarray:
-    i, t = cross
-    return pts[i] + t * (pts[i + 1] - pts[i])
-
-
-def _walk(pts: np.ndarray, cross, side: int, h: float) -> np.ndarray:
-    """Point at arclength h beyond an arc position, following the polyline."""
-    i, _ = cross
-    pos = _arc_pos(pts, cross)
-    remain = h
-    step = 1 if side > 0 else -1
-    j = i + 1 if side > 0 else i
-    while 0 <= j < len(pts):
-        seg_end = pts[j]
-        d = float(np.linalg.norm(seg_end - pos))
-        if d >= remain > 0:
-            return pos + (seg_end - pos) * (remain / d)
-        remain -= d
-        pos = seg_end
-        j += step
+def _walk(seg: np.ndarray, t: float, side: int, h: float) -> np.ndarray:
+    """Point at arclength h from lift parameter t of a segment (its two
+    ends), toward its end for side > 0 and its start otherwise."""
+    pos = seg[0] + t * (seg[1] - seg[0])
+    end = seg[1] if side > 0 else seg[0]
+    d = float(np.linalg.norm(end - pos))
+    if d >= h > 0:
+        return pos + (end - pos) * (h / d)
     raise IndeterminateCrossing("continuation truncated at the arc end")
 
 
@@ -127,8 +124,8 @@ def _sector_from_seed(sys, x, eps: float):
         return [], len(pts), 0
     info = []
     for p in pts:
-        _, ts, rs, es = _nearest_on(sys.chart, _segments(cs), p.xy())
-        _, tu, ru, eu = _nearest_on(sys.chart, _segments(cu), p.xy())
+        ts, rs, es = _nearest_on(sys.chart, _segments(cs), p.xy())
+        tu, ru, eu = _nearest_on(sys.chart, _segments(cu), p.xy())
         if es > 1e-6 or eu > 1e-6:
             continue
         info.append({"p": p, "ts": ts, "tu": tu, "cs": rs, "cu": ru})
@@ -169,17 +166,12 @@ def _close_pair(sys, cs, cu, ia, ib):
     if _poly_area(polygon) <= 1e-14:
         return None
     a1, a2 = lo["p"], hi["p"]
-    spine = sys.point(*w)
     return SectorRecord(
         boundary_s=subcontinuum(cs, a1, a2, tol=1e-6),
         boundary_u=subcontinuum(cu, a1, a2, tol=1e-6),
-        a1=a1, a2=a2, spine=spine,
-        cover_s=np.array([cs.lift.start_arr,
-                          cs.lift.start_arr + cs.lift.length * cs.lift.dir_arr]),
-        cover_u=np.array([cu.lift.start_arr,
-                          cu.lift.start_arr + cu.lift.length * cu.lift.dir_arr]),
-        s_cross=((0, lo["ts"]), (0, hi["ts"])),
-        u_cross=((0, lo["tu"]), (0, hi["tu"])),
+        a1=a1, a2=a2, spine=sys.point(*w),
+        cover_s=cs.lift.cover_points([0.0, 1.0]), cover_u=cu.lift.cover_points([0.0, 1.0]),
+        s_cross=(lo["ts"], hi["ts"]), u_cross=(lo["tu"], hi["tu"]),
         polygon=polygon, mirror_center=w)
 
 
@@ -255,16 +247,13 @@ def find_sectors(sys, eps: float | None = None, budget: int = 1500) -> SectorSea
 
 def classify_sector(sys, s: SectorRecord) -> str:
     """regular iff all four boundary continuations leave the disc."""
-    if s.polygon is None or s.cover_s is None or s.s_cross is None:
-        raise ValueError("sector lacks cover geometry (polygon, cover arcs "
-                         "and crossings); find_sectors records carry it")
     ext = s.polygon.max(axis=0) - s.polygon.min(axis=0)
     h = max(0.15 * float(ext.min()), 1e-9)
     outward = []
-    for pts, crossings in ((s.cover_s, s.s_cross), (s.cover_u, s.u_cross)):
+    for seg, crossings in ((s.cover_s, s.s_cross), (s.cover_u, s.u_cross)):
         lo, hi = sorted(crossings)
-        for cross, side in ((lo, -1), (hi, +1)):
-            probe = _walk(pts, cross, side, h)
+        for t, side in ((lo, -1), (hi, +1)):
+            probe = _walk(seg, t, side, h)
             margin = _poly_clearance(s.polygon, probe)
             if margin < 0.05 * h:
                 raise IndeterminateCrossing(
@@ -307,8 +296,6 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
         classify_sector(sys, s)
     if not s.regular:
         raise ValueError("parametrization requires a regular sector")
-    if s.spine is None or s.mirror_center is None:
-        raise ValueError("parametrization requires a spine sector")
     if grid < 2:
         raise ValueError("grid must be at least 2")
     w = np.asarray(s.mirror_center, dtype=float)
@@ -455,21 +442,19 @@ def _continuity_report(chart, grid, charts, eigs) -> dict:
 # -- enclosing sectors ---------------------------------------------------
 
 
-def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8) -> dict:
+def enclosing_sector(sys, s: SectorRecord) -> dict:
     """A regular sector whose disc strictly contains the given one.
 
-    Seeds a ladder of points moving away from the spine along the ray
-    through the original seed corner, rung j at 1.3^j times the corner's
-    offset from the spine; each rung rebuilds the sector at a
-    matching arc scale and checks vertex-wise strict containment.  A
+    Seeds a ladder of _MARGIN_BUDGET points moving away from the spine
+    along the ray through the original seed corner, rung j at 1.3^j times
+    the corner's offset from the spine; each rung rebuilds the sector at
+    a matching arc scale and checks vertex-wise strict containment.  A
     not-found report is data, not an exception.
     """
-    if s.spine is None or s.mirror_center is None or s.polygon is None:
-        raise ValueError("enclosing search requires a spine sector")
     w = np.asarray(s.mirror_center, dtype=float)
     Einv = models.eigen_frame(sys.matrix).inv
     v0 = s.polygon[0] - w
-    for j in range(1, margin_budget + 1):
+    for j in range(1, _MARGIN_BUDGET + 1):
         vj = v0 * 1.3 ** j
         ej = Einv @ vj
         eps_j = 2.4 * float(np.max(np.abs(ej)))
@@ -477,15 +462,9 @@ def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8) -> dict:
             return {"found": False, "attempts": j - 1, "sector": None,
                     "clearance": 0.0,
                     "reason": f"rung {j} needs arc scale {eps_j:.3g} beyond c"}
-        r = w + vj
-        seed = sys.point(*r)
-        recs, _, _ = _sector_from_seed(sys, seed, max(eps_j, 1e-6))
-        cand = None
-        for rec in recs:
-            if rec.spine is not None and chart_distance(
-                    sys.chart, rec.spine.xy(), s.spine.xy()) <= 1e-9:
-                cand = rec
-                break
+        recs, _, _ = _sector_from_seed(sys, sys.point(*(w + vj)), max(eps_j, 1e-6))
+        cand = next((rec for rec in recs if chart_distance(
+            sys.chart, rec.spine.xy(), s.spine.xy()) <= 1e-9), None)
         if cand is None:
             continue
         try:
@@ -499,7 +478,7 @@ def enclosing_sector(sys, s: SectorRecord, margin_budget: int = 8) -> dict:
             if clearance > 1e-12:
                 return {"found": True, "sector": cand, "clearance": clearance,
                         "attempts": j, "eps_used": eps_j}
-    return {"found": False, "attempts": margin_budget, "sector": None,
+    return {"found": False, "attempts": _MARGIN_BUDGET, "sector": None,
             "clearance": 0.0, "reason": "margin budget exhausted"}
 
 
@@ -518,8 +497,7 @@ def to_record(s: SectorRecord) -> dict:
         "a1": [float(v) for v in s.a1.xy()],
         "a2": [float(v) for v in s.a2.xy()],
         "regular": s.regular,
-        "spine": None if s.spine is None else [float(v) for v in s.spine.xy()],
+        "spine": [float(v) for v in s.spine.xy()],
         "area": s.area,
-        "polygon": None if s.polygon is None else
-                   [[float(a), float(b)] for a, b in s.polygon],
+        "polygon": [[float(a), float(b)] for a, b in s.polygon],
     }

@@ -5,8 +5,10 @@ continuum at iterate n in closed form.  The first helpers build the image
 of a lifted eigen-arc the direct way, so a test can run the metric on it
 and check that the closed form gives the same value.  Then come the
 crossings of plain polylines edge by edge, which the library, crossing
-lifted arcs only, no longer has, and the per-point loops that array
-passes replaced, kept so that a test can ask for the same bits from both.
+lifted arcs only, no longer has, the arc frame's vertex bookkeeping and
+the polyline walk that segments replaced, and the per-point loops that
+array passes replaced, kept so that a test can ask for the same bits from
+both.
 """
 
 import math
@@ -124,6 +126,70 @@ def polyline_intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e
     keep = np.empty(len(raw), dtype=bool)
     keep[first] = _dedupe_points(c1.chart, raw[first], max(tol, 1e-12))
     return [models.Point(c1.chart, (float(p[0]), float(p[1]))) for p in raw[keep]]
+
+
+# -- arcs and sector sides as polylines ------------------------------------
+
+
+def arc_frame(sys, chart, xy, stable, eps, t):
+    """models._arc_frame, unvalidated, with the parameter tx (n,) of each
+    point on its arc and whether tx is a new vertex among the base
+    parameters t: it is not when it lies within 1e-12 + 1e-5*|tx| of one
+    of them."""
+    frame = models.eigen_frame(sys.matrix)
+    e = frame.es if stable else frame.eu
+    fold = (models.torus_norm(2.0 * xy) <= models.SPINE_TOL) \
+        & (chart == models.SPHERE_QUOTIENT)
+    start = np.where(fold[:, None], xy, xy - eps * e)
+    length = np.where(fold, eps, 2.0 * eps)
+    tx = np.vecdot(xy - start, e) / length
+    new = ~(np.abs(t - tx[:, None]) <= 1e-12 + 1e-5 * np.abs(tx)[:, None]).any(axis=1)
+    return e, start, length, tx, new
+
+
+def local_arc(sys, x, kind, eps, resolution):
+    """models.local_arc through arc_frame's vertex test."""
+    stable = kind == "stable"
+    t = np.linspace(0.0, 1.0, resolution)
+    e, start, length, tx, new = arc_frame(sys, x.chart, x.xy()[None], stable, eps, t)
+    if resolution > 2 and new[0]:
+        t = np.sort(np.append(t, tx))
+    lift = StraightLift(start=start[0], direction=e, length=float(length[0]),
+                        stable=stable, chart=sys.chart)
+    return MarkedContinuum(chart=sys.chart, vertices=lift.project(t), params=t,
+                           mark_p=0, mark_q=len(t) - 1, lift=lift)
+
+
+def is_spine(sys, xy, eps):
+    """models.is_spine on (n, 2) chart points, with the arc ends taken as
+    the extreme two of the vertex parameters 0, 1/2, 1 and tx when tx is
+    a new vertex."""
+    e, start, length, tx, new = arc_frame(sys, sys.chart, xy, True, eps,
+                                          np.array([0.0, 0.5, 1.0]))
+    ends = [np.where(new & (tx < 0.0), tx, 0.0), np.where(new & (tx > 1.0), tx, 1.0)]
+    d0, d1 = (models.chart_distance(sys.chart, xy, models.wrap_chart(
+        sys.chart, start + (t * length)[:, None] * e)) for t in ends)
+    return np.minimum(d0, d1) <= models.SPINE_TOL
+
+
+def polyline_walk(pts, cross, side: int, h: float):
+    """sectors._walk along a polyline: the point at arclength h beyond the
+    position cross = (edge i, fraction t) of the vertices pts, toward the
+    last vertex for side > 0 and the first otherwise."""
+    i, t = cross
+    pos = pts[i] + t * (pts[i + 1] - pts[i])
+    remain = h
+    step = 1 if side > 0 else -1
+    j = i + 1 if side > 0 else i
+    while 0 <= j < len(pts):
+        seg_end = pts[j]
+        d = float(np.linalg.norm(seg_end - pos))
+        if d >= remain > 0:
+            return pos + (seg_end - pos) * (remain / d)
+        remain -= d
+        pos = seg_end
+        j += step
+    raise sectors.IndeterminateCrossing("continuation truncated at the arc end")
 
 
 # -- per-point loops --------------------------------------------------------

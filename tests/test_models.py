@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _reference
 from _reference import diameter, image
 from cwdyn import models
 from cwdyn.models import (
@@ -244,6 +245,31 @@ class TestLocalArc:
     def test_chart_mismatch(self, cat, pa):
         with pytest.raises(ChartError):
             local_arc(cat, pa.point(0.1, 0.1), "stable", 0.1)
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    @pytest.mark.parametrize("res", [2, 3, 5, 9, 64])
+    def test_matches_the_vertex_bookkeeping(self, kind, res):
+        # random points, the half-lattice points (spines on sphere-pA) and
+        # points 1e-10 to 1e-9 from them, where the fold test switches
+        sys = make_model(kind)
+        rng = np.random.default_rng(res)
+        half = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
+        th = rng.uniform(0.0, 2.0 * np.pi, size=(3, 4))
+        near = [half + r * np.stack([np.cos(a), np.sin(a)], axis=1)
+                for r, a in zip((1e-10, 5e-10, 1e-9), th)]
+        raw = np.concatenate([rng.uniform(0.0, 1.0, size=(30, 2)), half, *near])
+        pts = [sys.point(*xy) for xy in raw]
+        for x in pts:
+            for arc_kind, eps in (("stable", 0.1), ("unstable", 0.2), ("stable", 1e-3)):
+                got = local_arc(sys, x, arc_kind, eps, resolution=res)
+                want = _reference.local_arc(sys, x, arc_kind, eps, res)
+                assert got.vertices.tobytes() == want.vertices.tobytes()
+                assert got.params.tobytes() == want.params.tobytes()
+                assert (got.mark_p, got.mark_q, got.lift) == (want.mark_p, want.mark_q, want.lift)
+        xy = np.array([x.coords for x in pts])
+        for eps in (0.05, 0.1, 1e-3):
+            assert models.is_spine(sys, xy, eps).tolist() == \
+                _reference.is_spine(sys, xy, eps).tolist()
 
 
 def test_orbit_residual_from_float_seed(cat):

@@ -162,10 +162,11 @@ class TestFindReturn:
         assert k == 5
         assert verify_periodic(pa, y, 1)["ok"]
 
-    def test_budget_error_diagnostics(self, cat):
+    def test_budget_error_diagnostics(self, cat, monkeypatch):
+        monkeypatch.setattr(periodic, "_SEARCH_BUDGET", 3)
         p = cat.point(1.0 / math.pi, 1.0 / math.e)
         with pytest.raises(BudgetError) as exc:
-            find_return(cat, p, 2e-2, 5, search_budget=3)
+            find_return(cat, p, 2e-2, 5)
         diag = exc.value.diagnostics
         assert diag["candidates_tried"] >= 1
         assert diag["orbit_steps"] <= 3
@@ -255,14 +256,15 @@ class TestKatokIterate:
         for rec in res["steps"]:
             assert rec["ok"] == (rec["D_F"] <= rec["bound"])
 
-    def test_large_k_first_contraction(self, cat, consts, plan):
+    def test_large_k_first_contraction(self, cat, consts, plan, monkeypatch):
         # at k = 28 the unstable rate ~5e11 amplifies coordinate ulps
         # to a gap floor near 1e-5, so only the first step sits above it
         y, k = find_return(cat, cat.point(0.334, 0.667), 5e-3, plan.k0)
         assert k == 28
         es = cat.eigen_direction(stable=True)
         yp = cat.point(*models._wrap1(y.xy() + 0.01 * es))
-        res = katok_iterate(cat, yp, k, plan, consts, max_steps=2)
+        monkeypatch.setattr(periodic, "_MAX_STEPS", 2)
+        res = katok_iterate(cat, yp, k, plan, consts)
         gaps = [s["gap"] for s in res["steps"]]
         rate = 4.0 * (1.0 + plan.delta) ** 2 / consts.lam ** k
         assert len(gaps) == 2

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import _reference
 from _reference import diameter, find_sectors as find_sectors_by_seed, image
 from cwdyn import continua, models, sectors
 from cwdyn.continua import MarkedContinuum, _dedupe_points, cover_reps, intersect
@@ -30,26 +31,31 @@ def search(pa):
     return out
 
 
-# hand-built cover arcs mimicking the two crossing pictures: a horizontal
-# "stable" line and a "unstable" hook over it; the tail after the second
-# crossing decides regularity
-_S_LINE = [[0.10, 0.2], [0.35, 0.2]]
-_U_BASE = [[0.15, 0.10], [0.15, 0.28], [0.30, 0.28], [0.30, 0.20]]
-# the disc they bound: corners a1 = (0.15, 0.2) and a2 = (0.30, 0.2)
+# a hand-built sector on straight cover arcs: the stable one horizontal
+# from (0.10, 0.2) to (s_end, 0.2), the unstable one vertical from
+# (0.15, 0.10) to (0.15, 0.35).  They cross at the corner a1 = (0.15, 0.2);
+# the second corner lies at x = 0.30 on the stable arc and at y = 0.28 on
+# the unstable one, which mirror each other about the centre (0.225, 0.24)
+# as a spine sector's do, so the regular disc is the rectangle _DISC.  The
+# disc a record carries decides where each arc's tail past a corner lands.
 _DISC = [[0.15, 0.2], [0.30, 0.2], [0.30, 0.28], [0.15, 0.28]]
+# a disc that turns back under the stable arc at the second corner, so the
+# stable tail runs into it there
+_TURNED_DISC = _DISC[:2] + [[0.30, 0.15], [0.36, 0.15], [0.36, 0.28], _DISC[3]]
 
 
-def _fixture(tail):
+def _fixture(disc=_DISC, s_end=0.35):
     def arc(verts):
-        return MarkedContinuum(chart=models.TORUS, vertices=verts,
-                               mark_p=0, mark_q=len(verts) - 1)
+        return MarkedContinuum(chart=models.TORUS, vertices=verts, mark_p=0, mark_q=1)
 
     return SectorRecord(
-        boundary_s=arc(_DISC[:2]), boundary_u=arc([_DISC[0], _DISC[3], _DISC[2], _DISC[1]]),
+        boundary_s=arc([_DISC[0], _DISC[1]]), boundary_u=arc([_DISC[0], _DISC[3]]),
         a1=models.Point(models.TORUS, (0.15, 0.2)), a2=models.Point(models.TORUS, (0.30, 0.2)),
-        cover_s=np.array(_S_LINE), cover_u=np.array(_U_BASE + [tail]),
-        s_cross=((0, 0.2), (0, 0.8)), u_cross=((0, 5 / 9), (2, 1.0)),
-        polygon=np.array(_DISC))
+        spine=models.Point(models.TORUS, (0.225, 0.24)),
+        cover_s=np.array([[0.10, 0.2], [s_end, 0.2]]),
+        cover_u=np.array([[0.15, 0.10], [0.15, 0.35]]),
+        s_cross=(0.05 / (s_end - 0.10), 0.20 / (s_end - 0.10)), u_cross=(0.4, 0.72),
+        polygon=np.array(disc), mirror_center=np.array([0.225, 0.24]))
 
 
 class TestSpines:
@@ -169,26 +175,47 @@ class TestClassify:
         for s in search.sectors:
             assert s.regular is True
 
-    def test_hooked_tail_is_non_regular(self, pa):
-        s = _fixture([0.27, 0.27])
-        assert classify_sector(pa, s) == "non-regular"
+    def test_outward_tail_is_regular(self, cat):
+        s = _fixture()
+        assert classify_sector(cat, s) == "regular"
+        assert s.regular is True
+
+    def test_tail_into_the_disc_is_non_regular(self, cat):
+        s = _fixture(_TURNED_DISC)
+        assert classify_sector(cat, s) == "non-regular"
         assert s.regular is False
 
-    def test_outward_tail_is_regular(self, pa):
-        s = _fixture([0.33, 0.13])
-        assert classify_sector(pa, s) == "regular"
+    def test_tangential_tail_is_indeterminate(self, cat):
+        # the disc runs on along the stable arc past the second corner
+        s = _fixture([_DISC[0], [0.33, 0.2], [0.33, 0.28], _DISC[3]])
+        with pytest.raises(IndeterminateCrossing, match="tangential"):
+            classify_sector(cat, s)
 
-    def test_tangential_tail_is_indeterminate(self, pa):
-        s = _fixture([0.28, 0.2001])
-        with pytest.raises(IndeterminateCrossing):
-            classify_sector(pa, s)
+    def test_tail_truncated_at_the_arc_end(self, cat):
+        # the stable arc ends 0.005 past the second corner, short of the
+        # probe step 0.012
+        s = _fixture(s_end=0.305)
+        with pytest.raises(IndeterminateCrossing, match="truncated at the arc end"):
+            classify_sector(cat, s)
 
-    def test_requires_cover_geometry(self, pa, search):
-        s0 = search.sectors[0]
-        bare = SectorRecord(boundary_s=s0.boundary_s, boundary_u=s0.boundary_u,
-                            a1=s0.a1, a2=s0.a2)
-        with pytest.raises(ValueError):
-            classify_sector(pa, bare)
+    def test_walk_matches_the_polyline_walk(self):
+        rng = np.random.default_rng(7)
+        truncated = 0
+        for _ in range(3000):
+            seg = rng.uniform(-1.0, 1.0, size=(2, 2))
+            t, side = rng.uniform(-0.1, 1.1), int(rng.choice([-1, 1]))
+            pos = seg[0] + t * (seg[1] - seg[0])
+            to_end = float(np.linalg.norm(seg[1 if side > 0 else 0] - pos))
+            for h in (0.0, to_end, rng.uniform(0.0, 1.5) * to_end):
+                try:
+                    want = _reference.polyline_walk(seg, (0, t), side, h)
+                except IndeterminateCrossing as err:
+                    truncated += 1
+                    with pytest.raises(IndeterminateCrossing, match=str(err)):
+                        sectors._walk(seg, t, side, h)
+                else:
+                    assert sectors._walk(seg, t, side, h).tobytes() == want.tobytes()
+        assert 3000 < truncated < 6000
 
 
 class TestParametrization:
@@ -234,12 +261,9 @@ class TestParametrization:
         assert m32["max_modulus"] < 0.5 * m8["max_modulus"]
 
     def test_requires_regular_spine_sector(self, pa):
-        bad = _fixture([0.27, 0.27])
+        bad = _fixture(_TURNED_DISC)
         with pytest.raises(ValueError, match="regular"):
             sector_parametrization(pa, bad, grid=4)
-        good = _fixture([0.33, 0.13])
-        with pytest.raises(ValueError, match="spine"):
-            sector_parametrization(pa, good, grid=4)
 
 
 class TestEnclosing:
@@ -260,15 +284,11 @@ class TestEnclosing:
         assert lvl2["sector"].area > lvl1["sector"].area
         assert lvl2["clearance"] > 0
 
-    def test_budget_exhaustion_is_data(self, pa, search):
-        out = enclosing_sector(pa, search.sectors[0], margin_budget=0)
+    def test_budget_exhaustion_is_data(self, pa, search, monkeypatch):
+        monkeypatch.setattr(sectors, "_MARGIN_BUDGET", 0)
+        out = enclosing_sector(pa, search.sectors[0])
         assert out == {"found": False, "attempts": 0, "sector": None,
                        "clearance": 0.0, "reason": "margin budget exhausted"}
-
-    def test_requires_spine(self, pa):
-        s = _fixture([0.33, 0.13])
-        with pytest.raises(ValueError):
-            enclosing_sector(pa, s)
 
 
 class TestRecord:

@@ -184,15 +184,17 @@ def test_no_test_only_mark_points(path):
 _RETIRED_PARAMS = {
     "models.make_model": ("resolution", "horizon"),
     "models.is_spine": ("tol",),
+    "models._arc_frame": ("t",),
     "cwmetric.constants_for": ("tail",),
     "cwmetric.calibrate": ("max_m", "c"),
     "cwmetric._pieces_of": ("sys",),
     "holonomy.default_params": ("tol",),
     "periodic.plan_katok": ("gamma",),
-    "periodic.katok_iterate": ("tol",),
+    "periodic.find_return": ("search_budget",),
+    "periodic.katok_iterate": ("tol", "max_steps"),
     "periodic._step_continuum": ("sys",),
     "periodic.verify_periodic": ("tol",),
-    "sectors.enclosing_sector": ("margin",),
+    "sectors.enclosing_sector": ("margin", "margin_budget"),
     "sectors._sector_from_seed": ("resolution",),
     "sectors.find_sectors": ("region",),
     "acceptance._family": ("lo", "hi"),
