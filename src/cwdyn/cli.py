@@ -293,7 +293,7 @@ def _load_continua(path, chart):
     for i, rec in enumerate(recs):
         try:
             cont = continua.from_record(rec)
-        except (KeyError, TypeError, ValueError) as err:
+        except (KeyError, TypeError, ValueError, OverflowError) as err:
             raise ConfigError(f"--continuum {path}: record {i}: {err}")
         if cont.chart != chart:
             raise ConfigError(f"--continuum {path}: record {i}: chart "

@@ -4,8 +4,8 @@ A continuum is stored as an ordered vertex polyline in a chart, with two
 marked vertex indices.  Arcs produced by the model constructors also
 carry a *straight lift*: the exact segment in the universal cover that
 the polyline discretizes.  Crossings, cuts and projections work on that
-segment and take lifted arcs only; a plain polyline (a record, or a
-``concat`` of cuts) is measured by cwmetric but never crossed or cut.
+segment and take lifted arcs only, and ``concat`` keeps them as a path's
+legs; a plain polyline (a record) is measured by cwmetric, nothing more.
 No image continuum is ever built: cwmetric iterates a lift in closed
 form (its cover start by exact integer arithmetic mod 1, its eigen
 components by the eigenvalue powers), so no float error accumulates
@@ -15,6 +15,7 @@ along an orbit.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -142,7 +143,8 @@ class StraightLift:
 class MarkedContinuum:
     """Polyline continuum with marked points p and q (vertex indices).
 
-    A lifted arc carries its lift with each vertex's lift param, 0 to 1.
+    A lifted arc carries its lift with each vertex's lift param, 0 to 1;
+    a ``concat`` path carries its parts' lifts as legs, chained in the cover.
     """
 
     chart: str
@@ -151,6 +153,7 @@ class MarkedContinuum:
     mark_q: int
     params: np.ndarray | None = None
     lift: StraightLift | None = None
+    legs: tuple = ()
 
     def __post_init__(self):
         v = np.asarray(self.vertices, dtype=float)
@@ -245,7 +248,7 @@ def _segments(cont: MarkedContinuum):
     """A lifted arc's one cover segment as (starts, vectors, lengths)."""
     lf = cont.lift
     if lf is None:
-        raise ValueError("continuum has no lift: crossings, cuts and projections "
+        raise ValueError("continuum has no lift: crossings, cuts, projections and concat "
                          "take lifted arcs (models.local_arc or a cut of one)")
     return (lf.start_arr[None, :], (lf.dir_arr * lf.length)[None, :],
             np.array([lf.length]))
@@ -416,27 +419,35 @@ def subcontinuum(cont: MarkedContinuum, a: Point, b: Point,
 
 
 def concat(parts: list, tol: float = 1e-9) -> MarkedContinuum:
-    """Chain polylines end-to-start into one continuum.
+    """Chain lifted parts end-to-start into one path marked at its ends.
 
-    Marks land on the global endpoints.  Lifts are dropped (the result is
-    generally a bent path).
+    Each part's lift, cut at its marks and run from mark_p to mark_q, is
+    moved to s·a + k, the cover representative of its start a nearest the
+    end of the leg before it; a gap over tol raises OffContinuumError.
+    The path keeps these legs, and the parts' vertices, junctions once.
     """
     if not parts:
         raise ValueError("concat of no parts")
     chart = parts[0].chart
-    verts = [parts[0].vertices[i].copy() for i in range(parts[0].n_vertices)]
-    for nxt in parts[1:]:
-        if nxt.chart != chart:
+    legs, verts = [], []
+    for part in parts:
+        if part.chart != chart:
             raise ChartError("concat parts must share a chart")
-        gap = chart_distance(chart, verts[-1], nxt.vertices[0])
-        if gap > tol:
-            raise ValueError(f"concat gap {gap:.3g} exceeds tol {tol}")
-        for i in range(nxt.n_vertices):
-            w = nxt.vertices[i]
-            if chart_distance(chart, verts[-1], w) > 1e-15:
-                verts.append(w.copy())
-    return MarkedContinuum(chart=chart, vertices=np.array(verts),
-                           mark_p=0, mark_q=len(verts) - 1)
+        _segments(part)  # a record has no lift to chain
+        leg = part.lift.subsegment(part.params[part.mark_p], part.params[part.mark_q])
+        if legs:
+            end = legs[-1].cover_points(1.0)
+            _, s, k = cover_reps(chart, leg.start, leg.start, end, end)
+            gap = np.linalg.norm(s[:, None] * leg.start_arr + k - end, axis=1)
+            j = int(np.argmin(gap))
+            if gap[j] > tol:
+                raise OffContinuumError(f"concat gap {gap[j]:.3g} exceeds tol {tol}")
+            leg = replace(leg, start=s[j] * leg.start_arr + k[j], direction=s[j] * leg.dir_arr)
+        step = 1 if part.mark_p <= part.mark_q else -1
+        verts.append(part.vertices[np.arange(part.mark_p, part.mark_q + step, step)[bool(legs):]])
+        legs.append(leg)
+    v = np.concatenate(verts)
+    return MarkedContinuum(chart=chart, vertices=v, mark_p=0, mark_q=len(v) - 1, legs=tuple(legs))
 
 
 # -- serialization --------------------------------------------------------
@@ -452,8 +463,11 @@ def to_record(cont: MarkedContinuum) -> dict:
 
 
 def from_record(rec: dict) -> MarkedContinuum:
-    vertices = np.asarray(rec["vertices"], dtype=float)
-    if not np.all(np.isfinite(vertices)):
-        raise ValueError("vertices must be finite")
-    return MarkedContinuum(chart=rec["chart"], vertices=vertices,
-                           mark_p=int(rec["mark_p"]), mark_q=int(rec["mark_q"]))
+    """A record's continuum: marks JSON integers, coordinates finite JSON numbers."""
+    if any(type(rec[m]) is not int for m in ("mark_p", "mark_q")):
+        raise ValueError(f"marks must be integers, got {rec['mark_p']!r} and {rec['mark_q']!r}")
+    vertices = np.asarray(rec["vertices"], dtype=object)
+    if not all(type(x) is int or type(x) is float and math.isfinite(x) for x in vertices.flat):
+        raise ValueError("vertex coordinates must be finite numbers")
+    return MarkedContinuum(chart=rec["chart"], vertices=vertices.astype(float),
+                           mark_p=rec["mark_p"], mark_q=rec["mark_q"])

@@ -185,14 +185,14 @@ def _lift_piece(lf, frame: models.EigenFrame) -> _Piece:
 def _pieces_of(cont: MarkedContinuum, frame: models.EigenFrame) -> list:
     """Decompose a continuum into straight cover pieces.
 
-    Lifted arcs give one piece with exact eigen components; plain
-    polylines of two or more vertices (_path_of passes no singleton)
-    are unwrapped edge by edge, merging each vertex into the
-    current run while it lies within _MERGE_TOL of the run's line and
-    still moves forward.
+    A lifted arc gives one piece and a ``concat`` path one per leg, each
+    with exact eigen components.  Records, the lift-less polylines of two
+    or more vertices (_path_of passes no singleton), are unwrapped edge
+    by edge, merging each vertex into the current run while it lies
+    within _MERGE_TOL of the run's line and still moves forward.
     """
-    if cont.lift is not None:
-        return [_lift_piece(cont.lift, frame)]
+    if cont.lift is not None or cont.legs:
+        return [_lift_piece(lf, frame) for lf in cont.legs or (cont.lift,)]
     pieces = []
     path = unwrap_path(cont.chart, cont.vertices)
     run = None  # (start, accumulated vec)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .continua import MarkedContinuum, concat, intersect, subcontinuum
+from .continua import OffContinuumError, concat, intersect, subcontinuum
 from .cwmetric import MetricConstants, cw_metric
 from .holonomy import ARC_RESOLUTION, HolonomyFault, product_structure_radius
 from .models import BudgetError, Point
@@ -214,32 +214,18 @@ def find_return(sys, p: Point, bound: float, k_min: int):
 # -- the rectangle iteration ----------------------------------------------
 
 
-def _oriented(leg: MarkedContinuum) -> MarkedContinuum:
-    """The same polyline with vertices running from mark_p to mark_q."""
-    if leg.mark_p <= leg.mark_q:
-        return leg
-    n = leg.n_vertices
-    return MarkedContinuum(chart=leg.chart, vertices=leg.vertices[::-1].copy(),
-                           mark_p=n - 1 - leg.mark_p, mark_q=n - 1 - leg.mark_q)
-
-
-def _step_continuum(ca, cb, start: Point, mid: Point, end: Point) -> MarkedContinuum:
-    leg_a = _oriented(subcontinuum(ca, start, mid, tol=1e-7))
-    leg_b = _oriented(subcontinuum(cb, mid, end, tol=1e-7))
-    return concat([leg_a, leg_b], tol=1e-7)
-
-
 def _crossing_paths(ca, cb, start: Point, end: Point, label: str) -> list:
-    """(z, path) for each crossing z of ca and cb whose connecting path
-    from start through z to end can be built, in intersect's order."""
+    """(z, path), in intersect's order, for each crossing z of ca and cb
+    whose path along ca from start to z and along cb on to end can be built."""
     cands = intersect(ca, cb, tol=1e-9)
     if not cands:
         raise HolonomyFault(f"no crossing at {label}")
     paths = []
     for z in cands:
         try:
-            paths.append((z, _step_continuum(ca, cb, start, z, end)))
-        except ValueError:
+            paths.append((z, concat([subcontinuum(ca, start, z, tol=1e-7),
+                                     subcontinuum(cb, z, end, tol=1e-7)], tol=1e-7)))
+        except OffContinuumError:
             continue
     if not paths:
         raise HolonomyFault(f"no admissible crossing branch at {label}")

@@ -6,9 +6,10 @@ of a lifted eigen-arc the direct way, so a test can run the metric on it
 and check that the closed form gives the same value.  Then come the
 crossings of plain polylines edge by edge, which the library, crossing
 lifted arcs only, no longer has, the arc frame's vertex bookkeeping and
-the polyline walk that segments replaced, and the per-point loops that
-array passes replaced, kept so that a test can ask for the same bits from
-both.
+the polyline walk that segments replaced, the Katok connecting path as
+the vertex polyline that its two exact legs replaced, and the per-point
+loops that array passes replaced, kept so that a test can ask for the
+same bits from both.
 """
 
 import math
@@ -17,9 +18,9 @@ import numpy as np
 
 from cwdyn import models, periodic, sectors
 from cwdyn.continua import (MarkedContinuum, StraightLift, _crossings, _dedupe_points,
-                            _segments, intersect, unwrap_path)
+                            _segments, intersect, subcontinuum, unwrap_path)
 from cwdyn.cwmetric import cw_metric
-from cwdyn.holonomy import ARC_RESOLUTION, HolonomyFault
+from cwdyn.holonomy import HolonomyFault
 
 # image vertices are spaced at most this far apart along the lift
 _EDGE = 0.4
@@ -290,8 +291,45 @@ def find_return(sys, p, bound, k_min, search_budget=200000):
             "bound": bound, "k_min": k_min, "horizon_skipped": horizon_skipped}
 
 
+# -- the Katok connecting path as a polyline ---------------------------------
+
+
+def oriented(leg):
+    """The same polyline with vertices running from mark_p to mark_q."""
+    if leg.mark_p <= leg.mark_q:
+        return leg
+    n = leg.n_vertices
+    return MarkedContinuum(chart=leg.chart, vertices=leg.vertices[::-1].copy(),
+                           mark_p=n - 1 - leg.mark_p, mark_q=n - 1 - leg.mark_q)
+
+
+def polyline_concat(parts, tol=1e-9):
+    """Chain polylines end-to-start into one lift-less continuum marked at
+    its ends, vertex by vertex: a vertex within 1e-15 of the one before it
+    is dropped."""
+    chart = parts[0].chart
+    verts = [parts[0].vertices[i].copy() for i in range(parts[0].n_vertices)]
+    for nxt in parts[1:]:
+        gap = models.chart_distance(chart, verts[-1], nxt.vertices[0])
+        if gap > tol:
+            raise ValueError(f"concat gap {gap:.3g} exceeds tol {tol}")
+        for w in nxt.vertices:
+            if models.chart_distance(chart, verts[-1], w) > 1e-15:
+                verts.append(w.copy())
+    return MarkedContinuum(chart=chart, vertices=np.array(verts),
+                           mark_p=0, mark_q=len(verts) - 1)
+
+
+def step_continuum(ca, cb, start, mid, end):
+    """The connecting path from start through mid to end: the cuts of ca
+    and cb, oriented and chained as a vertex polyline."""
+    return polyline_concat([oriented(subcontinuum(ca, start, mid, tol=1e-7)),
+                            oriented(subcontinuum(cb, mid, end, tol=1e-7))], tol=1e-7)
+
+
 def katok_iterate(sys, y, k, params, consts, max_steps=40):
-    """katok_iterate with the cw-size of every crossing evaluated, the
+    """katok_iterate on 9-vertex arcs, with every connecting path chained
+    as a vertex polyline and the cw-size of every crossing evaluated, the
     transport's too."""
     gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
     ratio = 4.0 * (1.0 + params.delta) ** 2 * (1.0 / consts.lam) ** k
@@ -301,7 +339,7 @@ def katok_iterate(sys, y, k, params, consts, max_steps=40):
         out = None
         for z in intersect(ca, cb, tol=1e-9):
             try:
-                path = periodic._step_continuum(ca, cb, start, z, end)
+                path = step_continuum(ca, cb, start, z, end)
             except ValueError:
                 continue
             d_f = cw_metric(sys, path, consts, depth=3)
@@ -320,8 +358,7 @@ def katok_iterate(sys, y, k, params, consts, max_steps=40):
             break
         if n == max_steps:
             break
-        arc = lambda x, kind: models.local_arc(sys, x, kind, params.eps,
-                                               resolution=ARC_RESOLUTION)
+        arc = lambda x, kind: models.local_arc(sys, x, kind, params.eps, resolution=9)
         z, d_f = best(arc(y_n, "stable"), arc(fky, "unstable"), y_n, fky)
         fmz = models.iterate(sys, z, -k)
         y_next, _ = best(arc(z, "unstable"), arc(fmz, "stable"), z, fmz)

@@ -186,17 +186,34 @@ class TestMetric:
                            "--continuum", cont_file], capsys)
         assert rc == 1 and "chart" in err
 
-    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
-    def test_non_finite_vertex_names_the_record(self, outdir, capsys, bad):
+    # marks are JSON integers and vertex coordinates finite JSON numbers: a
+    # float mark would be truncated, a string or bool coordinate cast, and
+    # an integer past float64's range would not convert
+    @pytest.mark.parametrize("bad, why", [
+        *(pytest.param('[[0.1, %s], [0.1, 0.2]], "mark_p": 0, "mark_q": 1' % v, "finite", id=v)
+          for v in ("NaN", "Infinity", "-Infinity")),
+        pytest.param('[[0.2, 0.2], [0.2001, 0.2]], "mark_p": 0.9, "mark_q": 1', "integers",
+                     id="float-mark"),
+        pytest.param('[[0.2, 0.2], [0.2001, 0.2], [0.2002, 0.2]], "mark_p": 0, "mark_q": "2"',
+                     "integers", id="string-mark"),
+        pytest.param('[[0.2, 0.2], [0.2001, 0.2]], "mark_p": true, "mark_q": 1', "integers",
+                     id="bool-mark"),
+        pytest.param('[["0.2", "0.2"], [0.2001, 0.2]], "mark_p": 0, "mark_q": 1', "numbers",
+                     id="string-vertex"),
+        pytest.param('[[0.2, 0.2], [0.2001, true]], "mark_p": 0, "mark_q": 1', "numbers",
+                     id="bool-vertex"),
+        pytest.param('[[0.2, 0.2], [0.2001, 1%s]], "mark_p": 0, "mark_q": 1' % ("0" * 400),
+                     "too large", id="huge-int-vertex"),
+    ])
+    def test_non_finite_vertex_names_the_record(self, outdir, capsys, bad, why):
         path = outdir / "bad.jsonl"
         path.write_text('{"chart": "torus", "vertices": [[0.1, 0.2], [0.1, 0.2001]], '
                         '"mark_p": 0, "mark_q": 1}\n'
-                        '{"chart": "torus", "vertices": [[0.1, %s], [0.1, 0.2]], '
-                        '"mark_p": 0, "mark_q": 1}\n' % bad)
+                        '{"chart": "torus", "vertices": %s}\n' % bad)
         rc, err = run_err(["metric", "--model", "cat", "--continuum", str(path)],
                           capsys)
         assert rc == 1
-        assert "config error" in err and "record 1" in err and "finite" in err
+        assert "config error" in err and "record 1" in err and why in err
 
 
 class TestPeriodic:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _reference import diameter, image, polyline_intersect
-from cwdyn import models
+from cwdyn import cwmetric, models
 from cwdyn.continua import (
     MarkedContinuum, OffContinuumError, StraightLift, _arc_pair_hits, _crossings,
     _project_to_polyline, concat, from_record, intersect, subcontinuum, to_record,
@@ -194,8 +194,55 @@ class TestConcat:
     def test_gap_rejected(self, cat):
         a = local_arc(cat, cat.point(0.1, 0.1), "stable", 0.02)
         b = local_arc(cat, cat.point(0.6, 0.6), "stable", 0.02)
-        with pytest.raises(ValueError):
+        with pytest.raises(OffContinuumError):
             concat([a, b])
+
+    def test_reversed_part_runs_from_its_first_mark(self, cat):
+        s_leg = local_arc(cat, cat.point(0.2, 0.4), "stable", 0.01, resolution=9)
+        back = s_leg.with_marks(8, 0)
+        u_leg = local_arc(cat, back.point(0), "unstable", 0.01, resolution=9)
+        path = concat([back, u_leg.with_marks(4, 8)])
+        assert len(path.legs) == 2
+        leg, nxt = path.legs
+        assert leg.length == s_leg.lift.length
+        assert leg.dir_arr.tolist() == (-s_leg.lift.dir_arr).tolist()
+        assert np.allclose(leg.cover_points(1.0)[0], s_leg.lift.start_arr, atol=1e-15)
+        assert nxt.length == u_leg.lift.length / 2
+        assert path.n_vertices == 9 + 4
+        assert path.point(0) == s_leg.point(8)
+        assert path.point(path.mark_q) == u_leg.point(8)
+        frame = models.eigen_frame(cat.matrix)
+        pieces = cwmetric._pieces_of(path, frame)
+        assert pieces[0].au == 0.0 and pieces[1].as_ == 0.0
+        # the reversed leg's stable component is the whole arc's, negated
+        assert pieces[0].as_ == -cwmetric._pieces_of(s_leg, frame)[0].as_
+
+    def test_mirrored_leg_is_placed_by_the_fold(self, pa):
+        # the second part's lift lies in the mirrored sheet, s = -1
+        corner = np.array([0.3141, 0.1926])
+        es = pa.eigen_direction(stable=True)
+        eu = pa.eigen_direction(stable=False)
+        first = local_arc(pa, pa.point(*(corner - 0.01 * es)), "stable", 0.01)
+        cut = subcontinuum(first, first.point(0), pa.point(*corner))
+        mirror = StraightLift(start=2.0 - corner, direction=-eu, length=0.02,
+                              chart=pa.chart, stable=False)
+        t = np.linspace(0.0, 1.0, 5)
+        second = MarkedContinuum(chart=pa.chart, vertices=mirror.project(t), params=t,
+                                 mark_p=0, mark_q=4, lift=mirror)
+        path = concat([cut, second])
+        leg = path.legs[1]
+        assert leg.dir_arr.tolist() == eu.tolist()
+        assert np.abs(leg.start_arr - path.legs[0].cover_points(1.0)[0]).max() < 1e-12
+        pieces = cwmetric._pieces_of(path, models.eigen_frame(pa.matrix))
+        assert pieces[1].as_ == 0.0
+        assert abs(pieces[1].au) == 0.02
+
+    def test_record_part_has_no_lift(self, cat):
+        arc = local_arc(cat, cat.point(0.2, 0.4), "stable", 0.01)
+        with pytest.raises(ValueError, match="no lift"):
+            concat([from_record(to_record(arc)), arc])
+        with pytest.raises(ValueError, match="no lift"):
+            concat([arc, from_record(to_record(arc))])
 
 
 def test_lift_and_params_come_together(cat):

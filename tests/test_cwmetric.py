@@ -486,22 +486,18 @@ class TestRecordLoadedArcs:
     @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
     @pytest.mark.parametrize("leg", [1e-2, 1e-6, 1e-9, 1e-12])
     def test_bent_path_keeps_its_corner(self, kind, leg):
+        # a concat path is read from its legs, not re-lifted from its vertices
         sys = make_model(kind)
-        corner = np.array([0.3141, 0.5926])
-        t = np.linspace(0.0, 1.0, 9)[:, None]
-        es = sys.eigen_direction(stable=True)
-        eu = sys.eigen_direction(stable=False)
-        legs = [continua.MarkedContinuum(
-            chart=sys.chart, vertices=models._wrap1(a + t * (leg * d)[None, :]),
-            mark_p=0, mark_q=8) for a, d in ((corner - leg * es, es), (corner, eu))]
-        path = continua.concat(legs)
+        path = _two_legs(sys, np.array([0.3141, 0.5926]), leg, 9)
         pieces = cwmetric._pieces_of(path, models.eigen_frame(sys.matrix))
         assert len(pieces) == 2
         stable_leg, unstable_leg = pieces
-        assert abs(stable_leg.au) < 1e-3 * leg
-        assert abs(stable_leg.as_) == pytest.approx(leg, rel=1e-3)
-        assert abs(unstable_leg.as_) < 1e-3 * leg
-        assert abs(unstable_leg.au) == pytest.approx(leg, rel=1e-3)
+        assert stable_leg.au == 0.0 and unstable_leg.as_ == 0.0
+        assert abs(stable_leg.as_) == leg == abs(unstable_leg.au)
+        # the record of the same path is re-lifted: its corner holds to 1e-3
+        rec = cwmetric._pieces_of(_record_twin(path), models.eigen_frame(sys.matrix))
+        assert len(rec) == 2
+        assert abs(rec[0].au) < 1e-3 * leg and abs(rec[1].as_) < 1e-3 * leg
 
 
 
@@ -685,14 +681,18 @@ def _model(kind):
     return sys, calibrate(sys)
 
 
-def _two_legs(sys, corner, leg):
-    # a stable leg into the corner, then an unstable leg out of it
-    t = np.linspace(0.0, 1.0, 5)[:, None]
-    es = sys.eigen_direction(stable=True)
-    eu = sys.eigen_direction(stable=False)
-    return continua.concat([continua.MarkedContinuum(
-        chart=sys.chart, vertices=models._wrap1(a + t * (leg * d)[None, :]),
-        mark_p=0, mark_q=4) for a, d in ((corner - leg * es, es), (corner, eu))])
+def _two_legs(sys, corner, leg, n=5):
+    # a lifted stable leg of n vertices into the corner, then an unstable
+    # one out of it
+    t = np.linspace(0.0, 1.0, n)
+    parts = []
+    for stable in (True, False):
+        e = sys.eigen_direction(stable=stable)
+        lift = continua.StraightLift(start=corner - leg * e if stable else corner, direction=e,
+                                     length=leg, chart=sys.chart, stable=stable)
+        parts.append(continua.MarkedContinuum(chart=sys.chart, vertices=lift.project(t),
+                                              params=t, mark_p=0, mark_q=n - 1, lift=lift))
+    return continua.concat(parts)
 
 
 def _make_case(kind, x, y, shape, eps, res, twin, marks):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _reference
-from cwdyn import models, periodic
-from cwdyn.cwmetric import calibrate
+from cwdyn import continua, cwmetric, models, periodic
+from cwdyn.cwmetric import calibrate, cw_metric
+from cwdyn.holonomy import default_params, pseudo_isometry_probe
 from cwdyn.models import BudgetError, make_model
 from cwdyn.periodic import (
     KatokParams, find_return, katok_iterate, plan_katok, tail_exponent,
@@ -308,14 +309,137 @@ class TestKatokIterate:
         assert res["steps"] and len(calls) == len(res["steps"])
         assert res == _reference.katok_iterate(cat, y, k, plan, consts)
 
-    # next to the origin spine the folded arcs cross twice, so there the
-    # transport picks between two crossings by their cw-sizes
-    @pytest.mark.parametrize("start", [(0.2 + 1e-9, 0.4 + 1.3e-9), (1e-4, 2e-4)])
+    @pytest.mark.parametrize("start", [(0.2 + 1e-9, 0.4 + 1.3e-9)])
     def test_quotient_run_matches_the_reference(self, pa, consts_pa, plan_pa, start):
         y = pa.point(*start)
         res = katok_iterate(pa, y, 1, plan_pa, consts_pa)
         assert res["steps"]
         assert res == _reference.katok_iterate(pa, y, 1, plan_pa, consts_pa)
+
+    def test_spine_run_measures_pure_legs(self, pa, consts_pa, plan_pa, monkeypatch):
+        # next to the origin spine the folded arcs cross twice, and an
+        # unstable leg runs past the spine into the mirrored sheet: the
+        # vertex polyline re-lifted it as a chord with a stable component
+        cuts, steps = _record_paths(monkeypatch)
+        monkeypatch.setattr(periodic, "_MAX_STEPS", 3)
+        res = katok_iterate(pa, pa.point(1e-4, 2e-4), 1, plan_pa, consts_pa)
+        assert res["steps"][0]["D_F"] == pytest.approx(0.61557, abs=1e-5)
+        frame = models.eigen_frame(pa.matrix)
+        paths = [path for paths in steps for path, _ in paths]
+        assert len(paths) == 6 and len(cuts) == 12
+        for path, ends in zip(paths, zip(cuts[::2], cuts[1::2])):
+            stable_leg, unstable_leg = cwmetric._pieces_of(path, frame)
+            assert stable_leg.au == 0.0 and unstable_leg.as_ == 0.0
+            assert [abs(stable_leg.as_), abs(unstable_leg.au)] \
+                == [cut.lift.length for cut in ends]
+        assert any(_through_spine(pa, leg) for path in paths for leg in path.legs)
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_paths_match_the_polyline_reference(self, kind, monkeypatch):
+        # perturbed periodic starts: the two exact legs give the run of the
+        # vertex polyline they replaced, and its D(F_n) except on a step
+        # with a zero-length leg or a leg through a spine
+        sys = make_model(kind)
+        consts = calibrate(sys)
+        plan = plan_katok(sys, consts, 1e-2, sample_budget=60, seed=1)
+        rng = np.random.default_rng(19)
+        starts = []
+        while len(starts) < 40:
+            den = int(rng.choice([5, 7, 11, 13]))
+            u, v = (int(i) for i in rng.integers(0, den, 2))
+            k = periodic._exact_period(sys, u, v, den, 1000)
+            if k <= 14:
+                xy = np.array([u, v]) / den + rng.uniform(-1e-9, 1e-9, 2)
+                starts.append((sys.point(*xy), k))
+        frame = models.eigen_frame(sys.matrix)
+        n_steps = n_zero = 0
+        for y, k in starts:
+            _, steps = _record_paths(monkeypatch)
+            got = katok_iterate(sys, y, k, plan, consts)
+            monkeypatch.undo()
+            want = _reference.katok_iterate(sys, y, k, plan, consts)
+            assert (got["q"], got["k"], got["converged"]) \
+                == (want["q"], want["k"], want["converged"])
+            assert [s["gap"] for s in got["steps"]] == [s["gap"] for s in want["steps"]]
+            n_steps += len(got["steps"])
+            for paths, a, b in zip(steps, got["steps"], want["steps"]):
+                odd = False
+                for path, d_f in paths:
+                    stable_leg, unstable_leg = cwmetric._pieces_of(path, frame)
+                    assert stable_leg.au == 0.0 and unstable_leg.as_ == 0.0
+                    legs = [leg for leg in path.legs if leg.length > 0.0]
+                    if len(legs) < 2:
+                        n_zero += 1
+                        assert d_f == (cw_metric(sys, _leg_arc(legs[0]), consts, depth=3)
+                                       if legs else 0.0)
+                    odd |= len(legs) < 2 or any(_through_spine(sys, leg) for leg in legs)
+                assert odd or a["D_F"] == b["D_F"]
+        assert n_steps > 100 and n_zero > 0
+
+    def test_library_paths_take_no_run_merge(self, cat, consts, plan, monkeypatch):
+        # the unwrap and run merge serve lift-less records only
+        def refuse(*args):
+            raise AssertionError("a library-built path was re-lifted from its vertices")
+
+        monkeypatch.setattr(cwmetric, "unwrap_path", refuse)
+        res = katok_iterate(cat, cat.point(0.2 + 1e-9, 0.4 + 1.3e-9), 2, plan, consts)
+        assert res["converged"] and res["steps"]
+        rep = pseudo_isometry_probe(cat, 6, [1e-3], default_params(cat, sample_budget=60, seed=1),
+                                    consts, seed=3)
+        assert rep["n_samples"] == 6
+
+    def test_lift_less_cut_is_an_error(self, cat, consts, plan, monkeypatch):
+        # only an off-arc crossing is skipped; a cut without its lift is a fault
+        cut = periodic.subcontinuum
+        monkeypatch.setattr(periodic, "subcontinuum",
+                            lambda *a, **kw: continua.from_record(continua.to_record(cut(*a, **kw))))
+        with pytest.raises(ValueError, match="no lift"):
+            katok_iterate(cat, cat.point(0.2 + 1e-9, 0.4 + 1.3e-9), 2, plan, consts)
+
+
+def _record_paths(monkeypatch):
+    """Record a Katok run's cuts and, per step, its (F_n, D(F_n)) pairs:
+    each step intersects twice, and the crossings of the first
+    intersection give its candidates for F_n."""
+    cuts, steps, calls = [], [], [0]
+
+    def counted(*args, **kw):
+        calls[0] += 1
+        if calls[0] % 2:
+            steps.append([])
+        return continua.intersect(*args, **kw)
+
+    def cut(*args, **kw):
+        sub = continua.subcontinuum(*args, **kw)
+        if calls[0] % 2:
+            cuts.append(sub)
+        return sub
+
+    def metric(sys, path, consts, **kw):
+        d = cw_metric(sys, path, consts, **kw)
+        if calls[0] % 2:
+            steps[-1].append((path, d))
+        return d
+
+    for name, fn in (("intersect", counted), ("subcontinuum", cut), ("cw_metric", metric)):
+        monkeypatch.setattr(periodic, name, fn)
+    return cuts, steps
+
+
+def _leg_arc(leg):
+    t = np.array([0.0, 1.0])
+    return continua.MarkedContinuum(chart=leg.chart, vertices=leg.project(t), params=t,
+                                    mark_p=0, mark_q=1, lift=leg)
+
+
+def _through_spine(sys, leg):
+    # a spine whose foot lies inside the leg, nearer than the leg is long
+    if sys.chart != models.SPHERE_QUOTIENT:
+        return False
+    d = leg.dir_arr * leg.length
+    spine = np.round(2.0 * (leg.start_arr + 0.5 * d)) / 2.0
+    t, dist = continua._to_segment(spine, leg.start_arr, d)
+    return 0.0 < t < 1.0 and dist < leg.length
 
 
 class TestVerifyPeriodic:

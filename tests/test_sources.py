@@ -192,7 +192,6 @@ _RETIRED_PARAMS = {
     "periodic.plan_katok": ("gamma",),
     "periodic.find_return": ("search_budget",),
     "periodic.katok_iterate": ("tol", "max_steps"),
-    "periodic._step_continuum": ("sys",),
     "periodic.verify_periodic": ("tol",),
     "sectors.enclosing_sector": ("margin", "margin_budget"),
     "sectors._sector_from_seed": ("resolution",),
