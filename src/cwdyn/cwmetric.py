@@ -102,41 +102,49 @@ def constants_for(c: float, m: int) -> MetricConstants:
 # -- closed-form diameter machinery ---------------------------------------
 
 
-def _fold_escape(w0: np.ndarray, d: np.ndarray, lo: float, hi: float,
-                 thr: float) -> bool:
-    """Exact check of sup{dist(w0 + s*d, Z^2) : s in [lo, hi]} > thr, for
-    lo <= hi, a unit vector d and thr < 1/2.
+# np.hypot may round an ulp or two away from math.hypot: a distance this
+# close to its threshold, relative to it, is compared by math.hypot
+_HYPOT_BAND = 2.0 ** -40
+
+
+def _fold_escapes(w0: np.ndarray, d: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+                  thr: float) -> np.ndarray:
+    """Exact check, row by row, of sup{dist(w0 + s*d, Z^2) : s in [lo, hi]}
+    > thr, for w0 and unit vectors d of shape (n, 2), lo <= hi of shape (n,)
+    and thr < 1/2.
 
     Long windows short-circuit: if one coordinate sweeps more than 2*thr,
     some point has that coordinate farther than thr from the integers,
     hence is farther than thr from the lattice.  Otherwise each coordinate
     crosses at most one line of Z + 1/2.  Between such crossings the
     nearest lattice point is fixed, so the distance is convex along the
-    line.  The sup is then the max over the window's two ends and its
-    crossings.  A sup that ties thr is no escape (strict >, as in N).
+    line.  The sup is then the max over at most four points: the window's
+    two ends and its crossings.  A sup that ties thr is no escape (strict
+    >, as in N).
     """
-    w0 = (float(w0[0]), float(w0[1]))
-    d = (float(d[0]), float(d[1]))
-    if (hi - lo) * max(abs(d[0]), abs(d[1])) > 2.0 * thr:
-        return True
-    ss = [lo, hi]
-    for w, v in zip(w0, d):
-        if v != 0.0:
-            a, b = sorted((w + lo * v, w + hi * v))
-            k = math.floor(b - 0.5) + 0.5  # the largest half-integer <= b
-            if k >= a:
-                ss.append(min(max((k - w) / v, lo), hi))
-    for s in ss:
-        x, y = w0[0] + s * d[0], w0[1] + s * d[1]
-        if math.hypot(x - round(x), y - round(y)) > thr:
-            return True
-    return False
+    lo, hi = lo[:, None], hi[:, None]
+    ends = w0 + lo * d, w0 + hi * d
+    a, b = np.minimum(*ends), np.maximum(*ends)
+    k = np.floor(b - 0.5) + 0.5  # the largest half-integer <= b
+    crosses = (d != 0.0) & (k >= a)
+    at = np.divide(k - w0, d, out=np.zeros_like(w0), where=crosses)
+    # a coordinate with no crossing repeats the window's start
+    s = np.concatenate([lo, hi, np.where(crosses, np.minimum(np.maximum(at, lo), hi), lo)], axis=1)
+    x = w0[:, :1] + s * d[:, :1]
+    y = w0[:, 1:] + s * d[:, 1:]
+    x, y = x - np.rint(x), y - np.rint(y)
+    dist = np.hypot(x, y)
+    far = dist > thr
+    for i in np.flatnonzero(np.abs(dist - thr) <= _HYPOT_BAND * thr).tolist():
+        far.flat[i] = math.hypot(x.flat[i], y.flat[i]) > thr
+    return ((hi - lo)[:, 0] * np.abs(d).max(axis=1) > 2.0 * thr) | far.any(axis=1)
 
 
 def _segment_exceeds(chart: str, start: np.ndarray, d: np.ndarray,
-                     length: float, thr: float) -> bool:
-    """Whether the straight cover segment start + t*d, t in [0, length],
-    has chart diameter > thr (d a unit vector, thr < MAX_C).
+                     length: np.ndarray, thr: float) -> np.ndarray:
+    """Whether each straight cover segment start + t*d, t in [0, length],
+    has chart diameter > thr: arrays start and unit vectors d of shape
+    (n, 2), lengths of shape (n,), and thr < MAX_C.
 
     On the torus that is length > thr.  On the quotient the points at t1
     and t2 lie min(|t1 - t2|, dist(2*start + (t1 + t2)*d, Z^2)) apart while
@@ -148,11 +156,13 @@ def _segment_exceeds(chart: str, start: np.ndarray, d: np.ndarray,
     then exceeds thr and its window is longer than a lattice disk of
     radius thr, so both sides are true.
     """
-    if not length > thr:
-        return False
-    if chart == TORUS:
-        return True
-    return _fold_escape(models._wrap1(2.0 * start), d, thr, 2.0 * length - thr, thr)
+    out = length > thr
+    if chart == TORUS or not out.any():
+        return out
+    k = np.flatnonzero(out)
+    out[k] = _fold_escapes(models._wrap1(2.0 * start[k]), d[k], np.full(len(k), thr),
+                           2.0 * length[k] - thr, thr)
+    return out
 
 
 class _Piece:
@@ -223,16 +233,19 @@ def _pvec(frame: models.EigenFrame, p: _Piece, e: int) -> np.ndarray:
 def _pstart(sys, p: _Piece, e: int) -> np.ndarray:
     if e == 0:
         return p.s
-    return models._exact_linear_mod1(models._mat_power(sys.matrix, e), p.s)
+    return np.array(models._exact_linear_mod1([models._mat_power(sys.matrix, e)], [p.s])[0])
 
 
 def _path_exceeds(sys, frame: models.EigenFrame, pieces: list, c: float, e: int) -> bool:
     """Whether the path of pieces has chart diameter > c at iterate e."""
     lens = [math.hypot(p.au * (frame.su ** e), p.as_ * (frame.ss ** e)) for p in pieces]
-    for p, ln in zip(pieces, lens):
-        if ln > c and _segment_exceeds(sys.chart, _pstart(sys, p, e),
-                                       _pvec(frame, p, e) / ln, ln, c):
-            return True
+    long = [(p, ln) for p, ln in zip(pieces, lens) if ln > c]
+    if long and (sys.chart == TORUS or _segment_exceeds(
+            sys.chart, np.array([_pstart(sys, p, e) for p, _ in long]),
+            np.array([_pvec(frame, p, e) / ln for p, ln in long]),
+            np.array([ln for _, ln in long]), c).any()):
+        # on the torus a straight piece longer than c exceeds it
+        return True
     total = float(sum(lens))
     if total <= c:
         return False
@@ -258,64 +271,80 @@ def _path_exceeds(sys, frame: models.EigenFrame, pieces: list, c: float, e: int)
     return _diameter_exceeds(sys.chart, pts, c)
 
 
-def _single_thresholds(frame: models.EigenFrame, au: float, as_: float, c: float):
-    """Length-escape exponent thresholds of the piece with eigen components
-    (au, as_), not both zero.
-
-    The iterated length is log-convex in e, so {e : length > c} is
-    (-inf, e_back] + [e_fwd, inf).  Returns ("always", None, None) when
-    the length exceeds c at every iterate, else ("split", e_back, e_fwd)
-    with None for a tail that never escapes.  On the torus length
-    escape is exactly diameter escape; quotient fold suppression is
-    decided per iterate.
-    """
-    lu, ls = abs(frame.su), abs(frame.ss)
-
-    def ln_at(e):
-        try:
-            return math.hypot(au * (lu ** e), as_ * (ls ** e))
-        except OverflowError:
-            return INFINITY
-
-    def first_above(e, lo):
-        # the least exponent from lo on with length > c, walking from e;
-        # the length increases from lo on
-        e = max(e, lo)
-        while not ln_at(e) > c:
-            e += 1
-        while e > lo and ln_at(e - 1) > c:
-            e -= 1
-        return e
-
-    def last_above(e, hi):
-        # the greatest exponent up to hi with length > c, walking from e;
-        # the length decreases up to hi
-        e = min(e, hi)
-        while not ln_at(e) > c:
-            e -= 1
-        while e < hi and ln_at(e + 1) > c:
-            e += 1
-        return e
-
-    # the walks start near where one eigen-component alone reaches c
-    e_u = int(math.ceil(math.log(c / abs(au)) / math.log(lu))) - 2 if au else None
-    e_s = int(math.floor(math.log(c / abs(as_)) / math.log(ls))) + 2 if as_ else None
-    if au != 0 and as_ != 0:
-        # integer exponents bracketing the length minimum
-        estar = math.log((abs(as_) * math.log(1.0 / ls))
-                         / (abs(au) * math.log(lu))) / math.log(lu / ls)
-        lo, hi = int(math.floor(estar)), int(math.floor(estar)) + 1
-        if min(ln_at(lo), ln_at(hi)) > c:
-            return ("always", None, None)
-        return ("split", last_above(e_s, lo), first_above(e_u, hi))
-    if au != 0:  # pure expanding: escapes forward only
-        return ("split", None, first_above(e_u, -INFINITY))
-    # pure contracting: escapes backward only
-    return ("split", last_above(e_s, INFINITY), None)
-
-
 # an exponent past every shift and horizon: the length set's missing tail
 _NEVER = 1 << 40
+
+
+def _length_sets(frame: models.EigenFrame, keys: list, c: float):
+    """Length-escape exponent thresholds of the pieces with eigen components
+    (au, as_) in keys: int64 arrays (e_back, e_fwd), one entry per key.
+
+    The iterated length ln(e) = hypot(au su^e, as_ ss^e) is log-convex in
+    e, so {e : ln(e) > c} is (-inf, e_back] + [e_fwd, inf), with e_back =
+    -_NEVER or e_fwd = _NEVER for a tail that never escapes (both for a
+    point) and (_NEVER, -_NEVER) when the length exceeds c at every
+    iterate.  On the torus length escape is exactly diameter escape;
+    quotient fold suppression is decided per iterate.
+
+    A piece with both components nonzero exceeds c everywhere iff it does
+    at the two integer exponents bracketing the length minimum, which
+    bound its tails.  Each tail end starts where the tail's own component
+    alone crosses c and is confirmed by the comparisons on both sides of
+    it (_tail_end).  Each distinct key is worked out once, in Python
+    floats, so that every comparison is the scalar one; a table holds a
+    few dozen keys, too few for numpy's per-call cost to pay.
+    """
+    lu, ls = abs(frame.su), abs(frame.ss)
+    log_u, log_s = math.log(lu), math.log(ls)
+
+    def above(u, s, e):
+        try:
+            return math.hypot(u * (lu ** e), s * (ls ** e)) > c
+        except OverflowError:
+            return True
+
+    sets = dict.fromkeys(keys)
+    for u, s in sets:
+        lo, hi = INFINITY, -INFINITY
+        if u and s:
+            # the integer exponents bracketing the length minimum
+            lo = math.floor(math.log((abs(s) * math.log(1.0 / ls))
+                                     / (abs(u) * math.log(lu))) / math.log(lu / ls))
+            hi = lo + 1
+            if above(u, s, lo) and above(u, s, hi):
+                sets[u, s] = (_NEVER, -_NEVER)
+                continue
+        sets[u, s] = (
+            _tail_end(above, u, s, math.ceil(math.log(c / abs(s)) / log_s) - 1, lo, -1)
+            if s else -_NEVER,
+            _tail_end(above, u, s, math.floor(math.log(c / abs(u)) / log_u) + 1, hi, 1)
+            if u else _NEVER)
+    at = {key: i for i, key in enumerate(sets)}
+    rows = np.fromiter(map(at.__getitem__, keys), dtype=np.int64, count=len(keys))
+    out = np.array(list(sets.values()), dtype=np.int64).reshape(-1, 2)[rows]
+    return out[:, 0].copy(), out[:, 1].copy()
+
+
+def _tail_end(above, u: float, s: float, e: int, bound, step: int) -> int:
+    """The end of a tail: from bound, in the direction step (1 or -1),
+    the first exponent whose length is over c, the length growing in that
+    direction from bound on.
+
+    The walk starts at e, or at bound if e is short of it.  Where the
+    length is over c it steps back toward bound while the length one step
+    back is still over c; elsewhere it steps on until the length is.
+    Started where one component alone crosses c, it mostly makes just the
+    two comparisons that confirm the end.
+    """
+    e = step * max(step * e, step * bound)
+    if above(u, s, e):
+        while e != bound and above(u, s, e - step):
+            e -= step
+    else:
+        e += step
+        while not above(u, s, e):
+            e += step
+    return e
 
 
 class _BlockTable:
@@ -323,18 +352,19 @@ class _BlockTable:
 
     Row b is one straight piece (starts[b], au[b], as_[b]), a bent path
     ``bent[b]`` of several pieces, or a singleton (au = as_ = 0).  Each row
-    has one length set (-inf, e_back] + [e_fwd, inf) from
-    _single_thresholds, memoized on (au, as_).  A bent path takes the set
-    of one straight piece longer than it at every iterate, so no iterate
-    outside the set has diameter > c either.
+    has one length set (-inf, e_back] + [e_fwd, inf), and the sets of all
+    distinct (au, as_) come from one _length_sets pass.  A bent path takes
+    the set of one straight piece longer than it at every iterate, so no
+    iterate outside the set has diameter > c either.
 
     From shift s the ring scan j = 0, 1, ... (s + j before s - j) first
     meets the set at j0 = max(0, min(e_fwd - s, s - e_back)).  A straight
     torus row escapes there.  Any other row escapes at the first iterate
     of its set whose diameter exceeds c: the iterates at j0 are decided
-    for all rows and shifts at once, s + j0 before s - j0, and a row that
-    fails both scans on alone.  Decisions are cached per (row, iterate),
-    so none is made twice, and none that the scan would not reach.
+    for all rows and shifts at once (_decide), s + j0 before s - j0, and a
+    row that fails both scans on alone.  Decisions are cached per (row,
+    iterate), so none is made twice, and none that the scan would not
+    reach.
     """
 
     def __init__(self, sys, frame: models.EigenFrame, c: float, horizon: int,
@@ -342,30 +372,19 @@ class _BlockTable:
         self.sys, self.frame = sys, frame
         self.c, self.horizon = float(c), int(horizon)
         self.starts, self.au, self.as_, self.bent = starts, au, as_, bent
-        memo = {}
-
-        def length_set(key):
-            # (e_back, e_fwd) of the piece with eigen components key; a
-            # point never escapes
-            if key not in memo:
-                mode, lo, hi = ("split", None, None) if key == (0.0, 0.0) \
-                    else _single_thresholds(frame, *key, self.c)
-                memo[key] = (_NEVER, -_NEVER) if mode == "always" else \
-                    (-_NEVER if lo is None else lo, _NEVER if hi is None else hi)
-            return memo[key]
-
         keys = list(zip(au.tolist(), as_.tolist()))
         for b, pieces in bent.items():
             # hypot(x, y) <= x + y <= sqrt(2) hypot(x, y) per piece, with a
             # margin far over the rounding of the path's summed length
             w = math.sqrt(2.0) * (1.0 + 1e-9)
             keys[b] = (w * sum(abs(p.au) for p in pieces), w * sum(abs(p.as_) for p in pieces))
-        sets = np.array([length_set(k) for k in keys], dtype=np.int64).reshape(-1, 2)
-        self.e_back, self.e_fwd = sets[:, 0].copy(), sets[:, 1].copy()
+        self.e_back, self.e_fwd = _length_sets(frame, keys, self.c)
+        self.straight = np.ones(len(au), dtype=bool)
+        self.straight[list(bent)] = False
         # rows whose candidate iterates need a diameter decision
-        self.undecided = np.full(len(au), sys.chart != TORUS)
-        self.undecided[list(bent)] = True
+        self.undecided = ~self.straight | (sys.chart != TORUS)
         self.closed = not self.undecided.any()
+        self._mats = {}  # integer matrix powers by iterate
         self._known = None  # per (row, iterate - _e0): 0 open, 1 no escape, 2 escape
         self._e0 = 0
 
@@ -440,32 +459,52 @@ class _BlockTable:
     def _decide(self, b: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Decisions (1 no escape, 2 escape) of distinct (row, iterate) pairs.
 
-        A straight quotient row escapes iff its length ln exceeds c and the
-        fold sup of _segment_exceeds does.  That sup's sweep short-circuit,
-        (hi - lo) * max|d| > 2c with hi - lo = 2 ln - 2c, needs no start
-        point, so it is decided here for all pairs at once; only the rest
-        take the exact sup.
+        A straight row here is a quotient one: it escapes iff its length ln
+        exceeds c and the fold sup of _segment_exceeds does.  That sup's
+        sweep short-circuit, (hi - lo) * max|d| > 2c with hi - lo = 2 ln -
+        2c, needs no start point, so it is decided for all pairs at once.
+        The pairs it leaves open take their exact iterated starts in one
+        integer pass (_starts) and the sup in one _segment_exceeds pass.
+        Bent rows take _path_exceeds one pair at a time.
         """
         out = np.zeros(len(b), np.int8)
-        straight = np.array([k not in self.bent for k in b.tolist()], dtype=bool)
+        straight = self.straight[b]
         if straight.any():
-            el = e[straight].tolist()
-            A = self.au[b[straight]] * np.array([self.frame.su ** k for k in el])
-            B = self.as_[b[straight]] * np.array([self.frame.ss ** k for k in el])
+            sb, se = b[straight], e[straight]
+            its, at = np.unique(se, return_inverse=True)
+            pw = np.array([(self.frame.su ** k, self.frame.ss ** k) for k in its.tolist()])
+            A, B = self.au[sb] * pw[at, 0], self.as_[sb] * pw[at, 1]
             ln = np.array(list(map(math.hypot, A.tolist(), B.tolist())))
-            long = ln > self.c
-            A, B, ln = A[long], B[long], ln[long]
+            long = np.flatnonzero(ln > self.c)
+            A, B, ln_l = A[long], B[long], ln[long]
             eu, es = self.frame.eu, self.frame.es
-            dx = (A * eu[0] + B * es[0]) / ln
-            dy = (A * eu[1] + B * es[1]) / ln
-            sweep = ((2.0 * ln - self.c) - self.c) * np.maximum(np.abs(dx), np.abs(dy)) \
-                > 2.0 * self.c
-            settled = np.where(long, 0, 1).astype(np.int8)
-            settled[long] = np.where(sweep, 2, 0)
+            d = np.stack([(A * eu[0] + B * es[0]) / ln_l, (A * eu[1] + B * es[1]) / ln_l], axis=1)
+            hit = ((2.0 * ln_l - self.c) - self.c) * np.abs(d).max(axis=1) > 2.0 * self.c
+            rest = np.flatnonzero(~hit)
+            if len(rest):
+                k = long[rest]
+                hit[rest] = _segment_exceeds(self.sys.chart, self._starts(sb[k], se[k]), d[rest],
+                                             ln_l[rest], self.c)
+            settled = np.ones(len(sb), np.int8)
+            settled[long] = np.where(hit, 2, 1)
             out[straight] = settled
         for k in np.flatnonzero(out == 0).tolist():
             out[k] = 2 if self._exceeds(int(b[k]), int(e[k])) else 1
         return out
+
+    def _starts(self, rows: np.ndarray, its: np.ndarray) -> np.ndarray:
+        """The cover starts of straight rows at iterates, each _pstart's
+        integer arithmetic on a pair of floats."""
+        its, pts = its.tolist(), self.starts[rows].tolist()
+        mats = self._mats
+        for e in set(its) - mats.keys():
+            mats[e] = models._mat_power(self.sys.matrix, e)
+        # iterate 0 keeps the start as it is, outside [0, 1) too
+        moved = [k for k, e in enumerate(its) if e]
+        for k, xy in zip(moved, models._exact_linear_mod1([mats[its[k]] for k in moved],
+                                                          [pts[k] for k in moved])):
+            pts[k] = xy
+        return np.array(pts)
 
     def _exceeds(self, b: int, e: int) -> bool:
         pieces = self.bent.get(b) or [_Piece(self.starts[b], self.au[b], self.as_[b])]
@@ -923,9 +962,10 @@ def calibrate(sys, sample_budget: int = 400, seed: int = 0) -> MetricConstants:
     m is the smallest integer such that every sampled continuum with
     diameter above c/2 reaches diameter above c = ``sys.c`` within m
     iterates (either direction); it may not exceed the model's horizon.  The samples on
-    the toral models are straight eigen-arcs, and whether one's diameter
-    exceeds c/2 is decided exactly from its lift by the straight-segment
-    identity (``_segment_exceeds``).  A sample that never escapes within
+    the toral models are straight eigen-arcs, and whether their diameters
+    exceed c/2 is decided exactly from their lifts by the straight-segment
+    identity, in one ``_segment_exceeds`` pass over all samples.  Their
+    escape times come from one _BlockTable.  A sample that never escapes within
     the scan window is a counterexample certificate: calibration fails
     and the witness is attached to the raised error.
     """
@@ -958,8 +998,11 @@ def calibrate(sys, sample_budget: int = 400, seed: int = 0) -> MetricConstants:
     frame = models.eigen_frame(sys.matrix)
     # membership: the family is continua with diameter > c/2, and on the
     # quotient the fold can shrink an arc well below its length
-    family = [lf for lf in _eigen_arc_samples(sys, c, sample_budget, rng)
-              if _segment_exceeds(sys.chart, lf.start_arr, lf.dir_arr, lf.length, c / 2.0)]
+    samples = _eigen_arc_samples(sys, c, sample_budget, rng)
+    inside = _segment_exceeds(sys.chart, np.array([lf.start_arr for lf in samples]),
+                              np.array([lf.dir_arr for lf in samples]),
+                              np.array([lf.length for lf in samples]), c / 2.0)
+    family = [lf for lf, keep in zip(samples, inside.tolist()) if keep]
     table = _BlockTable(sys, frame, c, scan, *_rows_of([[_lift_piece(lf, frame)] for lf in family]))
     m_needed = 0
     for lf, n in zip(family, table.escapes([0])[:, 0].tolist()):

@@ -315,18 +315,19 @@ def _mat_mul(p: tuple, q: tuple) -> tuple:
     )
 
 
-def _exact_linear_mod1(matrix_pow: tuple, xy) -> np.ndarray:
-    """Apply an integer matrix to a float pair, exactly, mod 1.
+def _exact_linear_mod1(matrix_pows, pts) -> list:
+    """Apply integer matrices to float pairs, exactly, mod 1: the pair
+    pts[k] under matrix_pows[k], for each k, as a list of float pairs.
 
     Floats are binary rationals, so the matrix action and the mod-1
     reduction are computed in integer arithmetic; only the final division
     rounds.
     """
-    a, b, dd = _dyadic(xy)
-    ((m00, m01), (m10, m11)) = matrix_pow
-    u = (m00 * a + m01 * b) % dd
-    v = (m10 * a + m11 * b) % dd
-    return np.array([u / dd, v / dd])
+    out = []
+    for ((m00, m01), (m10, m11)), xy in zip(matrix_pows, pts):
+        a, b, dd = _dyadic(xy)
+        out.append((((m00 * a + m01 * b) % dd) / dd, ((m10 * a + m11 * b) % dd) / dd))
+    return out
 
 
 def iterate(sys: SystemModel, x: Point, n: int) -> Point:

@@ -260,7 +260,10 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
     max(1e-11, 2 * 2^-52 * lam_u^k): f^k amplifies the rounding of y_n by
     about lam_u^k (lam_u the expansion rate), so below that floor the
     gap is rounding noise and cannot shrink further.
-    It stops unconverged after _MAX_STEPS steps.
+    It stops unconverged after _MAX_STEPS steps, or at the first step
+    that returns y_n itself while the gap is still at or above that
+    floor: a step depends on y_n alone, so every later one would return
+    y_n again with the same gap.
     """
     gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
     lam_c = 1.0 / consts.lam
@@ -303,6 +306,8 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
         steps.append(step)
         if not ok:
             counterexamples.append(step)
+        if y_next == y_n and gap >= gap_tol:
+            break
         y_n = y_next
     # every exit follows the gap of the final y_n
     return {"q": y_n, "k": k, "steps": steps,

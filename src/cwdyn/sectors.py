@@ -42,10 +42,11 @@ class SectorRecord:
     the lift parameters (at a1, at a2) of the corners on it (s_cross,
     u_cross), and the closed disc boundary around mirror_center, the
     spine's cover representative.  classify_sector sets regular.
+
+    A record that a search has not kept yet holds no boundary arcs:
+    _cut_boundaries cuts them from its seed's arcs.
     """
 
-    boundary_s: MarkedContinuum
-    boundary_u: MarkedContinuum
     a1: "models.Point"
     a2: "models.Point"
     spine: "models.Point"
@@ -55,6 +56,8 @@ class SectorRecord:
     u_cross: tuple
     polygon: np.ndarray
     mirror_center: np.ndarray
+    boundary_s: MarkedContinuum | None = None
+    boundary_u: MarkedContinuum | None = None
     regular: bool | None = None
 
     @property
@@ -116,7 +119,10 @@ def _walk(seg: np.ndarray, t: float, side: int, h: float) -> np.ndarray:
 
 
 def _sector_from_seed(sys, x, eps: float):
-    """Sector records seeded at x, plus the crossing count of its arc pair."""
+    """The sector records seeded at x with their boundary arcs not cut yet,
+    each with the seed's stable and unstable arcs to cut them from, plus
+    the crossing count of the arc pair and the adjacent crossing pairs
+    that close no disc."""
     cs = models.local_arc(sys, x, "stable", eps, resolution=5)
     cu = models.local_arc(sys, x, "unstable", eps, resolution=5)
     pts = intersect(cs, cu, tol=1e-9)
@@ -137,12 +143,13 @@ def _sector_from_seed(sys, x, eps: float):
         if rec is None:
             skipped += 1
         else:
-            records.append(rec)
+            records.append((rec, cs, cu))
     return records, len(info), skipped
 
 
 def _close_pair(sys, cs, cu, ia, ib):
-    """Assemble the disc bounded between two adjacent arc crossings.
+    """Assemble the disc bounded between two adjacent arc crossings, as a
+    record without its boundary arcs.
 
     The stable and unstable sub-arcs share one crossing in the cover (the
     corner at the seed); the other pair of cover endpoints must match
@@ -165,14 +172,19 @@ def _close_pair(sys, cs, cu, ia, ib):
     polygon = np.array([A, Bs, 2.0 * w - A, Bu])
     if _poly_area(polygon) <= 1e-14:
         return None
-    a1, a2 = lo["p"], hi["p"]
     return SectorRecord(
-        boundary_s=subcontinuum(cs, a1, a2, tol=1e-6),
-        boundary_u=subcontinuum(cu, a1, a2, tol=1e-6),
-        a1=a1, a2=a2, spine=sys.point(*w),
+        a1=lo["p"], a2=hi["p"], spine=sys.point(*w),
         cover_s=cs.lift.cover_points([0.0, 1.0]), cover_u=cu.lift.cover_points([0.0, 1.0]),
         s_cross=(lo["ts"], hi["ts"]), u_cross=(lo["tu"], hi["tu"]),
         polygon=polygon, mirror_center=w)
+
+
+def _cut_boundaries(rec: SectorRecord, cs, cu) -> SectorRecord:
+    """The record with its boundary arcs, cut from its seed's stable and
+    unstable arcs between the corners."""
+    rec.boundary_s = subcontinuum(cs, rec.a1, rec.a2, tol=1e-6)
+    rec.boundary_u = subcontinuum(cu, rec.a1, rec.a2, tol=1e-6)
+    return rec
 
 
 # -- enumeration ---------------------------------------------------------
@@ -229,14 +241,16 @@ def find_sectors(sys, eps: float | None = None, budget: int = 1500) -> SectorSea
                 skipped_pairs += nskip
                 raw.extend(recs)
             counts[nc] = counts.get(nc, 0) + 1
-    # one minimal sector per spine; _close_pair gives every record one
+    # one minimal sector per spine; _close_pair gives every record one.
+    # Only the kept records get their boundary arcs.
     by_spine = {}
-    for idx, rec in enumerate(raw):
+    for idx, (rec, cs, cu) in enumerate(raw):
         key = rec.spine.coords
         cur = by_spine.get(key)
         if cur is None or (rec.area, idx) < (cur[0].area, cur[1]):
-            by_spine[key] = (rec, idx)
-    sectors = [by_spine[k][0] for k in sorted(by_spine)]
+            by_spine[key] = (rec, idx, cs, cu)
+    sectors = [_cut_boundaries(rec, cs, cu) for rec, _, cs, cu in
+               (by_spine[k] for k in sorted(by_spine))]
     return SectorSearch(sectors=sectors, seeds_probed=probed,
                         seeds_planned=planned, exhausted=probed < planned,
                         crossing_counts=counts, skipped_pairs=skipped_pairs)
@@ -463,8 +477,8 @@ def enclosing_sector(sys, s: SectorRecord) -> dict:
                     "clearance": 0.0,
                     "reason": f"rung {j} needs arc scale {eps_j:.3g} beyond c"}
         recs, _, _ = _sector_from_seed(sys, sys.point(*(w + vj)), max(eps_j, 1e-6))
-        cand = next((rec for rec in recs if chart_distance(
-            sys.chart, rec.spine.xy(), s.spine.xy()) <= 1e-9), None)
+        cand, cs, cu = next((r for r in recs if chart_distance(
+            sys.chart, r[0].spine.xy(), s.spine.xy()) <= 1e-9), (None, None, None))
         if cand is None:
             continue
         try:
@@ -476,8 +490,8 @@ def enclosing_sector(sys, s: SectorRecord) -> dict:
         if all(_ray_cast(poly, v) for v in s.polygon):
             clearance = min(_poly_clearance(poly, v) for v in s.polygon)
             if clearance > 1e-12:
-                return {"found": True, "sector": cand, "clearance": clearance,
-                        "attempts": j, "eps_used": eps_j}
+                return {"found": True, "sector": _cut_boundaries(cand, cs, cu),
+                        "clearance": clearance, "attempts": j, "eps_used": eps_j}
     return {"found": False, "attempts": _MARGIN_BUDGET, "sector": None,
             "clearance": 0.0, "reason": "margin budget exhausted"}
 

@@ -31,7 +31,7 @@ def iterate_lift(sys, lift: StraightLift, n: int) -> StraightLift:
     moves by exact integer arithmetic mod 1, the length by |eigenvalue|^n."""
     if n == 0:
         return lift
-    start = models._exact_linear_mod1(models._mat_power(sys.matrix, n), lift.start_arr)
+    start = models._exact_linear_mod1([models._mat_power(sys.matrix, n)], [lift.start_arr])[0]
     frame = models.eigen_frame(sys.matrix)
     ev = frame.ss if lift.stable else frame.su
     direction = lift.dir_arr if (ev > 0 or n % 2 == 0) else -lift.dir_arr
@@ -62,9 +62,28 @@ def diameter(cont: MarkedContinuum) -> float:
     return float(models.chart_distance(cont.chart, v[:, None, :], v[None, :, :]).max())
 
 
-def single_thresholds(frame, au, as_, c):
-    """cwmetric._single_thresholds with each mixed-case tail walked from
-    the length minimum, one exponent at a time."""
+def fold_escape(w0, d, lo, hi, thr):
+    """cwmetric._fold_escapes for one window, point by point in floats:
+    sup{dist(w0 + s*d, Z^2) : s in [lo, hi]} > thr."""
+    w0 = (float(w0[0]), float(w0[1]))
+    d = (float(d[0]), float(d[1]))
+    if (hi - lo) * max(abs(d[0]), abs(d[1])) > 2.0 * thr:
+        return True
+    ss = [lo, hi]
+    for w, v in zip(w0, d):
+        if v != 0.0:
+            a, b = sorted((w + lo * v, w + hi * v))
+            k = math.floor(b - 0.5) + 0.5  # the largest half-integer <= b
+            if k >= a:
+                ss.append(min(max((k - w) / v, lo), hi))
+    for s in ss:
+        x, y = w0[0] + s * d[0], w0[1] + s * d[1]
+        if math.hypot(x - round(x), y - round(y)) > thr:
+            return True
+    return False
+
+
+def _ln_at(frame, au, as_):
     lu, ls = abs(frame.su), abs(frame.ss)
 
     def ln_at(e):
@@ -72,6 +91,59 @@ def single_thresholds(frame, au, as_, c):
             return math.hypot(au * (lu ** e), as_ * (ls ** e))
         except OverflowError:
             return math.inf
+
+    return ln_at
+
+
+def single_thresholds(frame, au, as_, c):
+    """The length set of one piece, as cwmetric._length_sets gives it for
+    many, by scalar walks from where one eigen-component alone reaches c:
+    ("always", None, None), or ("split", e_back, e_fwd) with None for a
+    tail that never escapes."""
+    lu, ls = abs(frame.su), abs(frame.ss)
+    ln_at = _ln_at(frame, au, as_)
+
+    def first_above(e, lo):
+        # the least exponent from lo on with length > c, walking from e;
+        # the length increases from lo on
+        e = max(e, lo)
+        while not ln_at(e) > c:
+            e += 1
+        while e > lo and ln_at(e - 1) > c:
+            e -= 1
+        return e
+
+    def last_above(e, hi):
+        # the greatest exponent up to hi with length > c, walking from e;
+        # the length decreases up to hi
+        e = min(e, hi)
+        while not ln_at(e) > c:
+            e -= 1
+        while e < hi and ln_at(e + 1) > c:
+            e += 1
+        return e
+
+    e_u = int(math.ceil(math.log(c / abs(au)) / math.log(lu))) - 2 if au else None
+    e_s = int(math.floor(math.log(c / abs(as_)) / math.log(ls))) + 2 if as_ else None
+    if au != 0 and as_ != 0:
+        # integer exponents bracketing the length minimum
+        estar = math.log((abs(as_) * math.log(1.0 / ls))
+                         / (abs(au) * math.log(lu))) / math.log(lu / ls)
+        lo, hi = int(math.floor(estar)), int(math.floor(estar)) + 1
+        if min(ln_at(lo), ln_at(hi)) > c:
+            return ("always", None, None)
+        return ("split", last_above(e_s, lo), first_above(e_u, hi))
+    if au != 0:  # pure expanding: escapes forward only
+        return ("split", None, first_above(e_u, -math.inf))
+    # pure contracting: escapes backward only
+    return ("split", last_above(e_s, math.inf), None)
+
+
+def thresholds_from_minimum(frame, au, as_, c):
+    """single_thresholds with each mixed-case tail walked from the length
+    minimum, one exponent at a time."""
+    lu, ls = abs(frame.su), abs(frame.ss)
+    ln_at = _ln_at(frame, au, as_)
 
     if au != 0 and as_ != 0:
         estar = math.log((abs(as_) * math.log(1.0 / ls))
@@ -197,8 +269,9 @@ def polyline_walk(pts, cross, side: int, h: float):
 
 
 def find_sectors(sys, eps=None, budget=1500):
-    """find_sectors with every non-spine seed through _sector_from_seed:
-    (minimal sector per spine, crossing counts, skipped pairs)."""
+    """find_sectors with every non-spine seed through _sector_from_seed and
+    every record's boundary arcs cut: (minimal sector per spine, crossing
+    counts, skipped pairs)."""
     eps = sys.c / 2.0 if eps is None else eps
     xs = ys = np.arange(0.0, 1.0 - 1e-12, eps / 4.0)
     ix, iy = np.divmod(np.arange(min(max(budget, 0), len(xs) * len(ys))), len(ys))
@@ -208,7 +281,7 @@ def find_sectors(sys, eps=None, budget=1500):
         recs, nc, nskip = sectors._sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
         skipped += nskip
         counts[nc] = counts.get(nc, 0) + 1
-        raw.extend(recs)
+        raw.extend(sectors._cut_boundaries(*r) for r in recs)
     by_spine = {}
     for idx, rec in enumerate(raw):
         cur = by_spine.get(rec.spine.coords)
@@ -330,7 +403,7 @@ def step_continuum(ca, cb, start, mid, end):
 def katok_iterate(sys, y, k, params, consts, max_steps=40):
     """katok_iterate on 9-vertex arcs, with every connecting path chained
     as a vertex polyline and the cw-size of every crossing evaluated, the
-    transport's too."""
+    transport's too; it stops where the library's run does."""
     gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
     ratio = 4.0 * (1.0 + params.delta) ** 2 * (1.0 / consts.lam) ** k
     y_n, steps, consec, converged = y, [], 0, False
@@ -365,6 +438,8 @@ def katok_iterate(sys, y, k, params, consts, max_steps=40):
         bound = ratio ** (n + 1) * params.c
         steps.append({"n": n + 1, "gap": gap, "D_F": d_f, "bound": bound,
                       "ok": d_f <= bound})
+        if y_next == y_n and gap >= gap_tol:
+            break  # a step that returns y_n returns it at every later step
         y_n = y_next
     bad = [s for s in steps if not s["ok"]]
     return {"q": y_n, "k": k, "steps": steps, "converged": converged,

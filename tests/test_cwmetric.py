@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import diameter, image, iterate_lift, single_thresholds
+from _reference import (diameter, fold_escape, image, iterate_lift, single_thresholds,
+                        thresholds_from_minimum)
 from cwdyn import continua, cwmetric, models
 from cwdyn.cwmetric import (
     MetricConstants, calibrate, chain_weight, constants_for, cw_metric,
@@ -107,6 +108,19 @@ def _calibration_point_sets(sys):
                 yield lf, lf.cover_points(np.linspace(0.0, 1.0, 513))
 
 
+def _segment_exceeds(chart, start, d, length, thr):
+    # the library's array pass on one segment
+    return bool(cwmetric._segment_exceeds(chart, np.array([start], dtype=float),
+                                          np.array([d], dtype=float), np.array([length]), thr)[0])
+
+
+def _fold_escape(w0, d, lo, hi, thr):
+    # the library's array pass on one window
+    return bool(cwmetric._fold_escapes(np.array([w0], dtype=float), np.array([d], dtype=float),
+                                       np.array([lo], dtype=float), np.array([hi], dtype=float),
+                                       thr)[0])
+
+
 def _full_max(chart, pts):
     return float(models.chart_distance(chart, pts[:, None, :], pts[None, :, :]).max())
 
@@ -127,8 +141,8 @@ class TestDiameterExceeds:
             full = _full_max(sys.chart, pts)
             assert continua._diameter_exceeds(sys.chart, pts, thr) == (full > thr)
             # calibrate's membership test, from the lift alone
-            assert cwmetric._segment_exceeds(sys.chart, lf.start_arr, lf.dir_arr,
-                                             lf.length, thr) == (full > thr)
+            assert _segment_exceeds(sys.chart, lf.start_arr, lf.dir_arr, lf.length,
+                                    thr) == (full > thr)
             n_arcs += 1
             if not full > thr:
                 # excluded arcs are the ones that pay the whole triangle
@@ -191,15 +205,15 @@ class TestFoldEscape:
             a, b = 0.0, 0.5
             for _ in range(60):
                 mid = 0.5 * (a + b)
-                a, b = (mid, b) if cwmetric._fold_escape(w0, d, lo, hi, mid) else (a, mid)
+                a, b = (mid, b) if _fold_escape(w0, d, lo, hi, mid) else (a, mid)
             assert dense <= b + 1e-15
             assert b <= dense + step / 2.0 + 1e-15
             for f in np.linspace(0.95, 1.05, 21):
                 thr = float(f * dense)
                 if thr < dense:
-                    assert cwmetric._fold_escape(w0, d, lo, hi, thr)
+                    assert _fold_escape(w0, d, lo, hi, thr)
                 elif thr >= dense + step / 2.0:
-                    assert not cwmetric._fold_escape(w0, d, lo, hi, thr)
+                    assert not _fold_escape(w0, d, lo, hi, thr)
         assert n_windows >= 25
 
     def test_no_witness_outside_the_window(self, pa):
@@ -210,14 +224,87 @@ class TestFoldEscape:
         w0 = models._wrap1(-0.495 * es)
         dense, _ = _dense_fold_max(w0, es, 0.25, 0.5)
         assert dense == pytest.approx(0.245, abs=1e-12)
-        assert not cwmetric._fold_escape(w0, es, 0.25, 0.5, 0.25)
+        assert not _fold_escape(w0, es, 0.25, 0.5, 0.25)
         # the window is the fold test of this stable arc of length 0.375,
         # whose quotient diameter is below c
         start = -0.2475 * es
         assert np.array_equal(models._wrap1(2.0 * start), w0)
         pts = start[None, :] + np.linspace(0.0, 0.375, 513)[:, None] * es[None, :]
         assert _full_max(pa.chart, pts) < 0.25
-        assert not cwmetric._segment_exceeds(pa.chart, start, es, 0.375, 0.25)
+        assert not _segment_exceeds(pa.chart, start, es, 0.375, 0.25)
+
+
+def _flip(w0, d, lo, hi):
+    # the least float threshold the scalar reference calls no escape: a
+    # sup that ties it exactly
+    a, b = 0, int(np.float64(0.5).view(np.int64))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if fold_escape(w0, d, lo, hi, float(np.int64(mid).view(np.float64))):
+            a = mid
+        else:
+            b = mid
+    return float(np.int64(b).view(np.float64))
+
+
+class TestFoldEscapes:
+    """The array fold sup against the scalar reference, window by window."""
+
+    @staticmethod
+    def _windows(n=400):
+        rng = np.random.default_rng(53)
+        frame = models.eigen_frame(make_model("sphere-pA").matrix)
+        ang = rng.uniform(0.0, 2.0 * np.pi, n)
+        d = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        # eigendirections and axis directions, with a zero component
+        special = [frame.eu, frame.es, -frame.eu, [1.0, 0.0], [0.0, -1.0], [-1.0, 0.0]]
+        d[: 6 * 20] = np.repeat(np.array(special, dtype=float), 20, axis=0)
+        w0 = rng.uniform(0.0, 1.0, (n, 2))
+        lo = rng.uniform(0.0, 0.5, n)
+        hi = lo + rng.uniform(0.0, 0.3, n)
+        hi[::7] = lo[::7]  # lo == hi
+        # window ends on a line of Z + 1/2: x = 0.5 at s = lo, and at s = hi
+        # along an axis
+        w0[3::11, 0], lo[3::11] = 0.5, 0.0
+        w0[5::13] = [0.25, 0.3]
+        d[5::13], lo[5::13], hi[5::13] = [1.0, 0.0], 0.25, 0.5
+        return w0, d, lo, hi
+
+    @pytest.mark.parametrize("thr", [0.05, 0.125, 0.25, 0.4, 0.49])
+    def test_matches_the_scalar_reference(self, thr):
+        w0, d, lo, hi = self._windows()
+        got = cwmetric._fold_escapes(w0, d, lo, hi, thr).tolist()
+        assert got == [fold_escape(*row, thr) for row in zip(w0, d, lo, hi)]
+        assert 0 < sum(got) < len(got)
+
+    def test_sups_tying_the_threshold(self):
+        # at the exact sup no window escapes, one float below it every one does
+        w0, d, lo, hi = (x[::9] for x in self._windows())
+        ties = 0
+        for row in zip(w0, d, lo, hi):
+            tie = _flip(*row)
+            if tie == 0.5:
+                continue  # the sup is 1/2 or more
+            ties += 1
+            below = math.nextafter(tie, 0.0)
+            assert not fold_escape(*row, tie) and fold_escape(*row, below)
+            assert [_fold_escape(*row, t) for t in (below, tie, math.nextafter(tie, 1.0))] \
+                == [True, False, False]
+        assert ties > 20
+
+    def test_ties_compare_as_math_hypot(self):
+        # one-point windows whose distance np.hypot rounds off math.hypot's:
+        # at a threshold on math.hypot's value, or one float below it, the
+        # decision is the scalar one
+        rng = np.random.default_rng(61)
+        xy = rng.uniform(0.01, 0.34, (4000, 2))
+        exact = np.array([math.hypot(*p) for p in xy])
+        off = np.flatnonzero(np.hypot(xy[:, 0], xy[:, 1]) != exact)[:40]
+        assert len(off) >= 10
+        for thr, want in ((exact[off], False), (np.nextafter(exact[off], 0.0), True)):
+            for row, t in zip(xy[off], thr.tolist()):
+                assert fold_escape(row, (1.0, 0.0), 0.0, 0.0, t) is want
+                assert _fold_escape(row, (1.0, 0.0), 0.0, 0.0, t) is want
 
 
 # an eigen-component: zero, or a signed magnitude from 1e-12 to 100
@@ -225,6 +312,19 @@ _component = st.one_of(
     st.just(0.0),
     st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-12.0, 2.0))
     .map(lambda t: t[0] * 10.0 ** t[1]))
+
+
+def _as_set(thresholds):
+    # a scalar length set as the (e_back, e_fwd) row _length_sets gives
+    mode, e_back, e_fwd = thresholds
+    if mode == "always":
+        return (cwmetric._NEVER, -cwmetric._NEVER)
+    return (-cwmetric._NEVER if e_back is None else e_back,
+            cwmetric._NEVER if e_fwd is None else e_fwd)
+
+
+def _length_sets(frame, keys, c):
+    return list(zip(*(x.tolist() for x in cwmetric._length_sets(frame, keys, c))))
 
 
 class TestSingleThresholds:
@@ -235,8 +335,84 @@ class TestSingleThresholds:
         if au == 0.0 and as_ == 0.0:
             return
         frame = models.eigen_frame(_model(kind)[0].matrix)
-        assert cwmetric._single_thresholds(frame, au, as_, c) \
-            == single_thresholds(frame, au, as_, c)
+        want = single_thresholds(frame, au, as_, c)
+        assert want == thresholds_from_minimum(frame, au, as_, c)
+        assert _length_sets(frame, [(au, as_)], c) == [_as_set(want)]
+
+
+def _last_finite(base):
+    # the exponent of largest magnitude, of the sign that grows base^e,
+    # at which the power is finite
+    e = 0
+    while True:
+        try:
+            base ** (e + (1 if base > 1 else -1))
+        except OverflowError:
+            return e
+        e += 1 if base > 1 else -1
+
+
+class TestLengthSets:
+    """The pass over a table's keys against the scalar walk of each key."""
+
+    @staticmethod
+    def _keys(frame, c, n=100):
+        rng = np.random.default_rng(int(c * 1e4))
+        mag = lambda lo, hi: (rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)).tolist()
+        keys = [(u, 0.0) for u in mag(-12, 2)] + [(0.0, s) for s in mag(-12, 2)]
+        keys += list(zip(mag(-12, 2), mag(-12, 2)))
+        # near 1e-300, one component or both
+        keys += list(zip(mag(-301, -299), mag(-12, 0)))
+        keys += list(zip(mag(-12, 0), mag(-301, -299)))
+        keys += list(zip(mag(-301, -299), mag(-301, -299)))
+        # ln_at overflows at the first exponent of the tail, where the
+        # scalar length is infinite although the true one is below c
+        u, s_ = (0.9 * c / abs(ev) ** _last_finite(abs(ev)) for ev in (frame.su, frame.ss))
+        keys += [(u, 0.0), (0.0, s_), (-u, 0.0), (u, 1e-300), (1e-300, -s_)]
+        # a length tying c at the first exponent past its tail, and a point
+        return keys + [(c / abs(frame.su) ** 3, 0.0), (0.0, c / abs(frame.ss) ** -3), (0.0, 0.0)]
+
+    @pytest.mark.parametrize("c", [0.25, 0.125, 1e-3, 0.449])
+    def test_matches_the_scalar_walks(self, c):
+        frame = models.eigen_frame(make_model("sphere-pA").matrix)
+        keys = self._keys(frame, c)
+        # a key met again takes the set worked out for it
+        keys += keys[::25]
+        got = _length_sets(frame, keys, c)
+        want = [_as_set(single_thresholds(frame, u, s_, c)) if u or s_ else
+                (-cwmetric._NEVER, cwmetric._NEVER) for u, s_ in keys]
+        assert got == want
+        # the overflow keys' tails end where the power overflows
+        for ev, e in ((frame.su, got[600][1]), (frame.ss, got[601][0])):
+            assert e == _last_finite(abs(ev)) + (1 if e > 0 else -1)
+        assert any(e_back > e_fwd for (u, s_), (e_back, e_fwd) in zip(keys, got) if u and s_)
+
+    def test_tail_ends_from_any_start(self):
+        # a walk started off the crossing still ends where the scalar walk
+        # from the component estimate does
+        frame = models.eigen_frame(make_model("cat-map").matrix)
+        lu, ls = abs(frame.su), abs(frame.ss)
+        for c in (0.25, 1e-3):
+            def above(u, s, e):
+                try:
+                    return math.hypot(u * lu ** e, s * ls ** e) > c
+                except OverflowError:
+                    return True
+
+            for u, s_ in self._keys(frame, c, n=20)[:-1]:
+                mode, e_back, e_fwd = single_thresholds(frame, u, s_, c)
+                if mode == "always":
+                    continue
+                lo, hi = math.inf, -math.inf
+                if u and s_:
+                    lo = math.floor(math.log(abs(s_) * math.log(1 / ls) / (abs(u) * math.log(lu)))
+                                    / math.log(lu / ls))
+                    hi = lo + 1
+                for off in range(-6, 7):
+                    if e_fwd is not None:
+                        assert cwmetric._tail_end(above, u, s_, e_fwd + off, hi, 1) == e_fwd
+                    if e_back is not None:
+                        assert cwmetric._tail_end(above, u, s_, e_back + off, lo, -1) == e_back
 
 
 class TestEscape:
@@ -528,8 +704,7 @@ class _ScalarEngine:
         self.total = float(sum(self.lengths))
         self.thresholds = None
         if len(pieces) == 1 and self.total > 0.0:
-            self.thresholds = cwmetric._single_thresholds(self.frame, pieces[0].au,
-                                                          pieces[0].as_, c)
+            self.thresholds = single_thresholds(self.frame, pieces[0].au, pieces[0].as_, c)
         self.decided = {}
         self._n = {}
 
@@ -844,6 +1019,39 @@ class TestScalarReference:
             stops += [(p["achieved_index"], p["truncated"]) for p in profiles]
         assert max(abs(i) for i, _ in stops) > 128
         assert any(t for _, t in stops) and not all(t for _, t in stops)
+
+
+class TestDecide:
+    def test_straight_quotient_rows_take_one_array_pass(self, pa, consts_pa, monkeypatch):
+        # the (row, iterate) pairs of straight quotient rows, at iterates
+        # from -20 to 20, take no per-pair path check and one fold sup pass
+        frame, c = models.eigen_frame(pa.matrix), consts_pa.c
+        rng = np.random.default_rng(59)
+        comp = lambda: float(rng.choice([0.0, 1.0, -1.0], p=[0.3, 0.35, 0.35])
+                             * 10.0 ** rng.uniform(-4.0, -0.5))
+        pieces = [cwmetric._Piece(rng.uniform(0.0, 1.0, 2), comp(), comp()) for _ in range(60)]
+        table = cwmetric._BlockTable(pa, frame, c, consts_pa.horizon,
+                                     *cwmetric._rows_of([[p] for p in pieces]))
+        b, e = np.divmod(np.arange(len(pieces) * 41), 41)
+        e -= 20
+        paths, folds = [], []
+        monkeypatch.setattr(cwmetric, "_path_exceeds", lambda *a: paths.append(a))
+        fold = cwmetric._fold_escapes
+        monkeypatch.setattr(cwmetric, "_fold_escapes",
+                            lambda w0, *a: folds.append(len(w0)) or fold(w0, *a))
+        got = table._decide(b, e).tolist()
+        assert paths == [] and len(folds) == 1 and folds[0] >= 40
+        want = []
+        for p, it in zip((pieces[k] for k in b.tolist()), e.tolist()):
+            A, B = p.au * frame.su ** it, p.as_ * frame.ss ** it
+            ln = math.hypot(A, B)
+            start = p.s if it == 0 else \
+                models._exact_linear_mod1([models._mat_power(pa.matrix, it)], [p.s])[0]
+            escapes = ln > c and fold_escape(models._wrap1(2.0 * np.asarray(start)),
+                                             (A * frame.eu + B * frame.es) / ln, c, 2.0 * ln - c, c)
+            want.append(2 if escapes else 1)
+        assert got == want
+        assert want.count(2) and want.count(1)
 
 
 class TestQuotientRingScan:

@@ -288,6 +288,19 @@ class TestKatokIterate:
         target = pa.point(0.2, 0.4)
         assert models.distance(pa, res["q"], target) < 1e-9
 
+    def test_stalled_run_stops_unconverged(self, pa, consts_pa, plan_pa):
+        # next to the origin spine y_n reaches a fold point, and from there
+        # each step returns y_n itself with the gap 4.45e-10 above gap_tol:
+        # the run ends at the first such step, with the q and residual that
+        # every later step would repeat
+        res = katok_iterate(pa, pa.point(1e-4, 2e-4), 1, plan_pa, consts_pa)
+        gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * pa.expansion_rate)
+        assert not res["converged"]
+        assert len(res["steps"]) == 15 < periodic._MAX_STEPS
+        assert res["q"].coords == (3.1465245686757015e-10, 0.0)
+        assert res["residual"] == res["steps"][-1]["gap"] >= gap_tol
+        assert res["residual"] == models.distance(pa, res["q"], models.iterate(pa, res["q"], 1))
+
     def test_steps_count_from_one(self, cat, consts, plan):
         y = cat.point(0.2 + 1e-9, 0.4 + 1.3e-9)
         res = katok_iterate(cat, y, 2, plan, consts)

@@ -126,6 +126,22 @@ class TestFindSectors:
             assert got.polygon.tobytes() == ref.polygon.tobytes()
             for p, q in ((got.spine, ref.spine), (got.a1, ref.a1), (got.a2, ref.a2)):
                 assert p.xy().tobytes() == q.xy().tobytes()
+            for a, b in ((got.boundary_s, ref.boundary_s), (got.boundary_u, ref.boundary_u)):
+                assert a.lift == b.lift and a.vertices.tobytes() == b.vertices.tobytes()
+
+    def test_cuts_only_the_kept_records(self, pa, monkeypatch):
+        # the minimal record per spine is chosen first; only the four kept
+        # ones get their two boundary arcs cut
+        cuts = []
+        cut = sectors.subcontinuum
+        monkeypatch.setattr(sectors, "subcontinuum",
+                            lambda *a, **kw: cuts.append(1) or cut(*a, **kw))
+        out = find_sectors(pa)
+        assert len(out.sectors) == 4 and len(cuts) == 8
+        cuts.clear()
+        big = enclosing_sector(pa, out.sectors[0])
+        assert big["found"] and len(cuts) == 2
+        assert big["sector"].boundary_s is not None and big["sector"].boundary_u is not None
 
     def test_budget_flagged(self, pa):
         out = find_sectors(pa, budget=10)
