@@ -130,6 +130,8 @@ _FLOATS = ("c", "eps", "alpha")
 # arc half-length of the sectors command's spine scan, whatever --eps is;
 # a local arc needs it below c
 _SPINE_SCAN_EPS = 0.1
+# memory the sectors command's parametrization may take, estimated from --grid
+_GRID_MEMORY_CAP = 512 * 2 ** 20
 _FLAGS = {"resolution": "--res", "sample_budget": "--sample-budget"}
 
 
@@ -158,6 +160,11 @@ def _check_sectors(cfg: ExperimentConfig) -> None:
     for flag, val in (("--grid", cfg.grid), ("--res", cfg.resolution)):
         if val is not None and val < 2:
             raise ConfigError(f"{flag} must be at least 2, got {val}")
+    need = sectors.parametrization_bytes(cfg.grid)
+    if need > _GRID_MEMORY_CAP:
+        raise ConfigError(f"--grid {cfg.grid} needs about {need / 2 ** 20:.0f} MiB for the "
+                          f"sector parametrization, above the {_GRID_MEMORY_CAP // 2 ** 20} "
+                          f"MiB cap; lower --grid")
     c = make_model(cfg.model, c=cfg.c).c
     if not c > _SPINE_SCAN_EPS:
         raise ConfigError(f"--c must exceed {_SPINE_SCAN_EPS}, the spine scan's "
@@ -420,11 +427,16 @@ def _cmd_sectors(cfg):
         except sectors.IndeterminateCrossing as err:
             sector_recs.append({**sectors.to_record(s), "indeterminate": str(err)})
             continue
-        sector_recs.append(sectors.to_record(s))
         if s.regular:
-            rep = sectors.sector_parametrization(sys_model, s, grid=cfg.grid)
+            try:
+                rep = sectors.sector_parametrization(sys_model, s, grid=cfg.grid)
+            except (ValueError, CalibrationError) as err:
+                sector_recs.append({**sectors.to_record(s),
+                                    "parametrization_error": f"{type(err).__name__}: {err}"})
+                continue
             param_reports.append({"spine": [float(v) for v in s.spine.xy()],
                                   **rep["continuity_report"]})
+        sector_recs.append(sectors.to_record(s))
     rec = {"record": "sectors",
            "sectors": sector_recs,
            "spines": [[float(v) for v in p.xy()] for p in spines],

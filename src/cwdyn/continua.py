@@ -218,24 +218,16 @@ def _diameter_exceeds(chart: str, pts: np.ndarray, thr: float) -> bool:
 # -- segments, crossings and projections ---------------------------------
 
 
-def _dedupe_points(chart: str, pts: np.ndarray, tol: float, group=None) -> np.ndarray:
+def _dedupe_points(chart: str, pts: np.ndarray, tol: float) -> np.ndarray:
     """Mask of the (N, 2) points to keep: in order, a point is kept unless
-    it lies within tol of a point kept before it in its group.
-
-    Group ids (default: all one group) come in contiguous runs, as the
-    pair indices of _crossings do.
-    """
+    it lies within tol of a point kept before it."""
     # in the plane proxy the crossings are solved in: the geographic arccos
     # distance of two equal points can be ~5e-9, above a 1e-9 tol
     proxy = models.TORUS if chart == SPHERE_GEOGRAPHIC else chart
     n = len(pts)
-    group = np.zeros(n, dtype=int) if group is None else group
-    near = {}  # point -> the earlier points of its group within tol
+    near = {}  # point -> the earlier points within tol
     for d in range(1, n):
-        same = group[d:] == group[:-d]
-        if not same.any():
-            break  # no run is longer than d
-        close = same & ~(chart_distance(proxy, pts[d:], pts[:-d]) > tol)
+        close = ~(chart_distance(proxy, pts[d:], pts[:-d]) > tol)
         for i in np.nonzero(close)[0] + d:
             near.setdefault(int(i), []).append(int(i) - d)
     keep = np.ones(n, dtype=bool)
@@ -375,12 +367,20 @@ def intersect(c1: MarkedContinuum, c2: MarkedContinuum, tol: float = 1e-9) -> li
     """
     if c1.chart != c2.chart:
         raise ChartError(f"chart mismatch: {c1.chart!r} vs {c2.chart!r}")
+    return [Point(c1.chart, (float(p[0]), float(p[1])))
+            for p in _bracket(c1.chart, _segments(c1), _segments(c2), tol)]
+
+
+def _bracket(chart: str, seg_a, seg_b, tol: float) -> np.ndarray:
+    """The (n, 2) chart points where one cover segment A (starts, vectors,
+    lengths of one row) meets the cover copies of one segment B, under
+    intersect's rule: clamped onto A, exact hits deduplicated first."""
     one = np.zeros(1, dtype=int)
-    raw, _, exact = _crossings(c1.chart, _segments(c1), _segments(c2), one, one, tol)
+    raw, _, exact = _crossings(chart, seg_a, seg_b, one, one, tol)
     first = np.argsort(~exact, kind="stable")
     keep = np.empty(len(raw), dtype=bool)
-    keep[first] = _dedupe_points(c1.chart, raw[first], max(tol, 1e-12))
-    return [Point(c1.chart, (float(p[0]), float(p[1]))) for p in raw[keep]]
+    keep[first] = _dedupe_points(chart, raw[first], max(tol, 1e-12))
+    return raw[keep]
 
 
 # -- sub-arcs and concatenation -------------------------------------------

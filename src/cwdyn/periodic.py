@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import models
-from .continua import OffContinuumError, concat, intersect, subcontinuum
+from .continua import (OffContinuumError, _arc_segments, _bracket, concat, intersect,
+                       subcontinuum)
 from .cwmetric import MetricConstants, cw_metric
 from .holonomy import ARC_RESOLUTION, HolonomyFault, product_structure_radius
 from .models import BudgetError, Point
@@ -214,10 +215,9 @@ def find_return(sys, p: Point, bound: float, k_min: int):
 # -- the rectangle iteration ----------------------------------------------
 
 
-def _crossing_paths(ca, cb, start: Point, end: Point, label: str) -> list:
-    """(z, path), in intersect's order, for each crossing z of ca and cb
+def _crossing_paths(ca, cb, start: Point, end: Point, cands: list, label: str) -> list:
+    """(z, path), in the order of cands, for each crossing z of ca and cb
     whose path along ca from start to z and along cb on to end can be built."""
-    cands = intersect(ca, cb, tol=1e-9)
     if not cands:
         raise HolonomyFault(f"no crossing at {label}")
     paths = []
@@ -240,6 +240,24 @@ def _best_crossing(sys, paths: list, consts: MetricConstants):
         if best is None or d_f < best[0]:
             best = (d_f, z)
     return best[1], best[0]
+
+
+def _transport(sys, z: Point, k: int, eps: float, consts: MetricConstants,
+               label: str) -> Point:
+    """y_{n+1}: the crossing of the unstable arc of z with the stable arc of
+    f^{-k}(z), as intersect finds it, on the arcs' lifts.  Only the choice
+    among several crossings needs the arcs, their paths and cw-sizes."""
+    fmz = models.iterate(sys, z, -k)
+    seg_u, seg_s = (_arc_segments(sys, p.chart, p.xy()[None], stable, eps)
+                    for p, stable in ((z, False), (fmz, True)))
+    cands = [Point(sys.chart, (float(a), float(b)))
+             for a, b in _bracket(sys.chart, seg_u, seg_s, 1e-9)]
+    if len(cands) == 1:
+        return cands[0]
+    cu = models.local_arc(sys, z, "unstable", eps, resolution=ARC_RESOLUTION)
+    cs = models.local_arc(sys, fmz, "stable", eps, resolution=ARC_RESOLUTION)
+    paths = _crossing_paths(cu, cs, z, fmz, cands, label)
+    return paths[0][0] if len(paths) == 1 else _best_crossing(sys, paths, consts)[0]
 
 
 def katok_iterate(sys, y: Point, k: int, params: KatokParams,
@@ -290,16 +308,10 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
             break
         cs = models.local_arc(sys, y_n, "stable", params.eps, resolution=ARC_RESOLUTION)
         cu = models.local_arc(sys, fky, "unstable", params.eps, resolution=ARC_RESOLUTION)
-        z, d_f = _best_crossing(sys, _crossing_paths(cs, cu, y_n, fky,
-                                                     f"step {n} (gap {gap:.3g})"), consts)
-        # pull the crossing back one return and holonomy-correct: the
-        # unstable displacement component contracts here
-        fmz = models.iterate(sys, z, -k)
-        cu2 = models.local_arc(sys, z, "unstable", params.eps, resolution=ARC_RESOLUTION)
-        cs2 = models.local_arc(sys, fmz, "stable", params.eps, resolution=ARC_RESOLUTION)
-        # only the choice among several crossings needs their cw-sizes
-        paths = _crossing_paths(cu2, cs2, z, fmz, f"step {n} transport")
-        y_next = paths[0][0] if len(paths) == 1 else _best_crossing(sys, paths, consts)[0]
+        paths = _crossing_paths(cs, cu, y_n, fky, intersect(cs, cu, tol=1e-9),
+                                f"step {n} (gap {gap:.3g})")
+        z, d_f = _best_crossing(sys, paths, consts)
+        y_next = _transport(sys, z, k, params.eps, consts, f"step {n} transport")
         bound = ratio ** (n + 1) * params.c
         ok = d_f <= bound
         step = {"n": n + 1, "gap": gap, "D_F": d_f, "bound": bound, "ok": ok}

@@ -18,14 +18,16 @@ from dataclasses import dataclass, field
 
 from . import models
 from .models import ModelCapabilityError, chart_distance, torus_norm, wrap_chart
-from .continua import (MarkedContinuum, _arc_pair_hits, _arc_segments, _crossings,
-                       _dedupe_points, _nearest_on, _segments, _to_segment, cover_reps,
-                       intersect, subcontinuum)
+from .continua import (MarkedContinuum, _arc_pair_hits, _nearest_on, _segments, _to_segment,
+                       cover_reps, intersect, subcontinuum)
 
 # seed points per batched spine test and crossing screen, which bounds their arrays
 _SPINE_CHUNK = 4096
-# arc pairs per crossing pass and selection of a parametrization grid block
-_PAIR_CHUNK = 4096
+# parametrization arc half-length over the sector's largest eigen-coordinate
+_R1_FACTOR = 2.4
+# temporaries per crossing candidate, four to a grid pair: with the sample
+# arrays, 512 B a pair bounds the 391-406 B tracemalloc measured at grids 64-512
+_CANDIDATE_BYTES = 112
 # rungs of the enclosing-sector ladder
 _MARGIN_BUDGET = 8
 
@@ -301,10 +303,9 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
     """Sample the two corner parametrizations of a regular spine sector.
 
     f1 covers the quarter between the seed corner and the splitting curve
-    through the spine, f2 the quarter beyond it.  Each sample is a real
-    arc intersection; the candidate crossing is accepted only when it can
-    be reached from both parameter points along their arcs without
-    crossing the splitting curve.
+    through the spine, f2 the quarter beyond it.  Each sample is an arc
+    crossing, taken where it can be reached from both parameter points
+    along their arcs without crossing the splitting curve.
     """
     if s.regular is None:
         classify_sector(sys, s)
@@ -313,30 +314,23 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
     if grid < 2:
         raise ValueError("grid must be at least 2")
     w = np.asarray(s.mirror_center, dtype=float)
-    Einv = models.eigen_frame(sys.matrix).inv
+    frame = models.eigen_frame(sys.matrix)
     A, Bs, _, Bu = s.polygon
-    eig = lambda r: Einv @ (np.asarray(r) - w)
+    eig = lambda r: frame.inv @ (np.asarray(r) - w)
     amax = max(abs(float(eig(A)[0])), abs(float(eig(Bs)[0])))
     bmax = max(abs(float(eig(A)[1])), abs(float(eig(Bu)[1])))
-    R1 = 2.4 * max(amax, bmax)
+    R1 = _R1_FACTOR * max(amax, bmax)
     if R1 >= 0.98 * sys.c:
         raise models.CalibrationError(
             f"sector needs arcs of radius {R1:.3g}, beyond the scale c={sys.c}")
-    Ms = _axis_cross(A, Bs, 0, w, Einv)
-    Mu = _axis_cross(A, Bu, 1, w, Einv)
-
-    def arcs(M, B, tt, stable):
-        # the cover segments of the local arcs through the points gamma(t),
-        # each the lift models.local_arc gives it, and the points' eigen-coordinates
-        g = [_gamma(A, M, B, float(t)) for t in tt]
-        return (_arc_segments(sys, sys.chart, wrap_chart(sys.chart, g), stable, R1),
-                np.array([eig(r) for r in g]))
+    Ms = _axis_cross(A, Bs, 0, w, frame.inv)
+    Mu = _axis_cross(A, Bu, 1, w, frame.inv)
 
     def samples(t_lo, t_hi):
         tt = np.linspace(t_lo, t_hi, grid + 1)
-        seg_u, gs_eig = arcs(Ms, Bs, tt, False)
-        seg_s, gu_eig = arcs(Mu, Bu, tt, True)
-        return _grid_crossings(sys, seg_u, seg_s, gs_eig, gu_eig, w, Einv, R1)
+        gs_eig, gu_eig = (np.array([eig(_gamma(A, M, B, float(t))) for t in tt])
+                          for M, B in ((Ms, Bs), (Mu, Bu)))
+        return _grid_crossings(sys.chart, gs_eig, gu_eig, w, frame, R1)
 
     f1, f1e = samples(0.0, 0.5)
     f2, f2e = samples(0.5, 1.0)
@@ -346,80 +340,59 @@ def sector_parametrization(sys, s: SectorRecord, grid: int = 32) -> dict:
             "continuity_report": report}
 
 
+def parametrization_bytes(grid: int) -> int:
+    """Estimated peak memory of sector_parametrization: four (grid+1)² x 2
+    float64 sample arrays and four candidates' temporaries a pair."""
+    return (grid + 1) ** 2 * (4 * 2 * 8 + 4 * _CANDIDATE_BYTES)
+
+
 def _tsign(x: np.ndarray) -> np.ndarray:
     # sign with a dead zone, so exact zeros full of float noise stay 0
     return np.where(np.abs(x) <= 1e-8, 0.0, np.sign(x))
 
 
-def _grid_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):
-    """For each pair (unstable arc i, stable arc j), the arc crossing
-    reachable without crossing the splitting curve: its chart point and
-    its eigen-coordinates, each an (nu, ns, 2) array.
-
-    seg_u and seg_s are the arcs' straight cover segments (starts,
-    vectors, lengths), one row per arc.  Row i of g_s and row j of g_u are
-    the eigen-coordinates of the parameter points whose unstable (resp.
-    stable) arcs are intersected.  The pairs go through the crossing pass
-    and the selection in blocks of rows of at most _PAIR_CHUNK pairs, so
-    memory does not grow with the grid.
+def _grid_crossings(chart, g_s, g_u, w, frame, R1):
+    """For each pair (unstable arc i, stable arc j) of half-length R1
+    through the points of eigen-coordinates g_s[i] and g_u[j] about w, the
+    crossing reachable without crossing the splitting curve: its chart
+    point and eigen-coordinates, each an (nu, ns, 2) array.  Near w the
+    arcs and their mirror images meet only at (σ·g_s[i, 0], τ·g_u[j, 1]),
+    σ, τ = ±1; a candidate qualifies on both arc copies (within R1 plus
+    the crossing tol 1e-9), within reach of w, and within line_tol on the
+    side of the splitting curve of both parameter points.
     """
-    nu, ns = len(seg_u[0]), len(seg_s[0])
-    step = max(1, _PAIR_CHUNK // ns)
-    blocks = [_block_crossings(sys, [x[i:i + step] for x in seg_u], seg_s,
-                               g_s[i:i + step], g_u, w, Einv, R1)
-              for i in range(0, nu, step)]
-    return tuple(np.concatenate(b).reshape(nu, ns, 2) for b in zip(*blocks))
-
-
-def _block_crossings(sys, seg_u, seg_s, g_s, g_u, w, Einv, R1):
-    """_grid_crossings on one block of rows, flat in pair order.
-
-    A candidate (a cover representative of a crossing near the spine)
-    qualifies when some involution representative of each parameter
-    point lies on the candidate's own arc line on the same side of the
-    splitting curve.
-    """
-    ns = len(seg_s[0])
-    # every pair of the block, row by row: _grid_crossings bounds its size
-    ia, ib = np.divmod(np.arange(len(seg_u[0]) * ns), ns)
-    xy, pair, _ = _crossings(sys.chart, seg_u, seg_s, ia, ib, 1e-9)
-    keep = _dedupe_points(sys.chart, xy, 1e-9, pair)
-    xy, pair = xy[keep], pair[keep]
-    reach = 2.0 * R1 + 0.1
-    row, sg, k = cover_reps(sys.chart, xy, xy, w - reach, w + reach)
-    reps = sg[:, None] * xy[row] + k
-    near = np.hypot(*(reps - w).T) <= reach
-    row, reps = row[near], reps[near]
-    re = np.matmul(Einv, (reps - w)[..., None])[..., 0]
-    cand_pair = pair[row]
-    gs, gu = g_s[cand_pair // ns], g_u[cand_pair % ns]
+    sigma, tau = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])
+    gs, gu = g_s[:, None, None, :], g_u[None, :, None, :]
+    re = np.stack(np.broadcast_arrays(sigma * gs[..., 0], tau * gu[..., 1]), axis=-1)
+    on_arcs = (np.abs(re[..., 1] - sigma * gs[..., 1]) <= R1 + 1e-9) \
+        & (np.abs(re[..., 0] - tau * gu[..., 0]) <= R1 + 1e-9)
+    # each candidate's plane offset from w, E·re with E = [es | eu]
+    vec = np.matmul(re, np.stack([frame.es, frame.eu]))
+    near = np.hypot(vec[..., 0], vec[..., 1]) <= 2.0 * R1 + 0.1
     line_tol = 1e-6
-    ok_s = np.zeros(len(re), dtype=bool)
-    ok_u = np.zeros(len(re), dtype=bool)
+    ok_s = ok_u = False
     for sign in (1.0, -1.0):
-        ok_s |= (np.abs(sign * gs[:, 0] - re[:, 0]) <= line_tol) \
-            & (sign * gs[:, 1] * re[:, 1] >= -line_tol)
-        ok_u |= (np.abs(sign * gu[:, 1] - re[:, 1]) <= line_tol) \
-            & (sign * gu[:, 0] * re[:, 0] >= -line_tol)
-    ok = ok_s & ok_u
-    missing = np.ones(len(g_s) * ns, dtype=bool)
-    missing[cand_pair[ok]] = False
+        ok_s = ok_s | ((np.abs(sign * gs[..., 0] - re[..., 0]) <= line_tol)
+                       & (sign * gs[..., 1] * re[..., 1] >= -line_tol))
+        ok_u = ok_u | ((np.abs(sign * gu[..., 1] - re[..., 1]) <= line_tol)
+                       & (sign * gu[..., 0] * re[..., 0] >= -line_tol))
+    ok = on_arcs & near & ok_s & ok_u
+    missing = ~ok.any(axis=-1)
     if missing.any():
-        if not np.isin(np.argmax(missing), pair):
+        if not on_arcs[np.unravel_index(np.argmax(missing), missing.shape)].any():
             raise ValueError("parametrization arcs fail to cross; enlarge R1")
         raise ValueError("no admissible crossing; splitting-curve side "
                          "selection failed")
-    row, re, cand_pair, gs, gu = row[ok], re[ok], cand_pair[ok], gs[ok], gu[ok]
     # mirror representatives are both admissible by involution symmetry;
     # fix the one on the stable-parameter side (then the unstable side)
     # so the recorded coordinates vary continuously over the grid
-    su = _tsign(re[:, 1]) * _tsign(gu[:, 1])
-    ss = _tsign(re[:, 0]) * _tsign(gs[:, 0])
-    off = re - np.stack([gs[:, 0], gu[:, 1]], axis=1)
-    order = np.lexsort((np.arange(len(re)), np.sqrt(np.vecdot(off, off)), -ss, -su,
-                        cand_pair))
-    first = order[np.unique(cand_pair[order], return_index=True)[1]]
-    return xy[row[first]], re[first]
+    su = _tsign(re[..., 1]) * _tsign(gu[..., 1])
+    ss = _tsign(re[..., 0]) * _tsign(gs[..., 0])
+    off = np.sqrt((re[..., 0] - gs[..., 0]) ** 2 + (re[..., 1] - gu[..., 1]) ** 2)
+    # a stable sort: ties keep the candidates' order
+    first = np.lexsort((off, -ss, -su, ~ok), axis=-1)[..., :1, None]
+    return (wrap_chart(chart, w + np.take_along_axis(vec, first, axis=-2)[..., 0, :]),
+            np.take_along_axis(re, first, axis=-2)[..., 0, :])
 
 
 def _continuity_report(chart, grid, charts, eigs) -> dict:

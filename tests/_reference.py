@@ -7,9 +7,10 @@ and check that the closed form gives the same value.  Then come the
 crossings of plain polylines edge by edge, which the library, crossing
 lifted arcs only, no longer has, the arc frame's vertex bookkeeping and
 the polyline walk that segments replaced, the Katok connecting path as
-the vertex polyline that its two exact legs replaced, and the per-point
-loops that array passes replaced, kept so that a test can ask for the
-same bits from both.
+the vertex polyline that its two exact legs replaced, the Katok
+transport through arcs and paths that the bracket of their lifts
+replaced, and the per-point loops that array passes replaced, kept so
+that a test can ask for the same bits from both.
 """
 
 import math
@@ -17,8 +18,9 @@ import math
 import numpy as np
 
 from cwdyn import models, periodic, sectors
-from cwdyn.continua import (MarkedContinuum, StraightLift, _crossings, _dedupe_points,
-                            _segments, intersect, subcontinuum, unwrap_path)
+from cwdyn.continua import (MarkedContinuum, OffContinuumError, StraightLift, _crossings,
+                            _dedupe_points, _segments, concat, intersect, subcontinuum,
+                            unwrap_path)
 from cwdyn.cwmetric import cw_metric
 from cwdyn.holonomy import HolonomyFault
 
@@ -444,3 +446,27 @@ def katok_iterate(sys, y, k, params, consts, max_steps=40):
     bad = [s for s in steps if not s["ok"]]
     return {"q": y_n, "k": k, "steps": steps, "converged": converged,
             "residual": gap, "envelope_ok": not bad, "counterexamples": bad}
+
+
+def katok_transport(sys, z, k, eps, consts, label):
+    """periodic._transport through two 9-vertex local arcs, their
+    intersect and a connecting path per crossing, with the cw-size of
+    each path when more than one can be built."""
+    fmz = models.iterate(sys, z, -k)
+    cu = models.local_arc(sys, z, "unstable", eps, resolution=9)
+    cs = models.local_arc(sys, fmz, "stable", eps, resolution=9)
+    cands = intersect(cu, cs, tol=1e-9)
+    if not cands:
+        raise HolonomyFault(f"no crossing at {label}")
+    paths = []
+    for p in cands:
+        try:
+            paths.append((p, concat([subcontinuum(cu, z, p, tol=1e-7),
+                                     subcontinuum(cs, p, fmz, tol=1e-7)], tol=1e-7)))
+        except OffContinuumError:
+            continue
+    if not paths:
+        raise HolonomyFault(f"no admissible crossing branch at {label}")
+    if len(paths) == 1:
+        return paths[0][0]
+    return min(paths, key=lambda zp: cw_metric(sys, zp[1], consts, depth=3))[0]

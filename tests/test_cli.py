@@ -331,6 +331,34 @@ class TestSectors:
         cfg = parse_config(["sectors", "--model", "pa", "--c", "0.5", "--eps", "0.3"])
         assert cfg.eps == 0.3
 
+    def test_grid_memory_capped_before_any_work(self, outdir, capsys, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("the spine scan ran")
+
+        monkeypatch.setattr(sectors, "enumerate_spines", work)
+        cap = max(g for g in range(2, 4096)
+                  if sectors.parametrization_bytes(g) <= cli._GRID_MEMORY_CAP)
+        assert parse_config(["sectors", "--model", "pa", "--grid", str(cap - 1)]).grid == cap - 1
+        assert parse_config(["sectors", "--model", "pa", "--grid", str(cap)]).grid == cap
+        rc, err = run_err(["sectors", "--model", "pa", "--grid", str(cap + 1)], capsys)
+        assert rc == 1 and err.startswith(f"cwdyn: config error: --grid {cap + 1} needs about ")
+        assert "MiB cap" in err
+        assert not (outdir / "sectors.jsonl").exists()
+
+    @pytest.mark.parametrize("factor, error", [
+        (0.5, "ValueError: parametrization arcs fail to cross"),
+        (100.0, "CalibrationError: sector needs arcs of radius")])
+    def test_parametrization_failure_is_recorded(self, outdir, monkeypatch, factor, error):
+        # arcs too short to cross, or too long for the scale c: each sector
+        # records its failure, as classification records indeterminate
+        monkeypatch.setattr(sectors, "_R1_FACTOR", factor)
+        assert cli.run(["sectors", "--model", "pa", "--grid", "8"]) == 0
+        rec = next(r for r in read_report(outdir / "sectors.jsonl")
+                   if r["record"] == "sectors")
+        assert rec["parametrization_reports"] == [] and len(rec["sectors"]) == 4
+        assert all(s["regular"] and s["parametrization_error"].startswith(error)
+                   for s in rec["sectors"])
+
     def test_cat_has_no_spines(self, outdir):
         assert cli.run(["sectors", "--model", "cat"]) == 0
         rec = next(r for r in read_report(outdir / "sectors.jsonl")

@@ -409,32 +409,114 @@ class TestKatokIterate:
         with pytest.raises(ValueError, match="no lift"):
             katok_iterate(cat, cat.point(0.2 + 1e-9, 0.4 + 1.3e-9), 2, plan, consts)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_transport_matches_the_arc_reference(self, cat, consts, plan, monkeypatch, seed):
+        # the bracket of the two lifts takes every y_{n+1} that the arcs,
+        # their intersect and their connecting paths took
+        n_steps = 0
+        for y, k in _perturbed_starts(cat, np.random.default_rng(seed), 8):
+            got = katok_iterate(cat, y, k, plan, consts)
+            with monkeypatch.context() as m:
+                m.setattr(periodic, "_transport", _reference.katok_transport)
+                want = katok_iterate(cat, y, k, plan, consts)
+            assert _bits(got) == _bits(want)
+            n_steps += len(got["steps"])
+        assert n_steps >= 8
+
+    def test_spine_transport_matches_the_arc_reference(self, pa, consts_pa, plan_pa,
+                                                       monkeypatch):
+        # next to the origin spine the transport's arcs cross twice, and D
+        # chooses between the crossings
+        counts = []
+        bracket = periodic._bracket
+
+        def counted(*args):
+            out = bracket(*args)
+            counts.append(len(out))
+            return out
+
+        y = pa.point(1e-4, 2e-4)
+        monkeypatch.setattr(periodic, "_bracket", counted)
+        got = katok_iterate(pa, y, 1, plan_pa, consts_pa)
+        monkeypatch.setattr(periodic, "_transport", _reference.katok_transport)
+        want = katok_iterate(pa, y, 1, plan_pa, consts_pa)
+        assert _bits(got) == _bits(want)
+        assert counts.count(2) >= 10 and len(counts) == len(got["steps"])
+
+    def test_a_torus_step_builds_one_arc_pair(self, cat, consts, plan, monkeypatch):
+        # F_n takes two arcs and two cuts; the transport's one crossing
+        # takes neither
+        arcs, cuts = [], []
+        arc, cut = models.local_arc, periodic.subcontinuum
+        monkeypatch.setattr(models, "local_arc", lambda *a, **kw: arcs.append(1) or arc(*a, **kw))
+        monkeypatch.setattr(periodic, "subcontinuum",
+                            lambda *a, **kw: cuts.append(1) or cut(*a, **kw))
+        res = katok_iterate(cat, cat.point(0.2 + 1e-9, 0.4 + 1.3e-9), 2, plan, consts)
+        n = len(res["steps"])
+        assert n >= 2 and len(arcs) == 2 * n and len(cuts) == 2 * n
+
+
+def _perturbed_starts(sys, rng, n):
+    """n Katok starts (y, k) next to rational points of periods 2 to 14,
+    the periods taken in turn, each moved a log-uniform distance from 1e-9
+    to min(1e-6, 1e-2 / lam_u^k) in a uniform direction: the
+    arc-geometry benchmark's recipe."""
+    targets = {}
+    for den in range(2, 14):
+        for u in range(den):
+            for v in range(den):
+                k = periodic._exact_period(sys, u, v, den, 14)
+                if math.gcd(u, v, den) == 1 and k is not None and k >= 2:
+                    targets.setdefault(k, []).append((u, v, den))
+    periods = sorted(targets)
+    starts = []
+    for i in range(n):
+        k = periods[i % len(periods)]
+        u, v, den = targets[k][int(rng.integers(len(targets[k])))]
+        hi = min(1e-6, 1e-2 / sys.expansion_rate ** k)
+        mag = math.exp(rng.uniform(math.log(1e-9), math.log(hi)))
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        starts.append((sys.point(u / den + mag * math.cos(ang), v / den + mag * math.sin(ang)), k))
+    return starts
+
+
+def _bits(res):
+    """A Katok result's q, residual and converged flag, and every step's
+    gap, D_F, bound and ok, with each float as its hex string."""
+    h = float.hex
+    return ([h(v) for v in res["q"].coords], h(res["residual"]), res["converged"],
+            [(h(s["gap"]), h(s["D_F"]), h(s["bound"]), s["ok"]) for s in res["steps"]])
+
 
 def _record_paths(monkeypatch):
     """Record a Katok run's cuts and, per step, its (F_n, D(F_n)) pairs:
-    each step intersects twice, and the crossings of the first
-    intersection give its candidates for F_n."""
-    cuts, steps, calls = [], [], [0]
+    each step's one intersect gives its candidates for F_n, and its
+    transport begins at the bracket that follows."""
+    cuts, steps, in_step = [], [], [False]
 
     def counted(*args, **kw):
-        calls[0] += 1
-        if calls[0] % 2:
-            steps.append([])
+        in_step[0] = True
+        steps.append([])
         return continua.intersect(*args, **kw)
+
+    def bracket(*args, **kw):
+        in_step[0] = False
+        return continua._bracket(*args, **kw)
 
     def cut(*args, **kw):
         sub = continua.subcontinuum(*args, **kw)
-        if calls[0] % 2:
+        if in_step[0]:
             cuts.append(sub)
         return sub
 
     def metric(sys, path, consts, **kw):
         d = cw_metric(sys, path, consts, **kw)
-        if calls[0] % 2:
+        if in_step[0]:
             steps[-1].append((path, d))
         return d
 
-    for name, fn in (("intersect", counted), ("subcontinuum", cut), ("cw_metric", metric)):
+    for name, fn in (("intersect", counted), ("_bracket", bracket), ("subcontinuum", cut),
+                     ("cw_metric", metric)):
         monkeypatch.setattr(periodic, name, fn)
     return cuts, steps
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -250,25 +252,39 @@ class TestParametrization:
         # t = 1/2 samples sit on the unstable splitting branch through w
         assert np.max(np.abs(rep["f1_eig"][-1, :, 0])) <= 1e-7
 
-    def test_monotone_and_injective(self, pa, search, monkeypatch):
-        centres = set()
-        real_arc_frame = models._arc_frame
-
-        def arc_frame(sys, chart, xy, *args, **kwargs):
-            centres.update(map(tuple, xy.tolist()))
-            return real_arc_frame(sys, chart, xy, *args, **kwargs)
-
-        monkeypatch.setattr(models, "_arc_frame", arc_frame)
+    def test_monotone_and_injective(self, pa, search):
         for s in search.sectors:
             rep = sector_parametrization(pa, s, grid=32)["continuity_report"]
             assert rep["monotone_violations"] == 0
             assert rep["injective_ok"]
             assert rep["max_modulus"] < 5e-3
-        # arc centres go into wrap_chart as raw cover points, so next to the
-        # origin spine the quotient mirror keeps their full precision
-        near_spine = pa.point(-0.0064815165793436534, 0.5079306403068854)
-        assert near_spine.coords[0] == 0.0064815165793436534
-        assert near_spine.coords in centres
+
+    def test_samples_next_to_the_spine_keep_their_precision(self, pa, search):
+        # samples go into wrap_chart as raw cover points about the spine's
+        # representative (0, 1), so on both sides of the origin spine the
+        # coordinate that representative leaves at 0 keeps the relative
+        # precision of the sample's eigen-coordinates; wrapping first would
+        # leave it only an absolute 1e-16
+        s = search.sectors[0]
+        assert s.spine.coords == (0.0, 0.0) and s.mirror_center.tolist() == [0.0, 1.0]
+        rep = sector_parametrization(pa, s, grid=32)
+        frame = models.eigen_frame(pa.matrix)
+        for half, ij in (("f1", (-1, -2)), ("f2", (0, 1))):
+            xy, re = rep[half + "_samples"][ij], rep[half + "_eig"][ij]
+            x = abs(re[0] * frame.es[0] + re[1] * frame.eu[0])
+            assert 1e-4 < xy[0] < 1e-3
+            assert abs(xy[0] - x) <= 4 * np.spacing(x)
+
+    def test_memory_estimate_bounds_the_peak(self, pa, search):
+        s = search.sectors[0]
+        sector_parametrization(pa, s, grid=8)
+        tracemalloc.start()
+        try:
+            sector_parametrization(pa, s, grid=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * sectors.parametrization_bytes(128) < peak <= sectors.parametrization_bytes(128)
 
     def test_modulus_shrinks_with_grid(self, pa, search):
         s = search.sectors[0]
@@ -436,13 +452,27 @@ def _ref_is_spine(sys, x, eps, tol=1e-9):
     return min(d0, d1) <= tol
 
 
+# the closed form rounds each sample from its eigen-coordinates, the
+# reference from a crossing of the arcs' cover segments: they agree within
+# 4 ulps of 1, in eigen-coordinates and in chart distance
+_ULPS = 4 * np.finfo(float).eps
+
+
 def _assert_same_parametrization(sys, s, grid):
     got = sector_parametrization(sys, s, grid=grid)
     want = _ref_parametrization(sys, s, grid)
-    for k in ("f1_samples", "f2_samples", "f1_eig", "f2_eig"):
-        assert got[k].shape == (grid + 1, grid + 1, 2)
-        assert got[k].tobytes() == want[k].tobytes(), k
-    assert got["continuity_report"] == want["continuity_report"]
+    for half in ("f1", "f2"):
+        e, c = half + "_eig", half + "_samples"
+        assert got[e].shape == got[c].shape == (grid + 1, grid + 1, 2)
+        assert np.abs(got[e] - want[e]).max() <= _ULPS, e
+        assert chart_distance(sys.chart, got[c], want[c]).max() <= _ULPS, c
+    rep, ref = got["continuity_report"], want["continuity_report"]
+    moduli = ("max_modulus", "max_modulus_f1", "max_modulus_f2")
+    assert {k: v for k, v in rep.items() if k not in moduli} \
+        == {k: v for k, v in ref.items() if k not in moduli}
+    # a modulus is the distance of two samples, each within _ULPS
+    for k in moduli:
+        assert abs(rep[k] - ref[k]) <= 2 * _ULPS, k
 
 
 def _assert_same_spine_mask(sys, pts, eps):
@@ -453,7 +483,6 @@ def _assert_same_spine_mask(sys, pts, eps):
     return got
 
 
-# grid 64 has 65 x 65 = 4225 pairs per half, past one 4096-pair chunk
 _GRIDS = [2, 3, 8, 32, 64]
 
 
@@ -492,31 +521,41 @@ class TestBatchedPassesMatchScalar:
         chain = np.array([0.3, 0.2]) + np.array([[0.0, 0.0], [0.8e-9, 0.0], [1.6e-9, 0.0]])
         rng = np.random.default_rng(5)
         loose = rng.uniform(0.0, 0.5, size=(6, 2))
-        pts = np.concatenate([chain, chain, loose, loose[[1, 1, 4]]])
-        group = np.repeat([0, 1, 2], [3, 3, 9])
-        want = []
-        for g in range(3):
-            kept = []
-            for p in pts[group == g]:
+        for pts in (chain, np.concatenate([loose, loose[[1, 1, 4]]])):
+            want, kept = [], []
+            for p in pts:
                 want.append(all(chart_distance(pa.chart, p, q) > 1e-9 for q in kept))
                 if want[-1]:
                     kept.append(p)
-        assert _dedupe_points(pa.chart, pts, 1e-9, group).tolist() == want
-        assert want[:6] == [True, False, True] * 2
+            assert _dedupe_points(pa.chart, pts, 1e-9).tolist() == want
+        assert _dedupe_points(pa.chart, chain, 1e-9).tolist() == [True, False, True]
 
     def test_selection_errors(self, pa):
-        Einv = models.eigen_frame(pa.matrix).inv
+        # parameter points about w, by eigen-coordinates, whose arcs of
+        # half-length 0.1 miss each other, and whose crossings all lie on
+        # the far side of the splitting curve from one of the two points
+        frame = models.eigen_frame(pa.matrix)
         w = np.array([0.5, 0.5])
-        cu = models.local_arc(pa, pa.point(0.3, 0.3), "unstable", 0.01, resolution=3)
-        far = models.local_arc(pa, pa.point(0.1, 0.4), "stable", 0.01, resolution=3)
-        near = models.local_arc(pa, pa.point(0.3, 0.3), "stable", 0.01, resolution=3)
-        g = np.array([[0.2, 0.2]])
-        for cs, msg in ((far, "fail to cross"), (near, "no admissible crossing")):
+        E = np.stack([frame.es, frame.eu], axis=1)
+        ok_s, ok_u = np.array([0.05, 0.02]), np.array([0.02, 0.05])
+        miss_s, miss_u = np.array([0.0, 0.3]), np.array([0.3, 0.0])
+        far_u = np.array([-0.02, 0.05])
+        for g_s, g_u, msg in ((miss_s, miss_u, "fail to cross"),
+                              (ok_s, far_u, "no admissible crossing")):
+            cu, cs = (models.local_arc(pa, pa.point(*(w + E @ g)), kind, 0.1, resolution=3)
+                      for g, kind in ((g_s, "unstable"), (g_u, "stable")))
             with pytest.raises(ValueError, match=msg):
-                _ref_select_crossing(pa, cu, cs, g[0], g[0], w, Einv, 0.1)
+                _ref_select_crossing(pa, cu, cs, g_s, g_u, w, frame.inv, 0.1)
             with pytest.raises(ValueError, match=msg):
-                sectors._grid_crossings(pa, continua._segments(cu), continua._segments(cs),
-                                        g, g, w, Einv, 0.1)
+                sectors._grid_crossings(pa.chart, g_s[None], g_u[None], w, frame, 0.1)
+        # the first failing pair in pair order names the error: (0, 1) here,
+        # and (0, 0) with the rows of g_s swapped
+        g_s, g_u = np.stack([ok_s, miss_s]), np.stack([ok_u, far_u])
+        sectors._grid_crossings(pa.chart, g_s[:1], g_u[:1], w, frame, 0.1)
+        with pytest.raises(ValueError, match="no admissible crossing"):
+            sectors._grid_crossings(pa.chart, g_s, g_u, w, frame, 0.1)
+        with pytest.raises(ValueError, match="fail to cross"):
+            sectors._grid_crossings(pa.chart, g_s[::-1], g_u, w, frame, 0.1)
 
     @pytest.mark.parametrize("eps", [0.05, 0.1, 0.2])
     @pytest.mark.parametrize("res", [7, 37, 64, 128])

@@ -125,10 +125,10 @@ def test_retired_name_check_sees_them():
                                         (4, "_chain_raw"), (5, "sub_engine")]
 
 
-# the per-pair scalar crossing selection that the grid crossing pass of
-# sector_parametrization replaced; its reference copy lives in
-# tests/test_sectors.py
-_RETIRED_SECTORS = ("_select_crossing",)
+# the per-pair scalar crossing selection and the chunked all-pairs crossing
+# pass that the closed-form grid crossings of sector_parametrization
+# replaced; the reference copy lives in tests/test_sectors.py
+_RETIRED_SECTORS = ("_select_crossing", "_block_crossings", "_PAIR_CHUNK")
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -196,6 +196,7 @@ _RETIRED_PARAMS = {
     "sectors.enclosing_sector": ("margin", "margin_budget"),
     "sectors._sector_from_seed": ("resolution",),
     "sectors.find_sectors": ("region",),
+    "continua._dedupe_points": ("group",),
     "acceptance._family": ("lo", "hi"),
     "acceptance._rational_match": ("tol", "max_den", "cap"),
 }
