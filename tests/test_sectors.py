@@ -5,7 +5,7 @@ import pytest
 
 import _reference
 from _reference import diameter, find_sectors as find_sectors_by_seed, image
-from cwdyn import continua, models, sectors
+from cwdyn import models, sectors
 from cwdyn.continua import MarkedContinuum, _dedupe_points, cover_reps, intersect
 from cwdyn.models import ModelCapabilityError, chart_distance, make_model
 from cwdyn.sectors import (
