@@ -132,6 +132,8 @@ _FLOATS = ("c", "eps", "alpha")
 _SPINE_SCAN_EPS = 0.1
 # memory the sectors command's parametrization may take, estimated from --grid
 _GRID_MEMORY_CAP = 512 * 2 ** 20
+# memory the metric command's evaluator may take, estimated from --depth
+_DEPTH_MEMORY_CAP = 512 * 2 ** 20
 _FLAGS = {"resolution": "--res", "sample_budget": "--sample-budget"}
 
 
@@ -202,6 +204,14 @@ def parse_config(argv) -> ExperimentConfig:
         chainrec.check_grid(make_model(cfg.model).chart, *_chain_grid(cfg))
     if cfg.command == "sectors":
         _check_sectors(cfg)
+    if cfg.command == "metric":
+        # the estimate grows with depth; past 64 it is far over any cap,
+        # and 2^depth of a huge depth would take long to compute
+        need = cwmetric.evaluator_bytes(min(cfg.depth, 64))
+        if need > _DEPTH_MEMORY_CAP:
+            raise ConfigError(f"--depth {cfg.depth} needs about {need / 2 ** 20:.0f} MiB for "
+                              f"the metric's block table and chain pass, above the "
+                              f"{_DEPTH_MEMORY_CAP // 2 ** 20} MiB cap; lower --depth")
     if cfg.command == "acceptance":
         try:
             acceptance.parse_suite(cfg.suite)

@@ -360,11 +360,12 @@ class _BlockTable:
     From shift s the ring scan j = 0, 1, ... (s + j before s - j) first
     meets the set at j0 = max(0, min(e_fwd - s, s - e_back)).  A straight
     torus row escapes there.  Any other row escapes at the first iterate
-    of its set whose diameter exceeds c: the iterates at j0 are decided
-    for all rows and shifts at once (_decide), s + j0 before s - j0, and a
-    row that fails both scans on alone.  Decisions are cached per (row,
-    iterate), so none is made twice, and none that the scan would not
-    reach.
+    of its set whose diameter exceeds c, and all such (row, shift) pairs
+    scan in lockstep from j0: each ring step decides s + j for every open
+    pair at once (_decide), then s - j for those that did not escape, so
+    each pair visits just the iterates of its own scan.  Decisions are
+    cached per (row, iterate), so none is made twice, and none that the
+    scan would not reach.
     """
 
     def __init__(self, sys, frame: models.EigenFrame, c: float, horizon: int,
@@ -392,7 +393,9 @@ class _BlockTable:
         """N of each row (all, or the given ones) at each shift, as a
         (rows, shifts) array holding horizon + 1 where no iterate within
         the horizon escapes.  exact=False returns the lower bound j0 and
-        decides nothing."""
+        decides nothing; otherwise the open pairs step their ring scans
+        together from j0, one _test of s + j and one of s - j a step,
+        until each escapes or passes the horizon."""
         rows = np.arange(len(self.e_back)) if rows is None else np.asarray(rows)
         s = np.asarray(shifts, dtype=np.int64)[None, :]
         j0 = np.maximum(0, np.minimum(self.e_fwd[rows, None] - s, s - self.e_back[rows, None]))
@@ -400,30 +403,17 @@ class _BlockTable:
         if not exact or self.closed:
             return n
         ri, si = np.nonzero((n <= self.horizon) & self.undecided[rows, None])
-        if not len(ri):
-            return n
-        b, s, j = rows[ri], s[0, si], n[ri, si]
-        hit = self._test(b, s + j)
-        back = ~hit & (j > 0)
-        hit[back] = self._test(b[back], s[back] - j[back])
-        for k in np.flatnonzero(~hit).tolist():
-            n[ri[k], si[k]] = self._scan(int(b[k]), int(s[k]), int(j[k]) + 1)
+        j = n[ri, si]
+        while len(ri):
+            b, at = rows[ri], s[0, si]
+            hit = self._test(b, at + j)
+            back = ~hit & (j > 0)
+            hit[back] = self._test(b[back], at[back] - j[back])
+            j = j + ~hit
+            n[ri, si] = j
+            open_ = ~hit & (j <= self.horizon)
+            ri, si, j = ri[open_], si[open_], j[open_]
         return n
-
-    def _scan(self, b: int, s: int, j: int) -> int:
-        """The ring scan of row b from shift s, resumed at j > 0."""
-        lo, hi = int(self.e_back[b]), int(self.e_fwd[b])
-        for j in range(j, self.horizon + 1):
-            for e in (s + j, s - j):
-                if e <= lo or e >= hi:
-                    self._cover(e, e)
-                    known = self._known[b, e - self._e0]
-                    if not known:
-                        known = 2 if self._exceeds(b, e) else 1
-                        self._known[b, e - self._e0] = known
-                    if known == 2:
-                        return j
-        return self.horizon + 1
 
     def _test(self, b: np.ndarray, e: np.ndarray) -> np.ndarray:
         """Whether iterate e lies in row b's length set and has diameter > c."""
@@ -488,8 +478,8 @@ class _BlockTable:
             settled = np.ones(len(sb), np.int8)
             settled[long] = np.where(hit, 2, 1)
             out[straight] = settled
-        for k in np.flatnonzero(out == 0).tolist():
-            out[k] = 2 if self._exceeds(int(b[k]), int(e[k])) else 1
+        for k in np.flatnonzero(~straight).tolist():
+            out[k] = 1 + _path_exceeds(self.sys, self.frame, self.bent[b[k]], self.c, int(e[k]))
         return out
 
     def _starts(self, rows: np.ndarray, its: np.ndarray) -> np.ndarray:
@@ -505,10 +495,6 @@ class _BlockTable:
                                                           [pts[k] for k in moved])):
             pts[k] = xy
         return np.array(pts)
-
-    def _exceeds(self, b: int, e: int) -> bool:
-        pieces = self.bent.get(b) or [_Piece(self.starts[b], self.au[b], self.as_[b])]
-        return _path_exceeds(self.sys, self.frame, pieces, self.c, e)
 
 
 def _rows_of(paths: list):
@@ -610,6 +596,21 @@ def _layout(depth: int, first: int, last: int, to_end: bool):
 # the first width of the sup's reach on upper bounds; later widths double
 _REACH = 32
 
+# tracemalloc's bytes of a block row (arrays, key, _sub_blocks temporaries)
+# and of a (row, shift) pair of an exact chain pass (escape time, weight, _decide)
+_ROW_BYTES, _PAIR_BYTES = 256, 128
+
+
+def evaluator_bytes(depth: int) -> int:
+    """Estimated peak memory of a MetricEvaluator at depth, g = 2^depth, over
+    an exact chain pass of 2 * _REACH shifts: the (g+1)² int64 row index of
+    _layout, about (g+1)²/2 block rows, each with an int8 decision per held
+    iterate (the pass's and _cover's margin of 129), and per shift a (g+1)²
+    float64 weight grid.  A sup reaching further, as on arcs far below xi,
+    makes longer passes."""
+    cells, shifts = (2 ** depth + 1) ** 2, 2 * _REACH
+    return 8 * (1 + shifts) * cells + cells // 2 * (_ROW_BYTES + 129 + shifts * (1 + _PAIR_BYTES))
+
 
 class MetricEvaluator:
     """Shared-cache evaluator of the whole pipeline for one continuum.
@@ -677,15 +678,13 @@ class MetricEvaluator:
         self._s0, self._p, self._exact = 0, np.empty(0), np.empty(0, dtype=bool)
         self._w = None  # D' from _p, when current
 
-    def escape(self, shift: int = 0):
-        """N(f^shift C): math.inf for a singleton, the horizon where no
-        iterate within it escapes."""
-        if self.singleton:
-            return INFINITY
-        return min(int(self.table.escapes([shift], rows=[0])[0, 0]), self.consts.horizon)
-
-    def rho(self, shift: int = 0) -> float:
-        return float(self._weights[0][self.table.escapes([shift], rows=[0])[0, 0]])
+    def escape(self, shift: int = 0) -> tuple:
+        """(N, rho) of f^shift C from one escape lookup: N is math.inf for
+        a singleton and the horizon where no iterate within it escapes,
+        rho = alpha^-N is 0 from the horizon on."""
+        n = int(self.table.escapes([shift], rows=[0])[0, 0])
+        return (INFINITY if self.singleton else min(n, self.consts.horizon),
+                float(self._weights[0][n]))
 
     def _chains(self, shifts, exact: bool) -> np.ndarray:
         """P at each shift: the chain DP over the block table, with exact
@@ -854,12 +853,12 @@ def escape_time(sys, cont: MarkedContinuum, consts: MetricConstants):
     math.inf for singletons; the value ``consts.horizon`` is a sentinel
     meaning ">= horizon" (effective infinity for the pipeline).
     """
-    return MetricEvaluator(sys, cont, consts, depth=0).escape(0)
+    return MetricEvaluator(sys, cont, consts, depth=0).escape(0)[0]
 
 
 def escape_weight(sys, cont: MarkedContinuum, consts: MetricConstants) -> float:
     """rho(C) = alpha^(-N(C)); 0 at or beyond the horizon."""
-    return MetricEvaluator(sys, cont, consts, depth=0).rho(0)
+    return MetricEvaluator(sys, cont, consts, depth=0).escape(0)[1]
 
 
 def chain_weight(sys, cont: MarkedContinuum, consts: MetricConstants,
@@ -888,9 +887,10 @@ def cw_metric_profile(sys, cont: MarkedContinuum, consts: MetricConstants,
     """Full pipeline record {N, rho, P, Dprime, D, achieved_index, tail_bound}."""
     ev = MetricEvaluator(sys, cont, consts, depth)
     prof = ev.metric_profile(0)
+    n, rho = ev.escape(0)
     prof.update({
-        "N": ev.escape(0),
-        "rho": ev.rho(0),
+        "N": n,
+        "rho": rho,
         "P": ev.chain(0),
         "Dprime": ev.window(0),
         "depth": int(depth),

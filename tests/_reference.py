@@ -9,15 +9,16 @@ lifted arcs only, no longer has, the arc frame's vertex bookkeeping and
 the polyline walk that segments replaced, the Katok connecting path as
 the vertex polyline that its two exact legs replaced, the Katok
 transport through arcs and paths that the bracket of their lifts
-replaced, and the per-point loops that array passes replaced, kept so
-that a test can ask for the same bits from both.
+replaced, the per-pair ring scan of the metric's block table that its
+lockstep ring steps replaced, and the per-point loops that array passes
+replaced, kept so that a test can ask for the same bits from both.
 """
 
 import math
 
 import numpy as np
 
-from cwdyn import models, periodic, sectors
+from cwdyn import cwmetric, models, periodic, sectors
 from cwdyn.continua import (MarkedContinuum, OffContinuumError, StraightLift, _crossings,
                             _dedupe_points, _segments, concat, intersect, subcontinuum,
                             unwrap_path)
@@ -470,3 +471,38 @@ def katok_transport(sys, z, k, eps, consts, label):
     if len(paths) == 1:
         return paths[0][0]
     return min(paths, key=lambda zp: cw_metric(sys, zp[1], consts, depth=3))[0]
+
+
+def ring_scan(table, shifts):
+    """cwmetric._BlockTable.escapes(shifts) pair by pair: each (row, shift)
+    of a row with candidate decisions scans j = j0, j0 + 1, ... up to the
+    horizon, s + j before s - j, and takes the first iterate of the row's
+    length set whose path has diameter > c, each (row, iterate) decided by
+    _path_exceeds once.  Returns the (rows, shifts) escape times, horizon +
+    1 for none, and the {(row, iterate, decision)} made, 2 escape, 1 not."""
+    h, decided = table.horizon, {}
+    n = np.full((len(table.e_back), len(shifts)), h + 1, dtype=np.int64)
+    for b in range(len(table.e_back)):
+        lo, hi = int(table.e_back[b]), int(table.e_fwd[b])
+        pieces = table.bent.get(b) or [cwmetric._Piece(table.starts[b], table.au[b],
+                                                        table.as_[b])]
+
+        def escapes(e):
+            if not (e <= lo or e >= hi):
+                return False
+            if (b, e) not in decided:
+                decided[b, e] = 1 + cwmetric._path_exceeds(table.sys, table.frame, pieces,
+                                                            table.c, e)
+            return decided[b, e] == 2
+
+        for k, s in enumerate(shifts):
+            j0 = max(0, min(hi - s, s - lo))
+            if not table.undecided[b]:
+                n[b, k] = min(j0, h + 1)
+                continue
+            for j in range(j0, h + 1):
+                # at j = 0 both sides are the one iterate s
+                if any(escapes(e) for e in dict.fromkeys((s + j, s - j))):
+                    n[b, k] = j
+                    break
+    return n, {(b, e, int(v)) for (b, e), v in decided.items()}

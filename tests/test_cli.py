@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cwdyn import acceptance, chainrec, cli, continua, holonomy, models, sectors
+from cwdyn import acceptance, chainrec, cli, continua, cwmetric, holonomy, models, sectors
 from cwdyn.cli import ConfigError, ExperimentConfig, parse_config
 
 
@@ -176,6 +176,28 @@ class TestMetric:
                     "tail_bound"):
             assert key in mrecs[1]
         assert mrecs[1]["D"] > 0
+
+    def test_depth_memory_capped_before_calibration(self, outdir, cont_file, capsys,
+                                                     monkeypatch):
+        # the cap is parsed, never evaluated; one past it is refused before
+        # the continua load or calibration runs
+        def work(*args, **kwargs):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(cwmetric, "calibrate", work)
+        cap = max(d for d in range(1, 30)
+                  if cwmetric.evaluator_bytes(d) <= cli._DEPTH_MEMORY_CAP)
+        assert parse_config(["metric", "--depth", str(cap)]).depth == cap
+        with pytest.raises(ConfigError, match=f"^--depth {cap + 1} needs about "):
+            parse_config(["metric", "--depth", str(cap + 1)])
+        rc, err = run_err(["metric", "--model", "pa", "--depth", str(cap + 1),
+                           "--continuum", cont_file], capsys)
+        assert rc == 1 and err.startswith(f"cwdyn: config error: --depth {cap + 1} needs ")
+        assert "MiB cap" in err
+        assert not (outdir / "metric.jsonl").exists()
+        # a depth far past any layout is refused without computing 2^depth
+        with pytest.raises(ConfigError, match="^--depth 1000000000 "):
+            parse_config(["metric", "--depth", "1000000000"])
 
     def test_requires_continuum(self, capsys):
         rc, err = run_err(["metric", "--model", "cat"], capsys)

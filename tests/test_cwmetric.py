@@ -1,13 +1,14 @@
 import functools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import (diameter, fold_escape, image, iterate_lift, single_thresholds,
-                        thresholds_from_minimum)
+from _reference import (diameter, fold_escape, image, iterate_lift, ring_scan,
+                        single_thresholds, thresholds_from_minimum)
 from cwdyn import continua, cwmetric, models
 from cwdyn.cwmetric import (
     MetricConstants, calibrate, chain_weight, constants_for, cw_metric,
@@ -446,6 +447,53 @@ class TestEscape:
     def test_rho_oracle(self, cat, consts):
         arc = _arc(cat, 0.3, 0.3, "unstable", 0.005)
         assert escape_weight(cat, arc, consts) == pytest.approx(2.0 ** -4, abs=0)
+
+
+class TestProfileEscape:
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_one_escape_lookup(self, kind, monkeypatch):
+        # the profile reads N and rho from one lookup of the full path's
+        # row, bit-equal to escape_time and escape_weight: a singleton's
+        # are inf and 0.0, a path past the horizon's the horizon and 0.0
+        sys, consts = _model(kind)
+        conts = [_make_case(kind, 0.3, 0.6, shape, eps, 5, False, (0, 99))[2]
+                 for shape in ("unstable", "two-leg") for eps in (1e-3, 5e-61)]
+        conts.append(continua.MarkedContinuum(chart=sys.chart, vertices=np.array([[0.3, 0.6]]),
+                                              mark_p=0, mark_q=0))
+        lookups = []
+        escapes = cwmetric._BlockTable.escapes
+
+        def spy(table, shifts, rows=None, exact=True):
+            if rows is not None:
+                lookups.append(list(rows))
+            return escapes(table, shifts, rows, exact)
+
+        monkeypatch.setattr(cwmetric._BlockTable, "escapes", spy)
+        for cont in conts:
+            want = {"N": escape_time(sys, cont, consts), "rho": escape_weight(sys, cont, consts)}
+            lookups.clear()
+            prof = cw_metric_profile(sys, cont, consts, depth=3)
+            assert lookups == [[0]]
+            _assert_same({k: prof[k] for k in want}, want)
+        assert repr(want["N"]) == "inf" and repr(want["rho"]) == "0.0"
+
+
+class TestEvaluatorBytes:
+    @pytest.mark.parametrize("depth", [4, 7])
+    def test_estimate_bounds_the_peak(self, depth):
+        # the estimate's exact pass of 2 * _REACH shifts outlasts these
+        # arcs' sups, and a profile's peak stays within a factor 8 below it
+        est = cwmetric.evaluator_bytes(depth)
+        for kind, shape, eps in (("sphere-pA", "unstable", 1e-12), ("sphere-pA", "stable", 0.05),
+                                 ("cat-map", "unstable", 1e-3)):
+            sys, consts, cont = _make_case(kind, 0.3, 0.4, shape, eps, 2, False, (0, 99))
+            tracemalloc.start()
+            try:
+                cw_metric_profile(sys, cont, consts, depth=depth)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert est / 8 < peak <= est, (kind, shape, eps)
 
 
 class TestChainWeight:
@@ -1082,3 +1130,80 @@ class TestQuotientRingScan:
             for shift, n in zip(range(-40, 41), got):
                 want = _ring_scan(h, shift, lambda e: ref.in_length_set(e) and ref.predicate(e))
                 assert (math.inf if n > h else n) == want
+
+
+_LOCKSTEP_SHIFTS = range(-40, 41)
+
+
+def _lockstep_tables(group):
+    """Block tables for the lockstep scan: the depth-2 tables of sphere-pA
+    stable, unstable and generic arcs from 1e-14 to 0.1 ("arcs"), of
+    cat-map and sphere-pA two-leg paths, whose full path and corner blocks
+    are bent rows ("two-leg"), and tables of sphere-pA eigen-segments
+    centred on the fold's fixed points under short horizons: the fold
+    holds their diameter to half their length, so scans run on past j0
+    and some pass the horizon ("horizon")."""
+    rng = np.random.default_rng(67)
+    if group == "horizon":
+        pa, consts = _model("sphere-pA")
+        frame = models.eigen_frame(pa.matrix)
+        # eigen components (au, as_); a piece of both stays within (c, 2c]
+        # over three iterates about its shortest
+        comps = [(0.0, ln) for ln in (1e-3, 0.01, 0.05, 0.1)] + \
+            [(ln, 0.0) for ln in (1e-3, 0.01, 0.05, 0.1)] + [(0.18, 0.18)]
+        paths = [[cwmetric._Piece(models._wrap1(xy - 0.5 * (u * frame.eu + v * frame.es)), u, v)]
+                 for xy in np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]]) for u, v in comps]
+        return [cwmetric._BlockTable(pa, frame, consts.c, h, *cwmetric._rows_of(paths))
+                for h in (1, 2, 5, 12)]
+    cases = [("sphere-pA", shape, eps) for shape in ("stable", "unstable", "generic")
+             for eps in (1e-14, 1e-11, 1e-8, 1e-5, 1e-3, 3e-2, 0.1)] if group == "arcs" else \
+        [(kind, "two-leg", eps) for kind in ("cat-map", "sphere-pA")
+         for eps in (1e-6, 1e-3, 0.03, 0.1)]
+    tables = []
+    for kind, shape, eps in cases:
+        sys, consts, cont = _make_case(kind, *rng.uniform(0.0, 1.0, 2), shape, eps, 9, False,
+                                       (0, 99))
+        tables.append(cwmetric.MetricEvaluator(sys, cont, consts, 2).table)
+    return tables
+
+
+def _decided(table):
+    # the (row, iterate, decision) triples held in the table's cache
+    if table._known is None:
+        return set()
+    b, col = np.nonzero(table._known)
+    return set(zip(b.tolist(), (col + table._e0).tolist(), table._known[b, col].tolist()))
+
+
+class TestLockstepScan:
+    @pytest.mark.parametrize("group", ["arcs", "two-leg", "horizon"])
+    def test_matches_per_pair_scan(self, group):
+        # the same escape times and the same decisions, no more, as each
+        # (row, shift) scanning on its own from j0
+        resumed = 0
+        for table in _lockstep_tables(group):
+            j0 = table.escapes(_LOCKSTEP_SHIFTS, exact=False)
+            got = table.escapes(_LOCKSTEP_SHIFTS)
+            want, decided = ring_scan(table, _LOCKSTEP_SHIFTS)
+            assert got.tolist() == want.tolist()
+            assert _decided(table) == decided
+            # pairs that scanned past j0: to an escape, or past the horizon
+            resumed += int(((got > j0) & ((got <= table.horizon) == (group != "horizon"))).sum())
+        assert resumed
+
+    @pytest.mark.parametrize("group", ["arcs", "two-leg", "horizon"])
+    def test_path_check_sees_only_bent_rows(self, group, monkeypatch):
+        # straight rows are decided in _decide's array pass at every step.
+        # One shift a call, a scan past j0 meets iterates no earlier call
+        # decided.
+        tables = _lockstep_tables(group)
+        want = [ring_scan(table, _LOCKSTEP_SHIFTS)[0] for table in tables]
+        seen = []
+        path_exceeds = cwmetric._path_exceeds
+        monkeypatch.setattr(cwmetric, "_path_exceeds", lambda sys, frame, pieces, *a:
+                            seen.append(len(pieces)) or path_exceeds(sys, frame, pieces, *a))
+        for table, n in zip(tables, want):
+            got = [table.escapes([shift])[:, 0] for shift in _LOCKSTEP_SHIFTS]
+            assert np.stack(got, axis=1).tolist() == n.tolist()
+        assert all(k > 1 for k in seen)
+        assert bool(seen) == (group == "two-leg")

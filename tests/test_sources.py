@@ -170,6 +170,23 @@ def test_retired_chainrec_name_check_sees_it():
     assert _spelled(tree, _RETIRED_CHAINREC) == [(1, "_Union"), (3, "_Union")]
 
 
+# the per-pair ring scan and its one-path diameter check that the block
+# table's lockstep ring steps replaced; the reference copy lives in
+# tests/_reference.py
+_RETIRED_SCAN = ("_scan", "_exceeds")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_per_pair_ring_scan(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _spelled(tree, _RETIRED_SCAN) == []
+
+
+def test_retired_scan_name_check_sees_it():
+    tree = ast.parse("class T:\n    def _scan(self, b):\n        return self._exceeds(b)\n")
+    assert _spelled(tree, _RETIRED_SCAN) == [(2, "_scan"), (3, "_exceeds")]
+
+
 # public names that only tests read; MarkedContinuum.point(mark) does
 _RETIRED_TEST_ONLY = ("point_p", "point_q")
 
