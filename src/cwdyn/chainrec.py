@@ -11,6 +11,15 @@ the graph has no edge: on cat-map at res 64 and eps 0.1, x = (0.53392,
 0.59618) and x' = (0.59355, 0.06184) have d(f(x), x') = 0.0981, but
 d(f(c_u), c_v) = 0.1272 exceeds eps + diag_v = 0.1221.
 
+The rule is translation invariant on the flat charts: whether a cell is
+an edge depends, up to rounding, on the image's offset within its base
+cell and the cell's offset from that base.  So the flat build groups
+the images by that sub-cell offset (one group on cat-map and sphere-pA
+at a power-of-two res), decides each group's stencil once, and writes
+each row as its base cell's key plus the stencil's offsets, sorting
+only rows that wrap or whose two quotient images come near.  Decisions
+too close to the threshold to share fall back to one window per source.
+
 Chain classes are strongly connected components restricted to
 cycle-carrying cells, then classes whose cells sit within the edge slack
 of each other are merged: two chain-recurrent points that close are
@@ -77,19 +86,24 @@ def _grid_centers(res: int) -> np.ndarray:
     return np.stack([(ii.ravel() + 0.5) * h, (jj.ravel() + 0.5) * h], axis=1)
 
 
-def _cell_diagonals(chart: str, res: int) -> np.ndarray:
+def _row_diagonals(chart: str, res: int) -> np.ndarray:
+    """Metric diagonal of the cells of each colatitude row, (res,):
+    geographic cells shrink toward the poles and take the longer one."""
     h = 1.0 / res
-    n = res * res
     if chart in (models.TORUS, models.SPHERE_QUOTIENT):
-        return np.full(n, np.sqrt(2.0) * h)
-    # geographic cells shrink toward the poles; take the longer diagonal
-    colat_lo = np.tile(np.arange(res) * h, res)
-    c1 = np.stack([np.zeros(n), colat_lo], axis=1)
-    c2 = np.stack([np.full(n, h), colat_lo + h], axis=1)
-    c3 = np.stack([np.zeros(n), colat_lo + h], axis=1)
-    c4 = np.stack([np.full(n, h), colat_lo], axis=1)
+        return np.full(res, np.sqrt(2.0) * h)
+    colat_lo = np.arange(res) * h
+    c1 = np.stack([np.zeros(res), colat_lo], axis=1)
+    c2 = np.stack([np.full(res, h), colat_lo + h], axis=1)
+    c3 = np.stack([np.zeros(res), colat_lo + h], axis=1)
+    c4 = np.stack([np.full(res, h), colat_lo], axis=1)
     return np.maximum(models.chart_distance(chart, c1, c2),
                       models.chart_distance(chart, c3, c4))
+
+
+def _cell_diagonals(chart: str, res: int) -> np.ndarray:
+    """Metric diagonal of every cell, cell ``i * res + j`` in row ``j``."""
+    return np.tile(_row_diagonals(chart, res), res)
 
 
 # Candidate (source, target) pairs an edge builder holds at once, whatever
@@ -101,16 +115,14 @@ _CHUNK_PAIRS = 1 << 20
 _SQ_MARGIN = 1e-12
 
 
-def _row_sets(keys: np.ndarray, n: int):
-    """Sorted distinct entries below ``n`` of each row of ``keys``.
-
-    ``n`` marks a non-edge.  Sorts ``keys`` in place; returns the per-row
-    counts and the entries in row order.
-    """
+def _distinct(keys: np.ndarray, n: int) -> np.ndarray:
+    """``keys`` with each row sorted and its repeats replaced by ``n``:
+    the row's distinct entries below ``n`` ascending, then entries of
+    ``n`` or more.  Sorts ``keys`` in place."""
     keys.sort(axis=1)
-    keep = keys < n
-    keep[:, 1:] &= keys[:, 1:] != keys[:, :-1]
-    return keep.sum(axis=1), keys[keep]
+    keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = n
+    keys.sort(axis=1)
+    return keys
 
 
 def _window_edges(chart, res, img, offs, thr):
@@ -163,26 +175,261 @@ def _stencil_offsets(chart, res, thr):
     return offs, (1 if chart == models.TORUS else 2) * offs.size ** 2
 
 
-def _edges_wrapped(chart, res, imgs, thr):
-    """CSR rows of the flat (wrapping) charts, one stencil pass per chunk.
+# Images whose sub-cell residuals round to the same multiple of
+# thr * _GROUP_STEP on both axes share one stencil; _group_stencils
+# derives the band this spread implies.
+_GROUP_STEP = 2.0 ** -30
 
-    ``thr`` is the one threshold of a flat grid.  A source's candidates
-    are the (2r+1)**2 cells around its image (and, on the quotient,
-    around minus its image), each tested against both quotient
-    representatives; repeats, from overlapping windows or a stencil wider
-    than the grid, are edges when any of their tests passes.  A chunk
-    holds whole sources; ``check_grid`` refuses a grid where one source
-    alone exceeds it.
+
+def _image_groups(chart, res, imgs, thr):
+    """Base cells and position groups of the torus images of every source.
+
+    A source has one torus image on the torus chart and two on the
+    quotient, ``img`` and ``-img``; its edges are the union of theirs.
+    An image ``p`` has the base cell ``b = floor(p / h - 1/2)`` of
+    ``_window_edges``, and the sub-cell residual ``p - (b + 1/2) h`` in
+    [0, h] decides, up to rounding, which cells around ``b`` are edges.
+    Images whose residuals round to the same multiple of ``thr *
+    _GROUP_STEP`` on both axes form one group.  Returns the base cells mod
+    res (n, w, 2), the group of each image (n, w), each group's first
+    residual (G, 2) and the largest coordinate magnitude of an image.
+    """
+    h = 1.0 / res
+    n = imgs.shape[0]
+    pts = imgs[:, None, :] if chart == models.TORUS else np.stack([imgs, -imgs], axis=1)
+    base = np.floor(pts / h - 0.5)
+    rho = (pts - (base + 0.5) * h).reshape(-1, 2)
+    k = np.rint(rho / (thr * _GROUP_STEP)).astype(np.int64)
+    k -= k.min(axis=0)
+    # a flat thr is at least 1.5 diagonals, above 2h, so each axis spans
+    # fewer than 2**30 steps and the joint key fits an int64
+    key = k[:, 0] * (k[:, 1].max() + 1) + k[:, 1]
+    if key.any():
+        _, first, group = np.unique(key, return_index=True, return_inverse=True)
+    else:  # one group, as on the model maps at a power-of-two res
+        first, group = [0], np.zeros(key.size, dtype=np.int64)
+    cells = np.mod(base, res).astype(np.int32)
+    return cells, group.reshape(n, -1), rho[first], float(np.abs(pts).max())
+
+
+@dataclass
+class _Stencils:
+    """The edges of each group of images, as cell offsets from the base
+    cell: group g's run lies at ``[ptr[g], ptr[g] + count[g])`` of ``ox``
+    and ``oy``, lexicographic, and ``width`` zeros pad the end."""
+    ptr: np.ndarray
+    count: np.ndarray
+    ox: np.ndarray
+    oy: np.ndarray
+    undecided: np.ndarray  # a candidate of the group lies inside the band
+    reach: int  # largest |offset| of any entry
+    width: int  # most entries of any group
+
+
+def _decide(rho, oh, lo, hi):
+    """Edges (groups, x-offset, y-offset) of residuals ``rho`` at cell
+    offsets ``oh``: the squared norms at most ``lo``; and whether each group
+    has a norm inside the band (lo, hi)."""
+    wx, wy = rho[:, 0, None] - oh, rho[:, 1, None] - oh
+    rx, ry = wx - np.round(wx), wy - np.round(wy)
+    sq = (rx * rx)[:, :, None] + (ry * ry)[:, None, :]
+    edge = sq <= lo
+    return edge, ((sq < hi) & ~edge).any(axis=(1, 2))
+
+
+def _group_stencils(res, rho, offs, thr, pmax) -> _Stencils:
+    """Decide the candidates ``offs`` x ``offs`` of each group once, from
+    its first residual.
+
+    ``_window_edges`` makes a cell an edge of image p when hypot(rx, ry)
+    <= thr, rx and ry the wrapped residuals of p minus the cell's centre
+    (its squared-norm pre-test decides only where hypot agrees); on the
+    quotient also when its other test, against the other image, passes.
+    Per axis, a member's |rx| and the representative's |rho - o h| differ
+    by at most d = q (1 + 2**-20) + 2**-50 (pmax + 4), q = thr *
+    _GROUP_STEP:
+      - the group's residuals spread by at most q, up to the rounding of
+        rho / q;
+      - each side's centre, difference and residual round by less than
+        2**-53 (pmax + 6) in all, its coordinates being below pmax + 3,
+        and a float residual rho is off its image's exact one by less
+        than 2**-53 (pmax + 2);
+      - a passing cross test on the quotient has a cell of the other
+        image's own window at most two periods away, and res * h is 1
+        within 2**-53, so its exact residual is within 2**-52 of that
+        cell's, to which its own rounding adds;
+      - these roundings stay below 2**-53 (4 pmax + 16), half of d's
+        second term.
+    The norms then differ by at most sqrt(2) d.  With a = sqrt(2) d +
+    2**-50 thr, which also covers hypot's ulp, a squared norm at most
+    (thr - a)**2 (1 - 2**-49) is an edge of every member and one above
+    (thr + a)**2 (1 + 2**-49) of none, the factors covering the squares'
+    rounding: a relative band of about 2**-28.5 around thr**2 at grid
+    scales.  A group with a candidate inside the band is undecided; each
+    source with an image in it takes its windows one by one.
+    """
+    d = thr * _GROUP_STEP * (1.0 + 2.0 ** -20) + 2.0 ** -50 * (pmax + 4.0)
+    a = np.sqrt(2.0) * d + 2.0 ** -50 * thr
+    band = (thr - a) ** 2 * (1.0 - 2.0 ** -49), (thr + a) ** 2 * (1.0 + 2.0 ** -49)
+    oh = offs * (1.0 / res)
+    n_groups = rho.shape[0]
+    count = np.zeros(n_groups, dtype=np.int64)
+    undecided = np.zeros(n_groups, dtype=bool)
+    ox, oy = [], []
+    per = max(1, _CHUNK_PAIRS // offs.size ** 2)
+    for g0 in range(0, n_groups, per):
+        edge, undecided[g0:g0 + per] = _decide(rho[g0:g0 + per], oh, *band)
+        g, i, j = np.nonzero(edge)
+        count[g0:g0 + per] = np.bincount(g, minlength=edge.shape[0])
+        ox.append(offs[i])
+        oy.append(offs[j])
+    width = int(count.max())
+    ox = np.concatenate(ox + [np.zeros(width, np.int64)]).astype(np.int32)
+    oy = np.concatenate(oy + [np.zeros(width, np.int64)]).astype(np.int32)
+    ptr = np.concatenate([[0], np.cumsum(count)])
+    reach = int(max(np.abs(ox).max(), np.abs(oy).max()))
+    return _Stencils(ptr, count, ox, oy, undecided, reach, width)
+
+
+@dataclass
+class _RowPlan:
+    """How each source's row is written.  ``cells`` and ``group`` hold its
+    images, on the quotient the one with the lower base column first."""
+    cells: np.ndarray  # (n, w, 2) base cells mod res
+    group: np.ndarray  # (n, w)
+    inner: np.ndarray  # (n, w): the image's stencil wraps on neither axis
+    sort: np.ndarray  # (n,): decided, but its keys come unordered
+    dedupe: np.ndarray  # (n,): sorted, and some of its keys can repeat
+    undecided: np.ndarray  # (n,): an image's group is undecided
+
+
+def _row_plan(res, cells, group, st: _Stencils) -> _RowPlan:
+    """Sort a row where an image's stencil wraps, or where the quotient's
+    two stencils share a column; dedupe it where they can share a cell
+    or a stencil is wider than the grid.  Every other row is its images'
+    stencil runs, one after the other."""
+    r = st.reach
+    if cells.shape[1] == 2:
+        swap = cells[:, 1, 0] < cells[:, 0, 0]
+        cells[swap] = cells[swap, ::-1]
+        group[swap] = group[swap, ::-1]
+    inner = ((cells >= r) & (cells < res - r)).all(axis=2)
+    undecided = st.undecided[group].any(axis=1)
+    direct = inner.all(axis=1)
+    if 2 * r + 1 > res:
+        repeats = np.ones(cells.shape[0], dtype=bool)
+    elif cells.shape[1] == 2:
+        direct &= cells[:, 1, 0] - cells[:, 0, 0] > 2 * r
+        gap = np.abs(cells[:, 1] - cells[:, 0])
+        repeats = (np.minimum(gap, res - gap) <= 2 * r).all(axis=1)
+    else:
+        repeats = np.zeros(cells.shape[0], dtype=bool)
+    sort = ~direct & ~undecided
+    return _RowPlan(cells, group, inner, sort, sort & repeats, undecided)
+
+
+def _slot_keys(res, st: _Stencils, cells, group, inner, out):
+    """Each row's target keys from one image, in stencil order, into the
+    (m, st.width) array ``out``, res**2 past the row's stencil.
+
+    Away from the border a target's key is the base cell's key plus the
+    linear offset ``ox * res + oy``, so the run is ascending; within
+    ``st.reach`` of the border each axis wraps on its own.
+    """
+    k = np.arange(st.width)
+    one = (group == group[0]).all()
+    rows = group[:1] if one else group
+    idx = st.ptr[rows, None] + k
+    ox, oy = st.ox[idx], st.oy[idx]
+    np.add((cells[:, 0] * res + cells[:, 1])[:, None], ox * res + oy, out=out)
+    edge = np.flatnonzero(~inner)
+    if edge.size:
+        # each border row's wrapped columns and rows, 2 reach + 1 a side,
+        # then gathered by the stencil's offsets: no integer mod per entry
+        span = np.arange(-st.reach, st.reach + 1, dtype=np.int32)
+        tx = np.mod(cells[edge, 0, None] + span, res) * res
+        ty = np.mod(cells[edge, 1, None] + span, res)
+        ix, iy = ox + st.reach, oy + st.reach
+        if one:
+            out[edge] = np.take(tx, ix[0], axis=1) + np.take(ty, iy[0], axis=1)
+        else:
+            out[edge] = (np.take_along_axis(tx, ix[edge], axis=1)
+                         + np.take_along_axis(ty, iy[edge], axis=1))
+    pad = k >= st.count[rows, None]
+    if pad.any():
+        np.copyto(out, res * res, where=pad)
+
+
+def _fill_rows(chart, res, imgs, offs, thr, st, plan, src, out):
+    """Write the rows of sources ``src`` into ``out`` (m, at least w *
+    st.width): each row's targets ascending, then res**2."""
+    n = res * res
+    w = st.width
+    slots = plan.cells.shape[1]
+    for s in range(slots):
+        _slot_keys(res, st, plan.cells[src, s], plan.group[src, s], plan.inner[src, s],
+                   out[:, s * w:(s + 1) * w])
+    out[:, slots * w:] = n
+    rows = np.flatnonzero(plan.sort[src])
+    if rows.size:
+        block = out[rows]
+        block.sort(axis=1)
+        dup = plan.dedupe[src[rows]]
+        if dup.any():
+            block[dup] = _distinct(block[dup], n)
+        out[rows] = block
+    rows = np.flatnonzero(plan.undecided[src])
+    if rows.size:
+        # at most out's width of distinct keys: the rest of a row is n
+        keys = _distinct(_window_edges(chart, res, imgs[src[rows]], offs, thr), n)
+        out[rows] = keys[:, :out.shape[1]]
+
+
+def _edges_wrapped(chart, res, imgs, thr):
+    """CSR rows of the flat (wrapping) charts, from one stencil per group
+    of image positions.
+
+    ``thr`` is the one threshold of a flat grid.  Whether a candidate cell
+    passes depends on the image's sub-cell residual and the cell's offset
+    alone, up to rounding: ``_group_stencils`` decides each group of
+    residuals once, and a row is then its images' base keys plus the
+    stencils' offsets.  On cat-map and sphere-pA at a power-of-two res
+    every image falls in one group; a synthetic ``step`` may put each in
+    its own, which costs what one window per source did.  A group with a
+    candidate too close to thr to share, and each row it touches, is
+    decided by ``_window_edges`` as a whole.  Row counts come first (a
+    pass over the rows that can repeat a key), then the rows fill one
+    ``indices`` array, a chunk of whole sources at a time; ``check_grid``
+    refuses a grid where one source alone exceeds a chunk.
     """
     n = imgs.shape[0]
     offs, row_pairs = _stencil_offsets(chart, res, thr)
     step = _CHUNK_PAIRS // row_pairs
-    counts, indices = [], []
+    cells, group, rho, pmax = _image_groups(chart, res, imgs, thr)
+    st = _group_stencils(res, rho, offs, thr, pmax)
+    plan = _row_plan(res, cells, group, st)
+    width = cells.shape[1] * st.width
+    counts = st.count[plan.group].sum(axis=1)
+    # rows whose keys can repeat: counted on a full window's width
+    rows = np.flatnonzero(plan.dedupe | plan.undecided)
+    for lo in range(0, rows.size, step):
+        src = rows[lo:lo + step]
+        out = np.empty((src.size, row_pairs), dtype=np.int32)
+        _fill_rows(chart, res, imgs, offs, thr, st, plan, src, out)
+        counts[src] = np.count_nonzero(out < n, axis=1)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
     for lo in range(0, n, step):
-        c, k = _row_sets(_window_edges(chart, res, imgs[lo:lo + step], offs, thr), n)
-        counts.append(c)
-        indices.append(k)
-    return np.concatenate(counts), np.concatenate(indices)
+        src = np.arange(lo, min(lo + step, n))
+        dest = indices[indptr[lo]:indptr[src[-1] + 1]]
+        if (counts[src] == width).all():
+            _fill_rows(chart, res, imgs, offs, thr, st, plan, src, dest.reshape(src.size, width))
+        else:
+            out = np.empty((src.size, max(width, int(counts[src].max()))), dtype=np.int32)
+            _fill_rows(chart, res, imgs, offs, thr, st, plan, src, out)
+            dest[:] = out[out < n]
+    return counts, indices
 
 
 def _lon_windows(lon, col, ja, nj, tcol, tmax, res):
@@ -282,15 +529,15 @@ def _edges_geographic(res, imgs, thr):
     return counts, np.concatenate(indices)
 
 
-def check_grid(chart: str, grid_resolution: int, eps: float) -> np.ndarray:
+def check_grid(chart: str, grid_resolution: int, eps: float) -> None:
     """Validate the grid resolution (the CLI's --res) and the chain step
-    (--eps) of a cell-transition graph; returns the cell diagonals."""
+    (--eps) of a cell-transition graph, from one cell per colatitude row."""
     if grid_resolution < 2:
         raise ConfigError(f"--res {grid_resolution} is too small: the grid needs "
                           f"at least 2 cells a side")
     if not eps > 0.0:
         raise ConfigError(f"--eps must be positive, got {eps}")
-    diag = _cell_diagonals(chart, grid_resolution)
+    diag = _row_diagonals(chart, grid_resolution)
     if eps < diag.max() / 2.0:
         raise ConfigError(
             f"--eps {eps} below half the largest cell diagonal {diag.max():.4g} at "
@@ -303,7 +550,40 @@ def check_grid(chart: str, grid_resolution: int, eps: float) -> np.ndarray:
                 f"--eps {eps} at --res {grid_resolution} gives each cell {row_pairs} "
                 f"candidate targets, more than the {_CHUNK_PAIRS} an edge-build chunk "
                 f"holds; lower --eps or --res")
-    return diag
+
+
+def graph_bytes(chart: str, grid_resolution: int, eps: float) -> int:
+    """Estimated bytes of the adjacency of a grid that ``check_grid``
+    accepts: an int32 index and an int8 datum per candidate target, and
+    the int64 row pointers.
+
+    A flat source's candidates are its stencil, (2r+1)**2 cells per torus
+    image.  A geographic source's are its band of colatitude rows times
+    the widest longitude window in the band, bounded by the haversine
+    formula without its colatitude term: sources in one colatitude row
+    share the estimate, taken at their own row's centre.  The work grows
+    with --res alone, not with the cell count.
+    """
+    res = grid_resolution
+    h = 1.0 / res
+    thr = eps + _row_diagonals(chart, res)
+    if chart in (models.TORUS, models.SPHERE_QUOTIENT):
+        cands = res * _stencil_offsets(chart, res, thr[0])[1]
+    else:
+        col = (np.arange(res) + 0.5) * h
+        big = float(thr.max())
+        ja = np.clip(np.ceil((col - big - 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
+        jb = np.clip(np.floor((col + big + 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
+        # the band's cells nearest a pole have the smallest sine
+        prod = np.sin(np.pi * col) * np.minimum(np.sin(np.pi * col[ja]), np.sin(np.pi * col[jb]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = np.sin(0.5 * np.pi * min(big, 1.0)) ** 2 / prod
+        half = np.arcsin(np.sqrt(np.clip(bound, 0.0, 1.0))) / np.pi
+        width = np.where((prod > 0.0) & (bound < 1.0),
+                         np.minimum(2 * np.ceil(half * res) + 1, res), res)
+        cands = int(((jb - ja + 1) * width).sum())
+    # cands: the candidates of one longitude column of sources
+    return 5 * res * cands + 8 * (res * res + 1)
 
 
 def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassGraph:
@@ -318,10 +598,9 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
 
     chart = sys.chart
     res = grid_resolution
-    # centres before the diagonals' temporaries: the other order peaks
-    # 6 MB higher at res 256 (measured, grid-scan)
+    check_grid(chart, res, eps)
     centers = _grid_centers(res)
-    diag = check_grid(chart, res, eps)
+    diag = _cell_diagonals(chart, res)
     imgs = np.asarray(step(centers) if step is not None
                       else models.iterate_arr(sys, centers, 1), dtype=float)
     thr = eps + diag

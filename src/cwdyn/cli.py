@@ -134,6 +134,8 @@ _SPINE_SCAN_EPS = 0.1
 _GRID_MEMORY_CAP = 512 * 2 ** 20
 # memory the metric command's evaluator may take, estimated from --depth
 _DEPTH_MEMORY_CAP = 512 * 2 ** 20
+# memory the chainrec command's graph may take, estimated from --res and --eps
+_GRAPH_MEMORY_CAP = 512 * 2 ** 20
 _FLAGS = {"resolution": "--res", "sample_budget": "--sample-budget"}
 
 
@@ -176,6 +178,19 @@ def _check_sectors(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"--eps must lie in (0, c={c}), got {cfg.eps}")
 
 
+def _check_chain_grid(cfg: ExperimentConfig) -> None:
+    """The chainrec command's grid and the memory of its graph, before any
+    work."""
+    chart = make_model(cfg.model).chart
+    res, eps = _chain_grid(cfg)
+    chainrec.check_grid(chart, res, eps)
+    need = chainrec.graph_bytes(chart, res, eps)
+    if need > _GRAPH_MEMORY_CAP:
+        raise ConfigError(f"--res {res} and --eps {eps} need about {need / 2 ** 20:.0f} MiB "
+                          f"for the chain graph, above the {_GRAPH_MEMORY_CAP // 2 ** 20} "
+                          f"MiB cap; lower --res or --eps")
+
+
 def parse_config(argv) -> ExperimentConfig:
     ns = _build_parser().parse_args(argv)
     merged = {}
@@ -201,7 +216,7 @@ def parse_config(argv) -> ExperimentConfig:
     _check_numbers(merged)
     cfg = ExperimentConfig(**merged)
     if cfg.command == "chainrec":
-        chainrec.check_grid(make_model(cfg.model).chart, *_chain_grid(cfg))
+        _check_chain_grid(cfg)
     if cfg.command == "sectors":
         _check_sectors(cfg)
     if cfg.command == "metric":

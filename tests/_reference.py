@@ -10,8 +10,10 @@ the polyline walk that segments replaced, the Katok connecting path as
 the vertex polyline that its two exact legs replaced, the Katok
 transport through arcs and paths that the bracket of their lifts
 replaced, the per-pair ring scan of the metric's block table that its
-lockstep ring steps replaced, and the per-point loops that array passes
-replaced, kept so that a test can ask for the same bits from both.
+lockstep ring steps replaced, the flat-chart graph build as one window
+per source that one stencil per group of image positions replaced, and
+the per-point loops that array passes replaced, kept so that a test can
+ask for the same bits from both.
 """
 
 import math
@@ -506,3 +508,60 @@ def ring_scan(table, shifts):
                     n[b, k] = j
                     break
     return n, {(b, e, int(v)) for (b, e), v in decided.items()}
+
+
+# -- the flat-chart edge build as one window per source ---------------------
+
+
+def window_edges(chart, res, img, offs, thr):
+    """Each row's candidate keys, res**2 where the cell is no edge: the
+    cells at offs x offs from the cell of its image img (and, on the
+    quotient, of -img), each tested against both quotient representatives.
+    A squared-norm pre-test decides the pairs outside a 1e-12 relative band
+    around thr; hypot, the chart distance, decides the rest."""
+    h = 1.0 / res
+    signs = (1.0,) if chart == models.TORUS else (1.0, -1.0)
+    lo, hi = thr * thr * (1.0 - 1e-12), thr * thr * (1.0 + 1e-12)
+    edge = np.zeros((len(signs), offs.size, offs.size, img.shape[0]), dtype=bool)
+    cells = []
+    for win, sgn in enumerate(signs):
+        base = np.floor(sgn * img / h - 0.5).astype(int)
+        cand = (base[:, 0] + offs[:, None], base[:, 1] + offs[:, None])
+        cells.append(cand)
+        tcx, tcy = ((c + 0.5) * h for c in cand)
+        sides = [(img[:, 0] - tcx, img[:, 1] - tcy)]
+        if chart == models.SPHERE_QUOTIENT:
+            sides.append((img[:, 0] + tcx, img[:, 1] + tcy))
+        for wx, wy in sides:
+            rx, ry = wx - np.round(wx), wy - np.round(wy)
+            rx2, ry2 = (rx * rx)[:, None, :], (ry * ry)[None, :, :]
+            sure = ry2 <= lo - rx2
+            edge[win] |= sure
+            near = ry2 <= hi - rx2
+            if np.count_nonzero(near) > np.count_nonzero(sure):
+                ox, oy, i = np.nonzero(near & ~sure)
+                edge[win, ox, oy, i] |= np.hypot(rx[ox, i], ry[oy, i]) <= thr
+    cx = np.stack([np.mod(c[0], res) * res for c in cells], axis=1).astype(np.int32).T
+    cy = np.stack([np.mod(c[1], res) for c in cells], axis=1).astype(np.int32).T
+    keys = cx[:, :, :, None] + cy[:, :, None, :]
+    edge = np.ascontiguousarray(edge.transpose(3, 0, 1, 2))
+    return np.where(edge, keys, np.int32(res * res)).reshape(img.shape[0], -1)
+
+
+def edges_wrapped(chart, res, imgs, thr):
+    """chainrec._edges_wrapped as one (2r+1)**2 window per source and
+    image, tested whole, then every row sorted and deduped: the per-row
+    counts and the indices of the CSR."""
+    n = imgs.shape[0]
+    r = int(np.ceil(min(thr, 0.75) * res)) + 1
+    offs = np.arange(-r, r + 1)
+    step = max(1, (1 << 20) // ((1 if chart == models.TORUS else 2) * offs.size ** 2))
+    counts, indices = [], []
+    for lo in range(0, n, step):
+        keys = window_edges(chart, res, imgs[lo:lo + step], offs, thr)
+        keys.sort(axis=1)
+        keep = keys < n
+        keep[:, 1:] &= keys[:, 1:] != keys[:, :-1]
+        counts.append(keep.sum(axis=1))
+        indices.append(keys[keep])
+    return np.concatenate(counts), np.concatenate(indices)

@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+import _reference
 from cwdyn import chainrec, models
 from cwdyn.chainrec import (
     ChainClassGraph, ConfigError, DiscretizationError, build_graph,
@@ -333,25 +334,51 @@ class TestCsrMatchesCooReference:
             got = build_graph(sys, 12, 0.1, step=_toward_spines).adjacency
             _assert_same_csr(got, want)
 
+    @staticmethod
+    def _assert_chunks_hold_the_budget(kind, res, eps, step, monkeypatch):
+        # every chunk of the build is measured: the groups' decisions, the
+        # rows it writes, and the windows of sources decided one by one
+        sizes = {}
+
+        def spy(name, size):
+            real = getattr(chainrec, name)
+
+            def wrapped(*args):
+                out = real(*args)
+                sizes.setdefault(name, []).append(size(args, out))
+                return out
+
+            monkeypatch.setattr(chainrec, name, wrapped)
+
+        spy("_decide", lambda args, out: out[0].size)
+        spy("_fill_rows", lambda args, out: args[-1].size)
+        spy("_window_edges", lambda args, out: out.size)
+        monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", 400)
+        sys = make_model(kind)
+        f = _STEPS.get(step)
+        got = build_graph(sys, res, eps, step=f).adjacency
+        assert all(0 < max(v) <= 400 for v in sizes.values())
+        _assert_same_csr(got, _ref_adjacency(sys, res, eps, step=f))
+        return sorted(sizes)
+
     @pytest.mark.parametrize("kind,res,eps", [("cat-map", 8, 0.3), ("sphere-pA", 8, 0.3),
                                               ("cat-map", 6, 5.0), ("sphere-pA", 6, 5.0)])
     def test_chunks_hold_at_most_the_pair_budget(self, kind, res, eps, monkeypatch):
         # rows of 121 to 338 pairs, one to three a chunk; eps 5 would ask
         # for a 67-wide stencil without the clamp at the diameter
-        sizes = []
-        real = chainrec._window_edges
+        assert self._assert_chunks_hold_the_budget(kind, res, eps, None, monkeypatch) \
+            == ["_decide", "_fill_rows"]
 
-        def spy(*args):
-            out = real(*args)
-            sizes.append(out.size)
-            return out
-
-        monkeypatch.setattr(chainrec, "_window_edges", spy)
-        monkeypatch.setattr(chainrec, "_CHUNK_PAIRS", 400)
-        sys = make_model(kind)
-        got = build_graph(sys, res, eps).adjacency
-        assert 0 < max(sizes) <= 400
-        _assert_same_csr(got, _ref_adjacency(sys, res, eps))
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    @pytest.mark.parametrize("res,eps,step", [(12, 0.1, "spines"),
+                                              (16, 5.0 / 16 - np.sqrt(2.0) / 16, "identity")])
+    def test_synthetic_chunks_hold_at_most_the_pair_budget(self, kind, res, eps, step,
+                                                           monkeypatch):
+        # a group per image near the spines; the identity images at thr =
+        # 5h, where hypot(3h, 4h) ties thr, are decided one by one
+        names = self._assert_chunks_hold_the_budget(kind, res, eps, step, monkeypatch)
+        assert names == (["_decide", "_fill_rows", "_window_edges"] if step == "identity"
+                         else ["_decide", "_fill_rows"])
 
     @pytest.mark.parametrize("chart,res,eps", [
         (models.TORUS, 12, 0.1), (models.SPHERE_QUOTIENT, 12, 0.1),
@@ -405,6 +432,126 @@ class TestCsrMatchesCooReference:
         want = _ref_adjacency(sys, res, eps, step=ident)
         assert want[s, t] == 1
         _assert_same_csr(build_graph(sys, res, eps, step=ident).adjacency, want)
+
+
+# -- reference: the flat-chart build as one window per source --------------
+
+
+def _window_adjacency(sys, res, eps, step=None):
+    """build_graph's adjacency from _reference.edges_wrapped."""
+    centers = chainrec._grid_centers(res)
+    imgs = np.asarray(step(centers) if step is not None
+                      else models.iterate_arr(sys, centers, 1), dtype=float)
+    thr = eps + chainrec._cell_diagonals(sys.chart, res)[0]
+    counts, indices = _reference.edges_wrapped(sys.chart, res, imgs, thr)
+    n = res * res
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return sp.csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
+
+
+def _tie_eps(sys, res, ulps):
+    """An eps whose threshold eps + diag lies ``ulps`` ulps from the test
+    norm of one image and one candidate cell, as _window_edges computes
+    it: source 100's image, the cell 3 columns and 4 rows from its base."""
+    h = 1.0 / res
+    img = models.iterate_arr(sys, chainrec._grid_centers(res)[100:101], 1)[0]
+    cell = np.floor(img / h - 0.5).astype(int) + np.array([3, 4])
+    w = img - (cell + 0.5) * h
+    r = w - np.round(w)
+    want = np.hypot(r[0], r[1])
+    for _ in range(abs(ulps)):
+        want = np.nextafter(want, np.sign(ulps) * np.inf)
+    diag = np.sqrt(2.0) * h
+    eps = want - diag
+    while eps + diag < want:
+        eps = np.nextafter(eps, np.inf)
+    while eps + diag > want:
+        eps = np.nextafter(eps, -np.inf)
+    assert eps + diag == want
+    return float(eps)
+
+
+class TestStencilsMatchWindows:
+    # stencils wider than the grid (res 5 and 8), odd and non-power-of-two
+    # sizes, and grid-scan's grids at the CLI's eps 6.4/res
+    CASES = ([(kind, res, eps) for kind in ("cat-map", "sphere-pA")
+              for res, eps in ((5, 0.3), (8, 0.3), (5, 6.4 / 5), (8, 6.4 / 8))]
+             + [(kind, res, 6.4 / res) for kind in ("cat-map", "sphere-pA")
+                for res in (17, 96, 100, 64, 128, 256)])
+
+    @pytest.mark.parametrize("kind,res,eps", CASES)
+    def test_model_grids(self, kind, res, eps):
+        sys = make_model(kind)
+        _assert_same_csr(build_graph(sys, res, eps).adjacency,
+                         _window_adjacency(sys, res, eps))
+
+    @pytest.mark.parametrize("step", sorted(_STEPS))
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_synthetic_steps(self, kind, step):
+        # a group per image or close to it, at a non-power-of-two res
+        sys = make_model(kind)
+        f = _STEPS[step]
+        _assert_same_csr(build_graph(sys, 24, 0.1, step=f).adjacency,
+                         _window_adjacency(sys, 24, 0.1, step=f))
+
+    @pytest.mark.parametrize("ulps", [-1, 0, 1])
+    @pytest.mark.parametrize("kind,res", [("cat-map", 64), ("sphere-pA", 64),
+                                          ("cat-map", 100), ("sphere-pA", 100)])
+    def test_norm_within_an_ulp_of_the_threshold(self, kind, res, ulps, monkeypatch):
+        # the images' own tests fall on both sides of thr: their group is
+        # left undecided, and its sources take the windows one by one
+        sys = make_model(kind)
+        eps = _tie_eps(sys, res, ulps)
+        windows = []
+        real = chainrec._window_edges
+
+        def spy(*args):
+            windows.append(args[2].shape[0])
+            return real(*args)
+
+        monkeypatch.setattr(chainrec, "_window_edges", spy)
+        got = build_graph(sys, res, eps).adjacency
+        assert 0 < sum(windows) <= 2 * res * res
+        _assert_same_csr(got, _window_adjacency(sys, res, eps))
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_one_group_at_a_power_of_two(self, kind, monkeypatch):
+        # every image, on the quotient both of a source's, has the same
+        # sub-cell residual: one decision serves all 65,536 rows
+        groups = []
+        real = chainrec._group_stencils
+
+        def spy(res, rho, *args):
+            st = real(res, rho, *args)
+            groups.append((rho.shape[0], int(st.undecided.sum())))
+            return st
+
+        def no_windows(*args):
+            raise AssertionError("a source was decided on its own")
+
+        monkeypatch.setattr(chainrec, "_group_stencils", spy)
+        monkeypatch.setattr(chainrec, "_window_edges", no_windows)
+        build_graph(make_model(kind), 256, 6.4 / 256)
+        assert groups == [(1, 0)]
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_build_peak_is_the_graph_and_one_chunk(self, kind):
+        # the rows fill one preallocated index array; a list of chunks and
+        # a final concatenate would hold the indices twice
+        sys = make_model(kind)
+        build_graph(sys, 8, 0.3)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            g = build_graph(sys, 128, 6.4 / 128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adj = g.adjacency
+        graph = adj.indices.nbytes + adj.data.nbytes + adj.indptr.nbytes
+        assert graph > 15_000_000
+        # a chunk's block of int32 keys, its mask and its packed copy
+        assert peak < graph + 8 * chainrec._CHUNK_PAIRS
 
 
 # -- reference: the per-cell grouping and the all-pairs merge over a

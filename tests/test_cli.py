@@ -313,6 +313,47 @@ class TestChainrec:
         assert not (outdir / "chainrec.jsonl").exists()
 
 
+    @pytest.mark.parametrize("model,res,eps", [("cat-map", 300, 0.03),
+                                               ("sphere-pA", 300, 0.03),
+                                               ("north-south", 300, 0.03)])
+    def test_graph_memory_capped_before_the_build(self, outdir, capsys, monkeypatch,
+                                                  model, res, eps):
+        # the cap is parsed, never built: an estimate at the cap passes,
+        # and one a byte past it is refused before build_graph runs
+        def work(*args, **kwargs):
+            raise AssertionError("the graph was built")
+
+        monkeypatch.setattr(chainrec, "build_graph", work)
+        argv = ["chainrec", "--model", model, "--res", str(res), "--eps", str(eps)]
+        need = chainrec.graph_bytes(cli.make_model(model).chart, res, eps)
+        monkeypatch.setattr(cli, "_GRAPH_MEMORY_CAP", need)
+        assert parse_config(argv).resolution == res
+        monkeypatch.setattr(cli, "_GRAPH_MEMORY_CAP", need - 1)
+        with pytest.raises(ConfigError, match=f"^--res {res} and --eps {eps} need about "):
+            parse_config(argv)
+        rc, err = run_err(argv, capsys)
+        assert rc == 1 and err.startswith(f"cwdyn: config error: --res {res} and --eps ")
+        assert "MiB cap" in err
+        assert not (outdir / "chainrec.jsonl").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["chainrec"], ["chainrec", "--model", "pa"], ["chainrec", "--model", "ns"],
+        *(["chainrec", "--model", m, "--res", str(r), "--eps", str(6.4 / r)]
+          for m in ("cat", "pa") for r in (128, 256)),
+        *(["chainrec", "--model", "ns", "--res", str(r), "--eps", "0.01"] for r in (128, 256))])
+    def test_default_and_benchmark_grids_fit_the_cap(self, argv):
+        cfg = parse_config(argv)
+        res, eps = cli._chain_grid(cfg)
+        assert chainrec.graph_bytes(cli.make_model(cfg.model).chart, res, eps) \
+            <= cli._GRAPH_MEMORY_CAP
+
+    @pytest.mark.parametrize("model,res", [("pa", 1024), ("cat", 100_000), ("ns", 100_000)])
+    def test_large_grids_are_refused(self, model, res):
+        # estimated from --res alone: no array of res**2 cells is made
+        with pytest.raises(ConfigError, match=f"^--res {res} and --eps .* lower --res or --eps"):
+            parse_config(["chainrec", "--model", model, "--res", str(res)])
+
+
 class TestSectors:
     def test_sphere_pa_report(self, outdir):
         assert cli.run(["sectors", "--model", "pa", "--res", "64",
