@@ -22,6 +22,17 @@ escape; that case is decided exactly by the sup of the distance to the
 lattice along the doubled segment, which is taken at the window's ends
 or where the segment crosses a line of Z + 1/2.  Calibration decides
 membership in its arc family with the same straight-segment identity.
+
+A two-piece path on the torus is decided in closed form too, when c <=
+1/4 and the eigenframe is orthonormal (_path_of refuses a model whose
+eigenvectors are not orthogonal).  At an iterate where both pieces v1,
+v2 are at most c the path is at most 2c <= 1/2 long, so its chart
+diameter is max(|v1|, |v2|, |v1 + v2|), and where one is longer than c
+so is the diameter.  Each of the three is a straight length, so the
+path's escape set is the union of three length sets.  A path with one of
+the three within _HYPOT_BAND c of c where its set is decided keeps the
+per-iterate check (_path_exceeds), so every decision stays the one that
+check makes.
 """
 
 from __future__ import annotations
@@ -30,6 +41,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,6 +188,39 @@ class _Piece:
         self.as_ = float(as_)
 
 
+class _Bent(NamedTuple):
+    """The pieces of a table's bent rows, in path order: piece k runs from
+    the cover start s[k] with eigen components (au[k], as_[k]) and belongs
+    to row row[k]; rows are nondecreasing."""
+
+    row: np.ndarray
+    s: np.ndarray
+    au: np.ndarray
+    as_: np.ndarray
+
+    def join(self, other: "_Bent", offset: int) -> "_Bent":
+        """These pieces, then other's with its rows moved by offset."""
+        if not len(other.row):
+            return self
+        return _Bent(np.concatenate([self.row, other.row + offset]),
+                     *(np.concatenate(pair) for pair in zip(self[1:], other[1:])))
+
+
+_NO_BENT = _Bent(np.zeros(0, dtype=np.int64), np.zeros((0, 2)), np.zeros(0), np.zeros(0))
+for _a in _NO_BENT:
+    _a.setflags(write=False)
+
+# the cosine of the eigenvector angle that still counts as orthogonal, at
+# the rounding of a unit-vector dot product
+_ORTHO_TOL = 4 * 2.0 ** -52
+
+
+def _orthonormal(frame: models.EigenFrame) -> bool:
+    """Whether the eigenvectors are orthogonal up to rounding, so that
+    hypot(au, as_) is the length of au*eu + as_*es."""
+    return abs(float(frame.eu @ frame.es)) <= _ORTHO_TOL
+
+
 def _eigen_piece(frame: models.EigenFrame, s, vec) -> _Piece:
     """The piece from s along the cover vector vec, split in the eigenframe."""
     as_, au = frame.inv @ np.asarray(vec, dtype=float)
@@ -237,7 +282,14 @@ def _pstart(sys, p: _Piece, e: int) -> np.ndarray:
 
 
 def _path_exceeds(sys, frame: models.EigenFrame, pieces: list, c: float, e: int) -> bool:
-    """Whether the path of pieces has chart diameter > c at iterate e."""
+    """Whether the path of pieces has chart diameter > c at iterate e.
+
+    The block table asks this only of the bent rows it leaves undecided:
+    paths of three or more pieces, two-piece paths on the quotient or at
+    c > 1/4, and two-piece torus paths with a length of v1, v2 or v1 + v2
+    within _HYPOT_BAND c of c where their length sets are decided
+    (_BlockTable).
+    """
     lens = [math.hypot(p.au * (frame.su ** e), p.as_ * (frame.ss ** e)) for p in pieces]
     long = [(p, ln) for p, ln in zip(pieces, lens) if ln > c]
     if long and (sys.chart == TORUS or _segment_exceeds(
@@ -275,7 +327,7 @@ def _path_exceeds(sys, frame: models.EigenFrame, pieces: list, c: float, e: int)
 _NEVER = 1 << 40
 
 
-def _length_sets(frame: models.EigenFrame, keys: list, c: float):
+def _length_sets(frame: models.EigenFrame, keys: list, c: float, near: set = None):
     """Length-escape exponent thresholds of the pieces with eigen components
     (au, as_) in keys: int64 arrays (e_back, e_fwd), one entry per key.
 
@@ -293,15 +345,25 @@ def _length_sets(frame: models.EigenFrame, keys: list, c: float):
     it (_tail_end).  Each distinct key is worked out once, in Python
     floats, so that every comparison is the scalar one; a table holds a
     few dozen keys, too few for numpy's per-call cost to pay.
+
+    The keys whose length comes within _HYPOT_BAND c of c at an exponent
+    compared go into the set near, if one is given.  Those exponents take
+    in both sides of each tail end, or the bracket of the minimum of a
+    length over c everywhere; so, by log-convexity, a key left out is
+    clear of the band at every exponent.
     """
     lu, ls = abs(frame.su), abs(frame.ss)
     log_u, log_s = math.log(lu), math.log(ls)
+    band = _HYPOT_BAND * c
 
     def above(u, s, e):
         try:
-            return math.hypot(u * (lu ** e), s * (ls ** e)) > c
+            ln = math.hypot(u * (lu ** e), s * (ls ** e))
         except OverflowError:
             return True
+        if near is not None and abs(ln - c) <= band:
+            near.add((u, s))
+        return ln > c
 
     sets = dict.fromkeys(keys)
     for u, s in sets:
@@ -350,44 +412,109 @@ def _tail_end(above, u: float, s: float, e: int, bound, step: int) -> int:
 class _BlockTable:
     """Escape times of a list of paths, the blocks, over arrays of shifts.
 
-    Row b is one straight piece (starts[b], au[b], as_[b]), a bent path
-    ``bent[b]`` of several pieces, or a singleton (au = as_ = 0).  Each row
-    has one length set (-inf, e_back] + [e_fwd, inf), and the sets of all
-    distinct (au, as_) come from one _length_sets pass.  A bent path takes
-    the set of one straight piece longer than it at every iterate, so no
-    iterate outside the set has diameter > c either.
+    Row b is one straight piece (starts[b], au[b], as_[b]), a bent path of
+    several pieces (the rows of ``bent``), or a singleton (au = as_ = 0).
+    Each row has one length set (-inf, e_back] + [e_fwd, inf), and the sets
+    of all distinct (au, as_) come from one _length_sets pass.  A bent path
+    takes the set of one straight piece longer than it at every iterate,
+    so no iterate outside the set has diameter > c either.
+
+    A two-piece torus path with c <= 1/4 and an orthonormal frame instead
+    takes the union of the sets of v1, v2 and v1 + v2, leaving out a leg
+    that v1 + v2 matches or outgrows in both components: that union is the
+    set of iterates with diameter > c (module docstring).  Every length of
+    the union is log-convex, so if none comes within _HYPOT_BAND c of c on
+    either side of its tail ends (_length_sets' near keys), none does at
+    any iterate, each float comparison agrees with the exact one, and the
+    row is decided: no iterate of it needs a check.  A row with a near
+    length keeps the loose set and the per-iterate check.  So a table of
+    straight torus rows and such two-piece rows is closed, at no cost to a
+    table without two-piece rows.
 
     From shift s the ring scan j = 0, 1, ... (s + j before s - j) first
-    meets the set at j0 = max(0, min(e_fwd - s, s - e_back)).  A straight
-    torus row escapes there.  Any other row escapes at the first iterate
-    of its set whose diameter exceeds c, and all such (row, shift) pairs
-    scan in lockstep from j0: each ring step decides s + j for every open
-    pair at once (_decide), then s - j for those that did not escape, so
-    each pair visits just the iterates of its own scan.  Decisions are
-    cached per (row, iterate), so none is made twice, and none that the
-    scan would not reach.
+    meets the set at j0 = max(0, min(e_fwd - s, s - e_back)).  A decided
+    row escapes there.  Any other row escapes at the first iterate of its
+    set whose diameter exceeds c, and all such (row, shift) pairs scan in
+    lockstep from j0: each ring step decides s + j for every open pair at
+    once (_decide), then s - j for those that did not escape, so each pair
+    visits just the iterates of its own scan.  Decisions are cached per
+    (row, iterate), so none is made twice, and none that the scan would
+    not reach.
     """
 
     def __init__(self, sys, frame: models.EigenFrame, c: float, horizon: int,
-                 starts: np.ndarray, au: np.ndarray, as_: np.ndarray, bent: dict):
+                 starts: np.ndarray, au: np.ndarray, as_: np.ndarray, bent: _Bent):
         self.sys, self.frame = sys, frame
         self.c, self.horizon = float(c), int(horizon)
         self.starts, self.au, self.as_, self.bent = starts, au, as_, bent
-        keys = list(zip(au.tolist(), as_.tolist()))
-        for b, pieces in bent.items():
-            # hypot(x, y) <= x + y <= sqrt(2) hypot(x, y) per piece, with a
-            # margin far over the rounding of the path's summed length
-            w = math.sqrt(2.0) * (1.0 + 1e-9)
-            keys[b] = (w * sum(abs(p.au) for p in pieces), w * sum(abs(p.as_) for p in pieces))
-        self.e_back, self.e_fwd = _length_sets(frame, keys, self.c)
         self.straight = np.ones(len(au), dtype=bool)
-        self.straight[list(bent)] = False
+        self.straight[bent.row] = False
         # rows whose candidate iterates need a diameter decision
         self.undecided = ~self.straight | (sys.chart != TORUS)
+        self._pieces_at = {}  # bent row -> its _Piece list, as _path_exceeds takes it
+        keys = list(zip(au.tolist(), as_.tolist()))
+        legs = np.zeros(0, dtype=np.int64)
+        if len(bent.row):
+            rows, first, count = np.unique(bent.row, return_index=True, return_counts=True)
+            two = (count == 2) & (sys.chart == TORUS and self.c <= 0.25 and _orthonormal(frame))
+            self._loose(keys, rows[~two].tolist())
+            legs, first = rows[two], first[two]
+        if len(legs):
+            self.e_back, self.e_fwd = self._two_leg_sets(keys, legs, first)
+        else:
+            self.e_back, self.e_fwd = _length_sets(frame, keys, self.c)
         self.closed = not self.undecided.any()
         self._mats = {}  # integer matrix powers by iterate
         self._known = None  # per (row, iterate - _e0): 0 open, 1 no escape, 2 escape
         self._e0 = 0
+
+    def _loose(self, keys: list, rows: list) -> None:
+        """Put the loose key of each bent row of rows into keys: per piece
+        hypot(x, y) <= x + y <= sqrt(2) hypot(x, y), with a margin far over
+        the rounding of the path's summed length."""
+        w = math.sqrt(2.0) * (1.0 + 1e-9)
+        for b in rows:
+            pieces = self._pieces(b)
+            keys[b] = (w * sum(abs(p.au) for p in pieces), w * sum(abs(p.as_) for p in pieces))
+
+    def _two_leg_sets(self, keys: list, legs: np.ndarray, first: np.ndarray):
+        """The length sets of every row, with each two-piece row of legs
+        (its pieces from first on in bent) decided where no vector of its
+        union comes near c (_length_sets), and given its loose set
+        elsewhere."""
+        u, v = self.bent.au.tolist(), self.bent.as_.tolist()
+        unions = []
+        for k in first.tolist():
+            u3, v3 = u[k] + u[k + 1], v[k] + v[k + 1]
+            # a leg that v1 + v2 matches or outgrows in both components is
+            # never the longest: its set adds nothing to the union
+            unions.append([(u[i], v[i]) for i in (k, k + 1)
+                           if abs(u[i]) > abs(u3) or abs(v[i]) > abs(v3)] + [(u3, v3)])
+        n, extra, near = len(keys), [key for vs in unions for key in vs], set()
+        e_back, e_fwd = _length_sets(self.frame, keys + extra, self.c, near)
+        sets = dict(zip(extra, zip(e_back[n:].tolist(), e_fwd[n:].tolist())))
+        e_back, e_fwd = e_back[:n], e_fwd[:n]
+        rest = []
+        for b, vs in zip(legs.tolist(), unions):
+            if near.isdisjoint(vs):
+                e_back[b] = max(sets[key][0] for key in vs)
+                e_fwd[b] = min(sets[key][1] for key in vs)
+                self.undecided[b] = False
+            else:
+                rest.append(b)
+        if rest:
+            self._loose(keys, rest)
+            e_back[rest], e_fwd[rest] = _length_sets(self.frame, [keys[b] for b in rest], self.c)
+        return e_back, e_fwd
+
+    def _pieces(self, b: int) -> list:
+        """The pieces of bent row b."""
+        if b not in self._pieces_at:
+            row = self.bent.row
+            lo, hi = np.searchsorted(row, [b, b + 1]).tolist()
+            self._pieces_at[b] = [_Piece(self.bent.s[k], self.bent.au[k], self.bent.as_[k])
+                                  for k in range(lo, hi)]
+        return self._pieces_at[b]
 
     def escapes(self, shifts, rows=None, exact: bool = True) -> np.ndarray:
         """N of each row (all, or the given ones) at each shift, as a
@@ -479,7 +606,8 @@ class _BlockTable:
             settled[long] = np.where(hit, 2, 1)
             out[straight] = settled
         for k in np.flatnonzero(~straight).tolist():
-            out[k] = 1 + _path_exceeds(self.sys, self.frame, self.bent[b[k]], self.c, int(e[k]))
+            out[k] = 1 + _path_exceeds(self.sys, self.frame, self._pieces(int(b[k])), self.c,
+                                       int(e[k]))
         return out
 
     def _starts(self, rows: np.ndarray, its: np.ndarray) -> np.ndarray:
@@ -499,16 +627,21 @@ class _BlockTable:
 
 def _rows_of(paths: list):
     """Block-table rows of paths given as piece lists: starts, au, as_ of
-    the straight ones (zero for singletons) and the piece lists of the
-    bent ones."""
+    the straight ones (zero for singletons) and the pieces of the bent
+    ones."""
     starts, au, as_ = np.zeros((len(paths), 2)), np.zeros(len(paths)), np.zeros(len(paths))
-    bent = {}
+    bent = []
     for b, pieces in enumerate(paths):
         if len(pieces) == 1:
             starts[b], au[b], as_[b] = pieces[0].s, pieces[0].au, pieces[0].as_
         elif pieces:
-            bent[b] = pieces
-    return starts, au, as_, bent
+            bent += [(b, p) for p in pieces]
+    if not bent:
+        return starts, au, as_, _NO_BENT
+    return starts, au, as_, _Bent(np.array([b for b, _ in bent], dtype=np.int64),
+                                  np.array([p.s for _, p in bent]),
+                                  np.array([p.au for _, p in bent]),
+                                  np.array([p.as_ for _, p in bent]))
 
 
 def _path_of(sys, cont: MarkedContinuum):
@@ -520,45 +653,53 @@ def _path_of(sys, cont: MarkedContinuum):
         raise models.ChartError(f"continuum chart {cont.chart!r} does not match "
                                 f"model {sys.chart!r}")
     frame = models.eigen_frame(sys.matrix)
+    if not _orthonormal(frame):
+        raise ModelCapabilityError(
+            f"the metric pipeline needs orthogonal eigenvectors, and those of matrix "
+            f"{sys.matrix} meet at cos {float(frame.eu @ frame.es):.3g}: it takes "
+            f"hypot of the eigen components as a length")
     return frame, ([] if cont.is_singleton else _pieces_of(cont, frame))
 
 
 def _sub_blocks(frame: models.EigenFrame, pieces: list, a: np.ndarray, b: np.ndarray):
     """The sub-paths of a path between params a < b (arrays; params by
     cover length): starts, au, as_ of the straight ones (zero for empty
-    ones) and the piece lists of the bent ones."""
+    ones) and the pieces of the bent ones, all cut in array passes."""
     lengths = [math.hypot(p.au, p.as_) for p in pieces]
     total = float(sum(lengths))
-    ends = np.array(list(itertools.accumulate(lengths)))
-    acc = np.concatenate([[0.0], ends[:-1]])
-    lens = np.array(lengths)
+    ends = list(itertools.accumulate(lengths))
+    acc, lens = np.array([0.0] + ends[:-1]), np.array(lengths)
     starts = np.array([p.s for p in pieces])
-    au, as_ = np.array([[p.au, p.as_] for p in pieces]).T
+    au, as_ = np.array([p.au for p in pieces]), np.array([p.as_ for p in pieces])
     vecs = au[:, None] * frame.eu + as_[:, None] * frame.es  # _pvec at iterate 0
     # the piece holding each param, and the param's place along it
     target = np.concatenate([a, b]) * total
     at = np.minimum(np.searchsorted(ends, target, side="left"), len(pieces) - 1)
     loc = np.divide(target - acc[at], lens[at], out=np.zeros_like(target), where=lens[at] != 0)
-    (ia, ib), (ta, tb) = np.split(at, 2), np.split(np.minimum(np.maximum(loc, 0.0), 1.0), 2)
+    loc = np.minimum(np.maximum(loc, 0.0), 1.0)
+    ia, ib, ta, tb = at[:len(a)], at[len(a):], loc[:len(a)], loc[len(a):]
     w = np.where(tb > ta, tb - ta, 0.0)
     sub_s = models._wrap1(starts[ia] + ta[:, None] * vecs[ia])
     sub_au, sub_as = w * au[ia], w * as_[ia]
-    bent = {}
-    for k in np.flatnonzero(ia != ib).tolist():
-        sub = []
-        for i in range(ia[k], ib[k] + 1):
-            t0 = ta[k] if i == ia[k] else 0.0
-            t1 = tb[k] if i == ib[k] else 1.0
-            if t1 > t0:
-                p = pieces[i]
-                sub.append(_Piece(models._wrap1(p.s + t0 * vecs[i]),
-                                  (t1 - t0) * p.au, (t1 - t0) * p.as_))
-        sub_au[k] = sub_as[k] = 0.0
-        if len(sub) == 1:
-            sub_s[k], sub_au[k], sub_as[k] = sub[0].s, sub[0].au, sub[0].as_
-        elif sub:
-            bent[k] = sub
-    return sub_s, sub_au, sub_as, bent
+    cross = np.flatnonzero(ia != ib)
+    if not len(cross):
+        return sub_s, sub_au, sub_as, _NO_BENT
+    # the pieces ia..ib of each block across a junction, cut to [t0, t1],
+    # the empty ones dropped: one piece makes the block straight
+    n = ib[cross] - ia[cross] + 1
+    k = np.repeat(cross, n)
+    i = ia[k] + np.arange(len(k)) - np.repeat(np.cumsum(n) - n, n)
+    t0 = np.where(i == ia[k], ta[k], 0.0)
+    t1 = np.where(i == ib[k], tb[k], 1.0)
+    cut = t1 > t0
+    k, i, t0, t1 = k[cut], i[cut], t0[cut], t1[cut]
+    cut_s = models._wrap1(starts[i] + t0[:, None] * vecs[i])
+    cut_au, cut_as = (t1 - t0) * au[i], (t1 - t0) * as_[i]
+    sub_au[cross] = sub_as[cross] = 0.0
+    one = np.bincount(k, minlength=len(ia))[k] == 1
+    sub_s[k[one]], sub_au[k[one]], sub_as[k[one]] = cut_s[one], cut_au[one], cut_as[one]
+    one = ~one
+    return sub_s, sub_au, sub_as, _Bent(k[one], cut_s[one], cut_au[one], cut_as[one])
 
 
 @lru_cache(maxsize=16)
@@ -672,7 +813,7 @@ class MetricEvaluator:
             s1, au1, as1, bent1 = _sub_blocks(frame, pieces, cuts[:, 0], cuts[:, 1])
             s, au, as_ = np.concatenate([s, s1]), np.concatenate([au, au1]), \
                 np.concatenate([as_, as1])
-            bent.update((k + 1, v) for k, v in bent1.items())
+            bent = bent.join(bent1, 1)
         self.table = _BlockTable(sys, frame, consts.c, consts.horizon, s, au, as_, bent)
         self._weights = _weights(consts)
         self._s0, self._p, self._exact = 0, np.empty(0), np.empty(0, dtype=bool)

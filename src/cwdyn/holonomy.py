@@ -124,6 +124,11 @@ def holonomy(sys, x: Point, y: Point, z: Point, kind: str,
     HolonomyFault when the crossing promised by the product structure
     is missing (model fault).  Points are ordered by distance from z.
     """
+    return _branches(sys, x, y, z, kind, params)[0]
+
+
+def _branches(sys, x: Point, y: Point, z: Point, kind: str, params: HolonomyParams):
+    """holonomy's branches, and the target arc C^{kind}_eps(y) they lie on."""
     other = "unstable" if models._want_stable(kind) else "stable"
     dxy = models.distance(sys, x, y)
     if not dxy < params.delta:
@@ -140,7 +145,7 @@ def holonomy(sys, x: Point, y: Point, z: Point, kind: str,
     zxy = z.xy()
     pts.sort(key=lambda p: (models.chart_distance(sys.chart, zxy, p.xy()),
                             p.coords[0], p.coords[1]))
-    return pts
+    return pts, target
 
 
 # -- probes ---------------------------------------------------------------
@@ -164,8 +169,8 @@ def _sample_rectangle(sys, rng, params: HolonomyParams, diam_range):
 def _branch_ratios(sys, C, p, q, pstar, params, consts, depth: int = 3):
     """D(C*)/D(C) for every admissible branch of the transported side."""
     d_c = cw_metric(sys, C, consts, depth=depth)
-    cands = holonomy(sys, p, pstar, q, "stable", params)
-    arc_s = models.local_arc(sys, pstar, "stable", params.eps, resolution=ARC_RESOLUTION)
+    # the branches lie on the stable arc of p*, which C* is cut from
+    cands, arc_s = _branches(sys, p, pstar, q, "stable", params)
     ratios = []
     for qstar in cands:
         try:

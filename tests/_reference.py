@@ -475,19 +475,30 @@ def katok_transport(sys, z, k, eps, consts, label):
     return min(paths, key=lambda zp: cw_metric(sys, zp[1], consts, depth=3))[0]
 
 
-def ring_scan(table, shifts):
+def ring_scan(table, shifts, loose=False):
     """cwmetric._BlockTable.escapes(shifts) pair by pair: each (row, shift)
     of a row with candidate decisions scans j = j0, j0 + 1, ... up to the
     horizon, s + j before s - j, and takes the first iterate of the row's
     length set whose path has diameter > c, each (row, iterate) decided by
     _path_exceeds once.  Returns the (rows, shifts) escape times, horizon +
-    1 for none, and the {(row, iterate, decision)} made, 2 escape, 1 not."""
+    1 for none, and the {(row, iterate, decision)} made, 2 escape, 1 not.
+
+    loose=True scans every bent row so, the two-piece torus rows that the
+    table closes included, each over the set of its loose key: per piece
+    sqrt(2) (1 + 1e-9) times the summed component sizes."""
     h, decided = table.horizon, {}
     n = np.full((len(table.e_back), len(shifts)), h + 1, dtype=np.int64)
     for b in range(len(table.e_back)):
         lo, hi = int(table.e_back[b]), int(table.e_fwd[b])
-        pieces = table.bent.get(b) or [cwmetric._Piece(table.starts[b], table.au[b],
-                                                        table.as_[b])]
+        if table.straight[b]:
+            pieces = [cwmetric._Piece(table.starts[b], table.au[b], table.as_[b])]
+        else:
+            pieces = table._pieces(b)
+            if loose:
+                w = math.sqrt(2.0) * (1.0 + 1e-9)
+                key = (w * sum(abs(p.au) for p in pieces), w * sum(abs(p.as_) for p in pieces))
+                (lo,), (hi,) = (x.tolist() for x in cwmetric._length_sets(table.frame, [key],
+                                                                            table.c))
 
         def escapes(e):
             if not (e <= lo or e >= hi):
@@ -499,7 +510,7 @@ def ring_scan(table, shifts):
 
         for k, s in enumerate(shifts):
             j0 = max(0, min(hi - s, s - lo))
-            if not table.undecided[b]:
+            if not (table.undecided[b] or loose and not table.straight[b]):
                 n[b, k] = min(j0, h + 1)
                 continue
             for j in range(j0, h + 1):

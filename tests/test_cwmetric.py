@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import (diameter, fold_escape, image, iterate_lift, ring_scan,
                         single_thresholds, thresholds_from_minimum)
-from cwdyn import continua, cwmetric, models
+from cwdyn import continua, cwmetric, holonomy, models, periodic
 from cwdyn.cwmetric import (
     MetricConstants, calibrate, chain_weight, constants_for, cw_metric,
     cw_metric_family, cw_metric_profile, escape_time, escape_weight,
@@ -1201,9 +1201,103 @@ class TestLockstepScan:
         seen = []
         path_exceeds = cwmetric._path_exceeds
         monkeypatch.setattr(cwmetric, "_path_exceeds", lambda sys, frame, pieces, *a:
-                            seen.append(len(pieces)) or path_exceeds(sys, frame, pieces, *a))
+                            seen.append((sys.kind, len(pieces)))
+                            or path_exceeds(sys, frame, pieces, *a))
         for table, n in zip(tables, want):
             got = [table.escapes([shift])[:, 0] for shift in _LOCKSTEP_SHIFTS]
             assert np.stack(got, axis=1).tolist() == n.tolist()
-        assert all(k > 1 for k in seen)
+        assert all(k > 1 for _, k in seen)
+        # the two-leg tables of the quotient scan their bent rows; the
+        # torus ones are closed, their bent rows decided at construction
         assert bool(seen) == (group == "two-leg")
+        assert {kind for kind, _ in seen} <= {"sphere-pA"}
+        for table in tables:
+            assert table.closed == (table.sys.kind == "cat-map")
+
+
+def _bent_record(sys, corner, d1, d2):
+    # a record polyline with one bend: two generic straight pieces
+    v = models._wrap1(np.array([corner, corner + d1, corner + d1 + d2]))
+    return continua.MarkedContinuum(chart=sys.chart, vertices=v, mark_p=0, mark_q=2)
+
+
+def _assert_loose_scan(table):
+    # the escape times of the per-pair scan of each bent row over its loose
+    # set, and the same decisions for the rows the table leaves undecided
+    got = table.escapes(_LOCKSTEP_SHIFTS)
+    want, decided = ring_scan(table, _LOCKSTEP_SHIFTS, loose=True)
+    assert got.tolist() == want.tolist()
+    assert _decided(table) == {d for d in decided if table.undecided[d[0]]}
+
+
+class TestTwoLegClosure:
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+    def test_closed_rows_match_the_loose_scan(self, depth):
+        # eigen two-leg paths, as a Katok step builds them, and records with
+        # one bend, whose legs both have two components, from 1e-9 to c/2
+        sys, consts = _model("cat-map")
+        rng = np.random.default_rng(71 + depth)
+        bent = 0
+        for _ in range(6):
+            corner = rng.uniform(0.0, 1.0, 2)
+            leg = 10.0 ** rng.uniform(-9.0, math.log10(0.5 * consts.c))
+            ang = rng.uniform(0.0, 2.0 * math.pi, 2)
+            d1, d2 = (leg * rng.uniform(0.2, 1.0) * np.array([math.cos(a), math.sin(a)])
+                      for a in ang)
+            marks = tuple(rng.integers(0, 5, 2).tolist())
+            for cont in (_two_legs(sys, corner, leg).with_marks(*marks),
+                         _bent_record(sys, corner, d1, d2)):
+                table = cwmetric.MetricEvaluator(sys, cont, consts, depth).table
+                assert table.closed
+                bent += int((~table.straight).sum())
+                _assert_loose_scan(table)
+        assert bent
+
+    def test_near_ties_keep_the_scan(self, cat, consts):
+        # a leg of length exactly c at iterate 0, and legs whose sum is
+        # within 1e-15 of c at iterates 0 and -2: each stays undecided,
+        # scanning over its loose set as before
+        c, frame = consts.c, models.eigen_frame(cat.matrix)
+        su, ss = frame.su, frame.ss
+        start = np.array([0.3, 0.6])
+        paths = [[cwmetric._Piece(start, c, 0.0), cwmetric._Piece(start, -0.5 * c, 0.1)]]
+        for e in (0, -2):
+            for nudge in (-1, 0, 1):
+                u = math.nextafter(0.2, math.inf * nudge) if nudge else 0.2
+                u, s = u / su ** e, 0.15 / ss ** e
+                assert abs(math.hypot(u * su ** e, s * ss ** e) - c) <= 1e-15
+                paths.append([cwmetric._Piece(start, 0.0, s), cwmetric._Piece(start, u, 0.0)])
+        table = cwmetric._BlockTable(cat, frame, c, consts.horizon, *cwmetric._rows_of(paths))
+        assert table.undecided.all()
+        _assert_loose_scan(table)
+
+    def test_katok_and_probe_tables_are_closed(self, cat, consts, monkeypatch):
+        # a cat-map Katok run and a probe run build only closed tables,
+        # two-leg rows among them, and never check a path per iterate
+        tables, checks = [], []
+        init = cwmetric._BlockTable.__init__
+
+        def spy(table, *a):
+            init(table, *a)
+            tables.append(table)
+
+        monkeypatch.setattr(cwmetric._BlockTable, "__init__", spy)
+        monkeypatch.setattr(cwmetric, "_path_exceeds", lambda *a: checks.append(a))
+        plan = periodic.plan_katok(cat, consts, 1e-2, sample_budget=60, seed=1)
+        res = periodic.katok_iterate(cat, cat.point(0.2 + 1e-9, 0.4 + 1.3e-9), 2, plan, consts)
+        assert res["converged"] and res["steps"]
+        katok = len(tables)
+        params = holonomy.default_params(cat)
+        rep = holonomy.pseudo_isometry_probe(cat, 20, [1e-6], params, consts, seed=3, depth=2)
+        assert rep["n_samples"] == 20
+        assert katok and len(tables) > katok and not checks
+        assert all(table.closed for table in tables)
+        assert any(not table.straight.all() for table in tables[:katok])
+
+    def test_refuses_a_skewed_eigenframe(self, consts):
+        # the lengths are hypot of eigen components: with eigenvectors 120
+        # degrees apart they are not, and the metric refuses the model
+        sys = make_model("cat-map", matrix=((2, 1), (3, 2)))
+        arc = local_arc(sys, sys.point(0.3, 0.4), "unstable", 0.05, resolution=2)
+        with pytest.raises(models.ModelCapabilityError, match=r"\(\(2, 1\), \(3, 2\)\)"):
+            cw_metric(sys, arc, consts)

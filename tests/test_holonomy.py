@@ -189,3 +189,15 @@ class TestProbes:
         a = pseudo_isometry_probe(cat, 40, [1e-3], params, consts, seed=11)
         b = pseudo_isometry_probe(cat, 40, [1e-3], params, consts, seed=11)
         assert a == b
+
+    def test_probe_builds_three_arcs_a_sample(self, cat, params, consts, monkeypatch):
+        # the sample's stable arc, the carrier of the transport, and the
+        # stable arc of p*, which holds the branches and gives C*
+        kinds = []
+        local_arc = models.local_arc
+        monkeypatch.setattr(models, "local_arc",
+                            lambda sys, x, kind, *a, **k: kinds.append(kind)
+                            or local_arc(sys, x, kind, *a, **k))
+        rep = pseudo_isometry_probe(cat, 30, [1e-6], params, consts, seed=5)
+        assert rep["n_samples"] == 30 and not rep["obstructions"]
+        assert kinds == ["stable", "unstable", "stable"] * 30
