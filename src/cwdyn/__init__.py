@@ -1,6 +1,6 @@
 """Constructive continuum-wise hyperbolic dynamics on concrete surfaces.
 
-Subpackages: models (systems and charts), continua (marked polylines),
+Subpackages: models (systems and charts), continua (marked arcs and records),
 cwmetric (self-similar hyperbolic metric on continua, which iterates a
 continuum in closed form from its pieces), holonomy
 (stable/unstable holonomies and rectangles), periodic (iterative periodic

@@ -124,8 +124,8 @@ def _load_config_file(path) -> dict:
     return data
 
 
-_POSITIVE_INTS = ("depth", "resolution", "budget", "grid")
-_INTS = _POSITIVE_INTS + ("sample_budget", "seed")
+_POSITIVE_INTS = ("depth", "resolution", "budget", "grid", "sample_budget")
+_INTS = _POSITIVE_INTS + ("seed",)
 _FLOATS = ("c", "eps", "alpha")
 # arc half-length of the sectors command's spine scan, whatever --eps is;
 # a local arc needs it below c
@@ -140,9 +140,9 @@ _FLAGS = {"resolution": "--res", "sample_budget": "--sample-budget"}
 
 
 def _check_numbers(merged: dict) -> None:
-    """Int fields must be integers (sizes positive ones) and float fields
-    finite numbers, from flags and --config values alike; float fields are
-    stored as floats, so a file's 1 hashes like the flag's 1.0."""
+    """Int fields must be integers (sizes positive, the seed non-negative)
+    and float fields finite numbers, from flags and --config values alike;
+    float fields are stored as floats, so a file's 1 hashes like the flag's 1.0."""
     for name in _INTS + _FLOATS:
         val = merged.get(name)
         if val is None:
@@ -154,8 +154,8 @@ def _check_numbers(merged: dict) -> None:
             if not (number and abs(val) <= sys.float_info.max):
                 raise ConfigError(f"{flag} must be a finite number, got {val!r}")
             merged[name] = float(val)
-        elif not (number and isinstance(val, int)) or (name in _POSITIVE_INTS and val <= 0):
-            kind = "a positive integer" if name in _POSITIVE_INTS else "an integer"
+        elif not (number and isinstance(val, int)) or val < (1 if name in _POSITIVE_INTS else 0):
+            kind = "a positive integer" if name in _POSITIVE_INTS else "a non-negative integer"
             raise ConfigError(f"{flag} must be {kind}, got {val!r}")
 
 

@@ -1,19 +1,18 @@
-"""Marked continua: polylines with two marked points, plus their geometry.
+"""Marked continua: lifted arcs and polyline records with two marked points.
 
-A continuum is stored as an ordered vertex polyline in a chart, with two
-marked vertex indices.  Arcs produced by the model constructors also
-carry a *straight lift*: the exact segment in the universal cover that
-the polyline discretizes.  Crossings, cuts and projections work on that
-segment and take lifted arcs only, and ``concat`` keeps them as a path's
-legs; a plain polyline (a record) is measured by cwmetric, nothing more.
-No image continuum is ever built: cwmetric iterates a lift in closed
-form (its cover start by exact integer arithmetic mod 1, its eigen
-components by the eigenvalue powers), so no float error accumulates
-along an orbit.
+A continuum the library builds is lifted: it holds the exact straight
+segment in the universal cover behind it (``models.local_arc`` or a cut
+of one), or a ``concat`` path's chain of them, is marked at its ends and
+builds vertices only when they are read.  Crossings, cuts and projections
+take lifted arcs only; a record (``from_record``, a vertex polyline) is
+measured by cwmetric, nothing more.  No image continuum is ever built:
+cwmetric iterates a lift in closed form (its cover start by exact integer
+arithmetic mod 1, its eigen components by the eigenvalue powers).
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, replace
@@ -27,12 +26,12 @@ from .models import (
     chart_distance, wrap_chart,
 )
 
-# polyline edges must stay under one chart step
+# record edges must stay under one chart step
 MAX_STEP = 0.5
 
 
 class OffContinuumError(ValueError):
-    """A point that must lie on the polyline does not (within tol)."""
+    """A point that must lie on a continuum does not (within tol)."""
 
 
 @functools.lru_cache(maxsize=None)
@@ -98,7 +97,7 @@ def unwrap_to(chart: str, anchor, v) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StraightLift:
-    """Exact straight segment in the universal cover behind a polyline arc.
+    """Exact straight segment in the universal cover that a lifted continuum holds.
 
     ``start + t*length*direction`` for t in [0,1].  ``stable`` records the
     eigen-direction tag (True/False) or None for a generic direction.
@@ -139,51 +138,52 @@ class StraightLift:
                             chart=self.chart, stable=self.stable)
 
 
-@dataclass
 class MarkedContinuum:
-    """Polyline continuum with marked points p and q (vertex indices).
+    """A continuum with marked points p and q (vertex indices).
 
-    A lifted arc carries its lift with each vertex's lift param, 0 to 1;
-    a ``concat`` path carries its parts' lifts as legs, chained in the cover.
+    A record holds its vertices, a polyline with edges under MAX_STEP.  A
+    lifted continuum holds its ``lift`` (a path its ``legs``), is marked at
+    its two ends in either order, and builds its vertices on first read
+    (_vertex_view); a local arc's ``knot`` is the lift param of its point.
     """
 
-    chart: str
-    vertices: np.ndarray
-    mark_p: int
-    mark_q: int
-    params: np.ndarray | None = None
-    lift: StraightLift | None = None
-    legs: tuple = ()
+    def __init__(self, chart: str, vertices=None, mark_p: int = 0, mark_q: int | None = None,
+                 lift: StraightLift | None = None, legs: tuple = (), knot: float | None = None):
+        self.chart, self.lift, self.legs, self.knot = chart, lift, tuple(legs), knot
+        v = None if vertices is None else np.asarray(vertices, dtype=float)
+        if (v is None) == (lift is None and not self.legs):
+            raise ValueError("a continuum takes vertices (a record) or a lift or legs")
+        if v is None:
+            self.n_vertices = (1 + sum(leg.length > 0 for leg in self.legs) if self.legs
+                               else len(_view_params(lift, knot)))
+        else:
+            v = v.reshape(1, 2) if v.ndim == 1 else v
+            if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
+                raise ValueError("vertices must be an (N, 2) array with N >= 1")
+            steps = chart_distance(chart, v[:-1], v[1:]) if len(v) > 1 else np.zeros(1)
+            if steps.max() >= MAX_STEP:
+                raise ValueError(f"consecutive vertices exceed one chart step "
+                                 f"(max {float(steps.max()):.4f} >= {MAX_STEP})")
+            self.n_vertices = len(v)
+        self._vertices = v
+        self.mark_p, self.mark_q = mark_p, self.n_vertices - 1 if mark_q is None else mark_q
+        self._check_marks()
 
-    def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
-        if v.ndim == 1:
-            v = v.reshape(1, 2)
-        if v.ndim != 2 or v.shape[1] != 2 or v.shape[0] < 1:
-            raise ValueError("vertices must be an (N, 2) array with N >= 1")
-        self.vertices = v
-        n = v.shape[0]
+    def _check_marks(self):
+        n = self.n_vertices
         for name, idx in (("mark_p", self.mark_p), ("mark_q", self.mark_q)):
             if not 0 <= idx < n:
                 raise ValueError(f"{name}={idx} out of range for {n} vertices")
-        if n > 1:
-            steps = chart_distance(self.chart, v[:-1], v[1:])
-            if np.any(steps >= MAX_STEP):
-                raise ValueError(f"consecutive vertices exceed one chart step "
-                                 f"(max {float(np.max(steps)):.4f} >= {MAX_STEP})")
-        if (self.lift is None) != (self.params is None):
-            raise ValueError("a lift and its params come together")
-        if self.params is not None:
-            t = np.asarray(self.params, dtype=float)
-            if t.shape != (n,) or np.any(np.diff(t) < 0):
-                raise ValueError("params must be a nondecreasing length-N array")
-            if t[0] != 0.0 or t[-1] != (1.0 if n > 1 else 0.0):
-                raise ValueError("lift params must run from 0 to 1 ([0] on one vertex)")
-            self.params = t
+        if (self.lift is not None or self.legs) and \
+                sorted((self.mark_p, self.mark_q)) != [0, n - 1]:
+            raise ValueError(f"a lifted continuum is marked at its ends 0 and {n - 1}, "
+                             f"not at {self.mark_p} and {self.mark_q}")
 
     @property
-    def n_vertices(self) -> int:
-        return int(self.vertices.shape[0])
+    def vertices(self) -> np.ndarray:
+        if self._vertices is None:
+            self._vertices = _vertex_view(self)
+        return self._vertices
 
     @property
     def is_singleton(self) -> bool:
@@ -193,7 +193,37 @@ class MarkedContinuum:
         return Point(self.chart, (float(self.vertices[idx, 0]), float(self.vertices[idx, 1])))
 
     def with_marks(self, mark_p: int, mark_q: int) -> "MarkedContinuum":
-        return replace(self, mark_p=mark_p, mark_q=mark_q)
+        out = copy.copy(self)
+        out.mark_p, out.mark_q = mark_p, mark_q
+        out._check_marks()
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _arc_grid() -> np.ndarray:
+    # a local arc's view params before its knot
+    return np.linspace(0.0, 1.0, 64)
+
+
+def _view_params(lift: StraightLift, knot: float | None) -> np.ndarray:
+    """A lifted arc's view params: a cut's ends (one at length 0), or a
+    local arc's 64 evenly spaced ones and its knot, unless that is within
+    1e-12 + 1e-5*|knot| of one (np.isclose's default tolerances)."""
+    if knot is None:
+        return np.array([0.0, 1.0][:1 + (lift.length > 0)])
+    t = _arc_grid()
+    if (np.abs(t - knot) <= 1e-12 + 1e-5 * abs(knot)).any():
+        return t
+    return np.sort(np.append(t, knot))
+
+
+def _vertex_view(cont: MarkedContinuum) -> np.ndarray:
+    """A lifted continuum's vertices: its lift at its view params, or a
+    path's start and the end of each leg of nonzero length, wrapped."""
+    if cont.legs:
+        ends = [leg.cover_points(1.0)[0] for leg in cont.legs if leg.length > 0]
+        return wrap_chart(cont.chart, np.array([cont.legs[0].start_arr, *ends]))
+    return cont.lift.project(_view_params(cont.lift, cont.knot))
 
 
 def _diameter_exceeds(chart: str, pts: np.ndarray, thr: float) -> bool:
@@ -386,7 +416,7 @@ def _bracket(chart: str, seg_a, seg_b, tol: float) -> np.ndarray:
 # -- sub-arcs and concatenation -------------------------------------------
 
 
-def _project_to_polyline(cont: MarkedContinuum, xy: np.ndarray):
+def _project_to_lift(cont: MarkedContinuum, xy: np.ndarray):
     """Lift parameter of the nearest point of a lifted arc to xy, clamped
     to [0, 1], and xy's distance from the arc."""
     t, _, dist = _nearest_on(cont.chart, _segments(cont), xy)
@@ -400,41 +430,33 @@ def subcontinuum(cont: MarkedContinuum, a: Point, b: Point,
     for p in (a, b):
         if p.chart != cont.chart:
             raise ChartError(f"point chart {p.chart!r} does not match continuum {cont.chart!r}")
-    ka, da = _project_to_polyline(cont, a.xy())
-    kb, db = _project_to_polyline(cont, b.xy())
+    ka, da = _project_to_lift(cont, a.xy())
+    kb, db = _project_to_lift(cont, b.xy())
     if da > tol:
         raise OffContinuumError(f"point p is {da:.3g} from the continuum (tol {tol})")
     if db > tol:
         raise OffContinuumError(f"point q is {db:.3g} from the continuum (tol {tol})")
-    swapped = kb < ka
-    k0, k1 = (kb, ka) if swapped else (ka, kb)
-    tp = cont.params
-    sub = cont.lift.subsegment(k0, k1)
-    inner = tp[(tp > k0 + 1e-15) & (tp < k1 - 1e-15)]
-    span = max(k1 - k0, 1e-300)
-    t = np.concatenate([[0.0], (inner - k0) / span, [1.0]]) if k1 > k0 else np.array([0.0])
-    mk = (len(t) - 1, 0) if swapped else (0, len(t) - 1)
-    return MarkedContinuum(chart=cont.chart, vertices=sub.project(t), params=t,
-                           mark_p=mk[0], mark_q=mk[1], lift=sub)
+    sub = MarkedContinuum(chart=cont.chart, lift=cont.lift.subsegment(min(ka, kb), max(ka, kb)))
+    return sub.with_marks(sub.mark_q, sub.mark_p) if kb < ka else sub
 
 
 def concat(parts: list, tol: float = 1e-9) -> MarkedContinuum:
     """Chain lifted parts end-to-start into one path marked at its ends.
 
-    Each part's lift, cut at its marks and run from mark_p to mark_q, is
-    moved to s·a + k, the cover representative of its start a nearest the
-    end of the leg before it; a gap over tol raises OffContinuumError.
-    The path keeps these legs, and the parts' vertices, junctions once.
+    Each part's lift, run from mark_p to mark_q (its ends, params 0 and
+    1), is moved to s·a + k, the cover representative of its start a
+    nearest the end of the leg before it; a gap over tol raises
+    OffContinuumError.  The path holds these legs.
     """
     if not parts:
         raise ValueError("concat of no parts")
     chart = parts[0].chart
-    legs, verts = [], []
+    legs = []
     for part in parts:
         if part.chart != chart:
             raise ChartError("concat parts must share a chart")
         _segments(part)  # a record has no lift to chain
-        leg = part.lift.subsegment(part.params[part.mark_p], part.params[part.mark_q])
+        leg = part.lift.subsegment(float(part.mark_p > 0), float(part.mark_q > 0))
         if legs:
             end = legs[-1].cover_points(1.0)
             _, s, k = cover_reps(chart, leg.start, leg.start, end, end)
@@ -443,11 +465,8 @@ def concat(parts: list, tol: float = 1e-9) -> MarkedContinuum:
             if gap[j] > tol:
                 raise OffContinuumError(f"concat gap {gap[j]:.3g} exceeds tol {tol}")
             leg = replace(leg, start=s[j] * leg.start_arr + k[j], direction=s[j] * leg.dir_arr)
-        step = 1 if part.mark_p <= part.mark_q else -1
-        verts.append(part.vertices[np.arange(part.mark_p, part.mark_q + step, step)[bool(legs):]])
         legs.append(leg)
-    v = np.concatenate(verts)
-    return MarkedContinuum(chart=chart, vertices=v, mark_p=0, mark_q=len(v) - 1, legs=tuple(legs))
+    return MarkedContinuum(chart=chart, legs=tuple(legs))
 
 
 # -- serialization --------------------------------------------------------

@@ -778,21 +778,14 @@ class MetricEvaluator:
         self.consts = consts
         self.depth = int(depth)
         frame, pieces = _path_of(sys, cont)
-        if cont.lift is not None:
-            # lift params run from 0 to 1
-            tp = float(cont.params[cont.mark_p])
-            tq = float(cont.params[cont.mark_q])
-        else:
-            # cumulative-length params of the marked vertices
+        # a lifted continuum is marked at its ends, lift params 0 and 1 (0 on a point)
+        tp, tq = 0.0, float(not cont.is_singleton)
+        if cont.lift is None and not cont.legs and tq:
+            # a record's are the cumulative-length params of its marked vertices
             v = cont.vertices
-            if len(v) > 1:
-                steps = chart_distance(cont.chart, v[:-1], v[1:])
-                cum = np.concatenate([[0.0], np.cumsum(steps)])
-                tot = cum[-1] if cum[-1] > 0 else 1.0
-                tp = float(cum[cont.mark_p] / tot)
-                tq = float(cum[cont.mark_q] / tot)
-            else:
-                tp = tq = 0.0
+            cum = np.concatenate([[0.0], np.cumsum(chart_distance(cont.chart, v[:-1], v[1:]))])
+            tot = cum[-1] if cum[-1] > 0 else 1.0
+            tp, tq = float(cum[cont.mark_p] / tot), float(cum[cont.mark_q] / tot)
         self.tp, self.tq = min(tp, tq), max(tp, tq)
         self.singleton = not float(sum(math.hypot(p.au, p.as_) for p in pieces)) > 0.0
         g = 2 ** self.depth

@@ -25,9 +25,6 @@ from .continua import (OffContinuumError, _arc_pair_hits, _arc_segments, _neares
 from .cwmetric import MetricConstants, cw_metric
 from .models import Point
 
-# vertices of the local arcs that holonomy transport builds
-ARC_RESOLUTION = 9
-
 
 class HolonomyFault(RuntimeError):
     """Empty holonomy despite satisfied preconditions.
@@ -135,8 +132,8 @@ def _branches(sys, x: Point, y: Point, z: Point, kind: str, params: HolonomyPara
         raise ValueError(f"d(x, y) = {dxy:.3g} is not below delta = {params.delta:.3g}")
     if not _on_arc(sys, x, z, kind, params.delta, 10.0 * params.tol):
         raise ValueError(f"z is not on the local {kind} arc of x at scale delta")
-    carrier = models.local_arc(sys, z, other, params.eps, resolution=ARC_RESOLUTION)
-    target = models.local_arc(sys, y, kind, params.eps, resolution=ARC_RESOLUTION)
+    carrier = models.local_arc(sys, z, other, params.eps)
+    target = models.local_arc(sys, y, kind, params.eps)
     pts = intersect(carrier, target, tol=params.tol)
     if not pts:
         raise HolonomyFault(
@@ -160,7 +157,7 @@ def _sample_rectangle(sys, rng, params: HolonomyParams, diam_range):
     off = rng.uniform(0.3, 0.9) * params.delta * rng.choice([-1.0, 1.0])
     es = sys.eigen_direction(stable=True)
     eu = sys.eigen_direction(stable=False)
-    arc = models.local_arc(sys, p, "stable", params.eps, resolution=ARC_RESOLUTION)
+    arc = models.local_arc(sys, p, "stable", params.eps)
     q = sys.point(*(p.xy() + (2.0 * half) * es * rng.choice([-1.0, 1.0])))
     pstar = sys.point(*(p.xy() + off * eu))
     return subcontinuum(arc, p, q, tol=1e-6), p, q, pstar

@@ -435,8 +435,7 @@ def _arc_frame(sys: SystemModel, chart: str, xy: np.ndarray, stable: bool, eps: 
     return e, start, length
 
 
-def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
-              resolution: int = 64):
+def local_arc(sys: SystemModel, x: Point, kind: str, eps: float):
     """Local stable (or unstable) arc of ``x`` at scale ``eps``.
 
     The arc is the connected piece of {y : d(f^n x, f^n y) <= eps for all
@@ -444,28 +443,19 @@ def local_arc(sys: SystemModel, x: Point, kind: str, eps: float,
     half-length eps in the universal cover.  On the quotient sphere the
     arc of a spine folds onto a single prong with x as an endpoint.
 
-    Returns a marked continuum of ``resolution`` vertices (and x) whose
-    marks are the arc endpoints and which carries its straight lift for
-    downstream exact geometry.
+    Returns a lifted continuum marked at the arc's ends: its straight lift,
+    for downstream exact geometry, and x's lift param as its knot; its
+    vertices, 64 evenly spaced lift points and x, are built when read.
     """
     from .continua import MarkedContinuum, StraightLift
 
     stable = _want_stable(kind)
-    res = int(resolution)
-    if res < 2:
-        raise ValueError("resolution must be at least 2")
-    t = np.linspace(0.0, 1.0, res)
     xy = x.xy()
     e, start, length = _arc_frame(sys, x.chart, xy[None], stable, eps)
-    # x's own parameter, added as a vertex unless it lies within
-    # 1e-12 + 1e-5*|tx| of one (np.isclose's default tolerances)
-    tx = np.vecdot(xy[None] - start, e) / length
-    if res > 2 and not (np.abs(t - tx) <= 1e-12 + 1e-5 * np.abs(tx)).any():
-        t = np.sort(np.append(t, tx))
     lift = StraightLift(start=start[0], direction=e, length=float(length[0]),
                         stable=stable, chart=sys.chart)
-    return MarkedContinuum(chart=sys.chart, vertices=lift.project(t), params=t,
-                           mark_p=0, mark_q=len(t) - 1, lift=lift)
+    knot = float((np.vecdot(xy[None] - start, e) / length)[0])
+    return MarkedContinuum(chart=sys.chart, lift=lift, knot=knot)
 
 
 def is_spine(sys: SystemModel, x, eps: float):

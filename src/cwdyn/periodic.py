@@ -24,7 +24,7 @@ from . import models
 from .continua import (OffContinuumError, _arc_segments, _bracket, concat, intersect,
                        subcontinuum)
 from .cwmetric import MetricConstants, cw_metric
-from .holonomy import ARC_RESOLUTION, HolonomyFault, product_structure_radius
+from .holonomy import HolonomyFault, product_structure_radius
 from .models import BudgetError, Point
 
 # exact orbit steps find_return may spend on its candidates
@@ -254,8 +254,8 @@ def _transport(sys, z: Point, k: int, eps: float, consts: MetricConstants,
              for a, b in _bracket(sys.chart, seg_u, seg_s, 1e-9)]
     if len(cands) == 1:
         return cands[0]
-    cu = models.local_arc(sys, z, "unstable", eps, resolution=ARC_RESOLUTION)
-    cs = models.local_arc(sys, fmz, "stable", eps, resolution=ARC_RESOLUTION)
+    cu = models.local_arc(sys, z, "unstable", eps)
+    cs = models.local_arc(sys, fmz, "stable", eps)
     paths = _crossing_paths(cu, cs, z, fmz, cands, label)
     return paths[0][0] if len(paths) == 1 else _best_crossing(sys, paths, consts)[0]
 
@@ -306,8 +306,8 @@ def katok_iterate(sys, y: Point, k: int, params: KatokParams,
             consec = 0
         if n == _MAX_STEPS:
             break
-        cs = models.local_arc(sys, y_n, "stable", params.eps, resolution=ARC_RESOLUTION)
-        cu = models.local_arc(sys, fky, "unstable", params.eps, resolution=ARC_RESOLUTION)
+        cs = models.local_arc(sys, y_n, "stable", params.eps)
+        cu = models.local_arc(sys, fky, "unstable", params.eps)
         paths = _crossing_paths(cs, cu, y_n, fky, intersect(cs, cu, tol=1e-9),
                                 f"step {n} (gap {gap:.3g})")
         z, d_f = _best_crossing(sys, paths, consts)

@@ -125,8 +125,8 @@ def _sector_from_seed(sys, x, eps: float):
     each with the seed's stable and unstable arcs to cut them from, plus
     the crossing count of the arc pair and the adjacent crossing pairs
     that close no disc."""
-    cs = models.local_arc(sys, x, "stable", eps, resolution=5)
-    cu = models.local_arc(sys, x, "unstable", eps, resolution=5)
+    cs = models.local_arc(sys, x, "stable", eps)
+    cu = models.local_arc(sys, x, "unstable", eps)
     pts = intersect(cs, cu, tol=1e-9)
     if len(pts) < 2:
         return [], len(pts), 0

@@ -27,7 +27,7 @@ from cwdyn.continua import (MarkedContinuum, OffContinuumError, StraightLift, _c
 from cwdyn.cwmetric import cw_metric
 from cwdyn.holonomy import HolonomyFault
 
-# image vertices are spaced at most this far apart along the lift
+# diameter samples a lift at most this far apart along it
 _EDGE = 0.4
 
 
@@ -46,24 +46,21 @@ def iterate_lift(sys, lift: StraightLift, n: int) -> StraightLift:
 
 
 def image(sys, cont: MarkedContinuum, n: int) -> MarkedContinuum:
-    """f^n of a lifted eigen-arc, marks carried along; the lift params
-    are refined until no edge is longer than _EDGE."""
+    """f^n of a lifted eigen-arc, marks and knot carried along, so its
+    vertices are the arc's lift params on the image lift."""
     if n == 0:
         return cont
-    lift = iterate_lift(sys, cont.lift, n)
-    t = cont.params
-    need = int(np.ceil(lift.length / _EDGE + 1.0))
-    if need > len(t):
-        t = np.unique(np.concatenate([t, np.linspace(0.0, 1.0, need)]))
-    mp = int(np.searchsorted(t, cont.params[cont.mark_p]))
-    mq = int(np.searchsorted(t, cont.params[cont.mark_q]))
-    return MarkedContinuum(chart=cont.chart, vertices=lift.project(t), params=t,
-                           mark_p=mp, mark_q=mq, lift=lift)
+    img = MarkedContinuum(cont.chart, lift=iterate_lift(sys, cont.lift, n), knot=cont.knot)
+    return img.with_marks(cont.mark_p, cont.mark_q)
 
 
 def diameter(cont: MarkedContinuum) -> float:
-    """Max pairwise chart distance over the vertices."""
+    """Max pairwise chart distance over the vertices, and over a lifted
+    continuum's lift at params spaced at most _EDGE along it."""
     v = cont.vertices
+    if cont.lift is not None:
+        need = int(np.ceil(cont.lift.length / _EDGE + 1.0))
+        v = np.concatenate([v, cont.lift.project(np.linspace(0.0, 1.0, need))])
     return float(models.chart_distance(cont.chart, v[:, None, :], v[None, :, :]).max())
 
 
@@ -226,16 +223,15 @@ def arc_frame(sys, chart, xy, stable, eps, t):
 
 
 def local_arc(sys, x, kind, eps, resolution):
-    """models.local_arc through arc_frame's vertex test."""
+    """The vertex params and lift that models.local_arc gave at a
+    resolution, through arc_frame's vertex test."""
     stable = kind == "stable"
     t = np.linspace(0.0, 1.0, resolution)
     e, start, length, tx, new = arc_frame(sys, x.chart, x.xy()[None], stable, eps, t)
     if resolution > 2 and new[0]:
         t = np.sort(np.append(t, tx))
-    lift = StraightLift(start=start[0], direction=e, length=float(length[0]),
-                        stable=stable, chart=sys.chart)
-    return MarkedContinuum(chart=sys.chart, vertices=lift.project(t), params=t,
-                           mark_p=0, mark_q=len(t) - 1, lift=lift)
+    return t, StraightLift(start=start[0], direction=e, length=float(length[0]),
+                           stable=stable, chart=sys.chart)
 
 
 def is_spine(sys, xy, eps):
@@ -406,9 +402,10 @@ def step_continuum(ca, cb, start, mid, end):
 
 
 def katok_iterate(sys, y, k, params, consts, max_steps=40):
-    """katok_iterate on 9-vertex arcs, with every connecting path chained
-    as a vertex polyline and the cw-size of every crossing evaluated, the
-    transport's too; it stops where the library's run does."""
+    """katok_iterate with every connecting path chained as a vertex
+    polyline of its cuts' ends and the cw-size of every crossing
+    evaluated, the transport's too; it stops where the library's run
+    does."""
     gap_tol = max(1e-11, 2.0 * 2.0 ** -52 * sys.expansion_rate ** k)
     ratio = 4.0 * (1.0 + params.delta) ** 2 * (1.0 / consts.lam) ** k
     y_n, steps, consec, converged = y, [], 0, False
@@ -436,7 +433,7 @@ def katok_iterate(sys, y, k, params, consts, max_steps=40):
             break
         if n == max_steps:
             break
-        arc = lambda x, kind: models.local_arc(sys, x, kind, params.eps, resolution=9)
+        arc = lambda x, kind: models.local_arc(sys, x, kind, params.eps)
         z, d_f = best(arc(y_n, "stable"), arc(fky, "unstable"), y_n, fky)
         fmz = models.iterate(sys, z, -k)
         y_next, _ = best(arc(z, "unstable"), arc(fmz, "stable"), z, fmz)
@@ -452,12 +449,12 @@ def katok_iterate(sys, y, k, params, consts, max_steps=40):
 
 
 def katok_transport(sys, z, k, eps, consts, label):
-    """periodic._transport through two 9-vertex local arcs, their
-    intersect and a connecting path per crossing, with the cw-size of
-    each path when more than one can be built."""
+    """periodic._transport through two local arcs, their intersect and a
+    connecting path per crossing, with the cw-size of each path when more
+    than one can be built."""
     fmz = models.iterate(sys, z, -k)
-    cu = models.local_arc(sys, z, "unstable", eps, resolution=9)
-    cs = models.local_arc(sys, fmz, "stable", eps, resolution=9)
+    cu = models.local_arc(sys, z, "unstable", eps)
+    cs = models.local_arc(sys, fmz, "stable", eps)
     cands = intersect(cu, cs, tol=1e-9)
     if not cands:
         raise HolonomyFault(f"no crossing at {label}")

@@ -72,6 +72,11 @@ class TestParseConfig:
         (["sectors", "--model", "sphere-pA", "--c", "0.2", "--eps", "0.2"], "--eps"),
         (["sectors", "--model", "sphere-pA", "--c", "0.08"], "--c"),
         (["sectors", "--model", "sphere-pA", "--c", "0.1"], "--c"),
+        (["calibrate", "--seed", "-1"], "--seed"),
+        (["periodic", "--p", "0.2,0.4", "--seed", "-1"], "--seed"),
+        (["holonomy-probe", "--seed", "-1"], "--seed"),
+        (["holonomy-probe", "--sample-budget", "-5"], "--sample-budget"),
+        (["holonomy-probe", "--sample-budget", "0"], "--sample-budget"),
     ])
     def test_bad_flags_name_the_flag(self, argv, where):
         with pytest.raises(ConfigError, match=where.replace("-", "[-]")):
@@ -87,6 +92,8 @@ class TestParseConfig:
         ('{"seed": 1.5}', "--seed"),
         ('{"resolution": [64]}', "--res"),
         ('{"sample_budget": false}', "--sample-budget"),
+        ('{"sample_budget": 0}', "--sample-budget"),
+        ('{"seed": -1}', "--seed"),
         ('{"p": [0.2]}', "--p"),
         ('{"p": [0.2, 0.4, 0.6]}', "--p"),
         ('{"p": [0.2, "0.4"]}', "--p"),
@@ -236,6 +243,15 @@ class TestMetric:
                           capsys)
         assert rc == 1
         assert "config error" in err and "record 1" in err and why in err
+
+    def test_long_record_edge_names_the_record(self, outdir, capsys):
+        path = outdir / "long.json"
+        path.write_text('{"chart": "torus", "vertices": [[0.1, 0.1], [0.6, 0.6]], '
+                        '"mark_p": 0, "mark_q": 1}')
+        rc, err = run_err(["metric", "--model", "cat", "--continuum", str(path)], capsys)
+        assert rc == 1
+        assert "config error" in err and "record 0" in err
+        assert "consecutive vertices exceed one chart step (max 0.7071 >= 0.5)" in err
 
 
 class TestPeriodic:

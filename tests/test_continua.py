@@ -6,10 +6,10 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from _reference import diameter, image, polyline_intersect
-from cwdyn import cwmetric, models
+from cwdyn import continua, cwmetric, holonomy, models, periodic, sectors
 from cwdyn.continua import (
     MarkedContinuum, OffContinuumError, StraightLift, _arc_pair_hits, _crossings,
-    _project_to_polyline, concat, from_record, intersect, subcontinuum, to_record,
+    _project_to_lift, concat, from_record, intersect, subcontinuum, to_record,
     unwrap_to,
 )
 from cwdyn.models import local_arc, make_model
@@ -49,9 +49,12 @@ class TestImage:
         assert diameter(img) == pytest.approx(0.01 * LAM ** 4, rel=1e-12)
 
     def test_round_trip_params(self, cat):
-        arc = local_arc(cat, cat.point(0.62, 0.17), "stable", 0.01)
+        # the image keeps the arc's knot, so its vertices sit at the arc's
+        # lift params
+        arc = local_arc(cat, cat.point(0.62, 0.17), "stable", 0.01).with_marks(64, 0)
         back = image(cat, image(cat, arc, 3), -3)
-        assert np.array_equal(back.params, arc.params)
+        assert back.knot == arc.knot and back.n_vertices == arc.n_vertices == 65
+        assert np.allclose(back.vertices, arc.vertices, rtol=0, atol=1e-15)
         assert back.mark_p == arc.mark_p and back.mark_q == arc.mark_q
 
 
@@ -85,8 +88,8 @@ class TestIntersect:
         # by 1 once made them cross at (0.32, 1.0)
         g = models.SPHERE_GEOGRAPHIC
         u = np.array([1.0, 1.0]) / math.sqrt(2.0)
-        a = _straight(g, (0.28, 0.96), u, 0.04 * math.sqrt(2.0), 2)
-        b = _straight(g, (0.32, 0.0), u * [-1.0, 1.0], 0.04 * math.sqrt(2.0), 2)
+        a = _straight(g, (0.28, 0.96), u, 0.04 * math.sqrt(2.0))
+        b = _straight(g, (0.32, 0.0), u * [-1.0, 1.0], 0.04 * math.sqrt(2.0))
         assert intersect(a, b) == []
         assert intersect(b, a) == []
 
@@ -132,18 +135,18 @@ class TestIntersect:
         # the one that needed no clamping is kept
         q = models.SPHERE_QUOTIENT
         es, eu = PA.eigen_direction(stable=True), PA.eigen_direction(stable=False)
-        cs = _straight(q, (5.403023028982545e-10, 1.000000000841471), es, 0.125, 64)
-        cu = _straight(q, (-0.053165674981700196, -0.032858193665974866), eu, 0.125, 64)
+        cs = _straight(q, (5.403023028982545e-10, 1.000000000841471), es, 0.125)
+        cu = _straight(q, (-0.053165674981700196, -0.032858193665974866), eu, 0.125)
         pts = intersect(cs, cu)
         assert len(pts) == 1
-        assert _project_to_polyline(cs, pts[0].xy())[0] > 1e-9
+        assert _project_to_lift(cs, pts[0].xy())[0] > 1e-9
 
     def test_plain_polylines_are_refused(self, cat):
         arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.1)
         twin = from_record(to_record(arc))
         for call in (lambda: intersect(arc, twin), lambda: intersect(twin, arc),
                      lambda: subcontinuum(twin, twin.point(0), twin.point(3)),
-                     lambda: _project_to_polyline(twin, twin.vertices[2])):
+                     lambda: _project_to_lift(twin, twin.vertices[2])):
             with pytest.raises(ValueError, match="no lift"):
                 call()
 
@@ -198,19 +201,21 @@ class TestConcat:
             concat([a, b])
 
     def test_reversed_part_runs_from_its_first_mark(self, cat):
-        s_leg = local_arc(cat, cat.point(0.2, 0.4), "stable", 0.01, resolution=9)
-        back = s_leg.with_marks(8, 0)
-        u_leg = local_arc(cat, back.point(0), "unstable", 0.01, resolution=9)
-        path = concat([back, u_leg.with_marks(4, 8)])
+        s_leg = local_arc(cat, cat.point(0.2, 0.4), "stable", 0.01)
+        last = s_leg.n_vertices - 1
+        back = s_leg.with_marks(last, 0)
+        u_leg = local_arc(cat, back.point(0), "unstable", 0.01)
+        end = u_leg.point(u_leg.n_vertices - 1)
+        path = concat([back, subcontinuum(u_leg, back.point(0), end)])
         assert len(path.legs) == 2
         leg, nxt = path.legs
         assert leg.length == s_leg.lift.length
         assert leg.dir_arr.tolist() == (-s_leg.lift.dir_arr).tolist()
         assert np.allclose(leg.cover_points(1.0)[0], s_leg.lift.start_arr, atol=1e-15)
-        assert nxt.length == u_leg.lift.length / 2
-        assert path.n_vertices == 9 + 4
-        assert path.point(0) == s_leg.point(8)
-        assert path.point(path.mark_q) == u_leg.point(8)
+        assert nxt.length == pytest.approx(u_leg.lift.length / 2, rel=1e-12)
+        assert path.n_vertices == 3  # the path's start and its two leg ends
+        assert path.point(0) == s_leg.point(last)
+        assert models.distance(cat, path.point(path.mark_q), end) < 1e-15
         frame = models.eigen_frame(cat.matrix)
         pieces = cwmetric._pieces_of(path, frame)
         assert pieces[0].au == 0.0 and pieces[1].as_ == 0.0
@@ -226,9 +231,7 @@ class TestConcat:
         cut = subcontinuum(first, first.point(0), pa.point(*corner))
         mirror = StraightLift(start=2.0 - corner, direction=-eu, length=0.02,
                               chart=pa.chart, stable=False)
-        t = np.linspace(0.0, 1.0, 5)
-        second = MarkedContinuum(chart=pa.chart, vertices=mirror.project(t), params=t,
-                                 mark_p=0, mark_q=4, lift=mirror)
+        second = MarkedContinuum(chart=pa.chart, lift=mirror)
         path = concat([cut, second])
         leg = path.legs[1]
         assert leg.dir_arr.tolist() == eu.tolist()
@@ -245,17 +248,38 @@ class TestConcat:
             concat([arc, from_record(to_record(arc))])
 
 
-def test_lift_and_params_come_together(cat):
+def test_a_continuum_is_a_record_or_lifted(cat):
     arc = local_arc(cat, cat.point(0.3, 0.4), "stable", 0.05)
-    v, t = arc.vertices, arc.params
-    for half_built in ({"lift": arc.lift}, {"params": t},
-                       {"lift": arc.lift, "params": t / 2},
-                       {"lift": arc.lift, "params": (t + 1) / 2}):
+    for neither_or_both in ({}, {"vertices": arc.vertices, "lift": arc.lift},
+                            {"vertices": arc.vertices, "legs": (arc.lift,)}):
+        with pytest.raises(ValueError, match="vertices .a record. or a lift"):
+            MarkedContinuum(cat.chart, **neither_or_both)
+    one = MarkedContinuum(cat.chart, lift=arc.lift.subsegment(0.3, 0.3))
+    assert one.is_singleton and (one.mark_p, one.mark_q) == (0, 0)
+    assert one.vertices.tolist() == [arc.lift.project(0.3)[0].tolist()]
+
+
+def test_lifted_marks_are_its_ends(cat):
+    # inner marks are a record's: a lifted arc is marked at its two ends
+    arc = local_arc(cat, cat.point(0.3, 0.4), "stable", 0.05)
+    last = arc.n_vertices - 1
+    assert (arc.with_marks(last, 0).mark_p, arc.mark_p) == (last, 0)
+    for marks in ((1, last), (0, 0), (last, last), (0, last + 1)):
         with pytest.raises(ValueError):
-            MarkedContinuum(cat.chart, v, 0, len(v) - 1, **half_built)
-    one = MarkedContinuum(cat.chart, v[:1], 0, 0, params=[0.0],
-                          lift=arc.lift.subsegment(0.0, 0.0))
-    assert one.is_singleton
+            arc.with_marks(*marks)
+    assert from_record(to_record(arc)).with_marks(1, last).mark_p == 1
+
+
+def test_record_edges_stay_under_one_chart_step(cat):
+    rec = {"chart": "torus", "vertices": [[0.1, 0.1], [0.6, 0.6]], "mark_p": 0, "mark_q": 1}
+    with pytest.raises(ValueError, match=r"exceed one chart step \(max 0.7071 >= 0.5\)"):
+        from_record(rec)
+    # a lift is exact: one longer than a chart step builds, and its view
+    # may step further than a record may
+    lift = StraightLift(start=(0.1, 0.1), direction=(0.6, 0.8), length=0.9, chart="torus")
+    cut = MarkedContinuum("torus", lift=lift)
+    assert cut.n_vertices == 2
+    assert models.chart_distance("torus", *cut.vertices) > 0.5
 
 
 def test_record_round_trip(cat):
@@ -277,6 +301,27 @@ def test_image_preserves_marked_points(cat):
     img = image(cat, arc, 2)
     want = models.iterate(cat, arc.point(arc.mark_p), 2)
     assert models.distance(cat, img.point(img.mark_p), want) < 1e-9
+
+
+def test_probe_katok_and_sectors_build_no_vertex_view(monkeypatch):
+    # a lifted continuum builds its vertices only when they are read: the
+    # isometry probe, a Katok run and the sector search read none
+    built = []
+    view = continua._vertex_view
+    monkeypatch.setattr(continua, "_vertex_view", lambda cont: built.append(cont) or view(cont))
+    for sys in (CAT, PA):
+        params = holonomy.default_params(sys, sample_budget=60, seed=1)
+        rep = holonomy.pseudo_isometry_probe(sys, 3, [1e-6], params, cwmetric.calibrate(sys),
+                                             seed=0, diam_range=(1e-13, 1e-2), depth=2)
+        assert rep["n_samples"] == 3
+    consts = cwmetric.calibrate(CAT)
+    plan = periodic.plan_katok(CAT, consts, 1e-2, sample_budget=60, seed=1)
+    res = periodic.katok_iterate(CAT, CAT.point(0.2 + 1e-9, 0.4 + 1.3e-9), 2, plan, consts)
+    assert res["converged"] and res["steps"]
+    assert len(sectors.find_sectors(PA).sectors) == 4
+    assert built == []
+    arc = local_arc(CAT, CAT.point(0.3, 0.3), "stable", 0.1)
+    assert arc.vertices is arc.vertices and built == [arc]  # built once, on the first read
 
 
 # -- properties on all three charts --------------------------------------------
@@ -301,17 +346,22 @@ def _same_points(ps, qs, tol=1e-12) -> bool:
     return covered(ps, qs) and covered(qs, ps)
 
 
-def _straight(chart, start, u, length, n):
-    """A lifted straight arc of n vertices."""
-    lift = StraightLift(start=start, direction=u, length=length, chart=chart)
-    t = np.linspace(0.0, 1.0, n)
-    return MarkedContinuum(chart, lift.project(t), 0, n - 1, params=t, lift=lift)
+def _straight(chart, start, u, length):
+    """A lifted straight arc."""
+    return MarkedContinuum(chart, lift=StraightLift(start=start, direction=u, length=length,
+                                                    chart=chart))
+
+
+def _polyline(c, n):
+    """The record of a lifted arc with n vertices evenly spaced along it."""
+    return MarkedContinuum(c.chart, c.lift.project(np.linspace(0.0, 1.0, n)), 0, n - 1)
 
 
 @st.composite
 def _transverse_pair(draw):
     """Two segments crossing at p next to the longitude seam, the second one
-    moved to a random representative (sign and translate) of itself."""
+    moved to a random representative (sign and translate) of itself, and a
+    vertex count for their records."""
     chart = draw(st.sampled_from(CHARTS))
     p = np.array([draw(st.floats(-0.08, 0.08)), draw(st.floats(0.2, 0.3))])
     ang_a = draw(st.floats(0.0, math.pi))
@@ -326,8 +376,8 @@ def _transverse_pair(draw):
         length = draw(st.floats(0.02, 0.12))
         start = p - draw(st.floats(0.1, 0.9)) * length * u
         s, kk = (1.0, 0.0) if i == 0 else (sign, k)
-        conts.append(_straight(chart, s * start + kk, s * u, length, n))
-    return p, conts[0], conts[1]
+        conts.append(_straight(chart, s * start + kk, s * u, length))
+    return p, conts[0], conts[1], n
 
 
 def _clear_of_spines(sys, arc, margin=0.01) -> bool:
@@ -386,7 +436,7 @@ class TestCoverProperties:
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(case=_transverse_pair())
     def test_transverse_segments_cross_at_their_point(self, case):
-        p, a, b = case
+        p, a, b, _ = case
         want = models.wrap_chart(a.chart, p)
         for got in (intersect(a, b), intersect(b, a)):
             assert len(got) == 1
@@ -409,8 +459,8 @@ class TestCoverProperties:
     @settings(max_examples=60, derandomize=True, deadline=None)
     @given(case=_transverse_pair())
     def test_twins_agree_on_every_chart(self, case):
-        _, a, b = case
-        twins = [MarkedContinuum(c.chart, c.vertices, c.mark_p, c.mark_q) for c in (a, b)]
+        _, a, b, n = case
+        twins = [_polyline(c, n) for c in (a, b)]
         assert _same_points(intersect(a, b), polyline_intersect(*twins))
 
     @settings(max_examples=100, derandomize=True, deadline=None)
@@ -421,21 +471,23 @@ class TestCoverProperties:
             ang = draw(st.floats(0.0, 2.0 * math.pi))
             u = np.array([math.cos(ang), math.sin(ang)])
             start = np.array([draw(st.floats(-0.2, 0.2)), 0.5]) - 0.15 * u
-            c = _straight(chart, start, u, 0.3, 7)
+            c = _straight(chart, start, u, 0.3)
+            pts = c.lift.project(np.linspace(0.0, 1.0, 7))
         else:
             sys = CAT if chart == models.TORUS else PA
             x = sys.point(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
             kind = draw(st.sampled_from(("stable", "unstable")))
             c = image(sys, local_arc(sys, x, kind, draw(st.floats(0.005, 0.11))),
                       n_img if kind == "unstable" else -n_img)
-        i = draw(st.integers(0, c.n_vertices - 1))
-        j = draw(st.integers(0, c.n_vertices - 1))
-        a, b = c.point(i), c.point(j)
+            pts = c.vertices
+        i = draw(st.integers(0, len(pts) - 1))
+        j = draw(st.integers(0, len(pts) - 1))
+        a, b = (models.Point(chart, (float(pts[k, 0]), float(pts[k, 1]))) for k in (i, j))
         sub = subcontinuum(c, a, b)
         assert _gap(chart, sub.point(sub.mark_p).xy(), a.xy()) < 1e-9
         assert _gap(chart, sub.point(sub.mark_q).xy(), b.xy()) < 1e-9
         for v in sub.vertices:
-            assert _project_to_polyline(c, v)[1] < 1e-9
+            assert _project_to_lift(c, v)[1] < 1e-9
 
 
 # -- the paired crossing pass ---------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import (diameter, fold_escape, image, iterate_lift, ring_scan,
                         single_thresholds, thresholds_from_minimum)
+from _reference import local_arc as arc_params
 from cwdyn import continua, cwmetric, holonomy, models, periodic
 from cwdyn.cwmetric import (
     MetricConstants, calibrate, chain_weight, constants_for, cw_metric,
@@ -38,8 +39,8 @@ def consts_pa(pa):
     return calibrate(pa)
 
 
-def _arc(sys, x, y, kind, eps, res=2):
-    return local_arc(sys, sys.point(x, y), kind, eps, resolution=res)
+def _arc(sys, x, y, kind, eps):
+    return local_arc(sys, sys.point(x, y), kind, eps)
 
 
 class TestCalibrate:
@@ -72,9 +73,8 @@ class TestCalibrate:
         assert diameter(cont) > consts_pa.c / 2
         assert escape_time(pa, cont, consts_pa) == 2
         lift = continua.StraightLift(start, e, ln, pa.chart, stable=True)
-        twin = continua.MarkedContinuum(pa.chart, lift.project(t), 0, 512,
-                                        params=t, lift=lift)
-        assert diameter(image(pa, twin, -1)) < consts_pa.c
+        lifted = continua.MarkedContinuum(pa.chart, lift=lift)
+        assert diameter(image(pa, lifted, -1)) < consts_pa.c
 
     def test_north_south_fails_with_witness(self):
         ns = make_model("north-south")
@@ -564,7 +564,7 @@ class TestCwMetric:
         assert prof["tail_bound"] == 0.0 and not prof["truncated"]
 
     def test_mark_symmetry_exact(self, cat, consts):
-        arc = _arc(cat, 0.11, 0.57, "unstable", 0.004, res=5)
+        arc = _arc(cat, 0.11, 0.57, "unstable", 0.004)
         rev = arc.with_marks(arc.mark_q, arc.mark_p)
         assert cw_metric(cat, arc, consts, depth=3) \
             == cw_metric(cat, rev, consts, depth=3)
@@ -712,14 +712,15 @@ class TestRecordLoadedArcs:
     def test_bent_path_keeps_its_corner(self, kind, leg):
         # a concat path is read from its legs, not re-lifted from its vertices
         sys = make_model(kind)
-        path = _two_legs(sys, np.array([0.3141, 0.5926]), leg, 9)
+        path = _two_legs(sys, np.array([0.3141, 0.5926]), leg)
         pieces = cwmetric._pieces_of(path, models.eigen_frame(sys.matrix))
         assert len(pieces) == 2
         stable_leg, unstable_leg = pieces
         assert stable_leg.au == 0.0 and unstable_leg.as_ == 0.0
         assert abs(stable_leg.as_) == leg == abs(unstable_leg.au)
         # the record of the same path is re-lifted: its corner holds to 1e-3
-        rec = cwmetric._pieces_of(_record_twin(path), models.eigen_frame(sys.matrix))
+        twin = _polyline_twin(path, np.linspace(0.0, 1.0, 9), (0, 99))
+        rec = cwmetric._pieces_of(twin, models.eigen_frame(sys.matrix))
         assert len(rec) == 2
         assert abs(rec[0].au) < 1e-3 * leg and abs(rec[1].as_) < 1e-3 * leg
 
@@ -904,36 +905,49 @@ def _model(kind):
     return sys, calibrate(sys)
 
 
-def _two_legs(sys, corner, leg, n=5):
-    # a lifted stable leg of n vertices into the corner, then an unstable
-    # one out of it
-    t = np.linspace(0.0, 1.0, n)
+def _two_legs(sys, corner, leg):
+    # a lifted stable leg into the corner, then an unstable one out of it
     parts = []
     for stable in (True, False):
         e = sys.eigen_direction(stable=stable)
         lift = continua.StraightLift(start=corner - leg * e if stable else corner, direction=e,
                                      length=leg, chart=sys.chart, stable=stable)
-        parts.append(continua.MarkedContinuum(chart=sys.chart, vertices=lift.project(t),
-                                              params=t, mark_p=0, mark_q=n - 1, lift=lift))
+        parts.append(continua.MarkedContinuum(chart=sys.chart, lift=lift))
     return continua.concat(parts)
 
 
+def _polyline_twin(cont, t, marks):
+    # the record of a lifted arc or path, each lift projected at params t
+    # (junctions once), marked at marks clipped to its last vertex
+    lifts = cont.legs or (cont.lift,)
+    v = np.concatenate([lifts[0].project(t)] + [lf.project(t[1:]) for lf in lifts[1:]])
+    last = len(v) - 1
+    return continua.MarkedContinuum(cont.chart, v, *(min(m, last) for m in marks))
+
+
 def _make_case(kind, x, y, shape, eps, res, twin, marks):
+    # a lifted arc or path is marked at its ends, so a case with other
+    # marks, or a twin, is its record: the arc's vertices at resolution
+    # res (local_arc's before it built them only when read), or the path's
+    # at 5 a leg
     sys, consts = _model(kind)
-    if shape == "two-leg":
-        cont = _two_legs(sys, np.array([x, y]), eps)
-    elif shape == "generic":
+    if shape == "generic":
         t = np.linspace(-1.0, 1.0, res)[:, None]
         cont = continua.MarkedContinuum(
             chart=sys.chart, vertices=models._wrap1(np.array([x, y]) + t * (eps * np.array([0.6, 0.8]))),
             mark_p=0, mark_q=res - 1)
+        return sys, consts, cont.with_marks(*(min(m, res - 1) for m in marks))
+    if shape == "two-leg":
+        cont = _two_legs(sys, np.array([x, y]), eps)
+        t = np.linspace(0.0, 1.0, 5)
     else:
-        cont = local_arc(sys, sys.point(x, y), shape, eps, resolution=res)
-        if twin:
-            cont = _record_twin(cont)
-    p, q = marks
-    last = cont.n_vertices - 1
-    return sys, consts, cont.with_marks(min(p, last), min(q, last))
+        cont = local_arc(sys, sys.point(x, y), shape, eps)
+        t, _ = arc_params(sys, sys.point(x, y), shape, eps, res)
+    rec = _polyline_twin(cont, t, marks)
+    last = rec.n_vertices - 1
+    if twin or sorted((rec.mark_p, rec.mark_q)) != [0, last]:
+        return sys, consts, rec
+    return sys, consts, cont if rec.mark_p == 0 else cont.with_marks(cont.mark_q, cont.mark_p)
 
 
 @st.composite
@@ -1245,7 +1259,8 @@ class TestTwoLegClosure:
             d1, d2 = (leg * rng.uniform(0.2, 1.0) * np.array([math.cos(a), math.sin(a)])
                       for a in ang)
             marks = tuple(rng.integers(0, 5, 2).tolist())
-            for cont in (_two_legs(sys, corner, leg).with_marks(*marks),
+            path = _two_legs(sys, corner, leg)
+            for cont in (path, _polyline_twin(path, np.linspace(0.0, 1.0, 5), marks),
                          _bent_record(sys, corner, d1, d2)):
                 table = cwmetric.MetricEvaluator(sys, cont, consts, depth).table
                 assert table.closed
@@ -1298,6 +1313,6 @@ class TestTwoLegClosure:
         # the lengths are hypot of eigen components: with eigenvectors 120
         # degrees apart they are not, and the metric refuses the model
         sys = make_model("cat-map", matrix=((2, 1), (3, 2)))
-        arc = local_arc(sys, sys.point(0.3, 0.4), "unstable", 0.05, resolution=2)
+        arc = local_arc(sys, sys.point(0.3, 0.4), "unstable", 0.05)
         with pytest.raises(models.ModelCapabilityError, match=r"\(\(2, 1\), \(3, 2\)\)"):
             cw_metric(sys, arc, consts)

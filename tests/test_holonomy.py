@@ -5,7 +5,7 @@ import pytest
 
 from _reference import product_structure_radius as radius_by_base
 from cwdyn import holonomy, models
-from cwdyn.continua import unwrap_to, _project_to_polyline
+from cwdyn.continua import unwrap_to, _project_to_lift
 from cwdyn.cwmetric import calibrate
 from cwdyn.holonomy import HolonomyParams, default_params, pseudo_isometry_probe
 from cwdyn.models import make_model
@@ -139,7 +139,7 @@ class TestHolonomy:
             target = models.local_arc(pa, y, "stable", params_pa.eps)
             for p in pts:
                 for arc in (carrier, target):
-                    _, d = _project_to_polyline(arc, p.xy())
+                    _, d = _project_to_lift(arc, p.xy())
                     assert d <= 10 * params_pa.tol
 
     def test_two_branches_near_spine(self, pa, params_pa):

@@ -250,7 +250,9 @@ class TestLocalArc:
     @pytest.mark.parametrize("res", [2, 3, 5, 9, 64])
     def test_matches_the_vertex_bookkeeping(self, kind, res):
         # random points, the half-lattice points (spines on sphere-pA) and
-        # points 1e-10 to 1e-9 from them, where the fold test switches
+        # points 1e-10 to 1e-9 from them, where the fold test switches; the
+        # arc's lift is the one built at every former resolution, and its
+        # vertices are those of resolution 64
         sys = make_model(kind)
         rng = np.random.default_rng(res)
         half = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.5, 0.5]])
@@ -261,11 +263,13 @@ class TestLocalArc:
         pts = [sys.point(*xy) for xy in raw]
         for x in pts:
             for arc_kind, eps in (("stable", 0.1), ("unstable", 0.2), ("stable", 1e-3)):
-                got = local_arc(sys, x, arc_kind, eps, resolution=res)
-                want = _reference.local_arc(sys, x, arc_kind, eps, res)
-                assert got.vertices.tobytes() == want.vertices.tobytes()
-                assert got.params.tobytes() == want.params.tobytes()
-                assert (got.mark_p, got.mark_q, got.lift) == (want.mark_p, want.mark_q, want.lift)
+                got = local_arc(sys, x, arc_kind, eps)
+                t, lift = _reference.local_arc(sys, x, arc_kind, eps, res)
+                assert got.lift == lift
+                if res == 64:
+                    assert got.n_vertices == len(t)  # before the view is built
+                    assert got.vertices.tobytes() == lift.project(t).tobytes()
+                    assert (got.mark_p, got.mark_q) == (0, len(t) - 1)
         xy = np.array([x.coords for x in pts])
         for eps in (0.05, 0.1, 1e-3):
             assert models.is_spine(sys, xy, eps).tolist() == \

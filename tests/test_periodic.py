@@ -522,9 +522,7 @@ def _record_paths(monkeypatch):
 
 
 def _leg_arc(leg):
-    t = np.array([0.0, 1.0])
-    return continua.MarkedContinuum(chart=leg.chart, vertices=leg.project(t), params=t,
-                                    mark_p=0, mark_q=1, lift=leg)
+    return continua.MarkedContinuum(chart=leg.chart, lift=leg)
 
 
 def _through_spine(sys, leg):

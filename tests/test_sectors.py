@@ -423,10 +423,10 @@ def _ref_parametrization(sys, s, grid):
         arcs_u, arcs_s, gs_eig, gu_eig = [], [], [], []
         for t in np.linspace(t_lo, t_hi, grid + 1):
             g = sectors._gamma(A, Ms, Bs, float(t))
-            arcs_u.append(models.local_arc(sys, sys.point(*g), "unstable", R1, resolution=3))
+            arcs_u.append(models.local_arc(sys, sys.point(*g), "unstable", R1))
             gs_eig.append(eig(g))
             g = sectors._gamma(A, Mu, Bu, float(t))
-            arcs_s.append(models.local_arc(sys, sys.point(*g), "stable", R1, resolution=3))
+            arcs_s.append(models.local_arc(sys, sys.point(*g), "stable", R1))
             gu_eig.append(eig(g))
         out = np.empty((grid + 1, grid + 1, 2))
         out_eig = np.empty((grid + 1, grid + 1, 2))
@@ -446,7 +446,7 @@ def _ref_parametrization(sys, s, grid):
 
 
 def _ref_is_spine(sys, x, eps, tol=1e-9):
-    arc = models.local_arc(sys, x, "stable", eps, resolution=3)
+    arc = models.local_arc(sys, x, "stable", eps)
     d0 = chart_distance(sys.chart, x.xy(), arc.vertices[0])
     d1 = chart_distance(sys.chart, x.xy(), arc.vertices[-1])
     return min(d0, d1) <= tol
@@ -542,7 +542,7 @@ class TestBatchedPassesMatchScalar:
         far_u = np.array([-0.02, 0.05])
         for g_s, g_u, msg in ((miss_s, miss_u, "fail to cross"),
                               (ok_s, far_u, "no admissible crossing")):
-            cu, cs = (models.local_arc(pa, pa.point(*(w + E @ g)), kind, 0.1, resolution=3)
+            cu, cs = (models.local_arc(pa, pa.point(*(w + E @ g)), kind, 0.1)
                       for g, kind in ((g_s, "unstable"), (g_u, "stable")))
             with pytest.raises(ValueError, match=msg):
                 _ref_select_crossing(pa, cu, cs, g_s, g_u, w, frame.inv, 0.1)
