@@ -343,7 +343,7 @@ def _crit_holonomy(ctx):
     carrier = local_arc(pa, z, "unstable", params_pa.eps)
     target = local_arc(pa, y, "stable", params_pa.eps)
     on_arcs = all(
-        _project_to_lift(arc, p.xy())[1] <= 10 * params_pa.tol
+        _project_to_lift(arc, p.xy())[1][0] <= 10 * params_pa.tol
         for p in pts for arc in (carrier, target))
     distinct = len(pts) == 2 and models.distance(pa, pts[0], pts[1]) > 1e-6
     ok = branch_faults == 0 and max_dev < 1e-10 and distinct and on_arcs

@@ -612,7 +612,8 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
     n = res * res
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    adj = sp.csr_matrix((np.ones(indices.size, np.int8), indices, indptr), shape=(n, n))
+    # the data as a zero-stride view of one int8: every stored edge is a 1
+    adj = sp.csr_matrix((np.broadcast_to(np.int8(1), indices.size), indices, indptr), shape=(n, n))
     adj.has_canonical_format = True  # each row sorted and free of repeats
     return ChainClassGraph(kind=sys.kind, chart=chart, grid_resolution=res,
                            eps=eps, centers=centers, cell_diag=diag,

@@ -4,10 +4,11 @@ A continuum the library builds is lifted: it holds the exact straight
 segment in the universal cover behind it (``models.local_arc`` or a cut
 of one), or a ``concat`` path's chain of them, is marked at its ends and
 builds vertices only when they are read.  Crossings, cuts and projections
-take lifted arcs only; a record (``from_record``, a vertex polyline) is
-measured by cwmetric, nothing more.  No image continuum is ever built:
-cwmetric iterates a lift in closed form (its cover start by exact integer
-arithmetic mod 1, its eigen components by the eigenvalue powers).
+take lifted arcs only, many rows a pass; a record (``from_record``, a
+vertex polyline) is measured by cwmetric, nothing more.  No image
+continuum is ever built: cwmetric iterates a lift in closed form (its
+cover start by exact integer arithmetic mod 1, its eigen components by
+the eigenvalue powers).
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ def cover_reps(chart: str, qlo, qhi, lo, hi):
         kmax = np.ceil(hi - qlo + 1e-9).reshape(-1, 1, 2)
     if chart == SPHERE_GEOGRAPHIC:
         kmin[..., 1] = kmax[..., 1] = 0.0
+    if len(kmin) == 1:
+        # one row: each sign's translates are its own span's grid, in order
+        ks = [a + _grid(*(b - a + 1).astype(int).tolist()) for a, b in zip(kmin[0], kmax[0])]
+        n = [len(k) for k in ks]
+        return np.zeros(sum(n), dtype=int), np.repeat(signs, n), np.concatenate(ks)
     span = (kmax - kmin).reshape(-1, 2).max(axis=0, initial=0.0).astype(int) + 1
     k = kmin[:, :, None, :] + _grid(*span)
     inside = (k <= kmax[:, :, None, :]).all(axis=-1)
@@ -292,22 +298,25 @@ def _to_segment(p, a, d):
 
 
 def _nearest_on(chart: str, segs, xy):
-    """Nearest cover point to a chart point on plane segments (see _segments).
+    """Nearest cover point to chart point xy[i] (n, 2) on plane segment i
+    of segs (see _segments; one segment serves every point).
 
-    Returns (t, r, dist) for the nearest segment: the unclamped parameter
-    of the foot on it, the representative r of xy, and r's distance from
-    the segment.  Representatives come from each segment's bounding box
-    widened by 0.75, which holds the one nearest the segment, also on a
-    lift many chart steps long.
+    Returns (t, r, dist) over the rows: the unclamped parameter of the
+    foot, the point's first nearest representative r, and r's distance
+    from the segment.  Representatives come from each segment's bounding
+    box widened by 0.75, which holds the one nearest the segment, also on
+    a lift many chart steps long.
     """
-    a, d, _ = segs
-    xy = np.asarray(xy, dtype=float)
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    a, d = segs[:2]
     row, s, k = cover_reps(chart, xy, xy, np.minimum(a, a + d) - 0.75,
                            np.maximum(a, a + d) + 0.75)
-    r = s[:, None] * xy + k
-    t, dist = _to_segment(r, a[row], d[row])
-    j = int(np.argmin(dist))
-    return float(t[j]), r[j], float(dist[j])
+    r = s[:, None] * xy[row] + k
+    at = row if len(a) > 1 else 0
+    t, dist = _to_segment(r, a[at], d[at])
+    # rows come grouped in order; the stable sort keeps a row's ties in representative order
+    first = np.lexsort((dist, row))[np.searchsorted(row, np.arange(len(xy)))]
+    return t[first], r[first], dist[first]
 
 
 def _crossings(chart: str, seg_a, seg_b, ia, ib, tol: float):
@@ -407,6 +416,12 @@ def _bracket(chart: str, seg_a, seg_b, tol: float) -> np.ndarray:
     intersect's rule: clamped onto A, exact hits deduplicated first."""
     one = np.zeros(1, dtype=int)
     raw, _, exact = _crossings(chart, seg_a, seg_b, one, one, tol)
+    return _dedupe_crossings(chart, raw, exact, tol)
+
+
+def _dedupe_crossings(chart: str, raw: np.ndarray, exact: np.ndarray, tol: float) -> np.ndarray:
+    """One pair's crossings from _crossings deduplicated as intersect does:
+    exact hits first, the survivors in their order."""
     first = np.argsort(~exact, kind="stable")
     keep = np.empty(len(raw), dtype=bool)
     keep[first] = _dedupe_points(chart, raw[first], max(tol, 1e-12))
@@ -416,22 +431,22 @@ def _bracket(chart: str, seg_a, seg_b, tol: float) -> np.ndarray:
 # -- sub-arcs and concatenation -------------------------------------------
 
 
-def _project_to_lift(cont: MarkedContinuum, xy: np.ndarray):
-    """Lift parameter of the nearest point of a lifted arc to xy, clamped
-    to [0, 1], and xy's distance from the arc."""
+def _project_to_lift(cont: MarkedContinuum, xy):
+    """Lift parameters of the nearest points of a lifted arc to the rows
+    of xy (n, 2), clamped to [0, 1], and their distances from the arc."""
     t, _, dist = _nearest_on(cont.chart, _segments(cont), xy)
-    return min(max(t, 0.0), 1.0), dist
+    return [min(max(v, 0.0), 1.0) for v in t.tolist()], dist.tolist()
 
 
 def subcontinuum(cont: MarkedContinuum, a: Point, b: Point,
                  tol: float = 1e-9) -> MarkedContinuum:
     """Sub-arc of a lifted arc between the projections of a and b, marked
-    at a and b: the lift cut at their lift parameters."""
+    at a and b: the lift cut at their lift parameters, both projected in
+    one pass."""
     for p in (a, b):
         if p.chart != cont.chart:
             raise ChartError(f"point chart {p.chart!r} does not match continuum {cont.chart!r}")
-    ka, da = _project_to_lift(cont, a.xy())
-    kb, db = _project_to_lift(cont, b.xy())
+    (ka, kb), (da, db) = _project_to_lift(cont, np.array([a.coords, b.coords]))
     if da > tol:
         raise OffContinuumError(f"point p is {da:.3g} from the continuum (tol {tol})")
     if db > tol:

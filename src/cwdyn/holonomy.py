@@ -108,7 +108,7 @@ def default_params(sys, sample_budget: int = 160, seed: int = 0) -> HolonomyPara
 
 def _on_arc(sys, x: Point, z: Point, kind: str, radius: float, tol: float) -> bool:
     seg = _arc_segments(sys, x.chart, x.xy()[None], models._want_stable(kind), radius)
-    return _nearest_on(sys.chart, seg, z.xy())[2] <= tol
+    return bool(_nearest_on(sys.chart, seg, z.xy())[2][0] <= tol)
 
 
 def holonomy(sys, x: Point, y: Point, z: Point, kind: str,

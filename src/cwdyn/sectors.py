@@ -6,6 +6,8 @@ around a spine: the two boundary arcs close up through the half-lattice
 involution, so the disc lifts to a rectangle in the eigenframe centered
 at the spine.  All containment and side-of-boundary geometry runs on that
 cover polygon; chart points are only used at the arc-building interface.
+The seed scan crosses a chunk's arc pairs in one pass and projects their
+corners in one more; only the sectors it keeps get arcs, cut to boundaries.
 
 Classification walks each boundary arc a short arclength past its two
 crossings and asks on which side of the disc the continuation lands.
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 from . import models
 from .models import ModelCapabilityError, chart_distance, torus_norm, wrap_chart
-from .continua import (MarkedContinuum, _arc_pair_hits, _nearest_on, _segments, _to_segment,
-                       cover_reps, intersect, subcontinuum)
+from .continua import (MarkedContinuum, _arc_segments, _crossings, _dedupe_crossings, _nearest_on,
+                       _segments, _to_segment, cover_reps, intersect, subcontinuum)
 
 # seed points per batched spine test and crossing screen, which bounds their arrays
 _SPINE_CHUNK = 4096
@@ -130,28 +132,37 @@ def _sector_from_seed(sys, x, eps: float):
     pts = intersect(cs, cu, tol=1e-9)
     if len(pts) < 2:
         return [], len(pts), 0
-    info = []
-    for p in pts:
-        ts, rs, es = _nearest_on(sys.chart, _segments(cs), p.xy())
-        tu, ru, eu = _nearest_on(sys.chart, _segments(cu), p.xy())
-        if es > 1e-6 or eu > 1e-6:
-            continue
-        info.append({"p": p, "ts": ts, "tu": tu, "cs": rs, "cu": ru})
-    info.sort(key=lambda r: r["ts"])
-    records = []
-    skipped = 0
-    for k in range(len(info) - 1):
-        rec = _close_pair(sys, cs, cu, info[k], info[k + 1])
-        if rec is None:
-            skipped += 1
-        else:
-            records.append((rec, cs, cu))
-    return records, len(info), skipped
+    [(recs, n, skipped)] = _seed_records(sys, (_segments(cs), _segments(cu)), [0],
+                                         [np.array([p.coords for p in pts])])
+    return [(rec, cs, cu) for rec in recs], n, skipped
 
 
-def _close_pair(sys, cs, cu, ia, ib):
+def _seed_records(sys, segs, seeds, pts):
+    """Per seed i of seeds (its stable and unstable arcs row i of segs) and
+    its crossings pts[k] (intersect's, two or more): its records without
+    boundary arcs, crossing count and adjacent pairs that close no disc.
+    One pass projects every crossing onto both arcs of its seed; one more
+    than 1e-6 off either is not counted."""
+    xy = np.concatenate(pts)
+    at = np.repeat(seeds, [len(p) for p in pts])
+    a, d = (np.concatenate([segs[0][j][at], segs[1][j][at]]) for j in (0, 1))
+    t, r, dist = _nearest_on(sys.chart, (a, d), np.concatenate([xy, xy]))
+    n, out = len(xy), []
+    for i, idx in zip(seeds, np.split(np.arange(n), np.cumsum([len(p) for p in pts])[:-1])):
+        info = sorted(({"p": models.Point(sys.chart, (float(xy[h, 0]), float(xy[h, 1]))),
+                        "ts": float(t[h]), "tu": float(t[n + h]), "cs": r[h], "cu": r[n + h]}
+                       for h in idx if not (dist[h] > 1e-6 or dist[n + h] > 1e-6)),
+                      key=lambda c: c["ts"])
+        found = [_close_pair(sys, segs, i, lo, hi) for lo, hi in zip(info, info[1:])]
+        kept = [rec for rec in found if rec is not None]
+        out.append((kept, len(info), len(found) - len(kept)))
+    return out
+
+
+def _close_pair(sys, segs, i, ia, ib):
     """Assemble the disc bounded between two adjacent arc crossings, as a
-    record without its boundary arcs.
+    record without its boundary arcs; row i of the cover segments segs is
+    its seed's stable and unstable arc.
 
     The stable and unstable sub-arcs share one crossing in the cover (the
     corner at the seed); the other pair of cover endpoints must match
@@ -174,9 +185,10 @@ def _close_pair(sys, cs, cu, ia, ib):
     polygon = np.array([A, Bs, 2.0 * w - A, Bu])
     if _poly_area(polygon) <= 1e-14:
         return None
+    # the arcs' ends, bit for bit as cover_points([0, 1]): 0 * (length * e) is (0 * length) * e
+    cover_s, cover_u = (a[i] + [[0.0], [1.0]] * d[i] for a, d, _ in segs)
     return SectorRecord(
-        a1=lo["p"], a2=hi["p"], spine=sys.point(*w),
-        cover_s=cs.lift.cover_points([0.0, 1.0]), cover_u=cu.lift.cover_points([0.0, 1.0]),
+        a1=lo["p"], a2=hi["p"], spine=sys.point(*w), cover_s=cover_s, cover_u=cover_u,
         s_cross=(lo["ts"], hi["ts"]), u_cross=(lo["tu"], hi["tu"]),
         polygon=polygon, mirror_center=w)
 
@@ -222,37 +234,48 @@ def find_sectors(sys, eps: float | None = None, budget: int = 1500) -> SectorSea
     if not 0.0 < eps < sys.c:
         raise ValueError(f"eps must lie in (0, c={sys.c}), got {eps}")
     spacing = eps / 4.0
-    xs = ys = np.arange(0.0, 1.0 - 1e-12, spacing)
-    planned = len(xs) * len(ys)
+    # each axis: np.arange(0.0, 1.0 - 1e-12, spacing)'s n values i * spacing, built by chunk
+    n = int(np.ceil((1.0 - 1e-12) / spacing))
+    planned = n * n
     # seeds run x-major; the first `budget` of them are probed
     probed = min(max(budget, 0), planned)
     raw = []
     counts = {}
     skipped_pairs = 0
     for p0 in range(0, probed, _SPINE_CHUNK):
-        ix, iy = np.divmod(np.arange(p0, min(p0 + _SPINE_CHUNK, probed)), len(ys))
-        seeds = np.stack([xs[ix], ys[iy]], axis=1)
+        seeds = spacing * np.stack(np.divmod(np.arange(p0, min(p0 + _SPINE_CHUNK, probed)), n), 1)
         xy = wrap_chart(sys.chart, seeds)
         keep = ~models.is_spine(sys, xy, eps)
-        # an arc pair with fewer than two crossings bounds no disc, and its
-        # raw count is the count intersect would return
-        for (sx, sy), hits in zip(seeds[keep], _arc_pair_hits(sys, xy[keep], xy[keep], eps)):
-            nc = int(hits)
-            if nc >= 2:
-                recs, nc, nskip = _sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
-                skipped_pairs += nskip
-                raw.extend(recs)
-            counts[nc] = counts.get(nc, 0) + 1
+        seeds, xy = seeds[keep], xy[keep]
+        segs = [_arc_segments(sys, sys.chart, xy, stable, eps) for stable in (True, False)]
+        rows = np.arange(len(xy))
+        # every arc pair crossed in one pass, each solved and deduplicated as
+        # intersect does it; a pair below two crossings bounds no disc
+        hits, pair, exact = _crossings(sys.chart, *segs, rows, rows, 1e-9)
+        nc = np.bincount(pair, minlength=len(xy))
+        two = np.flatnonzero(nc >= 2)
+        pts = [_dedupe_crossings(sys.chart, hits[pair == i], exact[pair == i], 1e-9) for i in two]
+        nc[two] = [len(p) for p in pts]
+        corner = [(i, p) for i, p in zip(two, pts) if len(p) >= 2]
+        found = _seed_records(sys, segs, *zip(*corner)) if corner else []
+        for (i, _), (recs, nc[i], nskip) in zip(corner, found):
+            skipped_pairs += nskip
+            raw.extend((rec, seeds[i]) for rec in recs)
+        for v in nc.tolist():
+            counts[v] = counts.get(v, 0) + 1
     # one minimal sector per spine; _close_pair gives every record one.
-    # Only the kept records get their boundary arcs.
+    # Only the kept records get their seed's arcs, to cut boundary arcs from.
     by_spine = {}
-    for idx, (rec, cs, cu) in enumerate(raw):
+    for idx, (rec, seed) in enumerate(raw):
         key = rec.spine.coords
         cur = by_spine.get(key)
         if cur is None or (rec.area, idx) < (cur[0].area, cur[1]):
-            by_spine[key] = (rec, idx, cs, cu)
-    sectors = [_cut_boundaries(rec, cs, cu) for rec, _, cs, cu in
-               (by_spine[k] for k in sorted(by_spine))]
+            by_spine[key] = (rec, idx, seed)
+    sectors = []
+    for rec, _, (sx, sy) in (by_spine[k] for k in sorted(by_spine)):
+        x = sys.point(float(sx), float(sy))
+        sectors.append(_cut_boundaries(rec, *(models.local_arc(sys, x, kind, eps)
+                                              for kind in ("stable", "unstable"))))
     return SectorSearch(sectors=sectors, seeds_probed=probed,
                         seeds_planned=planned, exhausted=probed < planned,
                         crossing_counts=counts, skipped_pairs=skipped_pairs)

@@ -12,8 +12,8 @@ transport through arcs and paths that the bracket of their lifts
 replaced, the per-pair ring scan of the metric's block table that its
 lockstep ring steps replaced, the flat-chart graph build as one window
 per source that one stencil per group of image positions replaced, and
-the per-point loops that array passes replaced, kept so that a test can
-ask for the same bits from both.
+the per-point and per-seed loops that array passes replaced, kept so that
+a test can ask for the same bits from both.
 """
 
 import math
@@ -22,8 +22,8 @@ import numpy as np
 
 from cwdyn import cwmetric, models, periodic, sectors
 from cwdyn.continua import (MarkedContinuum, OffContinuumError, StraightLift, _crossings,
-                            _dedupe_points, _segments, concat, intersect, subcontinuum,
-                            unwrap_path)
+                            _dedupe_points, _nearest_on, _segments, concat, intersect,
+                            subcontinuum, unwrap_path)
 from cwdyn.cwmetric import cw_metric
 from cwdyn.holonomy import HolonomyFault
 
@@ -269,17 +269,46 @@ def polyline_walk(pts, cross, side: int, h: float):
 # -- per-point loops --------------------------------------------------------
 
 
+def sector_from_seed(sys, x, eps):
+    """sectors._sector_from_seed with its crossings projected one at a time,
+    two projection calls each, and each record's cover segment ends taken
+    from its arcs' lifts."""
+    cs = models.local_arc(sys, x, "stable", eps)
+    cu = models.local_arc(sys, x, "unstable", eps)
+    pts = intersect(cs, cu, tol=1e-9)
+    if len(pts) < 2:
+        return [], len(pts), 0
+    info = []
+    for p in pts:
+        (ts,), (rs,), (es,) = _nearest_on(sys.chart, _segments(cs), p.xy())
+        (tu,), (ru,), (eu,) = _nearest_on(sys.chart, _segments(cu), p.xy())
+        if es > 1e-6 or eu > 1e-6:
+            continue
+        info.append({"p": p, "ts": float(ts), "tu": float(tu), "cs": rs, "cu": ru})
+    info.sort(key=lambda r: r["ts"])
+    records = []
+    skipped = 0
+    for k in range(len(info) - 1):
+        rec = sectors._close_pair(sys, (_segments(cs), _segments(cu)), 0, info[k], info[k + 1])
+        if rec is None:
+            skipped += 1
+        else:
+            rec.cover_s, rec.cover_u = (c.lift.cover_points([0.0, 1.0]) for c in (cs, cu))
+            records.append((rec, cs, cu))
+    return records, len(info), skipped
+
+
 def find_sectors(sys, eps=None, budget=1500):
-    """find_sectors with every non-spine seed through _sector_from_seed and
-    every record's boundary arcs cut: (minimal sector per spine, crossing
-    counts, skipped pairs)."""
+    """find_sectors with every non-spine seed of np.arange's seed axis
+    through sector_from_seed and every record's boundary arcs cut:
+    (minimal sector per spine, crossing counts, skipped pairs)."""
     eps = sys.c / 2.0 if eps is None else eps
     xs = ys = np.arange(0.0, 1.0 - 1e-12, eps / 4.0)
     ix, iy = np.divmod(np.arange(min(max(budget, 0), len(xs) * len(ys))), len(ys))
     seeds = np.stack([xs[ix], ys[iy]], axis=1)
     raw, counts, skipped = [], {}, 0
     for sx, sy in seeds[~models.is_spine(sys, models.wrap_chart(sys.chart, seeds), eps)]:
-        recs, nc, nskip = sectors._sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
+        recs, nc, nskip = sector_from_seed(sys, sys.point(float(sx), float(sy)), eps)
         skipped += nskip
         counts[nc] = counts.get(nc, 0) + 1
         raw.extend(sectors._cut_boundaries(*r) for r in recs)

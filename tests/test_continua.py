@@ -9,8 +9,8 @@ from _reference import diameter, image, polyline_intersect
 from cwdyn import continua, cwmetric, holonomy, models, periodic, sectors
 from cwdyn.continua import (
     MarkedContinuum, OffContinuumError, StraightLift, _arc_pair_hits, _crossings,
-    _project_to_lift, concat, from_record, intersect, subcontinuum, to_record,
-    unwrap_to,
+    _nearest_on, _project_to_lift, _to_segment, concat, cover_reps, from_record, intersect,
+    subcontinuum, to_record, unwrap_to,
 )
 from cwdyn.models import local_arc, make_model
 
@@ -139,7 +139,7 @@ class TestIntersect:
         cu = _straight(q, (-0.053165674981700196, -0.032858193665974866), eu, 0.125)
         pts = intersect(cs, cu)
         assert len(pts) == 1
-        assert _project_to_lift(cs, pts[0].xy())[0] > 1e-9
+        assert _project_to_lift(cs, pts[0].xy())[0][0] > 1e-9
 
     def test_plain_polylines_are_refused(self, cat):
         arc = local_arc(cat, cat.point(0.3, 0.3), "unstable", 0.1)
@@ -486,8 +486,7 @@ class TestCoverProperties:
         sub = subcontinuum(c, a, b)
         assert _gap(chart, sub.point(sub.mark_p).xy(), a.xy()) < 1e-9
         assert _gap(chart, sub.point(sub.mark_q).xy(), b.xy()) < 1e-9
-        for v in sub.vertices:
-            assert _project_to_lift(c, v)[1] < 1e-9
+        assert max(_project_to_lift(c, sub.vertices)[1]) < 1e-9
 
 
 # -- the paired crossing pass ---------------------------------------------------
@@ -537,3 +536,58 @@ class TestPairedCrossings:
                             local_arc(sys, py, "unstable", eps)))
         # the count is raw: only two or more hits can be fewer points
         assert hits == got if hits < 2 else got <= hits
+
+
+# -- one row and many ---------------------------------------------------------
+
+
+@st.composite
+def _box_rows(draw):
+    """Two to six rows of a chart point set [qlo, qhi] (some a single point)
+    and a plane box up to 3.5 wide, some with an integer corner; most boxes
+    straddle integers."""
+    chart = draw(st.sampled_from(CHARTS))
+    n = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    qlo = rng.uniform(0.0, 1.0, (n, 2))
+    qhi = qlo + rng.uniform(0.0, 0.3, (n, 2)) * (rng.random((n, 1)) < 0.7)
+    lo = rng.uniform(-2.0, 2.0, (n, 2))
+    lo = np.where(rng.random((n, 1)) < 0.3, np.round(lo), lo)
+    return chart, qlo, qhi, lo, lo + rng.uniform(0.0, 3.5, (n, 2))
+
+
+class TestManyRows:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(case=_box_rows())
+    def test_one_row_cover_reps_is_that_row_of_many(self, case):
+        chart, qlo, qhi, lo, hi = case
+        row, s, k = cover_reps(chart, qlo, qhi, lo, hi)
+        for i in range(len(lo)):
+            row1, s1, k1 = cover_reps(chart, qlo[i], qhi[i], lo[i], hi[i])
+            assert row1.dtype == row.dtype and not row1.any()
+            assert s1.tobytes() == s[row == i].tobytes()
+            assert k1.tobytes() == k[row == i].tobytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(case=_segment_rows(), data=st.data())
+    def test_many_row_projection_is_each_row_alone(self, case, data):
+        # some rows are a point half a step from a zero-length segment, so
+        # two representatives tie: each row keeps the first, as argmin did
+        chart, n, (segs, _) = case
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        a, d = (v.copy() for v in segs[:2])
+        xy = models.wrap_chart(chart, rng.uniform(-1.0, 2.0, (n, 2)))
+        tie = rng.random(n) < 0.3
+        a[tie], d[tie] = np.array([0.25, 0.5]), 0.0
+        xy[tie] = [0.75, 0.5]
+        t, r, dist = _nearest_on(chart, (a, d), xy)
+        for i in range(n):
+            ti, ri, di = _nearest_on(chart, (a[i:i + 1], d[i:i + 1]), xy[i])
+            assert (ti.tobytes(), ri.tobytes(), di.tobytes()) \
+                == (t[i:i + 1].tobytes(), r[i:i + 1].tobytes(), dist[i:i + 1].tobytes())
+            _, s, k = cover_reps(chart, xy[i], xy[i], np.minimum(a[i], a[i] + d[i]) - 0.75,
+                                 np.maximum(a[i], a[i] + d[i]) + 0.75)
+            reps = s[:, None] * xy[i] + k
+            tt, dd = _to_segment(reps, a[i], d[i])
+            j = int(np.argmin(dd))
+            assert (tt[j], dd[j]) == (t[i], dist[i]) and reps[j].tobytes() == r[i].tobytes()

@@ -139,7 +139,7 @@ class TestHolonomy:
             target = models.local_arc(pa, y, "stable", params_pa.eps)
             for p in pts:
                 for arc in (carrier, target):
-                    _, d = _project_to_lift(arc, p.xy())
+                    _, (d,) = _project_to_lift(arc, p.xy())
                     assert d <= 10 * params_pa.tol
 
     def test_two_branches_near_spine(self, pa, params_pa):

@@ -115,21 +115,47 @@ class TestFindSectors:
         assert out.sectors == []
         assert set(out.crossing_counts) == {1}
 
-    @pytest.mark.parametrize("kind, budget", [("sphere-pA", 1500), ("cat-map", 400)])
-    def test_screen_matches_the_per_seed_loop(self, kind, budget):
-        # seeds below two raw crossings skip _sector_from_seed; nothing moves
+    @pytest.mark.parametrize("kind, budget, eps", [
+        pytest.param("sphere-pA", 1500, None, id="sphere-pA-1500"),
+        pytest.param("cat-map", 400, None, id="cat-map-400"),
+        pytest.param("sphere-pA", 5000, 0.05, id="sphere-pA-5000-eps0.05")])
+    def test_screen_matches_the_per_seed_loop(self, kind, budget, eps):
+        # the chunk's one crossing pass, dedupe and projection pass give
+        # what intersect and two projections per crossing give seed by seed;
+        # 5000 seeds at eps 0.05 run two chunks
         sys = make_model(kind)
-        out = find_sectors(sys, budget=budget)
-        want, counts, skipped = find_sectors_by_seed(sys, budget=budget)
+        out = find_sectors(sys, eps=eps, budget=budget)
+        want, counts, skipped = find_sectors_by_seed(sys, eps=eps, budget=budget)
         assert list(out.crossing_counts.items()) == list(counts.items())
         assert out.skipped_pairs == skipped
         assert len(out.sectors) == len(want)
         for got, ref in zip(out.sectors, want):
-            assert got.polygon.tobytes() == ref.polygon.tobytes()
-            for p, q in ((got.spine, ref.spine), (got.a1, ref.a1), (got.a2, ref.a2)):
-                assert p.xy().tobytes() == q.xy().tobytes()
-            for a, b in ((got.boundary_s, ref.boundary_s), (got.boundary_u, ref.boundary_u)):
-                assert a.lift == b.lift and a.vertices.tobytes() == b.vertices.tobytes()
+            _assert_same_record(got, ref)
+
+    @pytest.mark.parametrize("eps", [None, 0.1, 0.07, 0.03, 0.011])
+    def test_seeds_are_the_arange_grid(self, pa, eps, monkeypatch):
+        # each chunk builds its own seeds i * spacing, the values that
+        # np.arange(0, 1 - 1e-12, spacing) holds along either axis
+        seen = []
+        wrap = sectors.wrap_chart
+        monkeypatch.setattr(sectors, "wrap_chart", lambda c, p: seen.append(p) or wrap(c, p))
+        out = find_sectors(pa, eps=eps, budget=5000)
+        axis = np.arange(0.0, 1.0 - 1e-12, (pa.c / 2.0 if eps is None else eps) / 4.0)
+        assert out.seeds_planned == len(axis) ** 2
+        ix, iy = np.divmod(np.arange(out.seeds_probed), len(axis))
+        assert np.concatenate(seen).tobytes() == np.stack([axis[ix], axis[iy]], 1).tobytes()
+
+    def test_tiny_eps_allocates_only_its_budget(self, pa):
+        # the seed axis has 4e6 values at eps 1e-6; only the 8 probed seeds
+        # are built
+        tracemalloc.start()
+        try:
+            out = find_sectors(pa, eps=1e-6, budget=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.seeds_probed == 8 and out.seeds_planned == 4_000_000 ** 2
+        assert peak < 1_000_000
 
     def test_cuts_only_the_kept_records(self, pa, monkeypatch):
         # the minimal record per spine is chosen first; only the four kept
@@ -316,6 +342,19 @@ class TestEnclosing:
         assert lvl2["sector"].area > lvl1["sector"].area
         assert lvl2["clearance"] > 0
 
+    @pytest.mark.parametrize("eps, budget", [(None, 1500), (0.05, 5000)])
+    def test_matches_the_per_seed_path(self, pa, eps, budget, monkeypatch):
+        # every rung's seed through the reference's per-crossing projections
+        # gives the same ladder and the same sector
+        found = find_sectors(pa, eps=eps, budget=budget).sectors
+        got = [enclosing_sector(pa, s) for s in found]
+        monkeypatch.setattr(sectors, "_sector_from_seed", _reference.sector_from_seed)
+        want = [enclosing_sector(pa, s) for s in found]
+        for g, w in zip(got, want):
+            assert {k: v for k, v in g.items() if k != "sector"} \
+                == {k: v for k, v in w.items() if k != "sector"}
+            _assert_same_record(g["sector"], w["sector"])
+
     def test_budget_exhaustion_is_data(self, pa, search, monkeypatch):
         monkeypatch.setattr(sectors, "_MARGIN_BUDGET", 0)
         out = enclosing_sector(pa, search.sectors[0])
@@ -334,6 +373,18 @@ class TestRecord:
 
 
 # -- reference: the scalar paths that the batched sector passes replaced ----
+
+
+def _assert_same_record(got, ref):
+    """Two sector records hold the same bits, boundary arcs included."""
+    for name in ("polygon", "mirror_center", "cover_s", "cover_u"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+    for p, q in ((got.spine, ref.spine), (got.a1, ref.a1), (got.a2, ref.a2)):
+        assert p.coords == q.coords and p.xy().tobytes() == q.xy().tobytes()
+    assert (got.s_cross, got.u_cross, got.regular) == (ref.s_cross, ref.u_cross, ref.regular)
+    for a, b in ((got.boundary_s, ref.boundary_s), (got.boundary_u, ref.boundary_u)):
+        assert a.lift == b.lift and (a.mark_p, a.mark_q) == (b.mark_p, b.mark_q)
+        assert a.vertices.tobytes() == b.vertices.tobytes()
 
 
 def _ref_select_crossing(sys, cu, cs, g_s, g_u, w, Einv, R1):
