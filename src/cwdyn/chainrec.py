@@ -11,14 +11,17 @@ the graph has no edge: on cat-map at res 64 and eps 0.1, x = (0.53392,
 0.59618) and x' = (0.59355, 0.06184) have d(f(x), x') = 0.0981, but
 d(f(c_u), c_v) = 0.1272 exceeds eps + diag_v = 0.1221.
 
-The rule is translation invariant on the flat charts: whether a cell is
-an edge depends, up to rounding, on the image's offset within its base
-cell and the cell's offset from that base.  So the flat build groups
-the images by that sub-cell offset (one group on cat-map and sphere-pA
-at a power-of-two res), decides each group's stencil once, and writes
-each row as its base cell's key plus the stencil's offsets, sorting
-only rows that wrap or whose two quotient images come near.  Decisions
-too close to the threshold to share fall back to one window per source.
+The rule is invariant, up to rounding, under translation on the flat
+charts and under longitude rotation on the geographic one: a verdict
+depends on the image's offset within its base cell and the cell's
+offset from that base, or on the image's colatitude and its longitude
+offset from the source's cell.  So each build groups like images (one
+group on cat-map and sphere-pA at a power-of-two res, one per row on
+north-south), decides each group's stencil once, and writes each row as
+its cell's key plus the stencil's offsets, sorting flat rows that wrap
+or whose quotient images come near and rotating geographic rows at the
+0/1 seam.  Decisions too close to the threshold to share fall back to
+one test per source.
 
 Chain classes are strongly connected components restricted to
 cycle-carrying cells, then classes whose cells sit within the edge slack
@@ -116,9 +119,8 @@ _SQ_MARGIN = 1e-12
 
 
 def _distinct(keys: np.ndarray, n: int) -> np.ndarray:
-    """``keys`` with each row sorted and its repeats replaced by ``n``:
-    the row's distinct entries below ``n`` ascending, then entries of
-    ``n`` or more.  Sorts ``keys`` in place."""
+    """``keys`` with each row sorted in place and its repeats replaced by
+    ``n``: its distinct entries below ``n`` ascending, then ``n`` or more."""
     keys.sort(axis=1)
     keys[:, 1:][keys[:, 1:] == keys[:, :-1]] = n
     keys.sort(axis=1)
@@ -127,14 +129,11 @@ def _distinct(keys: np.ndarray, n: int) -> np.ndarray:
 
 def _window_edges(chart, res, img, offs, thr):
     """Target keys of each row's candidate cells, ``res**2`` where the cell
-    is no edge of the row: the cells at ``offs`` x ``offs`` from the
-    cell of its image ``img`` (and, on the quotient, of ``-img``).
-
-    Both coordinates wrap on their own, so the lattice residuals of each
-    axis are an (offsets, m) array, and the squared norms compare on
-    their broadcast.  That decides every pair outside the ``_SQ_MARGIN``
-    band around thr; ``hypot``, the chart distance, decides the rest.
-    """
+    is no edge of the row: the cells at ``offs`` x ``offs`` from the cell
+    of its image ``img`` (and, on the quotient, of ``-img``).  Each axis
+    wraps on its own, so the squared norms compare on the broadcast of the
+    axes' (offsets, m) residuals: that decides every pair outside the
+    ``_SQ_MARGIN`` band around thr, and ``hypot`` decides the rest."""
     h = 1.0 / res
     signs = (1.0,) if chart == models.TORUS else (1.0, -1.0)
     lo, hi = thr * thr * (1.0 - _SQ_MARGIN), thr * thr * (1.0 + _SQ_MARGIN)
@@ -175,25 +174,20 @@ def _stencil_offsets(chart, res, thr):
     return offs, (1 if chart == models.TORUS else 2) * offs.size ** 2
 
 
-# Images whose sub-cell residuals round to the same multiple of
-# thr * _GROUP_STEP on both axes share one stencil; _group_stencils
-# derives the band this spread implies.
+# Images whose sub-cell residuals round to one multiple of thr * _GROUP_STEP
+# on both axes share a stencil; _group_stencils derives the band this implies.
 _GROUP_STEP = 2.0 ** -30
 
 
 def _image_groups(chart, res, imgs, thr):
-    """Base cells and position groups of the torus images of every source.
-
-    A source has one torus image on the torus chart and two on the
-    quotient, ``img`` and ``-img``; its edges are the union of theirs.
-    An image ``p`` has the base cell ``b = floor(p / h - 1/2)`` of
-    ``_window_edges``, and the sub-cell residual ``p - (b + 1/2) h`` in
-    [0, h] decides, up to rounding, which cells around ``b`` are edges.
-    Images whose residuals round to the same multiple of ``thr *
-    _GROUP_STEP`` on both axes form one group.  Returns the base cells mod
-    res (n, w, 2), the group of each image (n, w), each group's first
-    residual (G, 2) and the largest coordinate magnitude of an image.
-    """
+    """Base cells and position groups of the torus images of every source
+    (``img``, and on the quotient also ``-img``; its edges are the union of
+    theirs).  An image ``p``'s sub-cell residual ``p - (b + 1/2) h`` from
+    its base cell ``b = floor(p / h - 1/2)`` decides, up to rounding, which
+    cells around ``b`` are edges; residuals that round to one multiple of
+    ``thr * _GROUP_STEP`` on both axes form a group.  Returns the base cells
+    mod res (n, w, 2), the group of each image (n, w), each group's first
+    residual (G, 2) and the largest coordinate magnitude of an image."""
     h = 1.0 / res
     n = imgs.shape[0]
     pts = imgs[:, None, :] if chart == models.TORUS else np.stack([imgs, -imgs], axis=1)
@@ -214,9 +208,8 @@ def _image_groups(chart, res, imgs, thr):
 
 @dataclass
 class _Stencils:
-    """The edges of each group of images, as cell offsets from the base
-    cell: group g's run lies at ``[ptr[g], ptr[g] + count[g])`` of ``ox``
-    and ``oy``, lexicographic, and ``width`` zeros pad the end."""
+    """Each image group's edges as offsets from the base cell, lexicographic:
+    ``ox``, ``oy`` at ``[ptr[g], ptr[g] + count[g])``, then ``width`` zeros."""
     ptr: np.ndarray
     count: np.ndarray
     ox: np.ndarray
@@ -227,9 +220,8 @@ class _Stencils:
 
 
 def _decide(rho, oh, lo, hi):
-    """Edges (groups, x-offset, y-offset) of residuals ``rho`` at cell
-    offsets ``oh``: the squared norms at most ``lo``; and whether each group
-    has a norm inside the band (lo, hi)."""
+    """Edges (groups, x-offset, y-offset) of residuals ``rho`` at offsets
+    ``oh``, norms squared at most ``lo``, and whether a group has one in (lo, hi)."""
     wx, wy = rho[:, 0, None] - oh, rho[:, 1, None] - oh
     rx, ry = wx - np.round(wx), wy - np.round(wy)
     sq = (rx * rx)[:, :, None] + (ry * ry)[:, None, :]
@@ -247,26 +239,22 @@ def _group_stencils(res, rho, offs, thr, pmax) -> _Stencils:
     quotient also when its other test, against the other image, passes.
     Per axis, a member's |rx| and the representative's |rho - o h| differ
     by at most d = q (1 + 2**-20) + 2**-50 (pmax + 4), q = thr *
-    _GROUP_STEP:
-      - the group's residuals spread by at most q, up to the rounding of
-        rho / q;
-      - each side's centre, difference and residual round by less than
-        2**-53 (pmax + 6) in all, its coordinates being below pmax + 3,
-        and a float residual rho is off its image's exact one by less
-        than 2**-53 (pmax + 2);
-      - a passing cross test on the quotient has a cell of the other
-        image's own window at most two periods away, and res * h is 1
-        within 2**-53, so its exact residual is within 2**-52 of that
-        cell's, to which its own rounding adds;
-      - these roundings stay below 2**-53 (4 pmax + 16), half of d's
-        second term.
-    The norms then differ by at most sqrt(2) d.  With a = sqrt(2) d +
-    2**-50 thr, which also covers hypot's ulp, a squared norm at most
-    (thr - a)**2 (1 - 2**-49) is an edge of every member and one above
-    (thr + a)**2 (1 + 2**-49) of none, the factors covering the squares'
-    rounding: a relative band of about 2**-28.5 around thr**2 at grid
-    scales.  A group with a candidate inside the band is undecided; each
-    source with an image in it takes its windows one by one.
+    _GROUP_STEP: the group's residuals spread by at most q, up to the
+    rounding of rho / q; each side's centre, difference and residual round
+    by less than 2**-53 (pmax + 6) in all, its coordinates being below pmax
+    + 3, and a float rho is off its image's exact one by less than 2**-53
+    (pmax + 2); a passing cross test on the quotient has a cell of the
+    other image's own window at most two periods away, and res * h is 1
+    within 2**-53, so its exact residual is within 2**-52 of that cell's,
+    to which its own rounding adds.  These roundings stay below 2**-53 (4
+    pmax + 16), half of d's second term, and the norms then differ by at
+    most sqrt(2) d.  With a = sqrt(2) d + 2**-50 thr, which also covers
+    hypot's ulp, a squared norm at most (thr - a)**2 (1 - 2**-49) is an edge
+    of every member and one above (thr + a)**2 (1 + 2**-49) of none, the
+    factors covering the squares' rounding: a relative band of about
+    2**-28.5 around thr**2 at grid scales.  A group with a candidate inside
+    the band is undecided; each source with an image in it takes its
+    windows one by one.
     """
     d = thr * _GROUP_STEP * (1.0 + 2.0 ** -20) + 2.0 ** -50 * (pmax + 4.0)
     a = np.sqrt(2.0) * d + 2.0 ** -50 * thr
@@ -304,10 +292,9 @@ class _RowPlan:
 
 
 def _row_plan(res, cells, group, st: _Stencils) -> _RowPlan:
-    """Sort a row where an image's stencil wraps, or where the quotient's
-    two stencils share a column; dedupe it where they can share a cell
-    or a stencil is wider than the grid.  Every other row is its images'
-    stencil runs, one after the other."""
+    """Sort a row where an image's stencil wraps, or the quotient's two share
+    a column; dedupe it where they can share a cell or a stencil is wider
+    than the grid.  Every other row is its images' stencil runs in turn."""
     r = st.reach
     if cells.shape[1] == 2:
         swap = cells[:, 1, 0] < cells[:, 0, 0]
@@ -330,12 +317,9 @@ def _row_plan(res, cells, group, st: _Stencils) -> _RowPlan:
 
 def _slot_keys(res, st: _Stencils, cells, group, inner, out):
     """Each row's target keys from one image, in stencil order, into the
-    (m, st.width) array ``out``, res**2 past the row's stencil.
-
-    Away from the border a target's key is the base cell's key plus the
-    linear offset ``ox * res + oy``, so the run is ascending; within
-    ``st.reach`` of the border each axis wraps on its own.
-    """
+    (m, st.width) array ``out``, res**2 past the row's stencil.  Away from
+    the border a key is the base cell's plus ``ox * res + oy``, so the run
+    ascends; within ``st.reach`` of it each axis wraps on its own."""
     k = np.arange(st.width)
     one = (group == group[0]).all()
     rows = group[:1] if one else group
@@ -363,8 +347,7 @@ def _slot_keys(res, st: _Stencils, cells, group, inner, out):
 def _fill_rows(chart, res, imgs, offs, thr, st, plan, src, out):
     """Write the rows of sources ``src`` into ``out`` (m, at least w *
     st.width): each row's targets ascending, then res**2."""
-    n = res * res
-    w = st.width
+    n, w = res * res, st.width
     slots = plan.cells.shape[1]
     for s in range(slots):
         _slot_keys(res, st, plan.cells[src, s], plan.group[src, s], plan.inner[src, s],
@@ -386,21 +369,18 @@ def _fill_rows(chart, res, imgs, offs, thr, st, plan, src, out):
 
 
 def _edges_wrapped(chart, res, imgs, thr):
-    """CSR rows of the flat (wrapping) charts, from one stencil per group
-    of image positions.
+    """CSR ``indptr`` and ``indices`` of the flat (wrapping) charts, from
+    one stencil per group of image positions, at the one threshold ``thr``.
 
-    ``thr`` is the one threshold of a flat grid.  Whether a candidate cell
-    passes depends on the image's sub-cell residual and the cell's offset
-    alone, up to rounding: ``_group_stencils`` decides each group of
-    residuals once, and a row is then its images' base keys plus the
-    stencils' offsets.  On cat-map and sphere-pA at a power-of-two res
-    every image falls in one group; a synthetic ``step`` may put each in
-    its own, which costs what one window per source did.  A group with a
-    candidate too close to thr to share, and each row it touches, is
-    decided by ``_window_edges`` as a whole.  Row counts come first (a
-    pass over the rows that can repeat a key), then the rows fill one
-    ``indices`` array, a chunk of whole sources at a time; ``check_grid``
-    refuses a grid where one source alone exceeds a chunk.
+    ``_group_stencils`` decides each group of residuals once, and a row is
+    its images' base keys plus the stencils' offsets; a synthetic ``step``
+    may put each image in its own group, which costs what one window per
+    source did.  A group with a candidate too close to thr to share, and
+    each row it touches, is decided by ``_window_edges`` as a whole.  Row
+    counts come first (a pass over the rows that can repeat a key), then
+    the rows fill one ``indices`` array, a chunk of whole sources at a
+    time; ``check_grid`` refuses a grid where one source alone exceeds a
+    chunk.
     """
     n = imgs.shape[0]
     offs, row_pairs = _stencil_offsets(chart, res, thr)
@@ -417,8 +397,7 @@ def _edges_wrapped(chart, res, imgs, thr):
         out = np.empty((src.size, row_pairs), dtype=np.int32)
         _fill_rows(chart, res, imgs, offs, thr, st, plan, src, out)
         counts[src] = np.count_nonzero(out < n, axis=1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
     indices = np.empty(int(indptr[-1]), dtype=np.int32)
     for lo in range(0, n, step):
         src = np.arange(lo, min(lo + step, n))
@@ -429,28 +408,27 @@ def _edges_wrapped(chart, res, imgs, thr):
             out = np.empty((src.size, max(width, int(counts[src].max()))), dtype=np.int32)
             _fill_rows(chart, res, imgs, offs, thr, st, plan, src, out)
             dest[:] = out[out < n]
-    return counts, indices
+    return indptr, indices
 
 
-def _lon_windows(lon, col, ja, nj, tcol, tmax, res):
+def _lon_windows(lon, col, ja, nj, tcol, tmax, res, slack=1e-12):
     """Longitude cell windows of each source's band rows: (first, last),
     first in [0, res) and last possibly past res - 1 for a window that
     wraps, last < first where no cell of the row can pass the test.
 
     A pair at angle pi*d with d <= t has, by the haversine formula,
     sin(th1) sin(th2) sin^2(dphi/2) = hav(pi d) - hav(dth) <= sin^2(pi t'/2)
-    - hav(dth), with t' = min(t, 1): d never exceeds 1, and past 1 the sine
-    falls again.  The bound gets 1e-12 of slack: the test's rounding moves
-    hav by about 1e-15, and the slack moves a window edge by at least
-    1e-12/pi, far above the rounding of the window and index arithmetic.
-    A row the bound cannot narrow takes all res cells; so does every row
-    with t >= 1, since sin(th1) sin(th2) <= cos^2(dth/2) = 1 - hav(dth).
+    - hav(dth), t' = min(t, 1): d never exceeds 1, and past 1 the sine falls
+    again.  The bound gets ``slack``, 1e-12 for a source's own windows: the
+    test's rounding moves hav by about 1e-15, and 1e-12 moves a window edge
+    by at least 1e-12/pi, far above the window's own rounding.  A row the
+    bound cannot narrow, as every row with t >= 1, takes all res cells.
     """
     h = 1.0 / res
     jr = np.arange(nj.max())
     tj = np.minimum(ja[:, None] + jr, res - 1)
     gap = np.abs(col[:, None] - tcol[tj])
-    room = (np.sin(0.5 * np.pi * np.minimum(tmax[tj], 1.0)) ** 2 + 1e-12
+    room = (np.sin(0.5 * np.pi * np.minimum(tmax[tj], 1.0)) ** 2 + slack
             - np.sin(0.5 * np.pi * gap) ** 2)
     prod = np.sin(np.pi * col)[:, None] * np.sin(np.pi * tcol[tj])
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -466,67 +444,100 @@ def _lon_windows(lon, col, ja, nj, tcol, tmax, res):
     return first, first + np.minimum(span, res).astype(np.int32)
 
 
-def _edges_geographic(res, imgs, thr):
-    """CSR rows of the geographic chart from per-source windows.
+_LON_STEP = 2.0 ** -40  # the longitude offsets of one group round to one multiple
+_LON_MARGIN = 1e-12 + 4.0 * _LON_STEP
 
-    A source's candidates are a band of target colatitude rows, those
-    within the largest row threshold of its image, each cut to the
-    longitude window of ``_lon_windows``.  The windows of one source
-    share its longitude as centre, so they nest in the widest one, and
-    candidates run over that window's cells in index order, each over its
-    rows: in target order, so each chunk's edges append to the CSR as
-    they are.  The prefilter and the test are the chart distance's,
-    unchanged.
+
+def _edges_geographic(res, imgs, thr):
+    """CSR ``indptr`` and ``indices`` of the geographic chart, from one
+    longitude stencil per group of sources.
+
+    A source's edges are its band rows' cells inside ``_lon_windows``
+    that pass the chart distance's test.  Sources whose images share a
+    colatitude and lie one multiple of ``_LON_STEP`` past their own
+    columns' centres form a group, decided at its first source with windows
+    of slack -m and +m, m = ``_LON_MARGIN``.  With F = hav(dth) + sin(th1)
+    sin(th2) sin^2(pi dlon) - sin^2(pi t'/2), a window of slack s holds the
+    cells with F <= s and the test passes F <= 0, each up to roundings
+    below 1e-14.  A member's dlon to the cell k columns from its own is
+    within d = _LON_STEP (1 + 2**-12) + 2**-50 of the representative's (the
+    offsets' spread, and their and the centres' roundings), so F is within
+    pi d, and m exceeds 1e-12 + pi d by 7e-13: a cell inside the inner
+    window is inside each member's own window (slack 1e-12) and passes its
+    test, one outside the outer window is inside none, and rows ruled out
+    by the colatitude alone are alike.  Band cells, between the windows,
+    take each member's own window and test.  Row counts come first, then
+    rows fill ``indices``, whole sources of at most ``_CHUNK_PAIRS`` pairs
+    a block.
     """
-    h = 1.0 / res
-    n = imgs.shape[0]
-    tcol = (np.arange(res) + 0.5) * h
-    tmax = thr.reshape(res, res).max(axis=0)
+    h, n = 1.0 / res, res * res
+    tcol, tmax = (np.arange(res) + 0.5) * h, thr.reshape(res, res).max(axis=0)
     big = float(tmax.max())
     lon, col = imgs[:, 0], imgs[:, 1]
     ja = np.clip(np.ceil((col - big - 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
-    jb = np.clip(np.floor((col + big + 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
-    nj = jb - ja + 1  # at least 1: big is at least h, a cell's colatitude side
-    block = max(1, _CHUNK_PAIRS // int(nj.max()))
-    # the widest window of each source: its first cell and its length
-    a = np.zeros(n, dtype=np.int64)
-    nl = np.zeros(n, dtype=np.int64)
-    for s0 in range(0, n, block):
-        sl = slice(s0, s0 + block)
-        first, last = _lon_windows(lon[sl], col[sl], ja[sl], nj[sl], tcol, tmax, res)
-        widest = np.argmax(last - first, axis=1)[:, None]
-        a[sl] = np.take_along_axis(first, widest, axis=1)[:, 0]
-        nl[sl] = np.minimum(np.take_along_axis(last - first, widest, axis=1)[:, 0] + 1, res)
-    # a window that wraps lists its cells from index 0 on: rotate it there
-    rot = np.mod(-a, res)
-    rot[rot >= nl] = 0
-    ends = np.cumsum(nl)
-    e_src = models._geo_embed(imgs)
-    ex, ey, ez = models._geo_embed(_grid_centers(res)).T
-    counts = np.zeros(n, dtype=np.int64)
-    indices = [np.zeros(0, np.int32)]
-    for k0 in range(0, int(ends[-1]), block):
-        k1 = min(k0 + block, int(ends[-1]))
-        s0 = int(np.searchsorted(ends, k0, side="right"))
-        s1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
-        taken = np.minimum(ends[s0:s1], k1) - np.maximum(ends[s0:s1] - nl[s0:s1], k0)
-        s = np.repeat(np.arange(s0, s1), taken)
-        li = np.arange(k0, k1) - (ends[s] - nl[s])
-        ci = np.mod(a[s] + np.mod(li + rot[s], nl[s]), res).astype(np.int32)[:, None]
-        sl = slice(s0, s1)
-        first, last = (np.repeat(w, taken, axis=0) for w in
-                       _lon_windows(lon[sl], col[sl], ja[sl], nj[sl], tcol, tmax, res))
-        p, jj = np.nonzero(((ci >= first) & (ci <= last)) | (ci + res <= last))
-        s = s[p]
-        tix = ci[p, 0] * res + (ja[s] + jj)
-        # models._geo_distance inline, in np.sum's order over the embedding
-        # axis: its (N, 3) gathers made build_graph 50% slower at
-        # north-south 256 (measured)
-        d = (e_src[s, 0] * ex[tix] + e_src[s, 1] * ey[tix]) + e_src[s, 2] * ez[tix]
-        ok = np.arccos(np.clip(d, -1.0, 1.0)) / np.pi <= thr[tix]
-        counts[s0:s1] += np.bincount(s[ok] - s0, minlength=s1 - s0)
-        indices.append(tix[ok].astype(np.int32))
-    return counts, np.concatenate(indices)
+    # at least 1 row: big is at least h, a cell's colatitude side
+    nj = np.clip(np.floor((col + big + 1e-12) / h - 0.5), 0, res - 1).astype(np.int64) - ja + 1
+    own = np.arange(n) // res
+    off = np.mod(np.rint(np.mod(lon - (own + 0.5) * h, 1.0) / _LON_STEP), 2.0 ** 40)
+    _, rep, group = np.unique(col + 1j * off, return_index=True, return_inverse=True)
+    win = lambda s, slack=1e-12: _lon_windows(lon[s], col[s], ja[s], nj[s], tcol, tmax, res, slack)
+    inside = lambda c, first, last: ((c >= first) & (c <= last)) | (c + res <= last)
+    # each group's outer cells as keys k res + j, k the column offset mod res,
+    # again plus n for the rotation, and whether the inner window holds each
+    packed = []
+    per = max(1, _CHUNK_PAIRS // (int(nj.max()) * res))
+    for g0 in range(0, rep.size, per):
+        r = rep[g0:g0 + per]
+        fo, lo = win(r, _LON_MARGIN)
+        fi, li = (w.ravel() for w in win(r, -_LON_MARGIN))
+        cnt = np.clip(lo - fo + 1, 0, res).ravel()
+        at = np.repeat(np.arange(cnt.size), cnt)
+        ci = np.mod(np.arange(at.size) - np.repeat(np.cumsum(cnt) - cnt - fo.ravel(), cnt), res)
+        g, row = np.divmod(at, fo.shape[1])
+        key = (g0 + g) * 2 * n + np.mod(ci - own[r[g]], res) * res + ja[r[g]] + row
+        packed.append(np.sort(np.concatenate([key, key + n]) * 2
+                              + np.tile(inside(ci, fi[at], li[at]), 2)))
+    packed = np.concatenate(packed)
+    sure, gid = packed & 1 == 1, packed // (4 * n)
+    width = np.bincount(gid, minlength=rep.size) // 2
+    # where each row starts in its group's doubled run: at the first offset
+    # that crosses the 0/1 seam from the source's column
+    start = np.searchsorted(packed, (group * 2 * n + n - own * res) * 2)
+    ext = (packed // 2 - gid * 2 * n).astype(np.int32)
+    banded = np.bincount(gid, weights=~sure, minlength=rep.size)[group] > 0
+
+    def rows(src, keys=None):
+        """The rows of ``src`` into ``keys`` (or new), n where a band cell fails."""
+        wd = width[group[src]]
+        ends = np.cumsum(wd)
+        at = np.repeat((start[src] - ends + wd).astype(np.int32), wd)
+        at += np.arange(ends[-1], dtype=np.int32)
+        keys = np.take(ext, at, out=keys, mode="clip")  # "raise" would buffer out
+        keys += np.repeat((own[src] * res - n).astype(np.int32), wd)
+        test = np.flatnonzero(~sure[at]) if banded[src].any() else []
+        if len(test):
+            s, tix = np.repeat(np.arange(src.size), wd)[test], keys[test]
+            first, last = (w[s, tix % res - ja[src[s]]] for w in win(src))
+            # models._geo_distance inline, in np.sum's order over the embedding
+            es, et = models._geo_embed(imgs[src[s]]), models._geo_embed(_grid_centers(res)[tix])
+            d = (es[:, 0] * et[:, 0] + es[:, 1] * et[:, 1]) + es[:, 2] * et[:, 2]
+            keys[test[~(inside(tix // res, first, last)
+                        & (np.arccos(np.clip(d, -1.0, 1.0)) / np.pi <= thr[tix]))]] = n
+        return keys
+
+    counts = width[group]
+    band = np.flatnonzero(banded)
+    for src in (band[b0:b1] for b0, b1 in _blocks(np.cumsum(counts[band]))):
+        counts[src] = np.bincount(np.repeat(np.arange(src.size), counts[src])[rows(src) < n],
+                                  minlength=src.size)
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    indices = np.empty(int(indptr[-1]), dtype=np.int32)
+    for s0, s1 in _blocks(np.cumsum(width[group])):
+        dest = indices[indptr[s0]:indptr[s1]]
+        keys = rows(np.arange(s0, s1), None if banded[s0:s1].any() else dest)
+        if keys is not dest:
+            dest[:] = keys[keys < n]
+    return indptr, indices
 
 
 def check_grid(chart: str, grid_resolution: int, eps: float) -> None:
@@ -554,18 +565,13 @@ def check_grid(chart: str, grid_resolution: int, eps: float) -> None:
 
 def graph_bytes(chart: str, grid_resolution: int, eps: float) -> int:
     """Estimated bytes of the adjacency of a grid that ``check_grid``
-    accepts: an int32 index and an int8 datum per candidate target, and
-    the int64 row pointers.
-
-    A flat source's candidates are its stencil, (2r+1)**2 cells per torus
-    image.  A geographic source's are its band of colatitude rows times
-    the widest longitude window in the band, bounded by the haversine
-    formula without its colatitude term: sources in one colatitude row
-    share the estimate, taken at their own row's centre.  The work grows
-    with --res alone, not with the cell count.
-    """
-    res = grid_resolution
-    h = 1.0 / res
+    accepts: an int32 index and an int8 datum per candidate target, and the
+    int64 row pointers.  A flat source's candidates are its stencil,
+    (2r+1)**2 cells per torus image; a geographic source's, its band of
+    colatitude rows times the band's widest longitude window, bounded by
+    the haversine formula without its colatitude term at its own row's
+    centre.  The work grows with --res alone, not with the cell count."""
+    res, h = grid_resolution, 1.0 / grid_resolution
     thr = eps + _row_diagonals(chart, res)
     if chart in (models.TORUS, models.SPHERE_QUOTIENT):
         cands = res * _stencil_offsets(chart, res, thr[0])[1]
@@ -596,8 +602,7 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
     """
     import scipy.sparse as sp
 
-    chart = sys.chart
-    res = grid_resolution
+    chart, res = sys.chart, grid_resolution
     check_grid(chart, res, eps)
     centers = _grid_centers(res)
     diag = _cell_diagonals(chart, res)
@@ -606,12 +611,10 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
     thr = eps + diag
     if chart in (models.TORUS, models.SPHERE_QUOTIENT):
         # flat cells are all alike: one threshold
-        counts, indices = _edges_wrapped(chart, res, imgs, thr[0])
+        indptr, indices = _edges_wrapped(chart, res, imgs, thr[0])
     else:
-        counts, indices = _edges_geographic(res, imgs, thr)
+        indptr, indices = _edges_geographic(res, imgs, thr)
     n = res * res
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
     # the data as a zero-stride view of one int8: every stored edge is a 1
     adj = sp.csr_matrix((np.broadcast_to(np.int8(1), indices.size), indices, indptr), shape=(n, n))
     adj.has_canonical_format = True  # each row sorted and free of repeats
@@ -639,14 +642,12 @@ _TREE_PAD = 1e-7
 
 def _candidate_pairs(chart, pts, slack):
     """Blocks ``(a, b)`` of row pairs of ``pts`` that hold, as ``a < b`` or
-    ``b < a``, every pair of rows within ``slack`` of each other in the
-    chart's distance, and more.
-
-    The flat torus is a periodic KD-tree; the quotient adds each point's
-    mirror ``(-x) mod 1``, its distance being the torus distance to x' or
-    to -x'; on the sphere, a distance d <= s <= 1 is a chord of at most
-    2 sin(pi s / 2).  Rows ``[lo, hi)`` query the rows from ``lo`` on, in
-    blocks of at most ``_CHUNK_PAIRS`` pairs (or one row).
+    ``b < a``, every pair of rows within ``slack`` in the chart's distance,
+    and more.  The flat torus is a periodic KD-tree; the quotient adds each
+    point's mirror ``(-x) mod 1``, its distance being the torus distance to
+    x' or to -x'; on the sphere, a distance d <= s <= 1 is a chord of at
+    most 2 sin(pi s / 2).  Rows ``[lo, hi)`` query the rows from ``lo`` on,
+    in blocks of at most ``_CHUNK_PAIRS`` pairs (or one row).
     """
     # imported here, not with scipy.sparse: only a merge of two classes or
     # more needs it, and it adds about 0.1 s and 8 MB
@@ -671,12 +672,9 @@ def _candidate_pairs(chart, pts, slack):
 
 
 def _merge_close_classes(g: ChainClassGraph, lab, rec) -> np.ndarray:
-    """Group the recurrent classes whose cells sit within one edge slack.
-
-    ``rec`` lists the recurrent cells; returns a group id for each.  The
-    groups are the components of the graph on SCC labels that links two
-    labels with a pair of their cells within the slack.
-    """
+    """A group id for each recurrent cell of ``rec``: the components of the
+    graph on SCC labels that links two labels with a pair of their cells
+    within one edge slack."""
     import scipy.sparse as sp
     from scipy.sparse.csgraph import connected_components
 
@@ -702,27 +700,35 @@ def _merge_close_classes(g: ChainClassGraph, lab, rec) -> np.ndarray:
     return connected_components(pairs, directed=False)[1][labs]
 
 
+def _self_loops(adj, cells) -> np.ndarray:
+    """Whether each of ``cells`` has a self-loop, from a bisection of its
+    sorted row that reads no data."""
+    lo, hi = adj.indptr[cells], adj.indptr[cells + 1]
+    while (lo < hi).any():
+        mid = (lo + hi) // 2
+        less = adj.indices[np.minimum(mid, adj.nnz - 1)] < cells
+        lo, hi = np.where(less & (lo < hi), mid + 1, lo), np.where(less, hi, mid)
+    found = lo < adj.indptr[cells + 1]
+    found[found] = adj.indices[lo[found]] == cells[found]
+    return found
+
+
 def chain_classes(g: ChainClassGraph) -> Partition:
     """Chain-recurrent cells grouped into classes, canonically labeled.
 
     A cell is chain-recurrent when its SCC has two or more cells or a
-    self-loop.  Classes closer than one edge slack are merged (grid
-    rings near slowdown zones belong to the enclosing class).  Labels
-    are assigned by each class's smallest cell index, so they do not
-    depend on node traversal order.
-    """
-    import scipy.sparse as sp
+    self-loop.  Classes closer than one edge slack are merged (grid rings
+    near slowdown zones belong to the enclosing class).  Labels follow each
+    class's smallest cell index, not the node traversal order."""
     from scipy.sparse.csgraph import connected_components
 
     adj = g.adjacency
     # float64 data as a zero-stride view on the stored indices: scipy's
     # validate_graph then converts nothing (astype(float64, copy=False))
-    view = sp.csr_matrix((np.broadcast_to(1.0, adj.nnz), adj.indices, adj.indptr),
-                         shape=adj.shape)
+    view = type(adj)((np.broadcast_to(1.0, adj.nnz), adj.indices, adj.indptr), shape=adj.shape)
     n_comp, lab = connected_components(view, directed=True, connection="strong")
-    sizes = np.bincount(lab, minlength=n_comp)
-    selfloop = adj.diagonal().astype(bool)
-    rec_mask = (sizes[lab] >= 2) | selfloop
+    rec_mask = np.bincount(lab, minlength=n_comp)[lab] >= 2
+    rec_mask[~rec_mask] = _self_loops(adj, np.flatnonzero(~rec_mask))
     labels = np.full(g.n_cells, -1, dtype=int)
     classes = []
     if rec_mask.any():
@@ -740,19 +746,14 @@ def chain_classes(g: ChainClassGraph) -> Partition:
 
 def _reachable(adj: sp.csr_matrix, seed: np.ndarray) -> np.ndarray:
     """Mask of the cells reachable from ``seed`` along the rows of ``adj``,
-    ``seed`` included.
-
-    Each level gathers only its frontier's rows, in blocks of at most
-    ``_CHUNK_PAIRS`` entries, and marks their targets in a mask; the
-    targets not reached before are the next frontier.
-    """
-    indptr = adj.indptr
+    ``seed`` included: each level gathers its frontier's rows, in blocks of
+    at most ``_CHUNK_PAIRS`` entries, and its new targets are the next."""
     state = np.zeros(adj.shape[0], dtype=bool)
     state[seed] = True
     frontier = np.flatnonzero(state)
     while frontier.size:
         hit = np.zeros_like(state)
-        for lo, hi in _blocks(np.cumsum(indptr[frontier + 1] - indptr[frontier])):
+        for lo, hi in _blocks(np.cumsum(adj.indptr[frontier + 1] - adj.indptr[frontier])):
             hit[adj[frontier[lo:hi]].indices] = True
         hit &= ~state
         state |= hit
@@ -779,27 +780,26 @@ def _assert_acyclic(order: list, n_classes: int) -> None:
 def class_order(sys, g: ChainClassGraph, partition: Partition) -> dict:
     """Strict order on classes plus attractor/repeller roles.
 
-    C_i < C_j when some cell outside both classes is forward-reachable
-    from C_i and backward-reachable from C_j (a connecting chain off
-    both).  Maximal-only classes are attractors, minimal-only classes
-    repellers; a class that is both (no relations at all, including a
-    lone class) reports neither.
-    """
+    C_i < C_j when some cell outside both classes is forward-reachable from
+    C_i and backward-reachable from C_j (a connecting chain off both).
+    Maximal-only classes are attractors, minimal-only ones repellers; a
+    class that is both (no relations, as a lone class) reports neither."""
     k = partition.n_classes
     order = []
     if k > 1:  # a lone class relates to nothing: skip its reachability
-        fwd = [_reachable(g.adjacency, c) for c in partition.classes]
-        adj_t = g.adjacency.T.tocsr()
+        # contiguous data: scipy copies zero-stride data whole on every row slice
+        adj = g.adjacency
+        adj = type(adj)((np.ones(adj.nnz, np.int8), adj.indices, adj.indptr), shape=adj.shape)
+        fwd = [_reachable(adj, c) for c in partition.classes]
+        adj_t = adj.T.tocsr()
+        del adj
         bwd = [_reachable(adj_t, c) for c in partition.classes]
-        for i in range(k):
-            for j in range(k):
-                if i == j:
-                    continue
-                mid = fwd[i] & bwd[j]
-                mid[partition.classes[i]] = False
-                mid[partition.classes[j]] = False
-                if mid.any():
-                    order.append((i, j))
+        for i, j in ((i, j) for i in range(k) for j in range(k) if i != j):
+            mid = fwd[i] & bwd[j]
+            mid[partition.classes[i]] = False
+            mid[partition.classes[j]] = False
+            if mid.any():
+                order.append((i, j))
     _assert_acyclic(order, k)
     below = {i for i, _ in order}
     above = {j for _, j in order}

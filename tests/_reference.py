@@ -11,16 +11,18 @@ the vertex polyline that its two exact legs replaced, the Katok
 transport through arcs and paths that the bracket of their lifts
 replaced, the per-pair ring scan of the metric's block table that its
 lockstep ring steps replaced, the flat-chart graph build as one window
-per source that one stencil per group of image positions replaced, and
-the per-point and per-seed loops that array passes replaced, kept so that
-a test can ask for the same bits from both.
+per source that one stencil per group of image positions replaced, the
+geographic graph build as one window per source that one longitude
+stencil per group of sources replaced, and the per-point and per-seed
+loops that array passes replaced, kept so that a test can ask for the
+same bits from both.
 """
 
 import math
 
 import numpy as np
 
-from cwdyn import cwmetric, models, periodic, sectors
+from cwdyn import chainrec, cwmetric, models, periodic, sectors
 from cwdyn.continua import (MarkedContinuum, OffContinuumError, StraightLift, _crossings,
                             _dedupe_points, _nearest_on, _segments, concat, intersect,
                             subcontinuum, unwrap_path)
@@ -602,3 +604,58 @@ def edges_wrapped(chart, res, imgs, thr):
         counts.append(keep.sum(axis=1))
         indices.append(keys[keep])
     return np.concatenate(counts), np.concatenate(indices)
+
+
+# -- the geographic graph build as one window per source --------------------
+
+
+def edges_geographic(res, imgs, thr):
+    """chainrec._edges_geographic as every source's own windows: each
+    source's candidates are the cells of its widest ``_lon_windows``
+    window over its band of rows, tested whole against each row's window
+    and the chart distance, a chunk of candidates at a time.  Returns the
+    per-row counts and the indices of the CSR."""
+    h = 1.0 / res
+    n = imgs.shape[0]
+    tcol = (np.arange(res) + 0.5) * h
+    tmax = thr.reshape(res, res).max(axis=0)
+    big = float(tmax.max())
+    lon, col = imgs[:, 0], imgs[:, 1]
+    ja = np.clip(np.ceil((col - big - 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
+    jb = np.clip(np.floor((col + big + 1e-12) / h - 0.5), 0, res - 1).astype(np.int64)
+    nj = jb - ja + 1
+    block = max(1, (1 << 20) // int(nj.max()))
+    windows = lambda sl: chainrec._lon_windows(lon[sl], col[sl], ja[sl], nj[sl], tcol, tmax, res)
+    a = np.zeros(n, dtype=np.int64)
+    nl = np.zeros(n, dtype=np.int64)
+    for s0 in range(0, n, block):
+        sl = slice(s0, s0 + block)
+        first, last = windows(sl)
+        widest = np.argmax(last - first, axis=1)[:, None]
+        a[sl] = np.take_along_axis(first, widest, axis=1)[:, 0]
+        nl[sl] = np.minimum(np.take_along_axis(last - first, widest, axis=1)[:, 0] + 1, res)
+    # a window that wraps lists its cells from index 0 on
+    rot = np.mod(-a, res)
+    rot[rot >= nl] = 0
+    ends = np.cumsum(nl)
+    e_src = models._geo_embed(imgs)
+    ex, ey, ez = models._geo_embed(chainrec._grid_centers(res)).T
+    counts = np.zeros(n, dtype=np.int64)
+    indices = [np.zeros(0, np.int32)]
+    for k0 in range(0, int(ends[-1]), block):
+        k1 = min(k0 + block, int(ends[-1]))
+        s0 = int(np.searchsorted(ends, k0, side="right"))
+        s1 = int(np.searchsorted(ends, k1 - 1, side="right")) + 1
+        taken = np.minimum(ends[s0:s1], k1) - np.maximum(ends[s0:s1] - nl[s0:s1], k0)
+        s = np.repeat(np.arange(s0, s1), taken)
+        li = np.arange(k0, k1) - (ends[s] - nl[s])
+        ci = np.mod(a[s] + np.mod(li + rot[s], nl[s]), res).astype(np.int32)[:, None]
+        first, last = (np.repeat(w, taken, axis=0) for w in windows(slice(s0, s1)))
+        p, jj = np.nonzero(((ci >= first) & (ci <= last)) | (ci + res <= last))
+        s = s[p]
+        tix = ci[p, 0] * res + (ja[s] + jj)
+        d = (e_src[s, 0] * ex[tix] + e_src[s, 1] * ey[tix]) + e_src[s, 2] * ez[tix]
+        ok = np.arccos(np.clip(d, -1.0, 1.0)) / np.pi <= thr[tix]
+        counts[s0:s1] += np.bincount(s[ok] - s0, minlength=s1 - s0)
+        indices.append(tix[ok].astype(np.int32))
+    return counts, np.concatenate(indices)

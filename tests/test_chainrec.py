@@ -285,8 +285,15 @@ def _random_images(pts):
     return np.random.default_rng(len(pts)).random(pts.shape)
 
 
+def _lon_shift(pts):
+    # a rotation by 0.301 of a turn, not a whole number of cells at any res
+    # used here, so images sit off their cells' centres; equivariant under
+    # longitude rotation, as the north-south map is
+    return np.stack([np.mod(pts[:, 0] + 0.3 + 1e-3, 1.0), pts[:, 1]], axis=1)
+
+
 _STEPS = {"identity": lambda pts: pts, "spines": _toward_spines,
-          "poles": _poles_and_seams, "random": _random_images}
+          "poles": _poles_and_seams, "random": _random_images, "lon-shift": _lon_shift}
 
 
 class TestCsrMatchesCooReference:
@@ -434,16 +441,20 @@ class TestCsrMatchesCooReference:
         _assert_same_csr(build_graph(sys, res, eps, step=ident).adjacency, want)
 
 
-# -- reference: the flat-chart build as one window per source --------------
+# -- reference: the stencil builds as one window per source -----------------
 
 
 def _window_adjacency(sys, res, eps, step=None):
-    """build_graph's adjacency from _reference.edges_wrapped."""
+    """build_graph's adjacency from _reference.edges_wrapped on the flat
+    charts and _reference.edges_geographic on the sphere."""
     centers = chainrec._grid_centers(res)
     imgs = np.asarray(step(centers) if step is not None
                       else models.iterate_arr(sys, centers, 1), dtype=float)
-    thr = eps + chainrec._cell_diagonals(sys.chart, res)[0]
-    counts, indices = _reference.edges_wrapped(sys.chart, res, imgs, thr)
+    thr = eps + chainrec._cell_diagonals(sys.chart, res)
+    if sys.chart == models.SPHERE_GEOGRAPHIC:
+        counts, indices = _reference.edges_geographic(res, imgs, thr)
+    else:
+        counts, indices = _reference.edges_wrapped(sys.chart, res, imgs, thr[0])
     n = res * res
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
@@ -552,6 +563,83 @@ class TestStencilsMatchWindows:
         assert graph > 15_000_000
         # a chunk's block of int32 keys, its mask and its packed copy
         assert peak < graph + 8 * chainrec._CHUNK_PAIRS
+
+
+def _spy_lon_windows(monkeypatch):
+    """Record the sources of every _lon_windows call: (slack, count)."""
+    calls = []
+    real = chainrec._lon_windows
+
+    def spy(*args):
+        calls.append((args[7] if len(args) > 7 else 1e-12, args[0].size))
+        return real(*args)
+
+    monkeypatch.setattr(chainrec, "_lon_windows", spy)
+    return calls
+
+
+class TestLongitudeStencilsMatchWindows:
+    # criterion 9's and grid-scan's grids at eps 0.01, and grids neither uses
+    @pytest.mark.parametrize("res,eps", [(128, 0.01), (256, 0.01), (192, 0.013),
+                                         (200, 0.013), (64, 0.05)])
+    def test_model_grids(self, ns, res, eps, monkeypatch):
+        # one group per row of sources, decided by its two windows alone:
+        # no source takes windows of its own
+        calls = _spy_lon_windows(monkeypatch)
+        got = build_graph(ns, res, eps).adjacency
+        monkeypatch.undo()
+        m = chainrec._LON_MARGIN
+        assert calls == [(m, res), (-m, res)]
+        _assert_same_csr(got, _window_adjacency(ns, res, eps))
+
+    @pytest.mark.parametrize("step", sorted(_STEPS))
+    @pytest.mark.parametrize("res,eps", [(24, 0.1), (48, 0.03)])
+    def test_synthetic_steps(self, ns, res, eps, step):
+        f = _STEPS[step]
+        _assert_same_csr(build_graph(ns, res, eps, step=f).adjacency,
+                         _window_adjacency(ns, res, eps, step=f))
+
+    def test_offset_off_the_cells(self, ns, monkeypatch):
+        # a rotation by 0.301 of a turn: every image sits 0.3 of a cell off
+        # its cells' centres, and the rows of sources still share a stencil
+        calls = _spy_lon_windows(monkeypatch)
+        got = build_graph(ns, 100, 0.02, step=_lon_shift).adjacency
+        monkeypatch.undo()
+        assert calls[0][1] == 100 and all(slack != 1e-12 for slack, _ in calls)
+        _assert_same_csr(got, _window_adjacency(ns, 100, 0.02, step=_lon_shift))
+
+    @pytest.mark.parametrize("step", [None, "lon-shift", "poles"])
+    @pytest.mark.parametrize("margin", [1e-4, 1.0])
+    def test_band_cells_take_their_own_windows(self, ns, margin, step, monkeypatch):
+        # a margin far above the rounding it covers leaves band cells in
+        # many groups (at 1.0 in all, every cell of every row a band cell),
+        # and their sources decide them one by one, once to count each row
+        # and once to write it
+        f = _STEPS.get(step)
+        res, eps = 32, 0.06
+        monkeypatch.setattr(chainrec, "_LON_MARGIN", margin)
+        calls = _spy_lon_windows(monkeypatch)
+        got = build_graph(ns, res, eps, step=f).adjacency
+        monkeypatch.undo()
+        own = sum(size for slack, size in calls if slack == 1e-12)
+        assert own == 2 * res * res if margin == 1.0 else 0 < own < 2 * res * res
+        _assert_same_csr(got, _window_adjacency(ns, res, eps, step=f))
+
+    def test_build_peak_is_the_graph_and_one_block(self, ns):
+        # the rows fill one preallocated index array, a block at a time
+        build_graph(ns, 16, 0.1)  # first-call allocations outside the trace
+        tracemalloc.start()
+        try:
+            g = build_graph(ns, 256, 0.01)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adj = g.adjacency
+        graph = adj.indices.nbytes + adj.indptr.nbytes
+        assert graph > 24_000_000
+        # a block's int32 table positions, their offsets and the columns'
+        # shifts, and a few arrays over the cells
+        assert peak < graph + 16 * chainrec._CHUNK_PAIRS + 200 * 256 * 256
 
 
 # -- reference: the per-cell grouping and the all-pairs merge over a
@@ -729,7 +817,8 @@ class TestChainClassesMemory:
         finally:
             tracemalloc.stop()
         assert part.n_classes == 1
-        assert peak < 2 * nnz
+        # not even a 1-byte copy of the edges' data: about 60 bytes a cell
+        assert peak < nnz // 2
 
 
 # -- reference: reachability as one full sparse matvec per BFS level, and
