@@ -30,6 +30,13 @@ chain-equivalent at a tolerance inflated by at most one slack, and the
 merge removes grid artifacts (rings of cells that recur in place but
 whose sub-cell drift the grid cannot represent).
 
+On the flat model graphs no search runs: the toral map sends cell u to
+within diag/2 of the centre of pi(u) = A idx(u) + floor(A (1/2, 1/2)) mod
+res, a permutation, so every cell lies on a cycle of edges, and the merge
+slack joins grid neighbours.  ``chain_classes`` checks that cycle cover
+and returns one class of every cell, or raises: the transitive-candidate
+verdict is forced for every invertible integer matrix.
+
 Neither verdict is certified: a missing edge can split a class, so
 not-transitive is grid-scale evidence, as transitive-candidate is.  A
 certified outer approximation, with a per-cell Lipschitz bound in the
@@ -57,6 +64,10 @@ class DiscretizationError(RuntimeError):
     """The grid is too coarse for a consistent class order; refine."""
 
 
+class CoverError(DiscretizationError):
+    """A flat model graph fails its cycle-cover certificate."""
+
+
 @dataclass
 class ChainClassGraph:
     kind: str
@@ -66,6 +77,7 @@ class ChainClassGraph:
     centers: np.ndarray
     cell_diag: np.ndarray
     adjacency: sp.csr_matrix
+    cover: np.ndarray | None = None  # flat model graphs: pi(u) of every cell u
 
     @property
     def n_cells(self) -> int:
@@ -87,6 +99,15 @@ def _grid_centers(res: int) -> np.ndarray:
     h = 1.0 / res
     ii, jj = np.meshgrid(np.arange(res), np.arange(res), indexing="ij")
     return np.stack([(ii.ravel() + 0.5) * h, (jj.ravel() + 0.5) * h], axis=1)
+
+
+def _cycle_cover(matrix, res: int) -> np.ndarray:
+    """pi(u) = A idx(u) + floor(A (1/2, 1/2)) mod res of every cell u: the
+    cell whose centre is off the image of u's centre by 0 or h/2 an axis."""
+    ((a, b), (c, d)) = matrix
+    i, j = np.divmod(np.arange(res * res), res)
+    return (np.mod(a * i + b * j + (a + b) // 2, res) * res
+            + np.mod(c * i + d * j + (c + d) // 2, res))
 
 
 def _row_diagonals(chart: str, res: int) -> np.ndarray:
@@ -618,9 +639,10 @@ def build_graph(sys, grid_resolution: int, eps: float, step=None) -> ChainClassG
     # the data as a zero-stride view of one int8: every stored edge is a 1
     adj = sp.csr_matrix((np.broadcast_to(np.int8(1), indices.size), indices, indptr), shape=(n, n))
     adj.has_canonical_format = True  # each row sorted and free of repeats
+    flat = step is None and chart != models.SPHERE_GEOGRAPHIC
     return ChainClassGraph(kind=sys.kind, chart=chart, grid_resolution=res,
-                           eps=eps, centers=centers, cell_diag=diag,
-                           adjacency=adj)
+                           eps=eps, centers=centers, cell_diag=diag, adjacency=adj,
+                           cover=_cycle_cover(sys.matrix, res) if flat else None)
 
 
 def _blocks(ends):
@@ -700,17 +722,34 @@ def _merge_close_classes(g: ChainClassGraph, lab, rec) -> np.ndarray:
     return connected_components(pairs, directed=False)[1][labs]
 
 
-def _self_loops(adj, cells) -> np.ndarray:
-    """Whether each of ``cells`` has a self-loop, from a bisection of its
-    sorted row that reads no data."""
-    lo, hi = adj.indptr[cells], adj.indptr[cells + 1]
+def _has_edges(adj, src, tgt) -> np.ndarray:
+    """Whether each edge ``src -> tgt`` is stored, from a bisection of each
+    source's sorted row that reads no data."""
+    lo, hi = adj.indptr[src], adj.indptr[src + 1]
     while (lo < hi).any():
         mid = (lo + hi) // 2
-        less = adj.indices[np.minimum(mid, adj.nnz - 1)] < cells
+        less = adj.indices[np.minimum(mid, adj.nnz - 1)] < tgt
         lo, hi = np.where(less & (lo < hi), mid + 1, lo), np.where(less, hi, mid)
-    found = lo < adj.indptr[cells + 1]
-    found[found] = adj.indices[lo[found]] == cells[found]
+    found = lo < adj.indptr[src + 1]
+    found[found] = adj.indices[lo[found]] == tgt[found]
     return found
+
+
+def _check_cover(g: ChainClassGraph) -> None:
+    """Raise unless ``g.cover`` is a permutation of the cells whose every
+    edge ``u -> pi(u)`` is stored, and the merge slack reaches 2h."""
+    n, pi, slack = g.n_cells, g.cover, g.eps + float(g.cell_diag.max())
+    bad = np.flatnonzero(np.bincount(pi, minlength=n)[:n] != 1)
+    if bad.size:
+        raise CoverError(f"cycle cover is no permutation: cell {bad[0]} is not the "
+                         f"image of exactly one cell")
+    bad = np.flatnonzero(~_has_edges(g.adjacency, np.arange(n), pi))
+    if bad.size:
+        raise CoverError(f"cover edge {bad[0]} -> {pi[bad[0]]} is not in the graph "
+                         f"({bad.size} missing)")
+    if not slack >= 2.0 / g.grid_resolution:
+        raise CoverError(f"merge slack {slack:.6g} is below 2h at --res "
+                         f"{g.grid_resolution}: grid neighbours need not merge")
 
 
 def chain_classes(g: ChainClassGraph) -> Partition:
@@ -719,7 +758,11 @@ def chain_classes(g: ChainClassGraph) -> Partition:
     A cell is chain-recurrent when its SCC has two or more cells or a
     self-loop.  Classes closer than one edge slack are merged (grid rings
     near slowdown zones belong to the enclosing class).  Labels follow each
-    class's smallest cell index, not the node traversal order."""
+    class's smallest cell index, not the node traversal order.  A graph
+    with a cycle cover is one class once ``_check_cover`` passes."""
+    if g.cover is not None:
+        _check_cover(g)
+        return Partition(np.zeros(g.n_cells, dtype=int), [np.arange(g.n_cells)], g.n_cells)
     from scipy.sparse.csgraph import connected_components
 
     adj = g.adjacency
@@ -728,7 +771,8 @@ def chain_classes(g: ChainClassGraph) -> Partition:
     view = type(adj)((np.broadcast_to(1.0, adj.nnz), adj.indices, adj.indptr), shape=adj.shape)
     n_comp, lab = connected_components(view, directed=True, connection="strong")
     rec_mask = np.bincount(lab, minlength=n_comp)[lab] >= 2
-    rec_mask[~rec_mask] = _self_loops(adj, np.flatnonzero(~rec_mask))
+    lone = np.flatnonzero(~rec_mask)
+    rec_mask[lone] = _has_edges(adj, lone, lone)
     labels = np.full(g.n_cells, -1, dtype=int)
     classes = []
     if rec_mask.any():

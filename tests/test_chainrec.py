@@ -1,8 +1,11 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph
+from hypothesis import given, settings, strategies as st
 from scipy.sparse.csgraph import connected_components
 
 import _reference
@@ -779,6 +782,90 @@ class TestChainClassesMatchReference:
         assert chain_classes(g).n_classes == 3
 
 
+def _no_search(*args, **kwargs):
+    raise AssertionError("connected_components ran")
+
+
+def _unimodular(shears, flip):
+    """The product of elementary shears [[1, k], [0, 1]] and [[1, 0], [k, 1]],
+    in turn, times diag(1, -1) when ``flip``: a matrix of determinant +-1."""
+    m = np.diag([1, -1 if flip else 1]).astype(np.int64)
+    for n, k in enumerate(shears):
+        e = np.eye(2, dtype=np.int64)
+        e[n % 2, 1 - n % 2] = k
+        m = e @ m
+    return tuple(tuple(int(v) for v in row) for row in m)
+
+
+class TestCycleCover:
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    @pytest.mark.parametrize("res", [64, 100, 128, 192])
+    def test_certified_partition_is_the_reference(self, kind, res, monkeypatch):
+        g = build_graph(make_model(kind), res, 6.4 / res)
+        labels, classes, _ = _ref_chain_labels(g)
+        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", _no_search)
+        part = chain_classes(g)
+        assert part.labels.dtype == labels.dtype
+        assert np.array_equal(part.labels, labels)
+        assert len(part.classes) == len(classes) == 1
+        assert part.classes[0].dtype == classes[0].dtype
+        assert np.array_equal(part.classes[0], classes[0])
+
+    @pytest.mark.parametrize("kind,res,eps,step", [
+        ("north-south", 64, 0.03, None), ("cat-map", 16, 0.05, "identity"),
+        ("sphere-pA", 64, 0.012, "sinks")])
+    def test_search_graphs_keep_the_search(self, kind, res, eps, step, monkeypatch):
+        g = build_graph(make_model(kind), res, eps, step=_STEPS_CLASSES[step])
+        assert g.cover is None
+        monkeypatch.setattr(scipy.sparse.csgraph, "connected_components", _no_search)
+        with pytest.raises(AssertionError, match="connected_components ran"):
+            chain_classes(g)
+
+    @pytest.mark.parametrize("kind", ["cat-map", "sphere-pA"])
+    def test_a_missing_cover_edge_is_an_error(self, kind):
+        g = build_graph(make_model(kind), 64, 0.1)
+        adj, u = g.adjacency, 1234
+        row = adj.indices[adj.indptr[u]:adj.indptr[u + 1]]
+        keep = np.ones(adj.nnz, dtype=bool)
+        keep[adj.indptr[u] + np.searchsorted(row, g.cover[u])] = False
+        indptr = adj.indptr - (np.arange(adj.shape[0] + 1) > u)
+        cut = sp.csr_matrix((adj.data[keep], adj.indices[keep], indptr), shape=adj.shape)
+        assert cut.nnz == adj.nnz - 1
+        with pytest.raises(chainrec.CoverError, match=f"cover edge {u} -> {g.cover[u]} "):
+            chain_classes(dataclasses.replace(g, adjacency=cut))
+        # the CLI maps it as it maps any other discretization failure
+        assert issubclass(chainrec.CoverError, DiscretizationError)
+
+    def test_a_cover_that_is_no_permutation_is_an_error(self, cat):
+        g = build_graph(cat, 64, 0.1)
+        cover = g.cover.copy()
+        cover[7] = cover[8]
+        missed = int(np.setdiff1d(np.arange(g.n_cells), cover)[0])
+        with pytest.raises(chainrec.CoverError, match=f"cell {missed} is not the image"):
+            chain_classes(dataclasses.replace(g, cover=cover))
+
+    def test_a_slack_below_two_cells_is_an_error(self, cat):
+        # check_grid refuses eps below diag / 2, so the slack is 2.12 h or
+        # more on any graph it builds; this one is edited past that
+        g = build_graph(cat, 64, 0.1)
+        with pytest.raises(chainrec.CoverError, match="merge slack"):
+            chain_classes(dataclasses.replace(g, eps=0.5 / 64))
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(shears=st.lists(st.integers(-4, 4), max_size=5), flip=st.booleans(),
+           res=st.integers(2, 300), chart=st.sampled_from([models.TORUS,
+                                                            models.SPHERE_QUOTIENT]))
+    def test_cover_is_a_permutation_near_the_images(self, shears, flip, res, chart):
+        matrix = _unimodular(shears, flip)
+        assert abs(round(np.linalg.det(np.array(matrix, dtype=float)))) == 1
+        pi = chainrec._cycle_cover(matrix, res)
+        assert np.array_equal(np.sort(pi), np.arange(res * res))
+        centers = chainrec._grid_centers(res)
+        imgs = models.wrap_chart(chart, centers @ np.array(matrix, dtype=float).T)
+        d = models.chart_distance(chart, imgs, centers[pi])
+        assert d.max() <= np.sqrt(2.0) / (2 * res) + 1e-9
+
+
 class TestCandidatePairs:
     @pytest.mark.parametrize("chart", [models.TORUS, models.SPHERE_QUOTIENT,
                                        models.SPHERE_GEOGRAPHIC])
@@ -804,12 +891,8 @@ class TestCandidatePairs:
 
 
 class TestChainClassesMemory:
-    def test_no_copy_of_the_edges(self, cat):
-        # cat-map res 128: 3.1M edges, one SCC.  A float64 copy of the
-        # graph for scipy would take 12 bytes an edge or more
-        g = build_graph(cat, 128, 6.4 / 128)
-        nnz = g.adjacency.nnz
-        assert nnz > 3_000_000
+    @staticmethod
+    def _peak(g):
         tracemalloc.start()
         try:
             part = chain_classes(g)
@@ -817,8 +900,23 @@ class TestChainClassesMemory:
         finally:
             tracemalloc.stop()
         assert part.n_classes == 1
+        return peak
+
+    def test_no_copy_of_the_edges(self, cat):
+        # cat-map res 128: 3.1M edges, one SCC.  A float64 copy of the
+        # graph for scipy would take 12 bytes an edge or more
+        g = build_graph(cat, 128, 6.4 / 128)
+        nnz = g.adjacency.nnz
+        assert nnz > 3_000_000
         # not even a 1-byte copy of the edges' data: about 60 bytes a cell
-        assert peak < nnz // 2
+        assert self._peak(g) < nnz // 2
+
+    def test_the_search_makes_no_copy_of_the_edges(self, cat):
+        # the map passed as a step builds the same graph without its cycle
+        # cover, so the strong-component search runs on it
+        g = build_graph(cat, 128, 6.4 / 128, step=lambda pts: models.iterate_arr(cat, pts, 1))
+        assert g.cover is None
+        assert self._peak(g) < g.adjacency.nnz // 2
 
 
 # -- reference: reachability as one full sparse matvec per BFS level, and
